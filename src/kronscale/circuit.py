@@ -157,9 +157,6 @@ class CircuitBuilder:
             return self.const(total)
         return self._push(OP_ADD, tuple(live))
 
-    def add_many(self, args) -> int:
-        return self.add(*args)
-
     def mul(self, a: int, b: int) -> int:
         if self.is_zero(a) or self.is_zero(b):
             return self.zero
@@ -344,12 +341,6 @@ def homogenize_size_bound(circ: Circuit, max_degree: int) -> int:
     return 3 * (q + 1) * max(1, max_degree) * max(1, circ.size)
 
 
-# Baur-Strassen arc growth: forward copy (1x) plus, per original arc, one
-# accumulation arc for an add-use or a product gate and an accumulation arc
-# (3 arcs) for a mul-use: at most 4x overall.
-K_BAUR_STRASSEN = 4
-
-
 def baur_strassen(circ: Circuit, wrt) -> Circuit:
     """Gradient circuit: one output per name in wrt, computing dP/dx.
 
@@ -364,18 +355,7 @@ def baur_strassen(circ: Circuit, wrt) -> Circuit:
     wrt = list(wrt)
     n = len(circ.gates)
     bld = CircuitBuilder(circ.field)
-    # forward copy
-    fwd = []
-    for op, payload in circ.gates:
-        if op == OP_IN:
-            fwd.append(bld.inp(payload))
-        elif op == OP_CONST:
-            fwd.append(bld.const(payload))
-        elif op == OP_ADD:
-            fwd.append(bld.add(*[fwd[a] for a in payload]))
-        else:
-            a, b = payload
-            fwd.append(bld.mul(fwd[a], fwd[b]))
+    fwd = replay(circ, bld)
     contribs: list[list[int]] = [[] for _ in range(n)]
     adjoint = [None] * n
     out = circ.outputs[0]
@@ -408,27 +388,46 @@ def baur_strassen(circ: Circuit, wrt) -> Circuit:
     return bld.build()
 
 
+def replay(circ: Circuit, bld: CircuitBuilder, input_map=None) -> list:
+    """Copy the gates the outputs reach into bld, in order, through its
+    folding calls.
+
+    input_map(name) may return a gate of bld to stand in for an input;
+    None (or no map) copies the input.  Returns the new id of every old
+    gate, None for gates the outputs do not reach.
+    """
+    gates = circ.gates
+    live = [False] * len(gates)
+    for o in circ.outputs:
+        live[o] = True
+    for gid in range(len(gates) - 1, -1, -1):
+        op, payload = gates[gid]
+        if live[gid] and op in (OP_ADD, OP_MUL):
+            for a in payload:
+                live[a] = True
+    new = [None] * len(gates)
+    for gid, (op, payload) in enumerate(gates):
+        if not live[gid]:
+            continue
+        if op == OP_IN:
+            mapped = input_map(payload) if input_map else None
+            new[gid] = bld.inp(payload) if mapped is None else mapped
+        elif op == OP_CONST:
+            new[gid] = bld.const(payload)
+        elif op == OP_ADD:
+            new[gid] = bld.add(*[new[a] for a in payload])
+        elif len(payload) == 2:
+            new[gid] = bld.mul(new[payload[0]], new[payload[1]])
+        else:
+            new[gid] = bld.raw_mul([new[a] for a in payload])
+    return new
+
+
 def dead_gate_elimination(circ: Circuit) -> Circuit:
     """Explicit pass: drop gates unreachable from the outputs."""
-    live = set(circ.outputs)
-    for gid in range(len(circ.gates) - 1, -1, -1):
-        if gid in live:
-            op, payload = circ.gates[gid]
-            if op in (OP_ADD, OP_MUL):
-                live.update(payload)
-    remap = {}
     bld = CircuitBuilder(circ.field)
-    for gid in sorted(live):
-        op, payload = circ.gates[gid]
-        if op == OP_IN:
-            remap[gid] = bld.inp(payload)
-        elif op == OP_CONST:
-            remap[gid] = bld.const(payload)
-        elif op == OP_ADD:
-            remap[gid] = bld._push(OP_ADD, tuple(remap[a] for a in payload))
-        else:
-            remap[gid] = bld._push(OP_MUL, tuple(remap[a] for a in payload))
-    bld.set_outputs(remap[o] for o in circ.outputs)
+    new = replay(circ, bld)
+    bld.set_outputs(new[o] for o in circ.outputs)
     return bld.build()
 
 
@@ -481,6 +480,8 @@ def parse(text: str) -> Circuit:
                 raise ParseError(str(exc), lineno) from None
             continue
         if kind == "out":
+            if outputs is not None:
+                raise ParseError("second out record", lineno)
             try:
                 outputs = tuple(int(t) for t in toks[1:])
             except ValueError:

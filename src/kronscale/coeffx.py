@@ -6,10 +6,11 @@ coefficient of x_1*...*x_n:
 * direct: the 2^n subset dynamic program, one table entry per (gate,
   subset) pair with tables kept sparse (identically-zero entries never
   materialize);
-* tripartition: homogenize, slice the gates into degree layers, cut at
-  n/3 and 2n/3, extract the three layers' multilinear-part tables with
-  the direct DP capped at subsets of size n/3, and combine each cut pair
-  through the P_{n/3}[[n]] circuit of the scaling module.
+* tripartition: split every gate into its homogeneous degree components
+  itself (walking down from the output; it does not call homogenize),
+  cut at degrees n/3 and 2n/3, extract the three layers' multilinear-part
+  tables with the direct DP capped at subsets of size n/3, and combine
+  each cut pair through the P_{n/3}[[n]] circuit of the scaling module.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .circuit import (
     CircuitBuilder,
     analyze_skew,
     formal_degrees,
-    subset_name,
+    replay,
 )
 from .errors import NotSkew, SingleOutputRequired
 from .fields import Field
@@ -96,14 +97,7 @@ def _subset_dp(circ: Circuit, variables, bld: CircuitBuilder, size_cap: int):
             if degs[a] > degs[b]:
                 a, b = b, a
             acc = {}
-            for t_mask, gl in tables[a].items():
-                for r_mask, gh in tables[b].items():
-                    if t_mask & r_mask:
-                        continue
-                    s_mask = t_mask | r_mask
-                    if s_mask.bit_count() > size_cap:
-                        continue
-                    acc.setdefault(s_mask, []).append(bld.mul(gl, gh))
+            _product_into(acc, bld, tables[a], tables[b], size_cap)
             tables.append({m: bld.add(*gs) for m, gs in acc.items()})
         stats += len(tables[-1])
     return tables, stats
@@ -365,17 +359,7 @@ def pad_degree(circ: Circuit, variables) -> tuple[Circuit, tuple]:
     if target == n:
         return circ, variables
     bld = CircuitBuilder(circ.field)
-    new = []
-    for op, payload in circ.gates:
-        if op == OP_IN:
-            new.append(bld.inp(payload))
-        elif op == OP_CONST:
-            new.append(bld.const(payload))
-        elif op == OP_ADD:
-            new.append(bld.add(*[new[a] for a in payload]))
-        else:
-            new.append(bld.mul(new[payload[0]], new[payload[1]]))
-    out = new[circ.outputs[0]]
+    out = replay(circ, bld)[circ.outputs[0]]
     fresh = []
     for i in range(target - n):
         name = f"v:__pad{i}"

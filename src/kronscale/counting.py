@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, CircuitBuilder, evaluate
 from .coeffx import extract_coefficient
-from .errors import DivisibilityError, ParityError, ParseError, TooLarge
+from .errors import (DivisibilityError, ParityError, ParseError, TooLarge,
+                     content_lines, int_fields)
 from .fields import Field, parse_field_spec, prime_field
 from .scaling import p_scheme
 
@@ -52,19 +53,21 @@ def matrix_assignment(mat: SquareMatrix) -> dict:
 
 def parse_matrix_file(text: str, field: Field, symmetric: bool = False) -> SquareMatrix:
     """Matrix file: first line n, then n rows of field values."""
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = content_lines(text)
     if not lines:
         raise ParseError("empty matrix file")
-    n = int(lines[0])
+    (n,) = int_fields(lines[0][1].split(), "'n' header", lines[0][0], (1,))
     if len(lines) != n + 1:
         raise ParseError(f"expected {n} rows, found {len(lines) - 1}")
     rows = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         toks = ln.split()
         if len(toks) != n:
             raise ParseError(f"expected {n} entries", lineno)
-        rows.append(tuple(field.parse_value(t) for t in toks))
+        try:
+            rows.append(tuple(field.parse_value(t) for t in toks))
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
     return SquareMatrix(field, tuple(rows), symmetric=symmetric)
 
 
@@ -326,21 +329,15 @@ class SetFamily:
 
 def parse_family_file(text: str) -> SetFamily:
     """Family file: 'n q m' then m lines of q elements each."""
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = content_lines(text)
     if not lines:
         raise ParseError("empty family file")
-    try:
-        n, q, m = (int(t) for t in lines[0].split())
-    except ValueError:
-        raise ParseError("expected 'n q m' header", 1) from None
+    n, q, m = int_fields(lines[0][1].split(), "'n q m' header", lines[0][0], (3,))
     if len(lines) != m + 1:
         raise ParseError(f"expected {m} member lines, found {len(lines) - 1}")
     members = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        elems = tuple(sorted(int(t) for t in ln.split()))
-        if len(elems) != q:
-            raise ParseError(f"expected {q} elements", lineno)
+    for lineno, ln in lines[1:]:
+        elems = tuple(sorted(int_fields(ln.split(), f"{q} elements", lineno, (q,))))
         if elems and (elems[0] < 1 or elems[-1] > n):
             raise ParseError("element out of range", lineno)
         members.append(elems)

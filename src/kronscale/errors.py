@@ -1,4 +1,5 @@
-"""Exception types shared across kronscale modules."""
+"""Exception types shared across kronscale modules, and the line helpers
+of the text parsers that raise ParseError."""
 
 
 class KronscaleError(Exception):
@@ -6,10 +7,6 @@ class KronscaleError(Exception):
 
 
 class DivisionByZero(KronscaleError):
-    pass
-
-
-class FieldMismatch(KronscaleError):
     pass
 
 
@@ -37,6 +34,26 @@ class ParseError(KronscaleError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def content_lines(text: str) -> list:
+    """(1-based line number, text) for every line that is not blank once
+    its '#' comment is cut off."""
+    lines = [(no, raw.split("#", 1)[0].strip())
+             for no, raw in enumerate(text.splitlines(), start=1)]
+    return [(no, line) for no, line in lines if line]
+
+
+def int_fields(tokens, what: str, lineno: int, counts=None) -> list:
+    """The tokens as ints; ParseError('expected <what>') at lineno when one
+    is not an integer or, given `counts`, their number is not in it."""
+    try:
+        values = [int(t) for t in tokens]
+    except ValueError:
+        raise ParseError(f"expected {what}", lineno) from None
+    if counts is not None and len(values) not in counts:
+        raise ParseError(f"expected {what}", lineno)
+    return values
 
 
 class NotSkew(KronscaleError):

@@ -9,7 +9,7 @@ on every platform.
 
 from __future__ import annotations
 
-from .errors import DivisionByZero, FieldMismatch, FieldTooSmall, ParseError
+from .errors import DivisionByZero, InternalError, ParseError
 
 # Largest prime below 2^61 (Mersenne M61); leaves headroom for 128-bit
 # intermediate products in Python ints and for int64 hosts downstream.
@@ -268,7 +268,8 @@ class GF2Field(Field):
             exp[i + order] = x
             log[x] = i
             x = self._mul_slow(x, gen)
-        assert x == 1
+        if x != 1:
+            raise InternalError(f"generator {gen} of GF(2^{self.w}) has the wrong order")
         self._exp = exp
         self._log = log
 
@@ -380,24 +381,3 @@ def prime_field(p: int = DEFAULT_PRIME) -> PrimeField:
 def gf2(w: int) -> GF2Field:
     """Cached GF(2^w) constructor (table builds are shared)."""
     return parse_field_spec(f"gf2 w={w}")
-
-
-def field_arith(field: Field, op: str, a: int, b: int | None = None) -> int:
-    """Single-operation entry point: op in {add, sub, mul, inv, pow}."""
-    if op == "add":
-        return field.add(a, b)
-    if op == "sub":
-        return field.sub(a, b)
-    if op == "mul":
-        return field.mul(a, b)
-    if op == "inv":
-        return field.inv(a)
-    if op == "pow":
-        return field.pow(a, b)
-    raise ValueError(f"unknown field op {op!r}")
-
-
-def random_element(field: Field, rng: Rng, nonzero: bool = False) -> int:
-    if nonzero and field.order < 2:
-        raise FieldTooSmall("nonzero draw needs |F| >= 2")
-    return field.random(rng, nonzero=nonzero)

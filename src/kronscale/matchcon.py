@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations, product
 
-from .errors import ParityError, ParseError, TooLarge
+from .errors import (InternalError, ParityError, ParseError, TooLarge, content_lines,
+                     int_fields)
 from .fields import prime_field
 from .tensor import Tensor
 
@@ -131,7 +132,7 @@ def complement_matching(matching) -> frozenset:
     for cand_bits, m in _basis_indexed(x):
         if cand_bits == flipped:
             return m
-    raise AssertionError("complement bits missing")
+    raise InternalError("complement bits missing")
 
 
 def all_perfect_matchings(vertices):
@@ -247,20 +248,6 @@ def build_H(q: int) -> Tensor:
     universe = tuple(range(1, q + 1))
     per_vertex = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0)]
     entries = {}
-    ground = fingerprint_ground(q)
-    pos = {label: i for i, label in enumerate(ground)}
-
-    def enc(d, m):
-        mask = 0
-        for i, dv in enumerate(d, start=1):
-            if dv >= 1:
-                mask |= 1 << pos[("d", i, 0)]
-            if dv == 2:
-                mask |= 1 << pos[("d", i, 1)]
-        for (u, v) in m:
-            mask |= 1 << pos[("m", min(u, v), max(u, v))]
-        return mask
-
     for combo in product(per_vertex, repeat=q):
         d1 = tuple(c[0] for c in combo)
         d2 = tuple(c[1] for c in combo)
@@ -274,8 +261,9 @@ def build_H(q: int) -> Tensor:
             for m2 in basis_matchings(x2):
                 for m3 in basis_matchings(x3):
                     if _cycle_cond(list(m1) + list(m2) + list(m3)):
-                        entries[(enc(d1, m1), enc(d2, m2), enc(d3, m3))] = GF2.one
-    return Tensor(GF2, ground, entries)
+                        entries[(encode_fingerprint(q, d1, m1), encode_fingerprint(q, d2, m2),
+                                 encode_fingerprint(q, d3, m3))] = GF2.one
+    return Tensor(GF2, fingerprint_ground(q), entries)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +288,7 @@ def _chains(cross_edges):
         incid.setdefault(v, []).append((idx, u, slot))
     for v, lst in incid.items():
         if len(lst) > 2:
-            raise AssertionError("vertex with more than two cross edges")
+            raise InternalError("vertex with more than two cross edges")
     c1 = sorted(v for v, lst in incid.items() if len(lst) == 1)
     used = [False] * len(cross_edges)
     open_chains = []
@@ -708,24 +696,21 @@ def validate_td(g_edges, td: NiceTreeDecomposition):
 def parse_td_file(text: str) -> NiceTreeDecomposition:
     """One bag per line: 'bag <id> <parent> <kind> [label...] {members}'."""
     bags = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         toks = line.split()
-        if toks[0] != "bag":
-            raise ParseError("expected 'bag' record", lineno)
-        ident, parent = int(toks[1]), int(toks[2])
+        if toks[0] != "bag" or len(toks) < 4:
+            raise ParseError("expected 'bag <id> <parent> <kind> ...' record", lineno)
+        ident, parent = int_fields(toks[1:3], "integer bag id and parent", lineno)
         kind = toks[3]
-        rest = toks[4:]
         members = ()
         label = ()
-        for tok in rest:
+        for tok in toks[4:]:
             if tok.startswith("{"):
                 body = tok.strip("{}")
-                members = tuple(int(t) for t in body.split(",")) if body else ()
+                elems = body.split(",") if body else []
+                members = tuple(int_fields(elems, "integer members", lineno))
             else:
-                label = label + (int(tok),)
+                label = label + tuple(int_fields([tok], "an integer label", lineno))
         bags.append(Bag(ident, parent, kind, label, tuple(sorted(members))))
     bags.sort(key=lambda b: b.ident)
     for i, bag in enumerate(bags):

@@ -261,14 +261,7 @@ def trivial_dec_source(d: int, field: Field) -> RankDecomposition:
     return trivial_decomposition(generate_P(d, field=field))
 
 
-_VERIFIED_CACHE: dict = {}
-
-
 def _provider_dec(dec_source, d: int, field: Field) -> RankDecomposition:
-    key = (id(dec_source), d, field.spec_string())
-    dec = _VERIFIED_CACHE.get(key)
-    if dec is not None:
-        return dec
     try:
         dec = dec_source(d, field)
     except TooLarge:
@@ -278,12 +271,15 @@ def _provider_dec(dec_source, d: int, field: Field) -> RankDecomposition:
     bad = verify_decomposition(generate_P(d, field=field), dec)
     if bad is not None:
         raise ProviderError(f"provider decomposition for d={d} fails at {bad}")
-    _VERIFIED_CACHE[key] = dec
     return dec
 
 
-def _adjacency(mat, zero):
-    return [tuple((l, v) for l, v in enumerate(row) if v != zero) for row in mat]
+def _adjacency(dec: RankDecomposition) -> tuple:
+    """Per slot (U, V, W) and side entry: the (term, coeff) pairs of the
+    nonzero coefficients in its row."""
+    zero = dec.field.zero
+    return tuple([tuple((l, v) for l, v in enumerate(row) if v != zero) for row in mat]
+                 for mat in (dec.Umat, dec.Vmat, dec.Wmat))
 
 
 def _yates_transform(bld: CircuitBuilder, adj, s: int, inputs: dict,
@@ -320,6 +316,43 @@ def _yates_transform(bld: CircuitBuilder, adj, s: int, inputs: dict,
     return cur
 
 
+def _restricted_power(bld: CircuitBuilder, adj, s: int, side_entries, wires,
+                      arc_budget: int) -> list:
+    """Terms of the s-th Kronecker power of a decomposition, restricted to
+    the given side entries.
+
+    side_entries[slot][j] lists (side index, mask) pairs alive in factor j;
+    an s-fold combination reads its input from wires[slot](OR of the
+    masks), and a None or zero gate drops it.  Each slot's inputs run
+    through the Yates transform; returns one x*y*z product per term key
+    present on all three sides.
+    """
+    hats = []
+    for slot in range(3):
+        wire = wires[slot]
+        inputs = {}
+        for combo in product(*side_entries[slot]):
+            key = tuple(i for i, _ in combo)
+            omask = 0
+            for _, om in combo:
+                omask |= om
+            gate = wire(omask)
+            if gate is not None and not bld.is_zero(gate):
+                inputs[key] = gate
+        hats.append(_yates_transform(bld, adj[slot], s, inputs, arc_budget))
+    hx, hy, hz = hats
+    terms = []
+    for key, gx in hx.items():
+        gy = hy.get(key)
+        if gy is None:
+            continue
+        gz = hz.get(key)
+        if gz is None:
+            continue
+        terms.append(bld.mul(bld.mul(gx, gy), gz))
+    return terms
+
+
 def yates_circuit(dec: RankDecomposition, s: int,
                   gate_budget: int = 2_000_000,
                   arc_budget: int = DEFAULT_ARC_BUDGET) -> Circuit:
@@ -334,28 +367,14 @@ def yates_circuit(dec: RankDecomposition, s: int,
     field = dec.field
     bld = CircuitBuilder(field)
     m = dec.ground_size
-    zero = field.zero
-    hats = []
-    for slot, side, mat in (("x", dec.side_x, dec.Umat), ("y", dec.side_y, dec.Vmat),
-                            ("z", dec.side_z, dec.Wmat)):
-        inputs = {}
-        for key in product(range(len(side)), repeat=s):
-            mask = 0
-            for j, i in enumerate(key):
-                mask |= side[i] << (j * m)
-            inputs[key] = bld.inp(subset_name(slot, mask))
-        hats.append(_yates_transform(bld, _adjacency(mat, zero), s, inputs, arc_budget))
-    hx, hy, hz = hats
-    terms = []
-    for key, gx in hx.items():
-        gy = hy.get(key)
-        if gy is None:
-            continue
-        gz = hz.get(key)
-        if gz is None:
-            continue
-        terms.append(bld.mul(bld.mul(gx, gy), gz))
-    bld.set_outputs([bld.add(*terms) if terms else bld.zero])
+    adj = _adjacency(dec)
+    side_entries = tuple(
+        [[(i, mask << (j * m)) for i, mask in enumerate(side)] for j in range(s)]
+        for side in (dec.side_x, dec.side_y, dec.side_z))
+    wires = tuple(lambda mask, slot=slot: bld.inp(subset_name(slot, mask))
+                  for slot in "xyz")
+    terms = _restricted_power(bld, adj, s, side_entries, wires, arc_budget)
+    bld.set_outputs([bld.add(*terms)])
     return bld.build()
 
 
@@ -382,68 +401,33 @@ class PScalingScheme:
                                          type_budget=type_budget)
         self.d_eff = self.decomposition.d_eff
         self.dec = _provider_dec(dec_source or trivial_dec_source, self.d_eff, field)
-        self.adj = (_adjacency(self.dec.Umat, field.zero),
-                    _adjacency(self.dec.Vmat, field.zero),
-                    _adjacency(self.dec.Wmat, field.zero))
+        self.adj = _adjacency(self.dec)
         self.side_index = ({m: i for i, m in enumerate(self.dec.side_x)},
                            {m: i for i, m in enumerate(self.dec.side_y)},
                            {m: i for i, m in enumerate(self.dec.side_z)})
 
     def instantiate(self, bld: CircuitBuilder, xwire, ywire, zwire) -> int:
         """Emit the full type sum; returns the output gate id."""
-        wires = (xwire, ywire, zwire)
         type_outputs = []
         for comp in self.decomposition.components:
-            hats = []
-            for slot in range(3):
-                alive = (comp.alive_x, comp.alive_y, comp.alive_z)[slot]
-                index = self.side_index[slot]
-                wire = wires[slot]
-                per_factor = []
-                for j in range(self.bs.s):
-                    entries = []
-                    for lmask, omask in alive[j].items():
-                        entries.append((index[lmask], omask))
-                    per_factor.append(entries)
-                inputs = {}
-                for combo in product(*per_factor):
-                    key = tuple(i for i, _ in combo)
-                    omask = 0
-                    for _, om in combo:
-                        omask |= om
-                    gate = wire(omask)
-                    if gate is not None and not bld.is_zero(gate):
-                        inputs[key] = gate
-                hats.append(_yates_transform(bld, self.adj[slot], self.bs.s,
-                                             inputs, self.arc_budget))
-            hx, hy, hz = hats
-            terms = []
-            for key, gx in hx.items():
-                gy = hy.get(key)
-                if gy is None:
-                    continue
-                gz = hz.get(key)
-                if gz is None:
-                    continue
-                terms.append(bld.mul(bld.mul(gx, gy), gz))
+            side_entries = tuple(
+                [[(index[lmask], omask) for lmask, omask in alive[j].items()]
+                 for j in range(self.bs.s)]
+                for index, alive in zip(self.side_index,
+                                        (comp.alive_x, comp.alive_y, comp.alive_z)))
+            terms = _restricted_power(bld, self.adj, self.bs.s, side_entries,
+                                      (xwire, ywire, zwire), self.arc_budget)
             if terms:
                 type_outputs.append(bld.add(*terms))
-        return bld.add(*type_outputs) if type_outputs else bld.zero
-
-
-_SCHEME_CACHE: dict = {}
+        return bld.add(*type_outputs)
 
 
 def p_scheme(n: int, b: int, g: int, field: Field, dec_source=None,
              paper_padding: bool = False) -> PScalingScheme:
-    """Cached PScalingScheme for the default provider path."""
-    key = (n, b, g, field.spec_string(), id(dec_source), paper_padding)
-    scheme = _SCHEME_CACHE.get(key)
-    if scheme is None:
-        scheme = PScalingScheme(n, b, g, field, dec_source=dec_source,
-                                paper_padding=paper_padding)
-        _SCHEME_CACHE[key] = scheme
-    return scheme
+    """PScalingScheme for P_n over `field`; every call asks the provider
+    (default: the trivial decomposition) and verifies its answer."""
+    return PScalingScheme(n, b, g, field, dec_source=dec_source,
+                          paper_padding=paper_padding)
 
 
 def build_P_circuit(n: int, b: int, g: int, field: Field | None = None,

@@ -13,24 +13,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import (
-    OP_ADD,
-    OP_CONST,
-    OP_IN,
-    OP_MUL,
     Circuit,
     CircuitBuilder,
     analyze_skew,
     dead_gate_elimination,
     evaluate,
     formal_degrees,
+    replay,
 )
 from .coeffx import extract_coefficient
 from .errors import (
     BipartitenessError,
     CharacteristicError,
     FieldTooSmall,
+    InternalError,
     ParseError,
     ShapeError,
+    content_lines,
+    int_fields,
 )
 from .fields import Field, Rng, gf2
 
@@ -69,21 +69,6 @@ def vandermonde(k: int, n: int, field: Field, rng: Rng) -> SieveMatrix:
         rows.append(tuple(current))
         current = [field.mul(c, p) for c, p in zip(current, points)]
     return SieveMatrix(field, tuple(rows))
-
-
-def _copy_with_remap(circ: Circuit, bld: CircuitBuilder, input_map) -> int:
-    new = []
-    for op, payload in circ.gates:
-        if op == OP_IN:
-            mapped = input_map(payload)
-            new.append(mapped if mapped is not None else bld.inp(payload))
-        elif op == OP_CONST:
-            new.append(bld.const(payload))
-        elif op == OP_ADD:
-            new.append(bld.add(*[new[a] for a in payload]))
-        else:
-            new.append(bld.mul(new[payload[0]], new[payload[1]]))
-    return new[circ.outputs[0]]
 
 
 class SieveRunner:
@@ -129,11 +114,12 @@ class SieveRunner:
                 rxp = bld.inp(f"v:__rxp{i}")
                 self.rand_inputs.append(f"v:__rxp{i}")
                 subst[name] = bld.mul(rx, bld.add(bld.one, bld.mul(z, bld.mul(rxp, lin))))
-        out = _copy_with_remap(circ, bld, subst.get)
-        bld.set_outputs([out])
+        bld.set_outputs([replay(circ, bld, subst.get)[circ.outputs[0]]])
         substituted = bld.build()
         # the transform preserves 1-skewness in the sieve variables
-        assert analyze_skew(substituted, set(yvars)) <= 1
+        q = analyze_skew(substituted, set(yvars))
+        if q is None or q > 1:
+            raise InternalError(f"substituted circuit is not 1-skew (q={q})")
         extracted = extract_coefficient(substituted, yvars, method,
                                         dec_source=dec_source)
         self.circuit = dead_gate_elimination(extracted)
@@ -197,17 +183,16 @@ class UndirectedGraph:
 def parse_graph_file(text: str):
     """Graph file: 'directed|undirected n m [u_size w_size]' + m edge lines,
     or 'triples nu nv nw m' + m triple lines for 3-dimensional matching."""
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = content_lines(text)
     if not lines:
         raise ParseError("empty graph file")
-    head = lines[0].split()
+    head_no, head = lines[0][0], lines[0][1].split()
     kind = head[0]
     if kind == "triples":
-        nu, nv, nw, m = (int(t) for t in head[1:5])
+        nu, nv, nw, m = int_fields(head[1:], "'triples nu nv nw m'", head_no, (4,))
         triples = []
-        for lineno, ln in enumerate(lines[1:], start=2):
-            u, v, w = (int(t) for t in ln.split())
+        for lineno, ln in lines[1:]:
+            u, v, w = int_fields(ln.split(), "a triple 'u v w'", lineno, (3,))
             if not (1 <= u <= nu and 1 <= v <= nv and 1 <= w <= nw):
                 raise ParseError("triple element out of range", lineno)
             triples.append((u, v, w))
@@ -215,11 +200,12 @@ def parse_graph_file(text: str):
             raise ParseError(f"expected {m} triples, found {len(triples)}")
         return ("triples", (nu, nv, nw), tuple(triples))
     if kind not in ("directed", "undirected"):
-        raise ParseError(f"unknown graph kind {kind!r}", 1)
-    n, m = int(head[1]), int(head[2])
+        raise ParseError(f"unknown graph kind {kind!r}", head_no)
+    sizes = int_fields(head[1:], f"'{kind} n m [u_size w_size]'", head_no, (2, 3, 4))
+    n, m = sizes[0], sizes[1]
     edges = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        u, v = (int(t) for t in ln.split())
+    for lineno, ln in lines[1:]:
+        u, v = int_fields(ln.split(), "an edge 'u v'", lineno, (2,))
         if not (1 <= u <= n and 1 <= v <= n):
             raise ParseError("vertex out of range", lineno)
         edges.append((u, v))
@@ -227,7 +213,7 @@ def parse_graph_file(text: str):
         raise ParseError(f"expected {m} edges, found {len(edges)}")
     if kind == "directed":
         return DirectedGraph(n, tuple(edges))
-    side_u = tuple(range(1, int(head[3]) + 1)) if len(head) > 3 else ()
+    side_u = tuple(range(1, sizes[2] + 1)) if len(sizes) > 2 else ()
     return UndirectedGraph(n, tuple(tuple(sorted(e)) for e in edges), side_u)
 
 
@@ -274,8 +260,7 @@ def kpath_circuit(g: DirectedGraph, k: int, rng: Rng, field: Field | None = None
     circ, labels = _kpath_labeled_circuit(g, k, field)
     bld = CircuitBuilder(field)
     values = {nm: bld.const(field.random(rng, nonzero=True)) for nm in labels}
-    out = _copy_with_remap(circ, bld, values.get)
-    bld.set_outputs([out])
+    bld.set_outputs([replay(circ, bld, values.get)[circ.outputs[0]]])
     return bld.build()
 
 

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import ParseError, PartitionSizeError, TooManyClasses
+from .errors import (InternalError, ParseError, PartitionSizeError, TooManyClasses,
+                     content_lines, int_fields)
 
 DEFAULT_CLASS_CAP = 64
 
@@ -72,15 +73,16 @@ def _scaled_classes(family: VectorFamily):
     return scaled, denom
 
 
-def steinitz_permutation(family: VectorFamily,
-                         class_cap: int = DEFAULT_CLASS_CAP) -> SteinitzResult:
-    """Order the family to minimize the worst prefix deviation.
+def _minmax_order(family: VectorFamily, boundaries, limit, class_cap: int):
+    """Exact min-max ordering by dynamic programming over multisets of
+    per-class counts.
 
-    The objective is max over k of || sum of the first k vectors minus
-    ((k-d)/r) times the total ||_inf, minimized exactly by dynamic
-    programming over multisets of per-class remaining counts.  Ties break
-    toward the lexicographically least class index, so the output is
-    deterministic.
+    The deviation of a prefix of length k is || sum of its vectors minus
+    ((k-d)/r) times the total ||_inf.  Among the orders whose every prefix
+    deviation is at most `limit` (None: no limit), returns one minimizing
+    the worst deviation at the prefix lengths in `boundaries`, as
+    (permutation of the original indices, that worst deviation).  Ties
+    break toward the least class index, so the output is deterministic.
     """
     C = len(family.classes)
     if C > class_cap:
@@ -90,14 +92,15 @@ def steinitz_permutation(family: VectorFamily,
     vecs, denom = _scaled_classes(family)
     counts = tuple(c for _, c in family.classes)
     total = tuple(sum(v[t] * c for v, c in zip(vecs, counts)) for t in range(d))
+    # deviations are scaled by r*denom to stay integral
+    bound = None if limit is None else limit * r * denom
 
-    # dev(state at level k) is || r*prefix - (k-d)*total ||_inf, scaled by
-    # r*denom; prefixes are carried with the states so each extension is O(d)
+    # dev of the prefix pref + vecs[i] of length k; prefixes are carried
+    # with the states so each extension is O(d)
     def extend_dev(pref, k, i):
         worst = 0
-        shift_base = k - d
         for t in range(d):
-            val = abs(r * (pref[t] + vecs[i][t]) - shift_base * total[t])
+            val = abs(r * (pref[t] + vecs[i][t]) - (k - d) * total[t])
             if val > worst:
                 worst = val
         return worst
@@ -111,23 +114,37 @@ def steinitz_permutation(family: VectorFamily,
         for state, pref in levels[k].items():
             for i in range(C):
                 if state[i] < counts[i]:
+                    if bound is not None and extend_dev(pref, k + 1, i) > bound:
+                        continue
                     s2 = state[:i] + (state[i] + 1,) + state[i + 1:]
                     if s2 not in nxt:
                         nxt[s2] = tuple(pref[t] + vecs[i][t] for t in range(d))
-    # h[state] = best achievable max-deviation over all strict extensions
-    NEG = -1
-    h: dict = {tuple(counts): NEG}
+    full = tuple(counts)
+    if full not in levels[r]:
+        raise InternalError("no order satisfies the Steinitz bound")
+
+    # value of taking class i next from (state, pref) at level k, or None
+    # when that step breaks the limit or leads to a dead state
+    def step(state, pref, k, i):
+        s2 = state[:i] + (state[i] + 1,) + state[i + 1:]
+        hs = h.get(s2)
+        if hs is None:
+            return None, s2
+        dev = extend_dev(pref, k + 1, i)
+        if bound is not None and dev > bound:
+            return None, s2
+        return max(dev if (k + 1) in boundaries else -1, hs), s2
+
+    # h[state] = best achievable worst boundary deviation over all
+    # completions; None marks a state with no feasible completion
+    h: dict = {full: -1}
     for k in range(r - 1, -1, -1):
         for state, pref in levels[k].items():
             best = None
             for i in range(C):
                 if state[i] < counts[i]:
-                    s2 = state[:i] + (state[i] + 1,) + state[i + 1:]
-                    cand = extend_dev(pref, k + 1, i)
-                    hs = h[s2]
-                    if hs > cand:
-                        cand = hs
-                    if best is None or cand < best:
+                    cand, _ = step(state, pref, k, i)
+                    if cand is not None and (best is None or cand < best):
                         best = cand
             h[state] = best
     # forward reconstruction, least class index among optima
@@ -138,8 +155,8 @@ def steinitz_permutation(family: VectorFamily,
         target = h[state]
         for i in range(C):
             if state[i] < counts[i]:
-                s2 = state[:i] + (state[i] + 1,) + state[i + 1:]
-                if max(extend_dev(pref, k + 1, i), h[s2]) == target:
+                cand, s2 = step(state, pref, k, i)
+                if cand == target:
                     order.append(i)
                     state = s2
                     pref = tuple(pref[t] + vecs[i][t] for t in range(d))
@@ -153,8 +170,21 @@ def steinitz_permutation(family: VectorFamily,
     for ci in order:
         perm.append(pools[ci][cursor[ci]])
         cursor[ci] += 1
-    achieved = Fraction(h[tuple([0] * C)], r * denom)
-    return SteinitzResult(tuple(perm), achieved)
+    return tuple(perm), Fraction(h[tuple([0] * C)], r * denom)
+
+
+def steinitz_permutation(family: VectorFamily,
+                         class_cap: int = DEFAULT_CLASS_CAP) -> SteinitzResult:
+    """Order the family to minimize the worst prefix deviation.
+
+    The objective is max over k of || sum of the first k vectors minus
+    ((k-d)/r) times the total ||_inf, minimized exactly by dynamic
+    programming over multisets of per-class remaining counts.  Ties break
+    toward the lexicographically least class index, so the output is
+    deterministic.
+    """
+    boundaries = set(range(1, family.size + 1))
+    return SteinitzResult(*_minmax_order(family, boundaries, None, class_cap))
 
 
 def _balanced_permutation(family: VectorFamily, sizes,
@@ -167,90 +197,12 @@ def _balanced_permutation(family: VectorFamily, sizes,
     the scaling decomposition pays for.  Ties break toward the least class
     index, as in steinitz_permutation.
     """
-    C = len(family.classes)
-    if C > class_cap:
-        raise TooManyClasses(f"{C} distinct vectors exceed cap {class_cap}")
-    d = family.dim
-    r = family.size
-    vecs, denom = _scaled_classes(family)
-    counts = tuple(c for _, c in family.classes)
-    total = tuple(sum(v[t] * c for v, c in zip(vecs, counts)) for t in range(d))
-    limit = d * r * denom
     boundaries = set()
     acc = 0
     for g in sizes:
         acc += g
         boundaries.add(acc)
-
-    def extend_dev(pref, k, i):
-        worst = 0
-        for t in range(d):
-            val = abs(r * (pref[t] + vecs[i][t]) - (k - d) * total[t])
-            if val > worst:
-                worst = val
-        return worst
-
-    levels: list[dict] = [dict() for _ in range(r + 1)]
-    levels[0][tuple([0] * C)] = tuple([0] * d)
-    for k in range(r):
-        nxt = levels[k + 1]
-        for state, pref in levels[k].items():
-            for i in range(C):
-                if state[i] < counts[i]:
-                    if extend_dev(pref, k + 1, i) > limit:
-                        continue
-                    s2 = state[:i] + (state[i] + 1,) + state[i + 1:]
-                    if s2 not in nxt:
-                        nxt[s2] = tuple(pref[t] + vecs[i][t] for t in range(d))
-    full = tuple(counts)
-    if full not in levels[r]:
-        raise AssertionError("no order satisfies the Steinitz bound")
-    DEAD = None
-    h: dict = {full: -1}
-    for k in range(r - 1, -1, -1):
-        for state, pref in levels[k].items():
-            best = DEAD
-            for i in range(C):
-                if state[i] < counts[i]:
-                    s2 = state[:i] + (state[i] + 1,) + state[i + 1:]
-                    hs = h.get(s2, DEAD)
-                    if hs is DEAD:
-                        continue
-                    dev = extend_dev(pref, k + 1, i)
-                    if dev > limit:
-                        continue
-                    cand = max(dev if (k + 1) in boundaries else -1, hs)
-                    if best is DEAD or cand < best:
-                        best = cand
-            h[state] = best
-    order = []
-    state = tuple([0] * C)
-    pref = tuple([0] * d)
-    for k in range(r):
-        target = h[state]
-        for i in range(C):
-            if state[i] < counts[i]:
-                s2 = state[:i] + (state[i] + 1,) + state[i + 1:]
-                hs = h.get(s2)
-                if hs is DEAD or hs is None:
-                    continue
-                dev = extend_dev(pref, k + 1, i)
-                if dev > limit:
-                    continue
-                if max(dev if (k + 1) in boundaries else -1, hs) == target:
-                    order.append(i)
-                    state = s2
-                    pref = tuple(pref[t] + vecs[i][t] for t in range(d))
-                    break
-    pools = {i: [] for i in range(C)}
-    for idx, ci in enumerate(family.class_of):
-        pools[ci].append(idx)
-    cursor = {i: 0 for i in range(C)}
-    perm = []
-    for ci in order:
-        perm.append(pools[ci][cursor[ci]])
-        cursor[ci] += 1
-    return tuple(perm)
+    return _minmax_order(family, boundaries, family.dim, class_cap)[0]
 
 
 def concentration_partition(family: VectorFamily, sizes,
@@ -290,30 +242,31 @@ def concentration_partition(family: VectorFamily, sizes,
         groups.append(members)
         deviations.append(dev)
         if dev > Fraction(4 * d, g):
-            raise AssertionError(
+            raise InternalError(
                 f"concentration bound violated: {dev} > 4*{d}/{g}")
     return ConcentrationPartition(tuple(groups), sizes, tuple(deviations))
 
 
 def parse_vector_file(text: str) -> VectorFamily:
     """Vector file: first line 'd r', then r lines of d rationals 'p/q'."""
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = content_lines(text)
     if not lines:
         raise ParseError("empty vector file")
-    try:
-        d, r = (int(t) for t in lines[0].split())
-    except ValueError:
-        raise ParseError("expected 'd r' header", 1) from None
+    d, r = int_fields(lines[0][1].split(), "'d r' header", lines[0][0], (2,))
+    if r < 1:
+        raise ParseError("a vector family needs r >= 1", lines[0][0])
     if len(lines) != r + 1:
         raise ParseError(f"expected {r} vector lines, found {len(lines) - 1}")
     vectors = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         toks = ln.split()
         if len(toks) != d:
             raise ParseError(f"expected {d} coordinates", lineno)
         try:
-            vectors.append(tuple(Fraction(t) for t in toks))
+            vec = tuple(Fraction(t) for t in toks)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(str(exc), lineno) from None
+        if any(abs(x) > 1 for x in vec):
+            raise ParseError("vector exceeds unit infinity norm", lineno)
+        vectors.append(vec)
     return VectorFamily.from_vectors(vectors)

@@ -17,6 +17,7 @@ from .errors import (
     ShapeError,
     TooLarge,
     UnassignedInput,
+    int_fields,
 )
 from .fields import Field, parse_field_spec
 
@@ -256,7 +257,7 @@ def _parse_mask(tok: str, lineno: int) -> int:
     if not (tok.startswith("{") and tok.endswith("}")):
         raise ParseError(f"bad subset token {tok!r}", lineno)
     body = tok[1:-1]
-    return mask_of(int(t) for t in body.split(",")) if body else 0
+    return mask_of(int_fields(body.split(","), "a subset '{i,j,...}'", lineno)) if body else 0
 
 
 def write_decomposition(dec: RankDecomposition) -> str:
@@ -289,10 +290,13 @@ def parse_decomposition(text: str) -> RankDecomposition:
             saw_header = True
             continue
         if line.startswith("field "):
-            field = parse_field_spec(line[6:])
+            try:
+                field = parse_field_spec(line[6:])
+            except ParseError as exc:
+                raise ParseError(str(exc), lineno) from None
             continue
         if line.startswith("r="):
-            r = int(line[2:])
+            (r,) = int_fields([line[2:]], "'r=<rank>'", lineno)
             continue
         if line.rstrip(":") in ("xside", "yside", "zside", "U", "V", "W") and line.endswith(":"):
             section = line[:-1]
@@ -318,7 +322,10 @@ def parse_decomposition(text: str) -> RankDecomposition:
     dec = RankDecomposition(field, ground_size,
                             tuple(sides["xside"]), tuple(sides["yside"]), tuple(sides["zside"]),
                             tuple(mats["U"]), tuple(mats["V"]), tuple(mats["W"]))
-    _check_shapes(dec)
+    try:
+        _check_shapes(dec)
+    except ShapeError as exc:
+        raise ParseError(str(exc)) from None
     if dec.rank != r:
         raise ParseError(f"declared r={r} but matrices have {dec.rank} columns")
     return dec

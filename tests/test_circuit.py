@@ -17,6 +17,7 @@ from kronscale.circuit import (
     mask_bits,
     name_elements,
     parse,
+    replay,
     serialize,
     subset_name,
 )
@@ -271,20 +272,7 @@ def test_baur_strassen_linearity():
         c1 = random_skew_circuit(ZP, rng, names, n_gates=25)
         c2 = random_skew_circuit(ZP, rng, names, n_gates=25)
         bld = CircuitBuilder(ZP)
-        remap = {}
-        merged_outs = []
-        for c in (c1, c2):
-            ids = {}
-            for gid, (op, payload) in enumerate(c.gates):
-                if op == OP_IN:
-                    ids[gid] = bld.inp(payload)
-                elif op == OP_CONST:
-                    ids[gid] = bld.const(payload)
-                elif op == OP_ADD:
-                    ids[gid] = bld.add(*[ids[a] for a in payload])
-                else:
-                    ids[gid] = bld.mul(ids[payload[0]], ids[payload[1]])
-            merged_outs.append(ids[c.outputs[0]])
+        merged_outs = [replay(c, bld)[c.outputs[0]] for c in (c1, c2)]
         bld.set_outputs([bld.add(*merged_outs)])
         gsum = baur_strassen(bld.build(), names)
         g1 = baur_strassen(c1, names)

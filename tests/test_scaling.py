@@ -1,9 +1,10 @@
+from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
 
 from kronscale.circuit import CircuitBuilder, evaluate, subset_name
-from kronscale.errors import TooLarge
+from kronscale.errors import ProviderError, TooLarge
 from kronscale.fields import Rng, prime_field
 from kronscale.scaling import (
     BlockStructure,
@@ -293,7 +294,65 @@ def test_build_P_rejects_bad_factorization():
         build_P_circuit(5, 1, 2, field=F)
 
 
-def test_scheme_cache_reuse():
-    s1 = p_scheme(2, 1, 2, F)
-    s2 = p_scheme(2, 1, 2, F)
-    assert s1 is s2
+def split_first_term(d, field):
+    """A valid rank+1 provider: the trivial decomposition of P_d with its
+    first term split in two whose U-coefficients, 2u and -u, sum to u."""
+    dec = trivial_decomposition(generate_P(d, field=field))
+    two = field.add(field.one, field.one)
+    return replace(
+        dec,
+        Umat=tuple((field.mul(two, row[0]),) + row[1:] + (field.neg(row[0]),)
+                   for row in dec.Umat),
+        Vmat=tuple(row + (row[0],) for row in dec.Vmat),
+        Wmat=tuple(row + (row[0],) for row in dec.Wmat))
+
+
+def broken_first_term(d, field):
+    """The split decomposition without the second half of its first term."""
+    dec = split_first_term(d, field)
+    return replace(dec, Umat=tuple(row[:-1] + (field.zero,) for row in dec.Umat))
+
+
+def test_provider_exception_becomes_provider_error():
+    def boom(d, field):
+        raise RuntimeError("no decomposition")
+
+    with pytest.raises(ProviderError):
+        build_P_circuit(2, 1, 1, field=F, dec_source=boom)
+
+
+def test_provider_decomposition_failing_verification_is_rejected():
+    with pytest.raises(ProviderError):
+        build_P_circuit(2, 1, 1, field=F, dec_source=broken_first_term)
+
+
+@pytest.mark.parametrize("bg", [(1, 1), (1, 2)])
+def test_nontrivial_provider_gives_the_default_values(bg):
+    scheme = p_scheme(2, *bg, F, dec_source=split_first_term)
+    trivial = trivial_decomposition(generate_P(scheme.d_eff, field=F))
+    assert scheme.dec.rank == trivial.rank + 1
+    default = build_P_circuit(2, *bg, field=F)
+    split = build_P_circuit(2, *bg, field=F, dec_source=split_first_term)
+    assert split.input_names() == default.input_names()
+    rng = Rng(21)
+    for _ in range(5):
+        asg = _assign_all(default, rng)
+        assert evaluate(split, asg) == evaluate(default, asg)
+
+
+def test_every_scheme_verifies_its_provider():
+    class Flaky:
+        """Answers correctly on the first call only."""
+
+        def __init__(self):
+            self.calls = 0
+
+        def __call__(self, d, field):
+            self.calls += 1
+            return (split_first_term if self.calls == 1 else broken_first_term)(d, field)
+
+    flaky = Flaky()
+    p_scheme(2, 1, 2, F, dec_source=flaky)
+    with pytest.raises(ProviderError):
+        p_scheme(2, 1, 2, F, dec_source=flaky)
+    assert flaky.calls == 2
