@@ -106,10 +106,13 @@ class CircuitBuilder:
         self.gates: list = []
         self._inputs: dict[str, int] = {}
         self._consts: dict[int, int] = {}
+        self._arcs = 0
         self.outputs: list[int] = []
 
     def _push(self, op, payload) -> int:
         self.gates.append((op, payload))
+        if op in (OP_ADD, OP_MUL):
+            self._arcs += len(payload)
         return len(self.gates) - 1
 
     def inp(self, name: str) -> int:
@@ -194,11 +197,8 @@ class CircuitBuilder:
 
     @property
     def arcs(self) -> int:
-        total = 0
-        for op, payload in self.gates:
-            if op in (OP_ADD, OP_MUL):
-                total += len(payload)
-        return total
+        """Arc count of the gates pushed so far, kept as they are pushed."""
+        return self._arcs
 
     def build(self) -> Circuit:
         return Circuit(self.field, tuple(self.gates), tuple(self.outputs))

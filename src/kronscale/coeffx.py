@@ -15,7 +15,7 @@ coefficient of x_1*...*x_n:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from .circuit import (
     OP_ADD,
@@ -29,7 +29,6 @@ from .circuit import (
     replay,
 )
 from .errors import NotSkew, SingleOutputRequired
-from .fields import Field
 from .scaling import p_scheme
 
 DEFAULT_SKEW_CAP = 3

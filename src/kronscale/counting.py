@@ -13,7 +13,7 @@ from .circuit import Circuit, CircuitBuilder, evaluate
 from .coeffx import extract_coefficient
 from .errors import (DivisibilityError, ParityError, ParseError, TooLarge,
                      content_lines, int_fields)
-from .fields import Field, parse_field_spec, prime_field
+from .fields import Field, prime_field
 from .scaling import p_scheme
 
 

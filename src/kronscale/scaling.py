@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .circuit import Circuit, CircuitBuilder, subset_name
-from .errors import InternalError, ProviderError, TooLarge
+from .errors import InternalError, ProviderError, ShapeError, TooLarge
 from .fields import Field, prime_field
 from .steinitz import VectorFamily, concentration_partition
 from .tensor import (
@@ -268,7 +268,10 @@ def _provider_dec(dec_source, d: int, field: Field) -> RankDecomposition:
         raise
     except Exception as exc:
         raise ProviderError(f"decomposition provider failed for d={d}: {exc}") from exc
-    bad = verify_decomposition(generate_P(d, field=field), dec)
+    try:
+        bad = verify_decomposition(generate_P(d, field=field), dec)
+    except ShapeError as exc:
+        raise ProviderError(f"provider decomposition for d={d} is malformed: {exc}") from exc
     if bad is not None:
         raise ProviderError(f"provider decomposition for d={d} fails at {bad}")
     return dec
@@ -282,21 +285,30 @@ def _adjacency(dec: RankDecomposition) -> tuple:
                  for mat in (dec.Umat, dec.Vmat, dec.Wmat))
 
 
-def _yates_transform(bld: CircuitBuilder, adj, s: int, inputs: dict,
-                     arc_budget: int) -> dict:
+def _supports(adj) -> tuple:
+    """Per slot and side entry: the set of terms its row reaches."""
+    return tuple([frozenset(l for l, _ in row) for row in rows] for rows in adj)
+
+
+def _yates_transform(bld: CircuitBuilder, adj, s: int, inputs: dict, live,
+                     arc_budget: int, slot: str) -> dict:
     """Sparse layered Kronecker transform.
 
     inputs maps side-index tuples to gates; level u rewrites position u
-    from a side index to a term index, accumulating coefficient-scaled
-    sums.  Zero gates never materialize, so restrictions stay cheap.
+    from a side index to a term index in live[u], accumulating
+    coefficient-scaled sums.  Zero gates never materialize, and terms
+    outside live[u] are never emitted, so restrictions stay cheap.
     """
     cur = inputs
     for u in range(s):
+        keep = live[u]
         acc: dict = {}
         for key, gate in cur.items():
             head = key[:u]
             tail = key[u + 1:]
             for l, coeff in adj[key[u]]:
+                if l not in keep:
+                    continue
                 nk = head + (l,) + tail
                 term = bld.scale(coeff, gate)
                 if bld.is_zero(term):
@@ -312,21 +324,29 @@ def _yates_transform(bld: CircuitBuilder, adj, s: int, inputs: dict,
         for nk, val in acc.items():
             cur[nk] = bld.add(*val) if isinstance(val, list) else val
         if bld.arcs > arc_budget:
-            raise TooLarge(f"transform exceeded arc budget {arc_budget}")
+            raise TooLarge(f"yates: slot {slot}, level {u + 1} of s={s}: "
+                           f"{bld.arcs} arcs exceed the arc budget {arc_budget}")
     return cur
 
 
-def _restricted_power(bld: CircuitBuilder, adj, s: int, side_entries, wires,
-                      arc_budget: int) -> list:
+def _restricted_power(bld: CircuitBuilder, adj, supports, s: int, side_entries,
+                      wires, arc_budget: int) -> list:
     """Terms of the s-th Kronecker power of a decomposition, restricted to
     the given side entries.
 
     side_entries[slot][j] lists (side index, mask) pairs alive in factor j;
     an s-fold combination reads its input from wires[slot](OR of the
-    masks), and a None or zero gate drops it.  Each slot's inputs run
-    through the Yates transform; returns one x*y*z product per term key
+    masks), and a None or zero gate drops it.  A term survives factor j
+    only if every slot has an alive entry whose row (supports[slot])
+    reaches it; each slot's inputs run through the Yates transform over
+    the surviving terms, and one x*y*z product is returned per term key
     present on all three sides.
     """
+    live = []
+    for j in range(s):
+        reach = [frozenset().union(*(supp[i] for i, _ in entries[j]))
+                 for supp, entries in zip(supports, side_entries)]
+        live.append(reach[0] & reach[1] & reach[2])
     hats = []
     for slot in range(3):
         wire = wires[slot]
@@ -339,7 +359,8 @@ def _restricted_power(bld: CircuitBuilder, adj, s: int, side_entries, wires,
             gate = wire(omask)
             if gate is not None and not bld.is_zero(gate):
                 inputs[key] = gate
-        hats.append(_yates_transform(bld, adj[slot], s, inputs, arc_budget))
+        hats.append(_yates_transform(bld, adj[slot], s, inputs, live, arc_budget,
+                                     "xyz"[slot]))
     hx, hy, hz = hats
     terms = []
     for key, gx in hx.items():
@@ -368,12 +389,13 @@ def yates_circuit(dec: RankDecomposition, s: int,
     bld = CircuitBuilder(field)
     m = dec.ground_size
     adj = _adjacency(dec)
+    supports = _supports(adj)
     side_entries = tuple(
         [[(i, mask << (j * m)) for i, mask in enumerate(side)] for j in range(s)]
         for side in (dec.side_x, dec.side_y, dec.side_z))
     wires = tuple(lambda mask, slot=slot: bld.inp(subset_name(slot, mask))
                   for slot in "xyz")
-    terms = _restricted_power(bld, adj, s, side_entries, wires, arc_budget)
+    terms = _restricted_power(bld, adj, supports, s, side_entries, wires, arc_budget)
     bld.set_outputs([bld.add(*terms)])
     return bld.build()
 
@@ -402,6 +424,7 @@ class PScalingScheme:
         self.d_eff = self.decomposition.d_eff
         self.dec = _provider_dec(dec_source or trivial_dec_source, self.d_eff, field)
         self.adj = _adjacency(self.dec)
+        self.supports = _supports(self.adj)
         self.side_index = ({m: i for i, m in enumerate(self.dec.side_x)},
                            {m: i for i, m in enumerate(self.dec.side_y)},
                            {m: i for i, m in enumerate(self.dec.side_z)})
@@ -415,8 +438,9 @@ class PScalingScheme:
                  for j in range(self.bs.s)]
                 for index, alive in zip(self.side_index,
                                         (comp.alive_x, comp.alive_y, comp.alive_z)))
-            terms = _restricted_power(bld, self.adj, self.bs.s, side_entries,
-                                      (xwire, ywire, zwire), self.arc_budget)
+            terms = _restricted_power(bld, self.adj, self.supports, self.bs.s,
+                                      side_entries, (xwire, ywire, zwire),
+                                      self.arc_budget)
             if terms:
                 type_outputs.append(bld.add(*terms))
         return bld.add(*type_outputs)

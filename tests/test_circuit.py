@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_skew_circuit
 from kronscale.circuit import (
@@ -74,6 +76,39 @@ def test_single_mul():
     bld.set_outputs([bld.mul(x, y)])
     c = bld.build()
     assert evaluate(c, {"v:x": 2, "v:y": 3}) == (6,)
+
+
+BUILDER_CALLS = st.lists(
+    st.tuples(st.sampled_from(["inp", "const", "add", "mul", "scale", "raw_mul"]),
+              st.lists(st.integers(0, 1000), min_size=1, max_size=4)),
+    max_size=60)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(BUILDER_CALLS)
+def test_arc_counter_matches_circuit_size(calls):
+    # a small field and few distinct consts make the folding paths common:
+    # zero and one absorption, const*const, and scale through a const mul
+    f = prime_field(5)
+    bld = CircuitBuilder(f)
+    bld.inp("v:0")
+    for kind, picks in calls:
+        gids = [p % len(bld.gates) for p in picks]
+        if kind == "inp":
+            bld.inp(f"v:{picks[0] % 3}")
+        elif kind == "const":
+            bld.const(picks[0] % 5)
+        elif kind == "add":
+            bld.add(*gids)
+        elif kind == "mul":
+            bld.mul(gids[0], gids[-1])
+        elif kind == "scale":
+            op, payload = bld.gates[gids[-1]]
+            if op != OP_MUL or len(payload) == 2:  # raw_mul subjects are not scaled
+                bld.scale(picks[0] % 5, gids[-1])
+        else:
+            bld.raw_mul(gids)
+        assert bld.arcs == bld.build().size
 
 
 def test_char2_x_plus_x():

@@ -1,9 +1,11 @@
+import re
 from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
 
 from kronscale.circuit import CircuitBuilder, evaluate, subset_name
+from kronscale.counting import build_permanent_circuit
 from kronscale.errors import ProviderError, TooLarge
 from kronscale.fields import Rng, prime_field
 from kronscale.scaling import (
@@ -15,6 +17,7 @@ from kronscale.scaling import (
     decompose_P,
     enumerate_types,
     p_scheme,
+    trivial_dec_source,
     verify_scaling,
     yates_circuit,
 )
@@ -231,6 +234,49 @@ def test_yates_budget():
         yates_circuit(dec, 9, gate_budget=10_000)
 
 
+BUDGET_MESSAGE = re.compile(
+    r"yates: slot ([xyz]), level (\d+) of s=(\d+): (\d+) arcs exceed the arc budget (\d+)")
+
+
+def test_yates_arc_budget_names_slot_and_level():
+    rng = Rng(6)
+    _, dec = random_tensor_with_dec(rng, 3, 6)
+    # each budget is the arc count the previous firing reported, so the
+    # next check that fires is the next level that adds arcs
+    fired = []
+    budget = 0
+    while True:
+        try:
+            yates_circuit(dec, 2, arc_budget=budget)
+        except TooLarge as exc:
+            m = BUDGET_MESSAGE.fullmatch(str(exc))
+            assert m is not None, str(exc)
+            slot, level, s, arcs, limit = m.groups()
+            assert (int(s), int(limit)) == (2, budget) and int(arcs) > budget
+            fired.append((slot, int(level)))
+            budget = int(arcs)
+        else:
+            break
+    assert fired == [(slot, level) for slot in "xyz" for level in (1, 2)]
+
+
+def test_instantiate_arc_budget_reports_where_it_fired():
+    scheme = PScalingScheme(2, 1, 1, F, arc_budget=4)
+    bld = CircuitBuilder(F)
+    wires = {}
+    for slot in "xyz":
+        wires[slot] = {}
+        for elems in combinations(range(6), 2):
+            mask = sum(1 << e for e in elems)
+            wires[slot][mask] = bld.inp(subset_name(slot, mask))
+    bld.add(*list(wires["x"].values())[:5])
+    # the trivial provider's transform adds no gates, so the five arcs
+    # already in the builder trip the budget at the first check
+    with pytest.raises(TooLarge) as info:
+        scheme.instantiate(bld, wires["x"].get, wires["y"].get, wires["z"].get)
+    assert str(info.value) == "yates: slot x, level 1 of s=2: 5 arcs exceed the arc budget 4"
+
+
 def _check_build_P(n, b, g, n_assignments=5, seed=9):
     rng = Rng(seed)
     circ = build_P_circuit(n, b, g, field=F)
@@ -289,6 +335,12 @@ def test_build_P_trilinear_in_x():
     assert v1 == F.mul(t, v0)
 
 
+def test_trivial_provider_sizes_are_pinned():
+    perm = build_permanent_circuit(6, b=1, g=1)
+    assert (perm.size, len(perm.gates)) == (727, 359)
+    assert build_P_circuit(3, 1, 1, field=F).size == 8449
+
+
 def test_build_P_rejects_bad_factorization():
     with pytest.raises(TooLarge):
         build_P_circuit(5, 1, 2, field=F)
@@ -321,23 +373,49 @@ def test_provider_exception_becomes_provider_error():
         build_P_circuit(2, 1, 1, field=F, dec_source=boom)
 
 
+def truncated_last_row(d, field):
+    dec = trivial_decomposition(generate_P(d, field=field))
+    return replace(dec, Umat=dec.Umat[:-1] + (dec.Umat[-1][:-1],))
+
+
+@pytest.mark.parametrize("source, message", [
+    (lambda d, field: trivial_dec_source(d, prime_field(101)), "field"),
+    (truncated_last_row, "row width"),
+])
+def test_malformed_provider_decomposition_is_a_provider_error(source, message):
+    with pytest.raises(ProviderError, match=message):
+        build_P_circuit(2, 1, 1, field=prime_field(7), dec_source=source)
+
+
 def test_provider_decomposition_failing_verification_is_rejected():
     with pytest.raises(ProviderError):
         build_P_circuit(2, 1, 1, field=F, dec_source=broken_first_term)
 
 
-@pytest.mark.parametrize("bg", [(1, 1), (1, 2)])
-def test_nontrivial_provider_gives_the_default_values(bg):
-    scheme = p_scheme(2, *bg, F, dec_source=split_first_term)
+def _check_split_provider(n, b, g, gates_before, arcs_before):
+    """The split provider gives the default values; its gate and arc
+    counts are at most those from when every hat entry was transformed,
+    before the restricted power dropped terms that never join."""
+    scheme = p_scheme(n, b, g, F, dec_source=split_first_term)
     trivial = trivial_decomposition(generate_P(scheme.d_eff, field=F))
     assert scheme.dec.rank == trivial.rank + 1
-    default = build_P_circuit(2, *bg, field=F)
-    split = build_P_circuit(2, *bg, field=F, dec_source=split_first_term)
+    default = build_P_circuit(n, b, g, field=F)
+    split = build_P_circuit(n, b, g, field=F, dec_source=split_first_term)
     assert split.input_names() == default.input_names()
+    assert len(split.gates) <= gates_before and split.size <= arcs_before
     rng = Rng(21)
     for _ in range(5):
         asg = _assign_all(default, rng)
         assert evaluate(split, asg) == evaluate(default, asg)
+
+
+@pytest.mark.parametrize("bg", [(1, 1), (1, 2)])
+def test_nontrivial_provider_gives_the_default_values(bg):
+    _check_split_provider(2, *bg, *{(1, 1): (295, 583), (1, 2): (241, 470)}[bg])
+
+
+def test_nontrivial_provider_at_s3_sheds_never_joined_gates():
+    _check_split_provider(3, 1, 1, 8830, 18835)
 
 
 def test_every_scheme_verifies_its_provider():
