@@ -181,7 +181,7 @@ class CircuitBuilder:
         op, payload = self.gates[gid]
         if op == OP_CONST:
             return self.const(self.field.mul(coeff, payload))
-        if op == OP_MUL:
+        if op == OP_MUL and len(payload) == 2:
             x, y = payload
             cx = self.is_const(x)
             if cx is not None:

@@ -30,20 +30,14 @@ from .tensor import Tensor
 
 GF2 = prime_field(2)
 
-_CYCLE_MEMO: dict = {}
-
 
 def _cycle_cond(edges) -> bool:
     """Cycle condition on an edge multiset; the empty multiset passes
     (degenerate convention, see module docstring)."""
-    key = tuple(sorted(edges))
-    if not key:
+    if not edges:
         return True
-    hit = _CYCLE_MEMO.get(key)
-    if hit is not None:
-        return hit
     deg: dict = {}
-    for (u, v) in key:
+    for (u, v) in edges:
         deg[u] = deg.get(u, 0) + (2 if u == v else 1)
         if u != v:
             deg[v] = deg.get(v, 0) + 1
@@ -51,11 +45,11 @@ def _cycle_cond(edges) -> bool:
     if ok:
         # connectivity walk over the multigraph
         adj: dict = {}
-        for idx, (u, v) in enumerate(key):
+        for idx, (u, v) in enumerate(edges):
             adj.setdefault(u, []).append((idx, v))
             adj.setdefault(v, []).append((idx, u))
-        used = [False] * len(key)
-        start = key[0][0]
+        used = [False] * len(edges)
+        start = edges[0][0]
         stack = [start]
         seen = {start}
         while stack:
@@ -67,7 +61,6 @@ def _cycle_cond(edges) -> bool:
                         seen.add(w)
                         stack.append(w)
         ok = all(used) and seen == set(deg)
-    _CYCLE_MEMO[key] = ok
     return ok
 
 

@@ -277,20 +277,12 @@ def _provider_dec(dec_source, d: int, field: Field) -> RankDecomposition:
     return dec
 
 
-def _adjacency(dec: RankDecomposition) -> tuple:
-    """Per slot (U, V, W) and side entry: the (term, coeff) pairs of the
-    nonzero coefficients in its row."""
-    zero = dec.field.zero
-    return tuple([tuple((l, v) for l, v in enumerate(row) if v != zero) for row in mat]
-                 for mat in (dec.Umat, dec.Vmat, dec.Wmat))
-
-
-def _supports(adj) -> tuple:
+def _supports(dec: RankDecomposition) -> tuple:
     """Per slot and side entry: the set of terms its row reaches."""
-    return tuple([frozenset(l for l, _ in row) for row in rows] for rows in adj)
+    return tuple([frozenset(l for l, _ in row) for row in rows] for rows in dec.rows)
 
 
-def _yates_transform(bld: CircuitBuilder, adj, s: int, inputs: dict, live,
+def _yates_transform(bld: CircuitBuilder, rows, s: int, inputs: dict, live,
                      arc_budget: int, slot: str) -> dict:
     """Sparse layered Kronecker transform.
 
@@ -306,7 +298,7 @@ def _yates_transform(bld: CircuitBuilder, adj, s: int, inputs: dict, live,
         for key, gate in cur.items():
             head = key[:u]
             tail = key[u + 1:]
-            for l, coeff in adj[key[u]]:
+            for l, coeff in rows[key[u]]:
                 if l not in keep:
                     continue
                 nk = head + (l,) + tail
@@ -329,10 +321,10 @@ def _yates_transform(bld: CircuitBuilder, adj, s: int, inputs: dict, live,
     return cur
 
 
-def _restricted_power(bld: CircuitBuilder, adj, supports, s: int, side_entries,
-                      wires, arc_budget: int) -> list:
-    """Terms of the s-th Kronecker power of a decomposition, restricted to
-    the given side entries.
+def _restricted_power(bld: CircuitBuilder, dec: RankDecomposition, supports, s: int,
+                      side_entries, wires, arc_budget: int) -> list:
+    """Terms of the s-th Kronecker power of dec, restricted to the given
+    side entries.
 
     side_entries[slot][j] lists (side index, mask) pairs alive in factor j;
     an s-fold combination reads its input from wires[slot](OR of the
@@ -359,7 +351,7 @@ def _restricted_power(bld: CircuitBuilder, adj, supports, s: int, side_entries,
             gate = wire(omask)
             if gate is not None and not bld.is_zero(gate):
                 inputs[key] = gate
-        hats.append(_yates_transform(bld, adj[slot], s, inputs, live, arc_budget,
+        hats.append(_yates_transform(bld, dec.rows[slot], s, inputs, live, arc_budget,
                                      "xyz"[slot]))
     hx, hy, hz = hats
     terms = []
@@ -388,14 +380,13 @@ def yates_circuit(dec: RankDecomposition, s: int,
     field = dec.field
     bld = CircuitBuilder(field)
     m = dec.ground_size
-    adj = _adjacency(dec)
-    supports = _supports(adj)
+    supports = _supports(dec)
     side_entries = tuple(
         [[(i, mask << (j * m)) for i, mask in enumerate(side)] for j in range(s)]
         for side in (dec.side_x, dec.side_y, dec.side_z))
     wires = tuple(lambda mask, slot=slot: bld.inp(subset_name(slot, mask))
                   for slot in "xyz")
-    terms = _restricted_power(bld, adj, supports, s, side_entries, wires, arc_budget)
+    terms = _restricted_power(bld, dec, supports, s, side_entries, wires, arc_budget)
     bld.set_outputs([bld.add(*terms)])
     return bld.build()
 
@@ -423,8 +414,7 @@ class PScalingScheme:
                                          type_budget=type_budget)
         self.d_eff = self.decomposition.d_eff
         self.dec = _provider_dec(dec_source or trivial_dec_source, self.d_eff, field)
-        self.adj = _adjacency(self.dec)
-        self.supports = _supports(self.adj)
+        self.supports = _supports(self.dec)
         self.side_index = ({m: i for i, m in enumerate(self.dec.side_x)},
                            {m: i for i, m in enumerate(self.dec.side_y)},
                            {m: i for i, m in enumerate(self.dec.side_z)})
@@ -438,7 +428,7 @@ class PScalingScheme:
                  for j in range(self.bs.s)]
                 for index, alive in zip(self.side_index,
                                         (comp.alive_x, comp.alive_y, comp.alive_z)))
-            terms = _restricted_power(bld, self.adj, self.supports, self.bs.s,
+            terms = _restricted_power(bld, self.dec, self.supports, self.bs.s,
                                       side_entries, (xwire, ywire, zwire),
                                       self.arc_budget)
             if terms:

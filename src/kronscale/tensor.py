@@ -124,50 +124,56 @@ def tensor_eval(t: Tensor, x: dict, y: dict, z: dict):
 
 @dataclass(frozen=True)
 class RankDecomposition:
-    """Rank-r certificate: three side-by-r coefficient matrices.
+    """Rank-r certificate stored as sparse rows.
 
     side_* list the subset masks indexing each slot (colex order for
-    generated decompositions); row i of Umat holds the coefficients of
-    x_{side_x[i]} across the r rank-one terms.
+    generated decompositions).  U, V and W hold one row per entry of
+    side_x, side_y and side_z; a row is a tuple of (term, coeff) pairs with
+    nonzero coeff, in ascending term order, so row i of U gives the
+    coefficients of x_{side_x[i]} in the r rank-one terms.  Dense
+    side-by-r matrices exist only in the rankdec text format.
     """
 
     field: Field
     ground_size: int
+    rank: int
     side_x: tuple
     side_y: tuple
     side_z: tuple
-    Umat: tuple
-    Vmat: tuple
-    Wmat: tuple
+    U: tuple
+    V: tuple
+    W: tuple
 
     @property
-    def rank(self) -> int:
-        return len(self.Umat[0]) if self.Umat else 0
+    def rows(self) -> tuple:
+        return self.U, self.V, self.W
 
-    def nonzero_columns(self):
-        """Per term l: lists of (side index, coeff) with nonzero coefficient."""
-        r = self.rank
-        cols_x = [[] for _ in range(r)]
-        cols_y = [[] for _ in range(r)]
-        cols_z = [[] for _ in range(r)]
-        zero = self.field.zero
-        for mat, cols in ((self.Umat, cols_x), (self.Vmat, cols_y), (self.Wmat, cols_z)):
-            for i, row in enumerate(mat):
-                for l, v in enumerate(row):
-                    if v != zero:
-                        cols[l].append((i, v))
-        return cols_x, cols_y, cols_z
+    @classmethod
+    def from_dense(cls, field: Field, ground_size: int, rank: int, side_x, side_y, side_z,
+                   U, V, W) -> RankDecomposition:
+        """Sparse decomposition from side-by-rank coefficient matrices;
+        ShapeError when a row is not rank wide."""
+        zero = field.zero
+        rows = []
+        for label, mat in zip("UVW", (U, V, W)):
+            for row in mat:
+                if len(row) != rank:
+                    raise ShapeError(f"{label} row width {len(row)} != rank {rank}")
+            rows.append(tuple(tuple((l, v) for l, v in enumerate(row) if v != zero)
+                              for row in mat))
+        return cls(field, ground_size, rank, tuple(side_x), tuple(side_y), tuple(side_z),
+                   *rows)
 
 
 def _check_shapes(dec: RankDecomposition):
-    r = dec.rank
-    for side, mat, label in ((dec.side_x, dec.Umat, "U"), (dec.side_y, dec.Vmat, "V"),
-                             (dec.side_z, dec.Wmat, "W")):
-        if len(mat) != len(side):
-            raise ShapeError(f"{label} has {len(mat)} rows for {len(side)} side entries")
-        for row in mat:
-            if len(row) != r:
-                raise ShapeError(f"{label} row width {len(row)} != rank {r}")
+    for side, rows, label in zip((dec.side_x, dec.side_y, dec.side_z), dec.rows, "UVW"):
+        if len(rows) != len(side):
+            raise ShapeError(f"{label} has {len(rows)} rows for {len(side)} side entries")
+        for i, row in enumerate(rows):
+            for l, _ in row:
+                if not 0 <= l < dec.rank:
+                    raise ShapeError(f"{label} row {i} names term {l} outside "
+                                     f"[0, {dec.rank})")
 
 
 def verify_decomposition(t: Tensor, dec: RankDecomposition):
@@ -182,16 +188,19 @@ def verify_decomposition(t: Tensor, dec: RankDecomposition):
             raise ShapeError("side index lists do not cover the tensor support")
     f = t.field
     mul = f.mul
+    # per slot: term -> the (mask, coeff) pairs of the rows that reach it
+    cols_x, cols_y, cols_z = cols = ({}, {}, {})
+    for col, side, rows in zip(cols, (dec.side_x, dec.side_y, dec.side_z), dec.rows):
+        for mask, row in zip(side, rows):
+            for l, v in row:
+                col.setdefault(l, []).append((mask, v))
     acc: dict = {}
-    cols_x, cols_y, cols_z = dec.nonzero_columns()
-    for l in range(dec.rank):
-        for i, u in cols_x[l]:
-            a = dec.side_x[i]
-            for j, v in cols_y[l]:
+    for l, xs in cols_x.items():
+        for a, u in xs:
+            for b, v in cols_y.get(l, ()):
                 uv = mul(u, v)
-                b = dec.side_y[j]
-                for k, w in cols_z[l]:
-                    key = (a, b, dec.side_z[k])
+                for c, w in cols_z.get(l, ()):
+                    key = (a, b, c)
                     prev = acc.get(key, f.zero)
                     s = f.add(prev, mul(uv, w))
                     if s == f.zero:
@@ -207,25 +216,17 @@ def verify_decomposition(t: Tensor, dec: RankDecomposition):
 
 def trivial_decomposition(t: Tensor) -> RankDecomposition:
     """One rank-one term per nonzero entry; always verifies."""
-    side_x = t.x_side()
-    side_y = t.y_side()
-    side_z = t.z_side()
-    ix = {m: i for i, m in enumerate(side_x)}
-    iy = {m: i for i, m in enumerate(side_y)}
-    iz = {m: i for i, m in enumerate(side_z)}
+    sides = (t.x_side(), t.y_side(), t.z_side())
+    index = [{m: i for i, m in enumerate(side)} for side in sides]
+    U, V, W = ([[] for _ in side] for side in sides)
+    one = t.field.one
     terms = sorted(t.entries.items())
-    r = len(terms)
-    zero, one = t.field.zero, t.field.one
-    U = [[zero] * r for _ in side_x]
-    V = [[zero] * r for _ in side_y]
-    W = [[zero] * r for _ in side_z]
     for l, ((a, b, c), coeff) in enumerate(terms):
-        U[ix[a]][l] = coeff
-        V[iy[b]][l] = one
-        W[iz[c]][l] = one
-    return RankDecomposition(t.field, len(t.ground), tuple(side_x), tuple(side_y),
-                             tuple(side_z), tuple(map(tuple, U)), tuple(map(tuple, V)),
-                             tuple(map(tuple, W)))
+        U[index[0][a]].append((l, coeff))
+        V[index[1][b]].append((l, one))
+        W[index[2][c]].append((l, one))
+    return RankDecomposition(t.field, len(t.ground), len(terms), *map(tuple, sides),
+                             *(tuple(map(tuple, rows)) for rows in (U, V, W)))
 
 
 def subtensor(t: Tensor, drop_mask: int, x_req: int, y_req: int, z_req: int) -> Tensor:
@@ -257,25 +258,37 @@ def _parse_mask(tok: str, lineno: int) -> int:
     if not (tok.startswith("{") and tok.endswith("}")):
         raise ParseError(f"bad subset token {tok!r}", lineno)
     body = tok[1:-1]
-    return mask_of(int_fields(body.split(","), "a subset '{i,j,...}'", lineno)) if body else 0
+    elems = int_fields(body.split(","), "a subset '{i,j,...}'", lineno) if body else []
+    if not all(0 <= e < MAX_GROUND for e in elems):
+        raise ParseError(f"subset element outside [0, {MAX_GROUND})", lineno)
+    return mask_of(elems)
 
 
 def write_decomposition(dec: RankDecomposition) -> str:
-    """Rank-decomposition file v1."""
-    lines = ["rankdec v1", f"field {dec.field.spec_string()}", f"r={dec.rank}"]
+    """Rank-decomposition file v1, with the rows written out as dense
+    side-by-rank matrices."""
+    lines = ["rankdec v1", f"field {dec.field.spec_string()}", f"ground {dec.ground_size}",
+             f"r={dec.rank}"]
     for label, side in (("xside", dec.side_x), ("yside", dec.side_y), ("zside", dec.side_z)):
         lines.append(f"{label}:")
         lines.extend(_fmt_mask(m) for m in side)
     fmt = dec.field.format_value
-    for label, mat in (("U", dec.Umat), ("V", dec.Vmat), ("W", dec.Wmat)):
+    for label, rows in zip("UVW", dec.rows):
         lines.append(f"{label}:")
-        lines.extend(" ".join(fmt(v) for v in row) for row in mat)
+        for row in rows:
+            dense = [dec.field.zero] * dec.rank
+            for l, v in row:
+                dense[l] = v
+            lines.append(" ".join(map(fmt, dense)))
     return "\n".join(lines) + "\n"
 
 
 def parse_decomposition(text: str) -> RankDecomposition:
+    """Parse a rankdec v1 file.  Without a 'ground <m>' line the ground
+    size is the highest element any side mask names, plus one."""
     field = None
     r = None
+    ground_size = None
     sides = {"xside": [], "yside": [], "zside": []}
     mats = {"U": [], "V": [], "W": []}
     section = None
@@ -295,14 +308,21 @@ def parse_decomposition(text: str) -> RankDecomposition:
             except ParseError as exc:
                 raise ParseError(str(exc), lineno) from None
             continue
+        if line.startswith("ground "):
+            (ground_size,) = int_fields([line[7:]], "'ground <size>'", lineno)
+            if not 0 <= ground_size <= MAX_GROUND:
+                raise ParseError(f"ground size outside [0, {MAX_GROUND}]", lineno)
+            continue
         if line.startswith("r="):
             (r,) = int_fields([line[2:]], "'r=<rank>'", lineno)
+            if r < 0:
+                raise ParseError("expected 'r=<rank>'", lineno)
             continue
         if line.rstrip(":") in ("xside", "yside", "zside", "U", "V", "W") and line.endswith(":"):
             section = line[:-1]
             continue
         if section in sides:
-            sides[section].append(_parse_mask(line, lineno))
+            sides[section].append((_parse_mask(line, lineno), lineno))
         elif section in mats:
             if field is None:
                 raise ParseError("matrix block before field declaration", lineno)
@@ -314,18 +334,21 @@ def parse_decomposition(text: str) -> RankDecomposition:
             raise ParseError(f"unexpected content {line!r}", lineno)
     if field is None or r is None:
         raise ParseError("missing field or r declaration")
-    ground_size = 0
-    for side in sides.values():
-        for m in side:
-            if m:
-                ground_size = max(ground_size, m.bit_length())
-    dec = RankDecomposition(field, ground_size,
-                            tuple(sides["xside"]), tuple(sides["yside"]), tuple(sides["zside"]),
-                            tuple(mats["U"]), tuple(mats["V"]), tuple(mats["W"]))
+    masks = [entry for side in sides.values() for entry in side]
+    if ground_size is None:
+        ground_size = max((m.bit_length() for m, _ in masks), default=0)
+    for m, lineno in masks:
+        if m >> ground_size:
+            raise ParseError(f"subset {_fmt_mask(m)} is not within ground {ground_size}",
+                             lineno)
+    if r == 0:  # rows of width zero are written as blank lines, which are skipped
+        for label, side in zip(mats, sides.values()):
+            mats[label] = mats[label] or [()] * len(side)
     try:
+        dec = RankDecomposition.from_dense(
+            field, ground_size, r, *([m for m, _ in sides[k]] for k in sides),
+            mats["U"], mats["V"], mats["W"])
         _check_shapes(dec)
     except ShapeError as exc:
         raise ParseError(str(exc)) from None
-    if dec.rank != r:
-        raise ParseError(f"declared r={r} but matrices have {dec.rank} columns")
     return dec

@@ -7,7 +7,6 @@ from kronscale.circuit import (
     OP_ADD,
     OP_CONST,
     OP_IN,
-    OP_MUL,
     CircuitBuilder,
     analyze_skew,
     baur_strassen,
@@ -88,10 +87,12 @@ BUILDER_CALLS = st.lists(
 @given(BUILDER_CALLS)
 def test_arc_counter_matches_circuit_size(calls):
     # a small field and few distinct consts make the folding paths common:
-    # zero and one absorption, const*const, and scale through a const mul
+    # zero and one absorption, const*const, and scale through a const mul;
+    # scale also meets raw_mul gates of any fan-in
     f = prime_field(5)
     bld = CircuitBuilder(f)
     bld.inp("v:0")
+    values = {"v:0": 2, "v:1": 3, "v:2": 4}
     for kind, picks in calls:
         gids = [p % len(bld.gates) for p in picks]
         if kind == "inp":
@@ -103,9 +104,10 @@ def test_arc_counter_matches_circuit_size(calls):
         elif kind == "mul":
             bld.mul(gids[0], gids[-1])
         elif kind == "scale":
-            op, payload = bld.gates[gids[-1]]
-            if op != OP_MUL or len(payload) == 2:  # raw_mul subjects are not scaled
-                bld.scale(picks[0] % 5, gids[-1])
+            coeff = picks[0] % 5
+            bld.set_outputs([gids[-1], bld.scale(coeff, gids[-1])])
+            value, scaled = evaluate(bld.build(), values)
+            assert scaled == f.mul(coeff, value)
         else:
             bld.raw_mul(gids)
         assert bld.arcs == bld.build().size

@@ -1,4 +1,5 @@
-"""Every name a kronscale module imports is used by that module."""
+"""Every name a kronscale module imports is used by that module, and no
+function writes into a module-level container (a hidden global cache)."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,54 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+MUTATORS = {"setdefault", "update", "append", "pop", "clear"}
+
+
+def global_container_writes(source: str) -> list:
+    """(line, name) for each write, inside a function, into a container
+    bound at module level: NAME[...] = ... or a NAME.<mutator>(...) call."""
+    tree = ast.parse(source)
+    module_names = set()
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        module_names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    hits = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        local = {a.arg for a in ast.walk(func.args) if isinstance(a, ast.arg)}
+        local |= {n.id for n in ast.walk(func)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                target = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in MUTATORS:
+                target = node.func.value
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in module_names - local:
+                hits.add((node.lineno, target.id))
+    return sorted(hits)
+
+
+def test_scan_finds_a_global_container_write():
+    source = ("MEMO = {}\nSEEN = []\nNAMES = {1: 'a'}\n"
+              "def f(k):\n    MEMO[k] = 1\n    SEEN.append(k)\n    return NAMES[k]\n"
+              "def g(MEMO):\n    MEMO[0] = 1\n"
+              "def h():\n    SEEN = []\n    SEEN.append(1)\n")
+    assert global_container_writes(source) == [(5, "MEMO"), (6, "SEEN")]
+
+
+# fields.parse_field_spec interns one Field per spec string, so that the
+# GF(2^w) tables are built once per width; it is the one allowed writer
+INTERNING_TABLES = {"_FIELD_CACHE"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_global_container_writes(path):
+    writes = global_container_writes(path.read_text())
+    assert [(line, name) for line, name in writes if name not in INTERNING_TABLES] == []

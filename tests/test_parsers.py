@@ -22,6 +22,15 @@ MALFORMED = {
     "circuit-second-out": (parse, "circuit v1\nfield p=7\nin 0 x:{1}\nout 0\nout 0\n", 5),
     "rankdec-rank": (parse_decomposition, "rankdec v1\nfield p=7\nr=x\n", 3),
     "rankdec-mask": (parse_decomposition, "rankdec v1\nfield p=7\nr=1\nxside:\n{a}\n", 5),
+    "rankdec-negative-rank": (parse_decomposition, "rankdec v1\nfield p=7\nr=-1\n", 3),
+    "rankdec-negative-ground": (parse_decomposition, "rankdec v1\nfield p=7\nground -1\n", 3),
+    "rankdec-ground-past-max": (parse_decomposition, "rankdec v1\nfield p=7\nground 64\n", 3),
+    "rankdec-negative-element": (
+        parse_decomposition, "rankdec v1\nfield p=7\nr=0\nxside:\n{-1}\n", 5),
+    "rankdec-element-past-max": (
+        parse_decomposition, "rankdec v1\nfield p=7\nr=0\nxside:\n{63}\n", 5),
+    "rankdec-outside-ground": (
+        parse_decomposition, "rankdec v1\nfield p=7\nground 2\nr=0\nxside:\n{0}\n{2}\n", 7),
     "matrix-header": (parse_matrix, "x\n", 1),
     "matrix-value": (parse_matrix, "2\n1 2\n3 zz\n", 3),
     "family-element": (parse_family_file, "2 1 1\na\n", 2),
@@ -34,9 +43,10 @@ MALFORMED = {
 
 
 def test_rankdec_shape_mismatch_is_a_parse_error():
-    text = "rankdec v1\nfield p=7\nr=1\nxside:\n{0}\n{1}\nU:\n1\n"
-    with pytest.raises(ParseError):
-        parse_decomposition(text)
+    # fewer U rows than x-side entries, then a U row wider than r
+    for body in ("xside:\n{0}\n{1}\nU:\n1\n", "xside:\n{0}\nU:\n1 0\n"):
+        with pytest.raises(ParseError):
+            parse_decomposition("rankdec v1\nfield p=7\nr=1\n" + body)
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

@@ -5,7 +5,12 @@ from itertools import combinations, product
 import pytest
 
 from kronscale.circuit import CircuitBuilder, evaluate, subset_name
-from kronscale.counting import build_permanent_circuit
+from kronscale.counting import (
+    SquareMatrix,
+    build_permanent_circuit,
+    matrix_assignment,
+    permanent_ryser,
+)
 from kronscale.errors import ProviderError, TooLarge
 from kronscale.fields import Rng, prime_field
 from kronscale.scaling import (
@@ -144,7 +149,7 @@ def test_yates_diagonal_tensor():
     # <2>: identity U,V,W with r = d = 2, s = 2
     sides = (1, 2)
     eye = ((F.one, F.zero), (F.zero, F.one))
-    dec = RankDecomposition(F, 2, sides, sides, sides, eye, eye, eye)
+    dec = RankDecomposition.from_dense(F, 2, 2, sides, sides, sides, eye, eye, eye)
     c = yates_circuit(dec, 2)
     rng = Rng(12)
     asg = _assign_all(c, rng)
@@ -183,7 +188,7 @@ def random_tensor_with_dec(rng, side, r):
                     else:
                         entries[key] = s
     t = Tensor(F, tuple(range(side)), entries)
-    dec = RankDecomposition(F, side, sides, sides, sides, U, V, W)
+    dec = RankDecomposition.from_dense(F, side, r, sides, sides, sides, U, V, W)
     return t, dec
 
 
@@ -341,6 +346,19 @@ def test_trivial_provider_sizes_are_pinned():
     assert build_P_circuit(3, 1, 1, field=F).size == 8449
 
 
+def test_p4_permanent_is_pinned_and_agrees_with_ryser():
+    # n=12 with g=4 runs on trivial P_4 factors (34,650 terms), the
+    # largest provider any test builds
+    perm = build_permanent_circuit(12, b=1, g=4)
+    assert (perm.size, len(perm.gates)) == (198613, 80519)
+    field = perm.field
+    for seed in (1, 2):
+        rng = Rng(seed)
+        mat = SquareMatrix(field, tuple(tuple(field.random(rng) for _ in range(12))
+                                        for _ in range(12)))
+        assert evaluate(perm, matrix_assignment(mat))[0] == permanent_ryser(mat)
+
+
 def test_build_P_rejects_bad_factorization():
     with pytest.raises(TooLarge):
         build_P_circuit(5, 1, 2, field=F)
@@ -350,19 +368,28 @@ def split_first_term(d, field):
     """A valid rank+1 provider: the trivial decomposition of P_d with its
     first term split in two whose U-coefficients, 2u and -u, sum to u."""
     dec = trivial_decomposition(generate_P(d, field=field))
+    r = dec.rank
     two = field.add(field.one, field.one)
-    return replace(
-        dec,
-        Umat=tuple((field.mul(two, row[0]),) + row[1:] + (field.neg(row[0]),)
-                   for row in dec.Umat),
-        Vmat=tuple(row + (row[0],) for row in dec.Vmat),
-        Wmat=tuple(row + (row[0],) for row in dec.Wmat))
+
+    def split(rows, first, second):
+        # the row holding term 0 with coefficient c gets first(c) there
+        # and second(c) at the new last term r
+        return tuple(((0, first(row[0][1])),) + row[1:] + ((r, second(row[0][1])),)
+                     if row and row[0][0] == 0 else row for row in rows)
+
+    def same(c):
+        return c
+
+    return replace(dec, rank=r + 1,
+                   U=split(dec.U, lambda c: field.mul(two, c), field.neg),
+                   V=split(dec.V, same, same), W=split(dec.W, same, same))
 
 
 def broken_first_term(d, field):
     """The split decomposition without the second half of its first term."""
     dec = split_first_term(d, field)
-    return replace(dec, Umat=tuple(row[:-1] + (field.zero,) for row in dec.Umat))
+    return replace(dec, U=tuple(tuple(e for e in row if e[0] != dec.rank - 1)
+                                for row in dec.U))
 
 
 def test_provider_exception_becomes_provider_error():
@@ -373,14 +400,15 @@ def test_provider_exception_becomes_provider_error():
         build_P_circuit(2, 1, 1, field=F, dec_source=boom)
 
 
-def truncated_last_row(d, field):
+def term_past_rank(d, field):
+    """The trivial decomposition with a U row naming term r."""
     dec = trivial_decomposition(generate_P(d, field=field))
-    return replace(dec, Umat=dec.Umat[:-1] + (dec.Umat[-1][:-1],))
+    return replace(dec, U=dec.U[:-1] + (dec.U[-1] + ((dec.rank, field.one),),))
 
 
 @pytest.mark.parametrize("source, message", [
     (lambda d, field: trivial_dec_source(d, prime_field(101)), "field"),
-    (truncated_last_row, "row width"),
+    (term_past_rank, "outside"),
 ])
 def test_malformed_provider_decomposition_is_a_provider_error(source, message):
     with pytest.raises(ProviderError, match=message):

@@ -3,6 +3,8 @@ from math import comb, factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kronscale.circuit import mask_bits, mask_of
 from kronscale.errors import GroundOverlap, ShapeError, TooLarge, UnassignedInput
@@ -22,6 +24,8 @@ from kronscale.tensor import (
 )
 
 F = prime_field(2**31 - 1)
+GF101 = prime_field(101)
+GF256 = gf2(8)
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -155,13 +159,21 @@ def test_trivial_decomposition():
     assert verify_decomposition(t2, d2) is None
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_trivial_decomposition_stores_one_entry_per_term_per_slot(d):
+    dec = trivial_decomposition(generate_P(d, field=F))
+    for rows in dec.rows:
+        terms = sorted(l for row in rows for l, _ in row)
+        assert terms == list(range(dec.rank))
+
+
 def test_diagonal_tensor_identity_decomposition():
     # <2>: sum_i x_i y_i z_i with i in {0,1} as singleton masks
     entries = {(1 << i, 1 << i, 1 << i): F.one for i in range(2)}
     t = Tensor(F, (0, 1), entries)
     sides = (1, 2)
     eye = ((F.one, F.zero), (F.zero, F.one))
-    dec = RankDecomposition(F, 2, sides, sides, sides, eye, eye, eye)
+    dec = RankDecomposition.from_dense(F, 2, 2, sides, sides, sides, eye, eye, eye)
     assert verify_decomposition(t, dec) is None
 
 
@@ -190,6 +202,8 @@ def test_strassen_mm2_fixture():
                 entries[(a, b, c)] = f.one
     mm2 = Tensor(f, tuple(range(12)), entries)
     assert verify_decomposition(mm2, dec) is None
+    # the fixture has no 'ground' line: the size comes from its masks
+    assert dec.ground_size == 12
 
 
 def test_decomposition_file_roundtrip():
@@ -198,6 +212,31 @@ def test_decomposition_file_roundtrip():
     text = write_decomposition(dec)
     dec2 = parse_decomposition(text)
     assert dec2 == dec
+
+
+@st.composite
+def sparse_decompositions(draw):
+    """Random sparse decompositions: sides may miss the top ground element
+    and rows may be empty."""
+    field, top = draw(st.sampled_from([(GF101, 100), (GF256, 255)]))
+    ground = draw(st.integers(1, 6))
+    rank = draw(st.integers(0, 5))
+    sides, rows = [], []
+    for _ in range(3):
+        side = draw(st.lists(st.integers(0, (1 << ground) - 1), unique=True, max_size=4))
+        sides.append(tuple(side))
+        rows.append(tuple(
+            tuple(sorted(draw(st.dictionaries(st.integers(0, rank - 1), st.integers(1, top),
+                                              max_size=rank)).items()))
+            if rank else () for _ in side))
+    return RankDecomposition(field, ground, rank, *sides, *rows)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(sparse_decompositions())
+@example(trivial_decomposition(Tensor(F, (0, 1, 2), {(1, 1, 1): F.one, (2, 2, 2): F.one})))
+def test_decomposition_text_roundtrip(dec):
+    assert parse_decomposition(write_decomposition(dec)) == dec
 
 
 def test_shape_error_on_uncovered_support():
