@@ -1,23 +1,16 @@
-"""Arithmetic-circuit IR: evaluation, degree analysis, homogenization,
-Baur-Strassen gradients, and the line-oriented text format.
+"""Arithmetic-circuit IR: evaluation, degree analysis, copying, and the
+line-oriented text format.
 
 Gates live in topological order; ids are list positions.  Add gates take
-arbitrary fan-in, Mul gates are binary everywhere the transforms care
-(the IR tolerates wider Mul so skew analysis can reject it).  Size is
-the arc count: the sum of gate fan-ins.
+arbitrary fan-in and Mul gates are binary: the builder and the parser
+only make binary ones.  Size is the arc count: the sum of gate fan-ins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from .errors import (
-    DegreeBound,
-    NotSkew,
-    ParseError,
-    SingleOutputRequired,
-    UnassignedInput,
-)
+from .errors import ParseError, UnassignedInput
 from .fields import Field, parse_field_spec
 
 OP_IN = 0
@@ -76,9 +69,6 @@ class Circuit:
             if op in (OP_ADD, OP_MUL):
                 total += len(payload)
         return total
-
-    def input_ids(self) -> dict[str, int]:
-        return {payload: i for i, (op, payload) in enumerate(self.gates) if op == OP_IN}
 
     def input_names(self) -> list[str]:
         return [payload for op, payload in self.gates if op == OP_IN]
@@ -181,16 +171,12 @@ class CircuitBuilder:
         op, payload = self.gates[gid]
         if op == OP_CONST:
             return self.const(self.field.mul(coeff, payload))
-        if op == OP_MUL and len(payload) == 2:
+        if op == OP_MUL:
             x, y = payload
             cx = self.is_const(x)
             if cx is not None:
                 return self.mul(self.const(self.field.mul(coeff, cx)), y)
         return self.mul(self.const(coeff), gid)
-
-    def raw_mul(self, args) -> int:
-        """Unnormalized fan-in-many Mul; only for constructing test subjects."""
-        return self._push(OP_MUL, tuple(args))
 
     def set_outputs(self, outputs) -> None:
         self.outputs = list(outputs)
@@ -218,11 +204,7 @@ def evaluate(circ: Circuit, assignment: dict) -> tuple:
                 acc = fadd(acc, vals[a])
             vals[gid] = acc
         elif op == OP_MUL:
-            args = payload
-            acc = vals[args[0]]
-            for a in args[1:]:
-                acc = fmul(acc, vals[a])
-            vals[gid] = acc
+            vals[gid] = fmul(vals[payload[0]], vals[payload[1]])
         elif op == OP_IN:
             try:
                 vals[gid] = assignment[payload]
@@ -246,146 +228,24 @@ def formal_degrees(circ: Circuit, variables=None) -> list[int]:
         elif op == OP_ADD:
             degs[gid] = max(degs[a] for a in payload)
         elif op == OP_MUL:
-            degs[gid] = sum(degs[a] for a in payload)
+            degs[gid] = degs[payload[0]] + degs[payload[1]]
     return degs
 
 
-def analyze_skew(circ: Circuit, variables=None):
-    """Least q such that the circuit is q-skew, or None if no q works.
+def analyze_skew(circ: Circuit, variables=None) -> int:
+    """Least q such that the circuit is q-skew.
 
-    Mul gates must be binary; the skew of a Mul is the smaller formal
-    degree of its two sides, and the circuit's q is the max over Muls.
+    The skew of a Mul is the smaller formal degree of its two sides, and
+    the circuit's q is the max over Muls.
     """
     degs = formal_degrees(circ, variables)
     q = 0
     for op, payload in circ.gates:
         if op == OP_MUL:
-            if len(payload) != 2:
-                return None
             low = min(degs[payload[0]], degs[payload[1]])
             if low > q:
                 q = low
     return q
-
-
-def homogenize_components(circ: Circuit, max_degree: int, variables=None):
-    """Split every gate into homogeneous components of degree 0..max_degree.
-
-    Returns (builder, comp) where comp[gid] maps degree k to the new gate
-    computing the degree-k component (missing keys are identically zero).
-    The builder carries copies of the inputs; callers finish it.  When
-    `variables` is given, degrees count only those inputs; other inputs sit
-    in the degree-0 component like coefficients.
-    """
-    d = max_degree
-    degs = formal_degrees(circ, variables)
-    for out in circ.outputs:
-        if degs[out] > d:
-            raise DegreeBound(
-                f"output gate {out} has formal degree {degs[out]} > {d}")
-    bld = CircuitBuilder(circ.field)
-    comp: list[dict[int, int]] = []
-    for op, payload in circ.gates:
-        if op == OP_IN:
-            k = 1 if variables is None or payload in variables else 0
-            comp.append({k: bld.inp(payload)} if d >= k else {})
-        elif op == OP_CONST:
-            comp.append({0: bld.const(payload)} if payload != circ.field.zero else {})
-        elif op == OP_ADD:
-            table: dict[int, list[int]] = {}
-            for a in payload:
-                for k, gid in comp[a].items():
-                    table.setdefault(k, []).append(gid)
-            comp.append({k: bld.add(*gids) for k, gids in sorted(table.items())})
-        else:
-            if len(payload) != 2:
-                raise NotSkew("homogenize requires binary Mul gates")
-            a, b = payload
-            # keep the lower-degree side first so the q-skew property is
-            # syntactically visible in every component product
-            if degs[a] > degs[b]:
-                a, b = b, a
-            table = {}
-            for i, ga in sorted(comp[a].items()):
-                for j, gb in sorted(comp[b].items()):
-                    if i + j > d:
-                        break
-                    table.setdefault(i + j, []).append(bld.mul(ga, gb))
-            comp.append({k: bld.add(*gids) for k, gids in sorted(table.items())})
-    return bld, comp
-
-
-def homogenize(circ: Circuit, max_degree: int) -> Circuit:
-    """Homogeneous version of the circuit.
-
-    For each original output the new circuit has max_degree+1 outputs, the
-    degree-0..max_degree components in order; their sum equals the original
-    polynomial.  Size grows by at most 3*(q+1)*(max_degree+1) arcs per
-    original arc for a q-skew circuit (K_HOMOGENIZE below documents the
-    per-degree constant).
-    """
-    bld, comp = homogenize_components(circ, max_degree)
-    outs = []
-    for o in circ.outputs:
-        for k in range(max_degree + 1):
-            outs.append(comp[o].get(k, bld.zero))
-    bld.set_outputs(outs)
-    return bld.build()
-
-
-def homogenize_size_bound(circ: Circuit, max_degree: int) -> int:
-    """Documented arc bound for homogenize: K * max_degree * size, K = 3(q+1)."""
-    q = analyze_skew(circ)
-    if q is None:
-        raise NotSkew("size bound documented for q-skew circuits only")
-    return 3 * (q + 1) * max(1, max_degree) * max(1, circ.size)
-
-
-def baur_strassen(circ: Circuit, wrt) -> Circuit:
-    """Gradient circuit: one output per name in wrt, computing dP/dx.
-
-    Reverse-mode accumulation over a forward copy of the circuit; requires
-    a single output and binary Mul gates.
-    """
-    if len(circ.outputs) != 1:
-        raise SingleOutputRequired(f"expected 1 output, got {len(circ.outputs)}")
-    for op, payload in circ.gates:
-        if op == OP_MUL and len(payload) != 2:
-            raise NotSkew("baur_strassen requires binary Mul gates")
-    wrt = list(wrt)
-    n = len(circ.gates)
-    bld = CircuitBuilder(circ.field)
-    fwd = replay(circ, bld)
-    contribs: list[list[int]] = [[] for _ in range(n)]
-    adjoint = [None] * n
-    out = circ.outputs[0]
-    adjoint[out] = bld.one
-    for gid in range(n - 1, -1, -1):
-        bar = adjoint[gid]
-        if bar is None:
-            terms = [t for t in contribs[gid] if not bld.is_zero(t)]
-            if not terms:
-                continue
-            bar = bld.add(*terms)
-            adjoint[gid] = bar
-        op, payload = circ.gates[gid]
-        if op == OP_ADD:
-            for a in payload:
-                contribs[a].append(bar)
-        elif op == OP_MUL:
-            a, b = payload
-            contribs[a].append(bld.mul(bar, fwd[b]))
-            contribs[b].append(bld.mul(bar, fwd[a]))
-    by_name = {}
-    for gid, (op, payload) in enumerate(circ.gates):
-        if op == OP_IN:
-            by_name[payload] = adjoint[gid]
-    outs = []
-    for name in wrt:
-        g = by_name.get(name)
-        outs.append(bld.zero if g is None else g)
-    bld.set_outputs(outs)
-    return bld.build()
 
 
 def replay(circ: Circuit, bld: CircuitBuilder, input_map=None) -> list:
@@ -416,10 +276,8 @@ def replay(circ: Circuit, bld: CircuitBuilder, input_map=None) -> list:
             new[gid] = bld.const(payload)
         elif op == OP_ADD:
             new[gid] = bld.add(*[new[a] for a in payload])
-        elif len(payload) == 2:
-            new[gid] = bld.mul(new[payload[0]], new[payload[1]])
         else:
-            new[gid] = bld.raw_mul([new[a] for a in payload])
+            new[gid] = bld.mul(new[payload[0]], new[payload[1]])
     return new
 
 

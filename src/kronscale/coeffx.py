@@ -6,16 +6,14 @@ coefficient of x_1*...*x_n:
 * direct: the 2^n subset dynamic program, one table entry per (gate,
   subset) pair with tables kept sparse (identically-zero entries never
   materialize);
-* tripartition: split every gate into its homogeneous degree components
-  itself (walking down from the output; it does not call homogenize),
-  cut at degrees n/3 and 2n/3, extract the three layers' multilinear-part
-  tables with the direct DP capped at subsets of size n/3, and combine
-  each cut pair through the P_{n/3}[[n]] circuit of the scaling module.
+* tri (tripartition): split every gate into the homogeneous degree
+  components reachable from the output, cut at degrees n/3 and 2n/3,
+  extract the three layers' multilinear-part tables with the direct DP
+  capped at subsets of size n/3, and combine each cut pair through the
+  P_{n/3}[[n]] circuit of the scaling module.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .circuit import (
     OP_ADD,
@@ -34,26 +32,8 @@ from .scaling import p_scheme
 DEFAULT_SKEW_CAP = 3
 
 
-@dataclass
-class ExtractionRequest:
-    circuit: Circuit
-    variables: tuple
-    method: str = "direct"
-    skew_cap: int = DEFAULT_SKEW_CAP
-    # tripartition options: block shape and decomposition provider for the
-    # combining P_{n/3}[[n]] circuit (defaults to b=1, g=n/3, trivial dec)
-    b: int = 1
-    g: int | None = None
-    dec_source: object = None
-
-    def __post_init__(self):
-        self.variables = tuple(self.variables)
-
-
 def _check_skew(circ: Circuit, variables, cap: int) -> int:
     q = analyze_skew(circ, set(variables))
-    if q is None:
-        raise NotSkew("circuit has a non-binary multiplication gate")
     if q > cap:
         raise NotSkew(f"circuit is {q}-skew; cap is {cap}")
     return q
@@ -102,20 +82,20 @@ def _subset_dp(circ: Circuit, variables, bld: CircuitBuilder, size_cap: int):
     return tables, stats
 
 
-def extract_coeff_direct(req: ExtractionRequest) -> Circuit:
+def extract_coeff_direct(circ: Circuit, variables,
+                         skew_cap: int = DEFAULT_SKEW_CAP) -> Circuit:
     """The 2^n subset-DP compiler.
 
     Output circuit computes the coefficient of the full multilinear
-    monomial over req.variables; its inputs are the remaining inputs of
+    monomial over `variables`; its inputs are the remaining inputs of
     the original circuit.
     """
-    circ = req.circuit
     if len(circ.outputs) != 1:
         raise SingleOutputRequired("extraction needs a single-output circuit")
-    _check_skew(circ, req.variables, req.skew_cap)
-    n = len(req.variables)
+    _check_skew(circ, variables, skew_cap)
+    n = len(variables)
     bld = CircuitBuilder(circ.field)
-    tables, entries = _subset_dp(circ, req.variables, bld, n)
+    tables, entries = _subset_dp(circ, variables, bld, n)
     full = (1 << n) - 1
     out = tables[circ.outputs[0]].get(full, bld.zero)
     bld.set_outputs([out])
@@ -182,7 +162,9 @@ def _product_into(acc, bld, low_table, high_table, size_cap):
             acc.setdefault(s_mask, []).append(bld.mul(gl, gh))
 
 
-def extract_coeff_tripartition(req: ExtractionRequest) -> Circuit:
+def extract_coeff_tripartition(circ: Circuit, variables,
+                               skew_cap: int = DEFAULT_SKEW_CAP, b: int = 1,
+                               g: int | None = None, dec_source=None) -> Circuit:
     """The three-layer compiler via the P_{n/3}[[n]] scaling circuit.
 
     Requires n = |variables| with n % 3 == 0 and n >= 9 (callers pad via
@@ -190,17 +172,18 @@ def extract_coeff_tripartition(req: ExtractionRequest) -> Circuit:
     degree n/3 and 2n/3 become cut variables, the bottom/middle/top
     multilinear tables come from basis substitutions of the cut variables,
     and every (cut1, cut2) pair feeds one restricted instantiation of the
-    tripartitioning circuit.
+    tripartitioning circuit.  The combining P_{n/3}[[n]] circuit uses
+    blocks of b, groups of g (default n/(3b)) and the decomposition
+    provider dec_source (default: the trivial one).
     """
-    circ = req.circuit
     if len(circ.outputs) != 1:
         raise SingleOutputRequired("extraction needs a single-output circuit")
-    n = len(req.variables)
+    n = len(variables)
     if n % 3 != 0 or n < 9:
         raise NotSkew(f"tripartition extraction needs padded n (got {n}); "
                       "use pad_degree first")
-    circ = _multilinearize(circ, req.variables, req.skew_cap)
-    varset = set(req.variables)
+    circ = _multilinearize(circ, variables, skew_cap)
+    varset = set(variables)
     degs = formal_degrees(circ, varset)
     n3 = n // 3
     out_gate = circ.outputs[0]
@@ -225,19 +208,19 @@ def extract_coeff_tripartition(req: ExtractionRequest) -> Circuit:
                 if k <= degs[a]:  # components above a gate's degree are zero
                     stack.append((a, k))
         elif op == OP_MUL:
-            a, b = payload
-            for i in range(min(degs[a], k) + 1):
+            left, right = payload
+            for i in range(min(degs[left], k) + 1):
                 j = k - i
-                if j <= degs[b]:
-                    stack.append((a, i))
-                    stack.append((b, j))
+                if j <= degs[right]:
+                    stack.append((left, i))
+                    stack.append((right, j))
 
     bld = CircuitBuilder(circ.field)
     input_gate = {}
     for op, payload in gates:
         if op == OP_IN and payload not in varset:
             input_gate[payload] = bld.inp(payload)
-    var_bit = {name: i for i, name in enumerate(req.variables)}
+    var_bit = {name: i for i, name in enumerate(variables)}
     zerof = circ.field.zero
 
     def base_table(gid):
@@ -326,8 +309,7 @@ def extract_coeff_tripartition(req: ExtractionRequest) -> Circuit:
         run_layer(2 * n3, n, tables)
         h_tables.append(tables.get((out_gate, n), {}))
 
-    scheme = p_scheme(n3, req.b, req.g or (n3 // req.b), circ.field,
-                      dec_source=req.dec_source)
+    scheme = p_scheme(n3, b, g or (n3 // b), circ.field, dec_source=dec_source)
     pair_outputs = []
     for i in range(len(cut1)):
         fi = f_tables[i]
@@ -341,7 +323,7 @@ def extract_coeff_tripartition(req: ExtractionRequest) -> Circuit:
             pair_outputs.append(scheme.instantiate(bld, fi.get, gij.get, hj.get))
     bld.set_outputs([bld.add(*pair_outputs) if pair_outputs else bld.zero])
     result = bld.build()
-    result.meta.update(method="tripartition", s=len(cut1), t=len(cut2),
+    result.meta.update(method="tri", s=len(cut1), t=len(cut2),
                        table_entries=sum(len(t) for t in f_tables)
                        + sum(len(t) for row in g_tables for t in row)
                        + sum(len(t) for t in h_tables))
@@ -374,13 +356,10 @@ def extract_coefficient(circ: Circuit, variables, method: str = "direct",
     """Front end: pads for the tripartition route, then dispatches."""
     variables = tuple(variables)
     if method == "direct":
-        return extract_coeff_direct(ExtractionRequest(circ, variables, "direct",
-                                                      skew_cap=skew_cap))
-    if method in ("tri", "tripartition"):
+        return extract_coeff_direct(circ, variables, skew_cap)
+    if method == "tri":
         n = len(variables)
         if n % 3 != 0 or n < 9:
             circ, variables = pad_degree(circ, variables)
-        req = ExtractionRequest(circ, variables, "tripartition",
-                                skew_cap=skew_cap, b=b, g=g, dec_source=dec_source)
-        return extract_coeff_tripartition(req)
+        return extract_coeff_tripartition(circ, variables, skew_cap, b, g, dec_source)
     raise ValueError(f"unknown extraction method {method!r}")

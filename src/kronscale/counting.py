@@ -173,7 +173,8 @@ def build_permanent_circuit(n: int, field: Field | None = None, dec_source=None,
 
 def bordered_matrix(mat: SquareMatrix) -> SquareMatrix:
     """Pad to the next multiple of 3 with an identity block (permanent
-    invariant); used by the CLI for n not divisible by 3."""
+    invariant), so that a matrix whose n is not divisible by 3 fits
+    build_permanent_circuit."""
     n = mat.n
     target = 3 * ((n + 2) // 3)
     if target == n:

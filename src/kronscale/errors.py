@@ -18,10 +18,6 @@ class UnassignedInput(KronscaleError):
     pass
 
 
-class DegreeBound(KronscaleError):
-    pass
-
-
 class SingleOutputRequired(KronscaleError):
     pass
 

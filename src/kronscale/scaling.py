@@ -7,8 +7,8 @@ balancing groups the blocks and padding tops every part up to d_eff.
 
 Padding is adaptive: d_eff = b*g + Delta where Delta is the largest
 deviation the balancing actually achieved over all types and groups (the
-worst-case constant would put d_eff = b*(g+36), far beyond desk scale; a
-flag restores it for structural demonstrations).
+worst-case constant would put d_eff = b*(g+36), far beyond desk scale;
+decompose_P can still build that padding for structural checks).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .circuit import Circuit, CircuitBuilder, subset_name
-from .errors import InternalError, ProviderError, ShapeError, TooLarge
+from .errors import DivisibilityError, InternalError, ProviderError, ShapeError, TooLarge
 from .fields import Field, prime_field
 from .steinitz import VectorFamily, concentration_partition
 from .tensor import (
@@ -28,7 +28,7 @@ from .tensor import (
     verify_decomposition,
 )
 
-DEFAULT_TYPE_BUDGET = 10 ** 8       # cap on (3b+1)^(3r)
+DEFAULT_TYPE_BUDGET = 10 ** 6       # cap on the number of intersection types
 DEFAULT_ARC_BUDGET = 20_000_000     # cap on materialized circuit arcs
 
 
@@ -71,10 +71,9 @@ def enumerate_types(bs: BlockStructure, budget: int = DEFAULT_TYPE_BUDGET):
     """All intersection types, lexicographically ordered on (alpha,beta,gamma).
 
     A type gives each block a triple summing to 3b, with every row summing
-    to n across blocks.
+    to n across blocks.  TooLarge fires once more than `budget` types have
+    been found.
     """
-    if (3 * bs.b + 1) ** (3 * bs.r) > budget:
-        raise TooLarge(f"(3b+1)^(3r) exceeds enumeration budget {budget}")
     cap = 3 * bs.b
     n = bs.n
     r = bs.r
@@ -87,6 +86,9 @@ def enumerate_types(bs: BlockStructure, budget: int = DEFAULT_TYPE_BUDGET):
             if sum_a == n and sum_b == n:
                 gamma = tuple(cap - alpha[t] - beta[t] for t in range(r))
                 out.append(IntersectionType(tuple(alpha), tuple(beta), gamma))
+                if len(out) > budget:
+                    raise TooLarge(f"enumerate_types: {len(out)} types exceed "
+                                   f"the type budget {budget}")
             return
         remaining = (r - i - 1) * cap
         for a in range(cap + 1):
@@ -146,12 +148,12 @@ def _group_sums(tau: IntersectionType, group):
     return sa, sb, sc
 
 
-def decompose_P(bs: BlockStructure, paper_padding: bool = False,
-                type_budget: int = DEFAULT_TYPE_BUDGET) -> ScalingDecomposition:
+def decompose_P(bs: BlockStructure, paper_padding: bool = False) -> ScalingDecomposition:
     """One component per intersection type, all sharing one effective part
     size d_eff; groups come from the Steinitz concentration partition of the
-    normalized per-block count vectors."""
-    types = enumerate_types(bs, budget=type_budget)
+    normalized per-block count vectors.  paper_padding replaces the
+    achieved deviation with the worst-case constant 36*b."""
+    types = enumerate_types(bs)
     b, g, s = bs.b, bs.g, bs.s
     groupings = []
     delta = 0
@@ -211,8 +213,7 @@ def decompose_P(bs: BlockStructure, paper_padding: bool = False,
         components.append(ScalingComponent(
             tau, tuple(groups), tuple(pad_sizes), tuple(grounds),
             tuple(ax), tuple(ay), tuple(az)))
-    return ScalingDecomposition(bs, d_eff, delta if not paper_padding else 36 * b,
-                                tuple(components))
+    return ScalingDecomposition(bs, d_eff, delta, tuple(components))
 
 
 def verify_scaling(bs: BlockStructure, decomposition: ScalingDecomposition | None = None):
@@ -400,18 +401,15 @@ class PScalingScheme:
     """
 
     def __init__(self, n: int, b: int, g: int, field: Field, dec_source=None,
-                 paper_padding: bool = False,
-                 type_budget: int = DEFAULT_TYPE_BUDGET,
                  arc_budget: int = DEFAULT_ARC_BUDGET):
         if n % (b * g) != 0:
-            raise TooLarge(f"n={n} is not a multiple of b*g={b * g}")
+            raise DivisibilityError(f"n={n} is not a multiple of b*g={b * g}")
         self.n = n
         self.field = field
         self.s = n // (b * g)
         self.bs = BlockStructure(b, g, self.s)
         self.arc_budget = arc_budget
-        self.decomposition = decompose_P(self.bs, paper_padding=paper_padding,
-                                         type_budget=type_budget)
+        self.decomposition = decompose_P(self.bs)
         self.d_eff = self.decomposition.d_eff
         self.dec = _provider_dec(dec_source or trivial_dec_source, self.d_eff, field)
         self.supports = _supports(self.dec)
@@ -436,20 +434,17 @@ class PScalingScheme:
         return bld.add(*type_outputs)
 
 
-def p_scheme(n: int, b: int, g: int, field: Field, dec_source=None,
-             paper_padding: bool = False) -> PScalingScheme:
+def p_scheme(n: int, b: int, g: int, field: Field, dec_source=None) -> PScalingScheme:
     """PScalingScheme for P_n over `field`; every call asks the provider
     (default: the trivial decomposition) and verifies its answer."""
-    return PScalingScheme(n, b, g, field, dec_source=dec_source,
-                          paper_padding=paper_padding)
+    return PScalingScheme(n, b, g, field, dec_source=dec_source)
 
 
 def build_P_circuit(n: int, b: int, g: int, field: Field | None = None,
-                    dec_source=None, paper_padding: bool = False) -> Circuit:
+                    dec_source=None) -> Circuit:
     """Circuit for P_n(x,y,z) with inputs over all n-subsets of [3n]."""
     field = field or prime_field()
-    scheme = p_scheme(n, b, g, field, dec_source=dec_source,
-                      paper_padding=paper_padding)
+    scheme = p_scheme(n, b, g, field, dec_source=dec_source)
     bld = CircuitBuilder(field)
     gates = {"x": {}, "y": {}, "z": {}}
     for slot in ("x", "y", "z"):

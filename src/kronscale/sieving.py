@@ -118,7 +118,7 @@ class SieveRunner:
         substituted = bld.build()
         # the transform preserves 1-skewness in the sieve variables
         q = analyze_skew(substituted, set(yvars))
-        if q is None or q > 1:
+        if q > 1:
             raise InternalError(f"substituted circuit is not 1-skew (q={q})")
         extracted = extract_coefficient(substituted, yvars, method,
                                         dec_source=dec_source)
@@ -181,8 +181,9 @@ class UndirectedGraph:
 
 
 def parse_graph_file(text: str):
-    """Graph file: 'directed|undirected n m [u_size w_size]' + m edge lines,
-    or 'triples nu nv nw m' + m triple lines for 3-dimensional matching."""
+    """Graph file: 'directed n m' or 'undirected n m [u_size w_size]' + m
+    edge lines, or 'triples nu nv nw m' + m triple lines for 3-dimensional
+    matching.  Side sizes declare vertices 1..u_size as side U."""
     lines = content_lines(text)
     if not lines:
         raise ParseError("empty graph file")
@@ -201,7 +202,12 @@ def parse_graph_file(text: str):
         return ("triples", (nu, nv, nw), tuple(triples))
     if kind not in ("directed", "undirected"):
         raise ParseError(f"unknown graph kind {kind!r}", head_no)
-    sizes = int_fields(head[1:], f"'{kind} n m [u_size w_size]'", head_no, (2, 3, 4))
+    if kind == "directed":
+        sizes = int_fields(head[1:], "'directed n m'", head_no, (2,))
+    else:
+        sizes = int_fields(head[1:], "'undirected n m [u_size w_size]'", head_no, (2, 4))
+        if len(sizes) == 4 and (min(sizes[2:]) < 0 or sizes[2] + sizes[3] != sizes[0]):
+            raise ParseError("side sizes must be non-negative and sum to n", head_no)
     n, m = sizes[0], sizes[1]
     edges = []
     for lineno, ln in lines[1:]:

@@ -229,26 +229,6 @@ def trivial_decomposition(t: Tensor) -> RankDecomposition:
                              *(tuple(map(tuple, rows)) for rows in (U, V, W)))
 
 
-def subtensor(t: Tensor, drop_mask: int, x_req: int, y_req: int, z_req: int) -> Tensor:
-    """Restrict to entries matching the required pattern on the dropped
-    elements, then strip those elements from the ground."""
-    keep_positions = [p for p in range(len(t.ground)) if not (drop_mask >> p) & 1]
-    ground = tuple(t.ground[p] for p in keep_positions)
-    squeeze = {p: i for i, p in enumerate(keep_positions)}
-
-    def compress(mask):
-        out = 0
-        for p in mask_bits(mask & ~drop_mask):
-            out |= 1 << squeeze[p]
-        return out
-
-    entries = {}
-    for (a, b, c), v in t.entries.items():
-        if (a & drop_mask) == x_req and (b & drop_mask) == y_req and (c & drop_mask) == z_req:
-            entries[(compress(a), compress(b), compress(c))] = v
-    return Tensor(t.field, ground, entries)
-
-
 def _fmt_mask(mask: int) -> str:
     return "{" + ",".join(str(e) for e in mask_bits(mask)) + "}"
 

@@ -61,29 +61,6 @@ class SparsePoly:
             total = f.add(total, v)
         return total
 
-    def derivative(self, name):
-        f = self.field
-        out = {}
-        for mono, c in self.terms.items():
-            d = dict(mono)
-            e = d.get(name, 0)
-            if not e:
-                continue
-            coeff = f.mul(c, f.from_int(e))
-            if coeff == f.zero:
-                continue
-            if e == 1:
-                del d[name]
-            else:
-                d[name] = e - 1
-            m2 = tuple(sorted(d.items()))
-            s = f.add(out.get(m2, f.zero), coeff)
-            if s == f.zero:
-                out.pop(m2, None)
-            else:
-                out[m2] = s
-        return SparsePoly(f, out)
-
     def coefficient_of_full_monomial(self, names):
         """Coefficient of prod_{v in names} v (each to the first power)."""
         target = tuple(sorted((n, 1) for n in names))

@@ -9,28 +9,19 @@ from kronscale.circuit import (
     OP_IN,
     CircuitBuilder,
     analyze_skew,
-    baur_strassen,
     dead_gate_elimination,
     evaluate,
     formal_degrees,
-    homogenize,
-    homogenize_size_bound,
     mask_bits,
     name_elements,
     parse,
-    replay,
     serialize,
     subset_name,
 )
-from kronscale.errors import (
-    DegreeBound,
-    ParseError,
-    SingleOutputRequired,
-    UnassignedInput,
-)
+from kronscale.errors import ParseError, UnassignedInput
 from kronscale.fields import Rng, gf2, prime_field
 
-from _symbolic import SparsePoly, expand_circuit
+from _symbolic import expand_circuit
 
 ZP = prime_field(2**31 - 1)
 
@@ -78,7 +69,7 @@ def test_single_mul():
 
 
 BUILDER_CALLS = st.lists(
-    st.tuples(st.sampled_from(["inp", "const", "add", "mul", "scale", "raw_mul"]),
+    st.tuples(st.sampled_from(["inp", "const", "add", "mul", "scale"]),
               st.lists(st.integers(0, 1000), min_size=1, max_size=4)),
     max_size=60)
 
@@ -87,8 +78,7 @@ BUILDER_CALLS = st.lists(
 @given(BUILDER_CALLS)
 def test_arc_counter_matches_circuit_size(calls):
     # a small field and few distinct consts make the folding paths common:
-    # zero and one absorption, const*const, and scale through a const mul;
-    # scale also meets raw_mul gates of any fan-in
+    # zero and one absorption, const*const, and scale through a const mul
     f = prime_field(5)
     bld = CircuitBuilder(f)
     bld.inp("v:0")
@@ -103,13 +93,11 @@ def test_arc_counter_matches_circuit_size(calls):
             bld.add(*gids)
         elif kind == "mul":
             bld.mul(gids[0], gids[-1])
-        elif kind == "scale":
+        else:
             coeff = picks[0] % 5
             bld.set_outputs([gids[-1], bld.scale(coeff, gids[-1])])
             value, scaled = evaluate(bld.build(), values)
             assert scaled == f.mul(coeff, value)
-        else:
-            bld.raw_mul(gids)
         assert bld.arcs == bld.build().size
 
 
@@ -179,13 +167,6 @@ def test_skew_product_of_sums_is_one():
     assert analyze_skew(bld.build()) == 1
 
 
-def test_fan_in_three_mul_not_skew():
-    bld = CircuitBuilder(ZP)
-    xs = [bld.inp(f"x:{{{i}}}") for i in range(3)]
-    bld.set_outputs([bld.raw_mul(xs)])
-    assert analyze_skew(bld.build()) is None
-
-
 def test_skew_wrt_variable_subset():
     bld = CircuitBuilder(ZP)
     x, r = bld.inp("x:{1}"), bld.inp("v:label")
@@ -193,133 +174,6 @@ def test_skew_wrt_variable_subset():
     c = bld.build()
     assert analyze_skew(c) == 2
     assert analyze_skew(c, variables={"x:{1}"}) == 1
-
-
-def test_homogenize_components_example():
-    # x1 + x1*x2 at d=2: components 0, x1, x1*x2
-    bld = CircuitBuilder(ZP)
-    x1, x2 = bld.inp("x:{1}"), bld.inp("x:{2}")
-    bld.set_outputs([bld.add(x1, bld.mul(x1, x2))])
-    h = homogenize(bld.build(), 2)
-    assert len(h.outputs) == 3
-    vals = evaluate(h, {"x:{1}": 3, "x:{2}": 5})
-    assert vals == (0, 3, 15)
-
-
-def test_homogenize_degree_bound():
-    bld = CircuitBuilder(ZP)
-    x = bld.inp("x:{1}")
-    bld.set_outputs([bld.mul(x, bld.mul(x, x))])
-    with pytest.raises(DegreeBound):
-        homogenize(bld.build(), 2)
-
-
-def test_homogenize_fixed_point_and_semantics():
-    rng = Rng(9)
-    names = [f"x:{{{i}}}" for i in range(6)]
-    for _ in range(8):
-        c = random_skew_circuit(ZP, rng, names, n_gates=40)
-        d = formal_degrees(c)[c.outputs[0]]
-        h = homogenize(c, d)
-        assert h.size <= homogenize_size_bound(c, d)
-        for _ in range(20):
-            asg = {n: ZP.random(rng) for n in names}
-            total = ZP.zero
-            for v in evaluate(h, asg):
-                total = ZP.add(total, v)
-            assert total == evaluate(c, asg)[0]
-
-
-def test_homogenize_component_scaling():
-    # component k at t*x equals t^k times component at x
-    rng = Rng(31)
-    names = [f"x:{{{i}}}" for i in range(4)]
-    c = random_skew_circuit(ZP, rng, names, n_gates=30)
-    d = formal_degrees(c)[c.outputs[0]]
-    h = homogenize(c, d)
-    for _ in range(5):
-        asg = {n: ZP.random(rng) for n in names}
-        t = ZP.random(rng, nonzero=True)
-        scaled = {n: ZP.mul(t, v) for n, v in asg.items()}
-        base = evaluate(h, asg)
-        up = evaluate(h, scaled)
-        for k in range(d + 1):
-            assert up[k] == ZP.mul(ZP.pow(t, k), base[k])
-
-
-def test_homogenize_preserves_skew():
-    rng = Rng(77)
-    names = [f"x:{{{i}}}" for i in range(5)]
-    for _ in range(5):
-        c = random_skew_circuit(ZP, rng, names, n_gates=30)
-        q = analyze_skew(c)
-        d = formal_degrees(c)[c.outputs[0]]
-        h = homogenize(c, d)
-        assert analyze_skew(h) <= max(q, 0)
-
-
-def test_baur_strassen_product():
-    bld = CircuitBuilder(ZP)
-    x1, x2 = bld.inp("x:{1}"), bld.inp("x:{2}")
-    bld.set_outputs([bld.mul(x1, x2)])
-    g = baur_strassen(bld.build(), ["x:{1}", "x:{2}"])
-    assert evaluate(g, {"x:{1}": 11, "x:{2}": 13}) == (13, 11)
-
-
-def test_baur_strassen_char2_square():
-    f2 = gf2(8)
-    bld = CircuitBuilder(f2)
-    x = bld.inp("x:{1}")
-    bld.set_outputs([bld.mul(x, x)])
-    g = baur_strassen(bld.build(), ["x:{1}"])
-    for v in (0x01, 0x53, 0xFF):
-        assert evaluate(g, {"x:{1}": v}) == (0,)
-
-
-def test_baur_strassen_multi_output_rejected():
-    bld = CircuitBuilder(ZP)
-    x = bld.inp("x:{1}")
-    bld.set_outputs([x, x])
-    with pytest.raises(SingleOutputRequired):
-        baur_strassen(bld.build(), ["x:{1}"])
-
-
-def test_baur_strassen_vs_symbolic_derivative():
-    rng = Rng(2718)
-    names = [f"x:{{{i}}}" for i in range(5)]
-    for _ in range(8):
-        c = random_skew_circuit(ZP, rng, names, n_gates=40)
-        grad = baur_strassen(c, names)
-        assert len(grad.outputs) == len(names)
-        assert grad.size <= 4 * max(c.size, 1)
-        poly = expand_circuit(c)[0]
-        partials = [poly.derivative(n) for n in names]
-        for _ in range(10):
-            asg = {n: ZP.random(rng) for n in names}
-            got = evaluate(grad, asg)
-            for gv, p in zip(got, partials):
-                assert gv == p.evaluate(asg)
-
-
-def test_baur_strassen_linearity():
-    # gradient of a sum equals sum of gradients
-    rng = Rng(4242)
-    names = [f"x:{{{i}}}" for i in range(4)]
-    for _ in range(4):
-        c1 = random_skew_circuit(ZP, rng, names, n_gates=25)
-        c2 = random_skew_circuit(ZP, rng, names, n_gates=25)
-        bld = CircuitBuilder(ZP)
-        merged_outs = [replay(c, bld)[c.outputs[0]] for c in (c1, c2)]
-        bld.set_outputs([bld.add(*merged_outs)])
-        gsum = baur_strassen(bld.build(), names)
-        g1 = baur_strassen(c1, names)
-        g2 = baur_strassen(c2, names)
-        for _ in range(5):
-            asg = {n: ZP.random(rng) for n in names}
-            vs = evaluate(gsum, asg)
-            v1 = evaluate(g1, asg)
-            v2 = evaluate(g2, asg)
-            assert vs == tuple(ZP.add(a, b) for a, b in zip(v1, v2))
 
 
 def test_serialize_roundtrip_empty_outputs():

@@ -3,7 +3,6 @@ import pytest
 from conftest import random_skew_circuit
 from kronscale.circuit import CircuitBuilder, evaluate
 from kronscale.coeffx import (
-    ExtractionRequest,
     extract_coeff_direct,
     extract_coeff_tripartition,
     extract_coefficient,
@@ -182,13 +181,13 @@ def test_tripartition_rejects_unpadded():
     names = names_for(7)
     c = full_product_circuit(F, names)
     with pytest.raises(NotSkew):
-        extract_coeff_tripartition(ExtractionRequest(c, names, "tripartition"))
+        extract_coeff_tripartition(c, names)
 
 
 def test_table_size_reporting():
     names = names_for(9)
     c = full_product_circuit(F, names)
-    direct = extract_coeff_direct(ExtractionRequest(c, names))
+    direct = extract_coeff_direct(c, names)
     assert direct.meta["table_entries"] <= len(c.gates) * 2 ** 9
     tri = extract_coefficient(c, names, "tri")
     assert tri.meta["s"] >= 1 and tri.meta["t"] >= 1

@@ -1,7 +1,9 @@
-"""Every name a kronscale module imports is used by that module, and no
-function writes into a module-level container (a hidden global cache)."""
+"""Every name a kronscale module imports is used by that module, no
+function writes into a module-level container (a hidden global cache), and
+every definition is named somewhere outside itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -85,3 +87,55 @@ INTERNING_TABLES = {"_FIELD_CACHE"}
 def test_no_global_container_writes(path):
     writes = global_container_writes(path.read_text())
     assert [(line, name) for line, name in writes if name not in INTERNING_TABLES] == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def definitions(source: str) -> list:
+    """(first line, last line, name) of each module-level function or
+    class, and of each public method of a module-level class."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.lineno, node.end_lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            out.extend((item.lineno, item.end_lineno, item.name) for item in node.body
+                       if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       and not item.name.startswith("_"))
+    return out
+
+
+def unreferenced_definitions(module, sources: dict) -> list:
+    """(line, name) of each definition in sources[module] whose name no
+    source text (code, string or comment) mentions outside the
+    definition's own lines."""
+    mentions: dict = {}
+    for path, text in sources.items():
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            for word in IDENTIFIER.findall(line):
+                mentions.setdefault(word, []).append((path, lineno))
+    return [(first, name) for first, last, name in definitions(sources[module])
+            if all(path == module and first <= lineno <= last
+                   for path, lineno in mentions.get(name, ()))]
+
+
+def test_scan_finds_an_unreferenced_definition():
+    # unused() only names itself, and K._hidden is not public
+    module = ("def used():\n    return 1\n\n\ndef unused():\n    return unused()\n\n\n"
+              "class K:\n    def run(self):\n        pass\n\n    def _hidden(self):\n"
+              "        pass\n")
+    sources = {"m.py": module, "t.py": "from m import K, used\nK().run()\n"}
+    assert unreferenced_definitions("m.py", sources) == [(5, "unused")]
+
+
+@pytest.fixture(scope="module")
+def project_sources():
+    return {path: path.read_text() for top in ("src", "tests", "perfbench")
+            for path in sorted((ROOT / top).rglob("*.py"))}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_definition_is_named_elsewhere(path, project_sources):
+    assert unreferenced_definitions(path.resolve(), project_sources) == []

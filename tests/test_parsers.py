@@ -1,13 +1,19 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronscale.circuit import parse
 from kronscale.counting import parse_family_file, parse_matrix_file
 from kronscale.errors import ParseError
 from kronscale.fields import prime_field
-from kronscale.matchcon import parse_td_file
 from kronscale.sieving import parse_graph_file
 from kronscale.steinitz import parse_vector_file
-from kronscale.tensor import parse_decomposition
+from kronscale.tensor import (
+    generate_P,
+    parse_decomposition,
+    trivial_decomposition,
+    write_decomposition,
+)
 
 F7 = prime_field(7)
 
@@ -35,10 +41,11 @@ MALFORMED = {
     "matrix-value": (parse_matrix, "2\n1 2\n3 zz\n", 3),
     "family-element": (parse_family_file, "2 1 1\na\n", 2),
     "graph-header": (parse_graph_file, "directed 3\n", 1),
+    "graph-directed-sides": (parse_graph_file, "directed 3 1 1 2\n1 2\n", 1),
+    "graph-sides-not-n": (parse_graph_file, "undirected 3 1 7 9\n1 2\n", 1),
     "graph-edge": (parse_graph_file, "# a comment\ndirected 3 1\n\n1\n", 4),
     "graph-triple": (parse_graph_file, "triples 2 2 2 1\n1 1\n", 2),
     "vector-norm": (parse_vector_file, "1 1\n3/2\n", 2),
-    "td-bag-id": (parse_td_file, "bag x 0 leaf {}\n", 1),
 }
 
 
@@ -55,3 +62,45 @@ def test_malformed_input_raises_parse_error_with_line(case):
     with pytest.raises(ParseError) as exc:
         parser(text)
     assert exc.value.line == line
+
+
+# one valid text per input format; the graph format has three kinds
+VALID = {
+    "circuit": (parse, "circuit v1\nfield p=7\nin 0 x:{1}\nconst 1 3\nadd 2 0 1\n"
+                       "mul 3 2 0\nout 3\n"),
+    "rankdec": (parse_decomposition,
+                write_decomposition(trivial_decomposition(generate_P(1, field=F7)))),
+    "matrix": (parse_matrix, "# 2 x 2\n2\n1 2\n3 4\n"),
+    "family": (parse_family_file, "3 2 2\n1 2\n2 3\n"),
+    "graph-directed": (parse_graph_file, "directed 3 2\n1 2\n2 3\n"),
+    "graph-undirected": (parse_graph_file, "undirected 4 2 2 2\n1 3\n2 4\n"),
+    "graph-triples": (parse_graph_file, "triples 2 2 2 1\n1 2 1\n"),
+    "vector": (parse_vector_file, "2 2\n1/2 -1\n0 1/3\n"),
+}
+
+# characters the formats use, so that edits often keep a line almost valid
+ALPHABET = "0123456789-+/{},:=#^ \nxyzUVWabdefgilmnoprstuvw"
+
+
+@st.composite
+def mutations(draw, text):
+    """The text after one to four edits, each replacing a span of up to
+    three characters with up to three characters of ALPHABET."""
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 3)))
+        text = text[:i] + draw(st.text(ALPHABET, max_size=3)) + text[j:]
+    return text
+
+
+@pytest.mark.parametrize("case", sorted(VALID))
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_mutated_input_parses_or_raises_parse_error(case, data):
+    parser, text = VALID[case]
+    parser(text)
+    mutated = data.draw(mutations(text))
+    try:
+        parser(mutated)
+    except ParseError:
+        pass

@@ -11,7 +11,7 @@ from kronscale.counting import (
     matrix_assignment,
     permanent_ryser,
 )
-from kronscale.errors import ProviderError, TooLarge
+from kronscale.errors import DivisibilityError, ProviderError, TooLarge
 from kronscale.fields import Rng, prime_field
 from kronscale.scaling import (
     BlockStructure,
@@ -83,7 +83,10 @@ def test_every_tripartition_classifies_to_one_type():
 
 
 def test_enumerate_types_budget():
-    with pytest.raises(TooLarge):
+    # the budget bounds the types found: n=5 at b=g=1 has 3,391 of them
+    assert len(enumerate_types(BlockStructure(1, 1, 5))) == 3391
+    message = "^enumerate_types: 1001 types exceed the type budget 1000$"
+    with pytest.raises(TooLarge, match=message):
         enumerate_types(BlockStructure(1, 3, 3), budget=1000)
 
 
@@ -360,7 +363,7 @@ def test_p4_permanent_is_pinned_and_agrees_with_ryser():
 
 
 def test_build_P_rejects_bad_factorization():
-    with pytest.raises(TooLarge):
+    with pytest.raises(DivisibilityError):
         build_P_circuit(5, 1, 2, field=F)
 
 

@@ -16,7 +16,6 @@ from kronscale.tensor import (
     kron_power,
     kronecker,
     parse_decomposition,
-    subtensor,
     tensor_eval,
     trivial_decomposition,
     verify_decomposition,
@@ -253,13 +252,3 @@ def test_kron_power_matches_repeated_kronecker():
     p2 = kron_power(t, 2)
     assert len(p2.entries) == 36
     assert p2.ground == tuple(range(6))
-
-
-def test_subtensor():
-    t = generate_P(2, field=F)
-    # force elements 4,5: one in A, one in B; strip them
-    drop = 0b110000
-    sub = subtensor(t, drop, 0b010000, 0b100000, 0)
-    assert sub.ground_size == 4
-    for (a, b, c) in sub.entries:
-        assert bin(a).count("1") == 1 and bin(b).count("1") == 1 and bin(c).count("1") == 2
