@@ -2,9 +2,11 @@
 
 Field elements are plain canonical ints (residue mod p, or a w-bit
 polynomial bitmask); all operations go through a Field object so values
-serialize bit-exactly.  The random generator is SplitMix64, a fixed,
-versioned, splittable generator: identical seeds give identical streams
-on every platform.
+serialize bit-exactly.  GF(2^w) multiplies by log/exp tables at w <= 16,
+by a class-interleaved integer product and a byte-table reduction at
+w = 32 (the sieve default), and by a bit-serial product at w = 64.  The
+random generator is SplitMix64, a fixed, versioned, splittable generator:
+identical seeds give identical streams on every platform.
 """
 
 from __future__ import annotations
@@ -187,11 +189,49 @@ def _clmul(a: int, b: int) -> int:
     return r
 
 
+def _interleaved_mul32(fold):
+    """Exact GF(2^32) multiply; fold[k][v] = (v * x^(32 + 8k)) mod f.
+
+    Each operand splits into its four classes of bit positions mod 4, and
+    the 16 class products are ordinary integer products.  A class has 8
+    bits, so a product's bit slot sums at most 8 ones: its carries reach at
+    most 3 positions up and never the next slot of the same class.  The
+    parity of each slot therefore survives, and XOR of the 4 products of a
+    class, masked back to that class, is the carryless product there.  The
+    <= 63-bit result is reduced one byte of its high word per table.
+    """
+    f0, f1, f2, f3 = fold
+
+    def mul(a, b):
+        a0 = a & 0x11111111
+        a1 = a & 0x22222222
+        a2 = a & 0x44444444
+        a3 = a & 0x88888888
+        b0 = b & 0x11111111
+        b1 = b & 0x22222222
+        b2 = b & 0x44444444
+        b3 = b & 0x88888888
+        r = (((a0 * b0) ^ (a1 * b3) ^ (a2 * b2) ^ (a3 * b1)) & 0x1111111111111111
+             | ((a0 * b1) ^ (a1 * b0) ^ (a2 * b3) ^ (a3 * b2)) & 0x2222222222222222
+             | ((a0 * b2) ^ (a1 * b1) ^ (a2 * b0) ^ (a3 * b3)) & 0x4444444444444444
+             | ((a0 * b3) ^ (a1 * b2) ^ (a2 * b1) ^ (a3 * b0)) & 0x8888888888888888)
+        h = r >> 32
+        return ((r & 0xFFFFFFFF) ^ f0[h & 0xFF] ^ f1[h >> 8 & 0xFF]
+                ^ f2[h >> 16 & 0xFF] ^ f3[h >> 24])
+
+    return mul
+
+
 class GF2Field(Field):
     """GF(2^w) for w in {8, 16, 32, 64} with a fixed reduction polynomial.
 
-    Elements are w-bit ints.  Widths <= 16 use log/exp tables; width 32
-    uses 8x8 carryless chunk tables; width 64 reduces directly.
+    Elements are w-bit ints.  `mul` is chosen once per width:
+
+    - w <= 16: log/exp tables.
+    - w = 32: the carryless product as XORs of 16 ordinary integer products
+      of the operands' bit classes mod 4, exact because no carry reaches the
+      next bit of a class, then a byte-table reduction (`_interleaved_mul32`).
+    - w = 64: bit-serial carryless product and reduction (`_mul_slow`).
     """
 
     kind = "gf2"
@@ -209,11 +249,15 @@ class GF2Field(Field):
         self.one = 1
         self._log = None
         self._exp = None
-        self._cl8 = None
         if w <= 16:
             self._build_log_tables()
+            self.mul = self._mul_log
         elif w == 32:
-            self._build_chunk_tables()
+            self.mul = _interleaved_mul32(tuple(
+                tuple(self._reduce(v << (32 + 8 * k)) for v in range(256))
+                for k in range(4)))
+        else:
+            self.mul = self._mul_slow
 
     def spec_string(self):
         return f"gf2 w={self.w}"
@@ -228,6 +272,11 @@ class GF2Field(Field):
 
     def _mul_slow(self, a, b):
         return self._reduce(_clmul(a, b))
+
+    def _mul_log(self, a, b):
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[self._log[a] + self._log[b]]
 
     def _pow_slow(self, a, e):
         r = 1
@@ -273,18 +322,6 @@ class GF2Field(Field):
         self._exp = exp
         self._log = log
 
-    def _build_chunk_tables(self):
-        # cl8[a][b] = carryless 8x8 product (16 bits), for 32-bit multiply
-        cl8 = []
-        for a in range(256):
-            row = [0] * 256
-            for bit in range(8):
-                if a >> bit & 1:
-                    for b in range(256):
-                        row[b] ^= b << bit
-            cl8.append(row)
-        self._cl8 = cl8
-
     def add(self, a, b):
         return a ^ b
 
@@ -292,25 +329,6 @@ class GF2Field(Field):
 
     def neg(self, a):
         return a
-
-    def mul(self, a, b):
-        if self._log is not None:
-            if a == 0 or b == 0:
-                return 0
-            return self._exp[self._log[a] + self._log[b]]
-        if self._cl8 is not None:
-            cl8 = self._cl8
-            r = 0
-            aa = a
-            sh = 0
-            while aa:
-                row = cl8[aa & 0xFF]
-                r ^= (row[b & 0xFF] ^ (row[(b >> 8) & 0xFF] << 8)
-                      ^ (row[(b >> 16) & 0xFF] << 16) ^ (row[b >> 24] << 24)) << sh
-                aa >>= 8
-                sh += 8
-            return self._reduce(r)
-        return self._mul_slow(a, b)
 
     def inv(self, a):
         if a == 0:

@@ -402,6 +402,9 @@ class PScalingScheme:
 
     def __init__(self, n: int, b: int, g: int, field: Field, dec_source=None,
                  arc_budget: int = DEFAULT_ARC_BUDGET):
+        for name, value in (("b", b), ("g", g)):
+            if value < 1:
+                raise ShapeError(f"{name}={value} must be at least 1")
         if n % (b * g) != 0:
             raise DivisibilityError(f"n={n} is not a multiple of b*g={b * g}")
         self.n = n

@@ -66,24 +66,6 @@ class SparsePoly:
         target = tuple(sorted((n, 1) for n in names))
         return self.terms.get(target, self.field.zero)
 
-    def restrict(self, values):
-        """Substitute constants for some variables."""
-        f = self.field
-        out = SparsePoly(f, {})
-        for mono, c in self.terms.items():
-            keep = []
-            coeff = c
-            for name, e in mono:
-                if name in values:
-                    coeff = f.mul(coeff, f.pow(values[name], e))
-                else:
-                    keep.append((name, e))
-            out = out + SparsePoly(f, {tuple(keep): coeff} if coeff != f.zero else {})
-        return out
-
-    def degree(self):
-        return max((sum(e for _, e in m) for m in self.terms), default=0)
-
 
 def expand_circuit(circ, term_cap=200_000):
     """Symbolic expansion of every gate; returns the list of output polys."""

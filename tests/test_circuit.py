@@ -116,14 +116,15 @@ def test_missing_input():
         evaluate(bld.build(), {})
 
 
-def test_random_circuits_match_expansion_oracle():
+@pytest.mark.parametrize("field", [ZP, gf2(32)], ids=lambda f: f.spec_string())
+def test_random_circuits_match_expansion_oracle(field):
     rng = Rng(101)
     names = [f"v:x{i}" for i in range(5)]
     for trial in range(6):
-        c = random_skew_circuit(ZP, rng, names, n_gates=50)
+        c = random_skew_circuit(field, rng, names, n_gates=50)
         poly = expand_circuit(c)[0]
         for _ in range(20):
-            asg = {n: ZP.random(rng) for n in names}
+            asg = {n: field.random(rng) for n in names}
             assert evaluate(c, asg)[0] == poly.evaluate(asg)
 
 

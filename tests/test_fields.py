@@ -27,6 +27,15 @@ def _poly_divmod_gf2(a: int, b: int):
     return q, a
 
 
+def _schoolbook_mul(field, a: int, b: int) -> int:
+    # bit-serial carryless product, then long division by the field poly
+    prod = 0
+    for bit in range(field.w):
+        if b >> bit & 1:
+            prod ^= a << bit
+    return _poly_divmod_gf2(prod, field.poly)[1]
+
+
 def _poly_gcd_gf2(a: int, b: int) -> int:
     while b:
         a, b = b, _poly_divmod_gf2(a, b)[1]
@@ -55,6 +64,20 @@ def test_reduction_polys_are_irreducible():
         for _ in range(w // 2):
             half = field._mul_slow(half, half)
         assert _poly_gcd_gf2(half ^ x, f) == 1, f"poly for width {w} not irreducible"
+
+
+@pytest.mark.parametrize("w", [8, 16, 32, 64])
+def test_gf2_mul_matches_schoolbook_oracle(w):
+    field = gf2(w)
+    ones = field.mask
+    half = ones ^ (ones >> (w // 2))
+    edges = [0, 1, 2, ones, 1 << (w - 1), field.poly_low,
+             ones // 3, ones // 3 * 2, half, ones ^ half]
+    rng = Rng(2029)
+    pairs = [(a, b) for a in edges for b in edges]
+    pairs += [(field.random(rng), field.random(rng)) for _ in range(2000)]
+    for a, b in pairs:
+        assert field.mul(a, b) == _schoolbook_mul(field, a, b), (hex(a), hex(b))
 
 
 def test_default_prime():
@@ -132,7 +155,8 @@ def test_nonzero_never_zero():
         assert g.random(rng, nonzero=True) != 0
 
 
-@pytest.mark.parametrize("spec", ["p=2305843009213693951", "p=5", "gf2 w=8", "gf2 w=16", "gf2 w=64"])
+@pytest.mark.parametrize("spec", ["p=2305843009213693951", "p=5", "gf2 w=8", "gf2 w=16",
+                                  "gf2 w=32", "gf2 w=64"])
 def test_field_axioms_random_triples(spec):
     field = parse_field_spec(spec)
     rng = Rng(7)

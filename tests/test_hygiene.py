@@ -1,6 +1,7 @@
 """Every name a kronscale module imports is used by that module, no
 function writes into a module-level container (a hidden global cache), and
-every definition is named somewhere outside itself."""
+every definition, in a kronscale module or a shared test helper, is named
+somewhere outside itself."""
 
 import ast
 import re
@@ -136,6 +137,9 @@ def project_sources():
             for path in sorted((ROOT / top).rglob("*.py"))}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+TEST_HELPERS = [ROOT / "tests" / "_symbolic.py", ROOT / "tests" / "conftest.py"]
+
+
+@pytest.mark.parametrize("path", MODULES + TEST_HELPERS, ids=lambda p: p.name)
 def test_every_definition_is_named_elsewhere(path, project_sources):
     assert unreferenced_definitions(path.resolve(), project_sources) == []

@@ -5,13 +5,14 @@ from itertools import combinations, product
 import pytest
 
 from kronscale.circuit import CircuitBuilder, evaluate, subset_name
+from kronscale.coeffx import extract_coefficient
 from kronscale.counting import (
     SquareMatrix,
     build_permanent_circuit,
     matrix_assignment,
     permanent_ryser,
 )
-from kronscale.errors import DivisibilityError, ProviderError, TooLarge
+from kronscale.errors import DivisibilityError, ProviderError, ShapeError, TooLarge
 from kronscale.fields import Rng, prime_field
 from kronscale.scaling import (
     BlockStructure,
@@ -365,6 +366,27 @@ def test_p4_permanent_is_pinned_and_agrees_with_ryser():
 def test_build_P_rejects_bad_factorization():
     with pytest.raises(DivisibilityError):
         build_P_circuit(5, 1, 2, field=F)
+
+
+def product_of_nine():
+    bld = CircuitBuilder(F)
+    names = [f"v:x{i}" for i in range(9)]
+    acc = bld.inp(names[0])
+    for name in names[1:]:
+        acc = bld.mul(acc, bld.inp(name))
+    bld.set_outputs([acc])
+    return bld.build(), names
+
+
+@pytest.mark.parametrize("build, bad", [
+    (lambda: PScalingScheme(3, 1, 0, F), "g=0"),
+    (lambda: PScalingScheme(3, 0, 1, F), "b=0"),
+    # the tri route at n = 9 asks for P_3 with g = 3 // b = 0
+    (lambda: extract_coefficient(*product_of_nine(), "tri", b=4), "g=0"),
+], ids=["g0", "b0", "tri_b4"])
+def test_nonpositive_block_count_is_a_shape_error(build, bad):
+    with pytest.raises(ShapeError, match=bad):
+        build()
 
 
 def split_first_term(d, field):
