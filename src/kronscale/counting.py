@@ -14,7 +14,7 @@ from .coeffx import extract_coefficient
 from .errors import (DivisibilityError, ParityError, ParseError, TooLarge,
                      content_lines, int_fields)
 from .fields import Field, prime_field
-from .scaling import p_scheme
+from .scaling import PScalingScheme
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,7 @@ def build_permanent_circuit(n: int, field: Field | None = None, dec_source=None,
             prev = {m: bld.add(*gs) for m, gs in cur.items()}
         block_tables.append(prev)
     bottom_arcs = bld.arcs
-    scheme = p_scheme(q, b, g or (q // b), field, dec_source=dec_source)
+    scheme = PScalingScheme(q, b, g, field, dec_source=dec_source)
     out = scheme.instantiate(bld, block_tables[0].get, block_tables[1].get,
                              block_tables[2].get)
     bld.set_outputs([out])

@@ -398,13 +398,18 @@ class PScalingScheme:
     Constructed once per (n, b, g, field, provider); instantiate() emits
     the per-type restricted Yates copies into any CircuitBuilder, wiring
     inputs through caller-supplied mask->gate maps (None kills an input).
+    g=None means n // b; every construction asks the provider (default:
+    the trivial decomposition) and verifies its answer.
     """
 
-    def __init__(self, n: int, b: int, g: int, field: Field, dec_source=None,
+    def __init__(self, n: int, b: int, g: int | None, field: Field, dec_source=None,
                  arc_budget: int = DEFAULT_ARC_BUDGET):
-        for name, value in (("b", b), ("g", g)):
-            if value < 1:
-                raise ShapeError(f"{name}={value} must be at least 1")
+        if b < 1:
+            raise ShapeError(f"b={b} must be at least 1")
+        if g is None:
+            g = n // b
+        if g < 1:
+            raise ShapeError(f"g={g} must be at least 1")
         if n % (b * g) != 0:
             raise DivisibilityError(f"n={n} is not a multiple of b*g={b * g}")
         self.n = n
@@ -437,17 +442,11 @@ class PScalingScheme:
         return bld.add(*type_outputs)
 
 
-def p_scheme(n: int, b: int, g: int, field: Field, dec_source=None) -> PScalingScheme:
-    """PScalingScheme for P_n over `field`; every call asks the provider
-    (default: the trivial decomposition) and verifies its answer."""
-    return PScalingScheme(n, b, g, field, dec_source=dec_source)
-
-
 def build_P_circuit(n: int, b: int, g: int, field: Field | None = None,
                     dec_source=None) -> Circuit:
     """Circuit for P_n(x,y,z) with inputs over all n-subsets of [3n]."""
     field = field or prime_field()
-    scheme = p_scheme(n, b, g, field, dec_source=dec_source)
+    scheme = PScalingScheme(n, b, g, field, dec_source=dec_source)
     bld = CircuitBuilder(field)
     gates = {"x": {}, "y": {}, "z": {}}
     for slot in ("x", "y", "z"):

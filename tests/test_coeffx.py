@@ -191,3 +191,11 @@ def test_table_size_reporting():
     assert direct.meta["table_entries"] <= len(c.gates) * 2 ** 9
     tri = extract_coefficient(c, names, "tri")
     assert tri.meta["s"] >= 1 and tri.meta["t"] >= 1
+
+
+def test_tripartition_reports_when_the_full_monomial_cannot_appear():
+    # x0*x1 has degree 2, so no component reaches degree 9
+    names = names_for(9)
+    out = extract_coeff_tripartition(full_product_circuit(F, names[:2]), names)
+    assert evaluate(out, {}) == (0,)
+    assert out.meta == {"method": "tri", "s": 0, "t": 0, "table_entries": 0}

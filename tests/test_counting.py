@@ -24,6 +24,7 @@ from kronscale.counting import (
     setpart_bruteforce,
 )
 from kronscale.circuit import analyze_skew
+from kronscale.coeffx import extract_coeff_direct
 from kronscale.errors import DivisibilityError, ParityError
 from kronscale.fields import Rng, prime_field
 
@@ -111,6 +112,12 @@ def test_permanent_bottom_size_bound():
         assert c.meta["bottom_arcs"] <= 4 * comb(n, n // 3) * n
 
 
+def test_permanent_benchmark_circuit_does_not_grow():
+    # the perm6-s2 benchmark circuit, checked as upper bounds
+    stats = build_permanent_circuit(6, b=1, g=1).stats()
+    assert stats["arcs"] <= 727 and stats["gates"] <= 359
+
+
 def test_permanent_rejects_bad_n():
     with pytest.raises(DivisibilityError):
         build_permanent_circuit(4, F)
@@ -182,6 +189,14 @@ def test_hafnian_circuit_modes_match_bruteforce():
         assert hafnian_value(m, "direct") == want
     m8 = rand_matrix(rng, 8, symmetric=True)
     assert hafnian_value(m8, "tri") == hafnian_bruteforce(m8)
+
+
+def test_hafnian_direct_extraction_tables_only_reached_components():
+    # a table for every gate over all subsets took 16,609 arcs
+    out = extract_coeff_direct(*hafnian_clow_circuit(12, F))
+    assert out.size <= 12_266
+    m = rand_matrix(Rng(61), 12, symmetric=True)
+    assert evaluate(out, matrix_assignment(m))[0] == hafnian_bruteforce(m)
 
 
 def test_hafnian_clow_circuit_is_1skew():

@@ -22,7 +22,6 @@ from kronscale.scaling import (
     classify_tripartition,
     decompose_P,
     enumerate_types,
-    p_scheme,
     trivial_dec_source,
     verify_scaling,
     yates_circuit,
@@ -383,7 +382,9 @@ def product_of_nine():
     (lambda: PScalingScheme(3, 0, 1, F), "b=0"),
     # the tri route at n = 9 asks for P_3 with g = 3 // b = 0
     (lambda: extract_coefficient(*product_of_nine(), "tri", b=4), "g=0"),
-], ids=["g0", "b0", "tri_b4"])
+    (lambda: extract_coefficient(*product_of_nine(), "tri", b=0), "b=0"),
+    (lambda: build_permanent_circuit(6, F, b=0), "b=0"),
+], ids=["g0", "b0", "tri_b4", "tri_b0", "perm_b0"])
 def test_nonpositive_block_count_is_a_shape_error(build, bad):
     with pytest.raises(ShapeError, match=bad):
         build()
@@ -449,7 +450,7 @@ def _check_split_provider(n, b, g, gates_before, arcs_before):
     """The split provider gives the default values; its gate and arc
     counts are at most those from when every hat entry was transformed,
     before the restricted power dropped terms that never join."""
-    scheme = p_scheme(n, b, g, F, dec_source=split_first_term)
+    scheme = PScalingScheme(n, b, g, F, dec_source=split_first_term)
     trivial = trivial_decomposition(generate_P(scheme.d_eff, field=F))
     assert scheme.dec.rank == trivial.rank + 1
     default = build_P_circuit(n, b, g, field=F)
@@ -483,7 +484,7 @@ def test_every_scheme_verifies_its_provider():
             return (split_first_term if self.calls == 1 else broken_first_term)(d, field)
 
     flaky = Flaky()
-    p_scheme(2, 1, 2, F, dec_source=flaky)
+    PScalingScheme(2, 1, 2, F, dec_source=flaky)
     with pytest.raises(ProviderError):
-        p_scheme(2, 1, 2, F, dec_source=flaky)
+        PScalingScheme(2, 1, 2, F, dec_source=flaky)
     assert flaky.calls == 2

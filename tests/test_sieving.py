@@ -13,7 +13,9 @@ from kronscale.fields import Rng, gf2, prime_field
 from kronscale.sieving import (
     DirectedGraph,
     SieveMatrix,
+    SieveRunner,
     UndirectedGraph,
+    _kpath_labeled_circuit,
     det_sieve,
     kpath_circuit,
     kpath_detect,
@@ -357,3 +359,16 @@ def test_sieve_tripartition_method_agrees():
     assert kpath_detect(g, 8, rng, trials=7, method="tri", field=F)
     g2 = DirectedGraph(9, ((1, 2), (3, 4), (5, 6)))
     assert not kpath_detect(g2, 8, rng, trials=7, method="tri", field=F)
+
+
+def test_kpath_tri_benchmark_circuit_does_not_grow():
+    # the kpath-tri benchmark circuit (k = 5 on complete digraphs of 5 and
+    # 2 vertices, GF(2^32)), checked as upper bounds
+    field = gf2(32)
+    arcs = tuple((u, v) for part in (range(1, 6), range(6, 8))
+                 for u in part for v in part if u != v)
+    circ, _ = _kpath_labeled_circuit(DirectedGraph(7, arcs), 5, field)
+    runner = SieveRunner(circ, vandermonde(6, 7, field, Rng(5)), "det", "tri",
+                         xvars=[f"x:{{{v}}}" for v in range(1, 8)])
+    stats = runner.circuit.stats()
+    assert stats["arcs"] <= 16_289 and stats["gates"] <= 7_318
