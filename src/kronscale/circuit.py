@@ -4,13 +4,20 @@ line-oriented text format.
 Gates live in topological order; ids are list positions.  Add gates take
 arbitrary fan-in and Mul gates are binary: the builder and the parser
 only make binary ones.  Size is the arc count: the sum of gate fan-ins.
+
+`evaluate` runs level by level from the circuit's plan: inputs and
+constants are level 0, a gate sits one level above its deepest argument,
+and each level is one batch of field multiplications (`mul_many`) and one
+of sums (`sum_many`).  The plan is built on the first evaluation and held
+by the `Circuit` itself, so it lives and dies with the circuit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
-from .errors import ParseError, UnassignedInput
+from .errors import InputOutOfRange, ParseError, UnassignedInput
 from .fields import Field, parse_field_spec
 
 OP_IN = 0
@@ -72,6 +79,12 @@ class Circuit:
 
     def input_names(self) -> list[str]:
         return [payload for op, payload in self.gates if op == OP_IN]
+
+    @cached_property
+    def plan(self) -> tuple:
+        """The level-by-level evaluation order (`_level_plan`), built on
+        first use."""
+        return _level_plan(self.gates, self.outputs)
 
     def stats(self) -> dict:
         counts = {"in": 0, "const": 0, "add": 0, "mul": 0}
@@ -190,29 +203,86 @@ class CircuitBuilder:
         return Circuit(self.field, tuple(self.gates), tuple(self.outputs))
 
 
-def evaluate(circ: Circuit, assignment: dict) -> tuple:
-    """Evaluate all outputs under the given input assignment."""
-    field = circ.field
-    fadd = field.add
-    fmul = field.mul
-    vals = [None] * len(circ.gates)
-    for gid, (op, payload) in enumerate(circ.gates):
-        if op == OP_ADD:
-            args = payload
-            acc = vals[args[0]]
-            for a in args[1:]:
-                acc = fadd(acc, vals[a])
-            vals[gid] = acc
-        elif op == OP_MUL:
-            vals[gid] = fmul(vals[payload[0]], vals[payload[1]])
-        elif op == OP_IN:
-            try:
-                vals[gid] = assignment[payload]
-            except KeyError:
-                raise UnassignedInput(f"no value for input {payload!r}") from None
+def _level_plan(gates, outputs) -> tuple:
+    """(inputs, consts, levels, outputs): gates grouped by depth, with
+    every value in one list of slots.
+
+    The slots hold the inputs in gate order, then the constants, then per
+    level its mul gates and then its add gates.  `inputs` and `consts`
+    are the input names and constant values, `outputs` the output slots.
+    A level is (A, B, args, spans): mul gate j multiplies slots A[j] and
+    B[j], and add gate j sums the slots args[spans[j]].  Every gate is
+    planned, reached or not, so each input needs a value.
+    """
+    depth = [0] * len(gates)
+    inputs, consts, muls, adds = [], [], [], []
+    for gid, (op, payload) in enumerate(gates):
+        if op == OP_MUL:
+            x, y = payload
+            d = depth[x] if depth[x] > depth[y] else depth[y]
+            by_level = muls
+        elif op == OP_ADD:
+            d = max(map(depth.__getitem__, payload))
+            by_level = adds
         else:
-            vals[gid] = payload
-    return tuple(vals[o] for o in circ.outputs)
+            (inputs if op == OP_IN else consts).append(gid)
+            continue
+        depth[gid] = d + 1
+        # level d + 1 is at most one past the deepest level so far
+        if len(muls) == d:
+            muls.append([])
+            adds.append([])
+        by_level[d].append(gid)
+    slot = [0] * len(gates)
+    for i, gid in enumerate(inputs + consts):
+        slot[gid] = i
+    used = len(inputs) + len(consts)
+    levels = []
+    for level_muls, level_adds in zip(muls, adds):
+        pairs = [gates[gid][1] for gid in level_muls]
+        a = tuple([slot[x] for x, _ in pairs])
+        b = tuple([slot[y] for _, y in pairs])
+        args, spans = [], []
+        for gid in level_adds:
+            start = len(args)
+            args += map(slot.__getitem__, gates[gid][1])
+            spans.append(slice(start, len(args)))
+        for i, gid in enumerate(level_muls + level_adds, used):
+            slot[gid] = i
+        used += len(level_muls) + len(level_adds)
+        levels.append((a, b, tuple(args), tuple(spans)))
+    return (tuple(gates[gid][1] for gid in inputs), tuple(gates[gid][1] for gid in consts),
+            tuple(levels), tuple(slot[o] for o in outputs))
+
+
+def evaluate(circ: Circuit, assignment: dict) -> tuple:
+    """Evaluate all outputs under the given input assignment.
+
+    Every input gate needs a value in [0, field.order): UnassignedInput
+    names the first one without a value, InputOutOfRange one whose value
+    is outside that range.
+    """
+    inputs, consts, levels, outputs = circ.plan
+    field = circ.field
+    order = field.order
+    vals = []
+    for name in inputs:
+        try:
+            v = assignment[name]
+        except KeyError:
+            raise UnassignedInput(f"no value for input {name!r}") from None
+        if not 0 <= v < order:
+            raise InputOutOfRange(f"value {v} for input {name!r} is outside [0, {order})")
+        vals.append(v)
+    vals += consts
+    get = vals.__getitem__
+    mul_many, sum_many = field.mul_many, field.sum_many
+    for a, b, args, spans in levels:
+        if a:
+            vals += mul_many(map(get, a), map(get, b))
+        if spans:
+            vals += sum_many(list(map(get, args)), spans)
+    return tuple(map(get, outputs))
 
 
 def formal_degrees(circ: Circuit, variables=None) -> list[int]:

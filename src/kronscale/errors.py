@@ -18,6 +18,10 @@ class UnassignedInput(KronscaleError):
     pass
 
 
+class InputOutOfRange(KronscaleError):
+    """An assigned input value is not a canonical field element."""
+
+
 class SingleOutputRequired(KronscaleError):
     pass
 

@@ -4,12 +4,25 @@ Field elements are plain canonical ints (residue mod p, or a w-bit
 polynomial bitmask); all operations go through a Field object so values
 serialize bit-exactly.  GF(2^w) multiplies by log/exp tables at w <= 16,
 by a class-interleaved integer product and a byte-table reduction at
-w = 32 (the sieve default), and by a bit-serial product at w = 64.  The
-random generator is SplitMix64, a fixed, versioned, splittable generator:
-identical seeds give identical streams on every platform.
+w = 32 (the sieve default), and by a bit-serial product at w = 64.
+
+Every field also has two batch operations, which circuit evaluation calls
+once per level: `mul_many(xs, ys)`, the products of two equal-length
+operand sequences, and `sum_many(values, spans)`, the sum of
+`values[span]` for each slice in spans.  At w = 32 `mul_many` multiplies
+all its pairs at once in the 64-bit lanes of one Python int; elsewhere it
+maps the scalar `mul`.
+
+The random generator is SplitMix64, a fixed, versioned, splittable
+generator: identical seeds give identical streams on every platform.
 """
 
 from __future__ import annotations
+
+import operator
+import sys
+from array import array
+from functools import reduce
 
 from .errors import DivisionByZero, InternalError, ParseError
 
@@ -151,6 +164,13 @@ class PrimeField(Field):
     def mul(self, a, b):
         return a * b % self.p
 
+    def mul_many(self, xs, ys) -> list:
+        return list(map(self.p.__rmod__, map(operator.mul, xs, ys)))
+
+    def sum_many(self, values, spans) -> list:
+        p = self.p
+        return [sum(values[s]) % p for s in spans]
+
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of zero")
@@ -222,6 +242,34 @@ def _interleaved_mul32(fold):
     return mul
 
 
+def _packed_mul_many32(xs, ys) -> list:
+    """Exact GF(2^32) products of the pairs (xs[i], ys[i]), all at once.
+
+    Each operand list is packed into the 64-bit lanes of one Python int,
+    read in the host's byte order so that every lane holds one operand.
+    Bit i of every lane of y, spread to a 32-bit mask, selects x shifted by
+    i, so 32 rounds of AND, shift and XOR give every lane's carryless
+    product; at most 63 bits wide, it never reaches the next lane.  Two
+    folds by x^32 = x^7 + x^3 + x^2 + 1 (REDUCTION_POLY_LOW[32]) reduce
+    the <= 31 high bits of each lane, then the <= 6 bits the first fold
+    pushed past bit 31.
+    """
+    a = array("Q", xs)
+    n = len(a)
+    x = int.from_bytes(a, sys.byteorder)
+    y = int.from_bytes(array("Q", ys), sys.byteorder)
+    ones = int.from_bytes(array("Q", [1]) * n, sys.byteorder)
+    r = 0
+    for i in range(32):
+        bit = (y >> i) & ones
+        r ^= (x & ((bit << 32) - bit)) << i
+    low = (ones << 32) - ones
+    for _ in range(2):
+        h = (r >> 32) & low
+        r = (r & low) ^ h ^ (h << 2) ^ (h << 3) ^ (h << 7)
+    return array("Q", r.to_bytes(8 * n, sys.byteorder)).tolist()
+
+
 class GF2Field(Field):
     """GF(2^w) for w in {8, 16, 32, 64} with a fixed reduction polynomial.
 
@@ -232,6 +280,10 @@ class GF2Field(Field):
       of the operands' bit classes mod 4, exact because no carry reaches the
       next bit of a class, then a byte-table reduction (`_interleaved_mul32`).
     - w = 64: bit-serial carryless product and reduction (`_mul_slow`).
+
+    `mul_many` packs its operands into 64-bit lanes at w = 32
+    (`_packed_mul_many32`) and maps `mul` at the other widths; `sum_many`
+    XORs each span.
     """
 
     kind = "gf2"
@@ -249,6 +301,7 @@ class GF2Field(Field):
         self.one = 1
         self._log = None
         self._exp = None
+        self.mul_many = self._mapped_mul_many
         if w <= 16:
             self._build_log_tables()
             self.mul = self._mul_log
@@ -256,6 +309,7 @@ class GF2Field(Field):
             self.mul = _interleaved_mul32(tuple(
                 tuple(self._reduce(v << (32 + 8 * k)) for v in range(256))
                 for k in range(4)))
+            self.mul_many = _packed_mul_many32
         else:
             self.mul = self._mul_slow
 
@@ -272,6 +326,9 @@ class GF2Field(Field):
 
     def _mul_slow(self, a, b):
         return self._reduce(_clmul(a, b))
+
+    def _mapped_mul_many(self, xs, ys) -> list:
+        return list(map(self.mul, xs, ys))
 
     def _mul_log(self, a, b):
         if a == 0 or b == 0:
@@ -326,6 +383,10 @@ class GF2Field(Field):
         return a ^ b
 
     sub = add
+
+    def sum_many(self, values, spans) -> list:
+        xor = operator.xor
+        return [reduce(xor, values[s]) for s in spans]
 
     def neg(self, a):
         return a

@@ -1,4 +1,4 @@
-"""Set-multilinear three-tensors over explicit grounds, Kronecker products,
+"""Set-multilinear three-tensors over explicit grounds,
 balanced-tripartitioning generators, and rank-decomposition certificates.
 
 Subsets of the ground are 64-bit masks over element positions; subsets are
@@ -11,14 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .circuit import mask_bits, mask_of
-from .errors import (
-    GroundOverlap,
-    ParseError,
-    ShapeError,
-    TooLarge,
-    UnassignedInput,
-    int_fields,
-)
+from .errors import ParseError, ShapeError, TooLarge, int_fields
 from .fields import Field, parse_field_spec
 
 MAX_GROUND = 63
@@ -80,46 +73,6 @@ def generate_P(q: int, ground=None, field: Field | None = None) -> Tensor:
             cmask = ((1 << m) - 1) ^ amask ^ bmask
             entries[(amask, bmask, cmask)] = one
     return Tensor(field, ground, entries)
-
-
-def kronecker(s: Tensor, t: Tensor) -> Tensor:
-    """Kronecker product on the disjoint union of grounds."""
-    if s.field != t.field:
-        raise ShapeError("tensors over different fields")
-    if set(s.ground) & set(t.ground):
-        raise GroundOverlap("grounds must be disjoint")
-    ground = s.ground + t.ground
-    shift = len(s.ground)
-    mul = s.field.mul
-    entries = {}
-    for (a1, b1, c1), v1 in s.entries.items():
-        for (a2, b2, c2), v2 in t.entries.items():
-            key = (a1 | (a2 << shift), b1 | (b2 << shift), c1 | (c2 << shift))
-            entries[key] = mul(v1, v2)
-    return Tensor(s.field, ground, entries)
-
-
-def kron_power(t: Tensor, s: int) -> Tensor:
-    """s-th Kronecker power on relabeled int grounds (copy j gets offset j*m)."""
-    m = len(t.ground)
-    acc = None
-    for j in range(s):
-        copy = Tensor(t.field, tuple(j * m + e for e in range(m)), dict(t.entries))
-        acc = copy if acc is None else kronecker(acc, copy)
-    return acc
-
-
-def tensor_eval(t: Tensor, x: dict, y: dict, z: dict):
-    """Direct summation oracle: sum of coeff * x_A * y_B * z_C."""
-    f = t.field
-    total = f.zero
-    mul = f.mul
-    try:
-        for (a, b, c), coeff in t.entries.items():
-            total = f.add(total, mul(mul(coeff, x[a]), mul(y[b], z[c])))
-    except KeyError as exc:
-        raise UnassignedInput(f"assignment missing mask {exc.args[0]}") from None
-    return total
 
 
 @dataclass(frozen=True)
@@ -188,6 +141,7 @@ def verify_decomposition(t: Tensor, dec: RankDecomposition):
             raise ShapeError("side index lists do not cover the tensor support")
     f = t.field
     mul = f.mul
+    one = f.one
     # per slot: term -> the (mask, coeff) pairs of the rows that reach it
     cols_x, cols_y, cols_z = cols = ({}, {}, {})
     for col, side, rows in zip(cols, (dec.side_x, dec.side_y, dec.side_z), dec.rows):
@@ -195,14 +149,16 @@ def verify_decomposition(t: Tensor, dec: RankDecomposition):
             for l, v in row:
                 col.setdefault(l, []).append((mask, v))
     acc: dict = {}
+    # most coefficients are one (all of them in a trivial decomposition),
+    # so a factor equal to one is skipped rather than multiplied
     for l, xs in cols_x.items():
         for a, u in xs:
             for b, v in cols_y.get(l, ()):
-                uv = mul(u, v)
+                uv = v if u == one else u if v == one else mul(u, v)
                 for c, w in cols_z.get(l, ()):
                     key = (a, b, c)
                     prev = acc.get(key, f.zero)
-                    s = f.add(prev, mul(uv, w))
+                    s = f.add(prev, uv if w == one else w if uv == one else mul(uv, w))
                     if s == f.zero:
                         acc.pop(key, None)
                     else:

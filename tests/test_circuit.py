@@ -7,6 +7,8 @@ from kronscale.circuit import (
     OP_ADD,
     OP_CONST,
     OP_IN,
+    OP_MUL,
+    Circuit,
     CircuitBuilder,
     analyze_skew,
     dead_gate_elimination,
@@ -18,7 +20,7 @@ from kronscale.circuit import (
     serialize,
     subset_name,
 )
-from kronscale.errors import ParseError, UnassignedInput
+from kronscale.errors import InputOutOfRange, ParseError, UnassignedInput
 from kronscale.fields import Rng, gf2, prime_field
 
 from _symbolic import expand_circuit
@@ -50,6 +52,25 @@ def naive_eval(circ, assignment):
         return v
 
     return tuple(go(o) for o in circ.outputs)
+
+
+def scalar_eval(circ, assignment):
+    """Reference evaluator: one field operation at a time, in gate order."""
+    fadd, fmul = circ.field.add, circ.field.mul
+    vals = [None] * len(circ.gates)
+    for gid, (op, payload) in enumerate(circ.gates):
+        if op == OP_ADD:
+            acc = vals[payload[0]]
+            for a in payload[1:]:
+                acc = fadd(acc, vals[a])
+            vals[gid] = acc
+        elif op == OP_MUL:
+            vals[gid] = fmul(vals[payload[0]], vals[payload[1]])
+        elif op == OP_IN:
+            vals[gid] = assignment[payload]
+        else:
+            vals[gid] = payload
+    return tuple(vals[o] for o in circ.outputs)
 
 
 def test_names():
@@ -116,6 +137,25 @@ def test_missing_input():
         evaluate(bld.build(), {})
 
 
+def test_missing_input_that_no_output_reaches():
+    bld = CircuitBuilder(ZP)
+    x = bld.inp("v:x")
+    bld.inp("v:unused")
+    bld.set_outputs([bld.mul(x, x)])
+    with pytest.raises(UnassignedInput, match="v:unused"):
+        evaluate(bld.build(), {"v:x": 3})
+
+
+@pytest.mark.parametrize("value", [-1, 1 << 32, 1 << 64],
+                         ids=["negative", "order", "beyond_64_bits"])
+def test_input_value_outside_the_field(value):
+    bld = CircuitBuilder(gf2(32))
+    x, y = bld.inp("v:x"), bld.inp("v:y")
+    bld.set_outputs([bld.mul(x, y)])
+    with pytest.raises(InputOutOfRange, match="v:y"):
+        evaluate(bld.build(), {"v:x": 3, "v:y": value})
+
+
 @pytest.mark.parametrize("field", [ZP, gf2(32)], ids=lambda f: f.spec_string())
 def test_random_circuits_match_expansion_oracle(field):
     rng = Rng(101)
@@ -128,14 +168,20 @@ def test_random_circuits_match_expansion_oracle(field):
             assert evaluate(c, asg)[0] == poly.evaluate(asg)
 
 
-def test_evaluate_matches_naive_recursive():
+@pytest.mark.parametrize("field", [ZP, prime_field(2**61 - 1), gf2(8), gf2(16), gf2(32),
+                                   gf2(64)], ids=lambda f: f.spec_string())
+def test_evaluate_matches_naive_recursive(field):
     rng = Rng(55)
     names = [f"v:x{i}" for i in range(6)]
     for _ in range(10):
-        c = random_skew_circuit(ZP, rng, names, n_gates=150)
+        c = random_skew_circuit(field, rng, names, n_gates=150)
         assert len(c.gates) <= 400
-        asg = {n: ZP.random(rng) for n in names}
-        assert evaluate(c, asg) == naive_eval(c, asg)
+        # every gate an output, so the values are compared gate by gate
+        c = Circuit(field, c.gates, tuple(range(len(c.gates))))
+        asg = {n: field.random(rng) for n in names}
+        want = scalar_eval(c, asg)
+        assert naive_eval(c, asg) == want
+        assert evaluate(c, asg) == want
 
 
 def test_formal_degrees_and_skew():

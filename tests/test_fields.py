@@ -76,8 +76,36 @@ def test_gf2_mul_matches_schoolbook_oracle(w):
     rng = Rng(2029)
     pairs = [(a, b) for a in edges for b in edges]
     pairs += [(field.random(rng), field.random(rng)) for _ in range(2000)]
-    for a, b in pairs:
-        assert field.mul(a, b) == _schoolbook_mul(field, a, b), (hex(a), hex(b))
+    want = [_schoolbook_mul(field, a, b) for a, b in pairs]
+    for (a, b), prod in zip(pairs, want):
+        assert field.mul(a, b) == prod, (hex(a), hex(b))
+    # the batch multiply, on batches of the leading pairs; the first 100
+    # are the edge pairs
+    for length in (0, 1, 2, 63, 64, 65, 1500):
+        xs, ys = [a for a, _ in pairs[:length]], [b for _, b in pairs[:length]]
+        assert field.mul_many(xs, ys) == want[:length], length
+
+
+@pytest.mark.parametrize("spec", ["p=101", "p=2305843009213693951", "gf2 w=8", "gf2 w=32",
+                                  "gf2 w=64"])
+def test_batch_ops_match_scalar_ops(spec):
+    field = parse_field_spec(spec)
+    rng = Rng(31)
+    xs = [field.random(rng) for _ in range(200)]
+    ys = [field.random(rng) for _ in range(200)]
+    assert field.mul_many(xs, ys) == [field.mul(a, b) for a, b in zip(xs, ys)]
+    spans, start = [], 0
+    while start < len(xs):
+        stop = min(len(xs), start + 1 + rng.below(5))
+        spans.append(slice(start, stop))
+        start = stop
+    sums = []
+    for span in spans:
+        acc = field.zero
+        for v in xs[span]:
+            acc = field.add(acc, v)
+        sums.append(acc)
+    assert field.sum_many(xs, spans) == sums
 
 
 def test_default_prime():

@@ -26,14 +26,9 @@ from kronscale.scaling import (
     verify_scaling,
     yates_circuit,
 )
-from kronscale.tensor import (
-    RankDecomposition,
-    Tensor,
-    generate_P,
-    kron_power,
-    tensor_eval,
-    trivial_decomposition,
-)
+from kronscale.tensor import RankDecomposition, Tensor, generate_P, trivial_decomposition
+
+from _tensor_oracle import kron_power, tensor_eval
 
 F = prime_field(2**31 - 1)
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations, permutations
 from math import comb, factorial
 from pathlib import Path
@@ -8,19 +9,18 @@ from hypothesis import strategies as st
 
 from kronscale.circuit import mask_bits, mask_of
 from kronscale.errors import GroundOverlap, ShapeError, TooLarge, UnassignedInput
-from kronscale.fields import Rng, gf2, prime_field
+from kronscale.fields import PrimeField, Rng, gf2, prime_field
 from kronscale.tensor import (
     RankDecomposition,
     Tensor,
     generate_P,
-    kron_power,
-    kronecker,
     parse_decomposition,
-    tensor_eval,
     trivial_decomposition,
     verify_decomposition,
     write_decomposition,
 )
+
+from _tensor_oracle import kron_power, kronecker, tensor_eval
 
 F = prime_field(2**31 - 1)
 GF101 = prime_field(101)
@@ -184,6 +184,49 @@ def test_verify_detects_counterexample():
     broken[key] = F.add(broken[key], F.one)
     t_bad = Tensor(F, t.ground, broken)
     assert verify_decomposition(t_bad, dec) == key
+
+
+def _first_mismatch_by_expansion(t, dec):
+    # oracle: expand every rank-one term with a multiply per factor
+    f = t.field
+    acc = {}
+    for l in range(dec.rank):
+        x, y, z = ([(m, v) for m, row in zip(side, rows) for k, v in row if k == l]
+                   for side, rows in zip((dec.side_x, dec.side_y, dec.side_z), dec.rows))
+        for a, u in x:
+            for b, v in y:
+                for c, w in z:
+                    acc[(a, b, c)] = f.add(acc.get((a, b, c), f.zero), f.mul(f.mul(u, v), w))
+    return next((key for key in sorted(set(acc) | set(t.entries))
+                 if acc.get(key, f.zero) != t.entries.get(key, f.zero)), None)
+
+
+def test_verify_multiplies_no_unit_coefficient():
+    field = PrimeField(101)  # a private instance, so its mul can be counted
+    calls = []
+
+    def counted_mul(a, b):
+        calls.append((a, b))
+        return PrimeField.mul(field, a, b)
+
+    field.mul = counted_mul
+    t = generate_P(3, field=field)
+    assert verify_decomposition(t, trivial_decomposition(t)) is None
+    assert calls == []
+    # a broken provider: non-unit coefficients in each slot, one term with three
+    t2 = generate_P(2, field=field)
+    dec = trivial_decomposition(t2)
+    rows = [list(map(list, rows)) for rows in dec.rows]
+    for slot, (row, coeff) in enumerate(((0, 2), (1, 3), (2, 5))):
+        rows[slot][row][0] = (rows[slot][row][0][0], coeff)
+    term = rows[0][3][0][0]
+    for slot_rows in rows:
+        for row in slot_rows:
+            row[:] = [(l, 7 if l == term else v) for l, v in row]
+    broken = replace(dec, **{label: tuple(map(tuple, r)) for label, r in zip("UVW", rows)})
+    want = _first_mismatch_by_expansion(t2, broken)
+    assert want is not None
+    assert verify_decomposition(t2, broken) == want
 
 
 def test_strassen_mm2_fixture():
