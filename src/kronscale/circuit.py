@@ -150,6 +150,16 @@ class CircuitBuilder:
         return self.gates[gid] == (OP_CONST, self.field.zero)
 
     def add(self, *args: int) -> int:
+        gates = self.gates
+        if len(args) > 1:
+            for a in args:
+                if gates[a][0] == OP_CONST:
+                    break
+            else:
+                # no constant argument: nothing folds
+                gates.append((OP_ADD, args))
+                self._arcs += len(args)
+                return len(gates) - 1
         live = [a for a in args if not self.is_zero(a)]
         if not live:
             return self.zero
@@ -164,6 +174,12 @@ class CircuitBuilder:
         return self._push(OP_ADD, tuple(live))
 
     def mul(self, a: int, b: int) -> int:
+        gates = self.gates
+        if gates[a][0] != OP_CONST and gates[b][0] != OP_CONST:
+            # no constant argument: nothing folds
+            gates.append((OP_MUL, (a, b)))
+            self._arcs += 2
+            return len(gates) - 1
         if self.is_zero(a) or self.is_zero(b):
             return self.zero
         ca, cb = self.is_const(a), self.is_const(b)

@@ -3,7 +3,8 @@
 The ground [3n] is split into r = g*s blocks of size 3b; every balanced
 tripartition gets an intersection type (per-block size triple), and each
 type's slice embeds into a restriction of P_{d_eff}^{(x) s} after Steinitz
-balancing groups the blocks and padding tops every part up to d_eff.
+balancing groups the blocks (at s = 1 the one group holds them all) and
+padding tops every part up to d_eff.
 
 Padding is adaptive: d_eff = b*g + Delta where Delta is the largest
 deviation the balancing actually achieved over all types and groups (the
@@ -148,72 +149,83 @@ def _group_sums(tau: IntersectionType, group):
     return sa, sb, sc
 
 
+def _component(bs: BlockStructure, tau: IntersectionType, groups, d_eff: int) -> ScalingComponent:
+    """Padding split, factor grounds and alive maps of one type, given its
+    groups; within a group the block order does not matter."""
+    pad_per_factor = 3 * (d_eff - bs.b * bs.g)
+    n3 = bs.ground_size
+    pad_sizes = []
+    grounds = []
+    ax, ay, az = [], [], []
+    for j, grp in enumerate(groups):
+        sa, sb, sc = _group_sums(tau, grp)
+        pa, pb, pc = d_eff - sa, d_eff - sb, d_eff - sc
+        if min(pa, pb, pc) < 0 or pa + pb + pc != pad_per_factor:
+            raise InternalError("negative or inconsistent padding")
+        pad_sizes.append((pa, pb, pc))
+        pads = [n3 + pad_per_factor * j + t for t in range(pad_per_factor)]
+        ground = sorted(e for i in grp for e in bs.block_elements(i)) + pads
+        grounds.append(tuple(ground))
+        local = {e: t for t, e in enumerate(ground)}
+        pad_local = [local[e] for e in pads]
+        pad_a = sum(1 << pad_local[t] for t in range(pa))
+        pad_b = sum(1 << pad_local[t] for t in range(pa, pa + pb))
+        pad_c = sum(1 << pad_local[t] for t in range(pa + pb, pad_per_factor))
+        for counts, pad_mask, sink in ((tau.alpha, pad_a, ax), (tau.beta, pad_b, ay),
+                                       (tau.gamma, pad_c, az)):
+            per_block = []
+            for i in sorted(grp):
+                opts = []
+                for chosen in combinations(bs.block_elements(i), counts[i]):
+                    lmask = sum(1 << local[e] for e in chosen)
+                    omask = sum(1 << e for e in chosen)
+                    opts.append((lmask, omask))
+                per_block.append(opts)
+            alive = {}
+            for combo in product(*per_block):
+                lmask = pad_mask
+                omask = 0
+                for lm, om in combo:
+                    lmask |= lm
+                    omask |= om
+                alive[lmask] = omask
+            sink.append(alive)
+    return ScalingComponent(tau, tuple(groups), tuple(pad_sizes), tuple(grounds),
+                            tuple(ax), tuple(ay), tuple(az))
+
+
 def decompose_P(bs: BlockStructure, paper_padding: bool = False) -> ScalingDecomposition:
     """One component per intersection type, all sharing one effective part
-    size d_eff; groups come from the Steinitz concentration partition of the
-    normalized per-block count vectors.  paper_padding replaces the
+    size d_eff.
+
+    With s = 1 the one group holding every block is the only partition, so
+    it is used as is: every group sum is then n and delta is 0.  With
+    s >= 2 the groups come from the Steinitz concentration partition of
+    the normalized per-block count vectors.  paper_padding replaces the
     achieved deviation with the worst-case constant 36*b."""
     types = enumerate_types(bs)
     b, g, s = bs.b, bs.g, bs.s
+    forced = (tuple(range(bs.r)),)
     groupings = []
     delta = 0
     for tau in types:
-        vecs = [(Fraction(tau.alpha[i], 3 * b), Fraction(tau.beta[i], 3 * b),
-                 Fraction(tau.gamma[i], 3 * b)) for i in range(bs.r)]
-        part = concentration_partition(VectorFamily.from_vectors(vecs), (g,) * s)
-        groupings.append(part.groups)
-        for grp in part.groups:
+        if s == 1:
+            groups = forced
+        else:
+            vecs = [(Fraction(tau.alpha[i], 3 * b), Fraction(tau.beta[i], 3 * b),
+                     Fraction(tau.gamma[i], 3 * b)) for i in range(bs.r)]
+            groups = concentration_partition(VectorFamily.from_vectors(vecs),
+                                             (g,) * s).groups
+        groupings.append(groups)
+        for grp in groups:
             sa, sb, sc = _group_sums(tau, grp)
             delta = max(delta, abs(sa - b * g), abs(sb - b * g), abs(sc - b * g))
     if paper_padding:
         delta = 36 * b
     d_eff = b * g + delta
-    pad_per_factor = 3 * delta
-    n3 = bs.ground_size
-    components = []
-    for tau, groups in zip(types, groupings):
-        pad_sizes = []
-        grounds = []
-        ax, ay, az = [], [], []
-        for j, grp in enumerate(groups):
-            sa, sb, sc = _group_sums(tau, grp)
-            pa, pb, pc = d_eff - sa, d_eff - sb, d_eff - sc
-            if min(pa, pb, pc) < 0 or pa + pb + pc != pad_per_factor:
-                raise InternalError("negative or inconsistent padding")
-            pad_sizes.append((pa, pb, pc))
-            pads = [n3 + pad_per_factor * j + t for t in range(pad_per_factor)]
-            ground = sorted(e for i in grp for e in bs.block_elements(i)) + pads
-            grounds.append(tuple(ground))
-            local = {e: t for t, e in enumerate(ground)}
-            pad_local = [local[e] for e in pads]
-            pad_a = sum(1 << pad_local[t] for t in range(pa))
-            pad_b = sum(1 << pad_local[t] for t in range(pa, pa + pb))
-            pad_c = sum(1 << pad_local[t] for t in range(pa + pb, pad_per_factor))
-            for slot, counts, pad_mask, sink in (
-                    ("x", tau.alpha, pad_a, ax), ("y", tau.beta, pad_b, ay),
-                    ("z", tau.gamma, pad_c, az)):
-                per_block = []
-                for i in sorted(grp):
-                    elems = list(bs.block_elements(i))
-                    opts = []
-                    for chosen in combinations(elems, counts[i]):
-                        lmask = sum(1 << local[e] for e in chosen)
-                        omask = sum(1 << e for e in chosen)
-                        opts.append((lmask, omask))
-                    per_block.append(opts)
-                alive = {}
-                for combo in product(*per_block):
-                    lmask = pad_mask
-                    omask = 0
-                    for lm, om in combo:
-                        lmask |= lm
-                        omask |= om
-                    alive[lmask] = omask
-                sink.append(alive)
-        components.append(ScalingComponent(
-            tau, tuple(groups), tuple(pad_sizes), tuple(grounds),
-            tuple(ax), tuple(ay), tuple(az)))
-    return ScalingDecomposition(bs, d_eff, delta, tuple(components))
+    components = tuple(_component(bs, tau, groups, d_eff)
+                       for tau, groups in zip(types, groupings))
+    return ScalingDecomposition(bs, d_eff, delta, components)
 
 
 def verify_scaling(bs: BlockStructure, decomposition: ScalingDecomposition | None = None):
@@ -329,32 +341,34 @@ def _restricted_power(bld: CircuitBuilder, dec: RankDecomposition, supports, s: 
 
     side_entries[slot][j] lists (side index, mask) pairs alive in factor j;
     an s-fold combination reads its input from wires[slot](OR of the
-    masks), and a None or zero gate drops it.  A term survives factor j
-    only if every slot has an alive entry whose row (supports[slot])
-    reaches it; each slot's inputs run through the Yates transform over
-    the surviving terms, and one x*y*z product is returned per term key
-    present on all three sides.
+    masks), and it is present only if that gate is neither None nor zero.
+    The inputs come first: when some slot has no present input the
+    restriction is zero, and [] returns before any gate is emitted.  A term
+    survives factor j only if every slot has a present input whose j-th
+    side index has a row (supports[slot]) reaching it; each slot's inputs
+    run through the Yates transform over the surviving terms, and one
+    x*y*z product is returned per term key present on all three sides.
     """
-    live = []
-    for j in range(s):
-        reach = [frozenset().union(*(supp[i] for i, _ in entries[j]))
-                 for supp, entries in zip(supports, side_entries)]
-        live.append(reach[0] & reach[1] & reach[2])
-    hats = []
-    for slot in range(3):
-        wire = wires[slot]
+    present = []
+    for wire, entries in zip(wires, side_entries):
         inputs = {}
-        for combo in product(*side_entries[slot]):
-            key = tuple(i for i, _ in combo)
+        for combo in product(*entries):
             omask = 0
             for _, om in combo:
                 omask |= om
             gate = wire(omask)
             if gate is not None and not bld.is_zero(gate):
-                inputs[key] = gate
-        hats.append(_yates_transform(bld, dec.rows[slot], s, inputs, live, arc_budget,
-                                     "xyz"[slot]))
-    hx, hy, hz = hats
+                inputs[tuple(i for i, _ in combo)] = gate
+        if not inputs:
+            return []
+        present.append(inputs)
+    live = []
+    for j in range(s):
+        reach = [frozenset().union(*(supp[i] for i in {key[j] for key in inputs}))
+                 for supp, inputs in zip(supports, present)]
+        live.append(reach[0] & reach[1] & reach[2])
+    hx, hy, hz = (_yates_transform(bld, dec.rows[slot], s, present[slot], live,
+                                   arc_budget, "xyz"[slot]) for slot in range(3))
     terms = []
     for key, gx in hx.items():
         gy = hy.get(key)
@@ -399,7 +413,11 @@ class PScalingScheme:
     the per-type restricted Yates copies into any CircuitBuilder, wiring
     inputs through caller-supplied mask->gate maps (None kills an input).
     g=None means n // b; every construction asks the provider (default:
-    the trivial decomposition) and verifies its answer.
+    the trivial decomposition) and verifies its answer.  The side entries
+    of every type (side_entries[type][slot][j]: the (side index, mask)
+    pairs alive in factor j) do not depend on the wires, so they are built
+    here once; instantiate() keeps no state between calls, and a type
+    with a slot that no wire feeds emits nothing.
     """
 
     def __init__(self, n: int, b: int, g: int | None, field: Field, dec_source=None,
@@ -421,20 +439,20 @@ class PScalingScheme:
         self.d_eff = self.decomposition.d_eff
         self.dec = _provider_dec(dec_source or trivial_dec_source, self.d_eff, field)
         self.supports = _supports(self.dec)
-        self.side_index = ({m: i for i, m in enumerate(self.dec.side_x)},
-                           {m: i for i, m in enumerate(self.dec.side_y)},
-                           {m: i for i, m in enumerate(self.dec.side_z)})
+        side_index = tuple({m: i for i, m in enumerate(side)}
+                           for side in (self.dec.side_x, self.dec.side_y, self.dec.side_z))
+        self.side_entries = tuple(
+            tuple(tuple(tuple((index[lmask], omask) for lmask, omask in alive[j].items())
+                        for j in range(self.s))
+                  for index, alive in zip(side_index,
+                                          (comp.alive_x, comp.alive_y, comp.alive_z)))
+            for comp in self.decomposition.components)
 
     def instantiate(self, bld: CircuitBuilder, xwire, ywire, zwire) -> int:
         """Emit the full type sum; returns the output gate id."""
         type_outputs = []
-        for comp in self.decomposition.components:
-            side_entries = tuple(
-                [[(index[lmask], omask) for lmask, omask in alive[j].items()]
-                 for j in range(self.bs.s)]
-                for index, alive in zip(self.side_index,
-                                        (comp.alive_x, comp.alive_y, comp.alive_z)))
-            terms = _restricted_power(bld, self.dec, self.supports, self.bs.s,
+        for side_entries in self.side_entries:
+            terms = _restricted_power(bld, self.dec, self.supports, self.s,
                                       side_entries, (xwire, ywire, zwire),
                                       self.arc_budget)
             if terms:

@@ -1,8 +1,10 @@
 """Steinitz prefix rebalancing and the concentration partition.
 
 The permutation search is an exact min-max dynamic program over multisets
-of remaining vector classes; everything runs in scaled integer arithmetic
-so the deviation bounds are checked exactly, never in floating point.
+of remaining vector classes.  `VectorFamily` and `concentration_partition`
+hold vectors and deviations as `Fraction`s; the dynamic program scales the
+class vectors by their common denominator and runs in integers.  Nothing
+uses floating point, so the deviation bounds are checked exactly.
 """
 
 from __future__ import annotations

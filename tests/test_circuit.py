@@ -122,6 +122,84 @@ def test_arc_counter_matches_circuit_size(calls):
         assert bld.arcs == bld.build().size
 
 
+class ReferenceBuilder(CircuitBuilder):
+    """The folding rules of add, mul and scale with no fast path: every
+    argument goes through is_zero and is_const."""
+
+    def add(self, *args):
+        live = [a for a in args if not self.is_zero(a)]
+        if not live:
+            return self.zero
+        if len(live) == 1:
+            return live[0]
+        consts = [self.gates[a][1] for a in live if self.gates[a][0] == OP_CONST]
+        if len(consts) == len(live):
+            total = self.field.zero
+            for c in consts:
+                total = self.field.add(total, c)
+            return self.const(total)
+        return self._push(OP_ADD, tuple(live))
+
+    def mul(self, a, b):
+        if self.is_zero(a) or self.is_zero(b):
+            return self.zero
+        ca, cb = self.is_const(a), self.is_const(b)
+        if ca == self.field.one:
+            return b
+        if cb == self.field.one:
+            return a
+        if ca is not None and cb is not None:
+            return self.const(self.field.mul(ca, cb))
+        return self._push(OP_MUL, (a, b))
+
+    def scale(self, coeff, gid):
+        if coeff == self.field.zero:
+            return self.zero
+        if coeff == self.field.one:
+            return gid
+        op, payload = self.gates[gid]
+        if op == OP_CONST:
+            return self.const(self.field.mul(coeff, payload))
+        if op == OP_MUL:
+            x, y = payload
+            cx = self.is_const(x)
+            if cx is not None:
+                return self.mul(self.const(self.field.mul(coeff, cx)), y)
+        return self.mul(self.const(coeff), gid)
+
+
+# few distinct constants, zero and one among them, keep folding common
+FOLDING_FIELDS = {"p=5": (prime_field(5), (0, 1, 2, 3, 4)),
+                  "gf2 w=8": (gf2(8), (0, 1, 2, 0x53, 0xCA))}
+
+
+@pytest.mark.parametrize("spec", sorted(FOLDING_FIELDS))
+@settings(max_examples=200, deadline=None, database=None)
+@given(calls=BUILDER_CALLS)
+def test_builder_folds_like_the_reference(spec, calls):
+    f, consts = FOLDING_FIELDS[spec]
+    builders = (CircuitBuilder(f), ReferenceBuilder(f))
+    for bld in builders:
+        bld.inp("v:0")
+    for kind, picks in calls:
+        returned = []
+        for bld in builders:
+            gids = [p % len(bld.gates) for p in picks]
+            if kind == "inp":
+                returned.append(bld.inp(f"v:{picks[0] % 3}"))
+            elif kind == "const":
+                returned.append(bld.const(consts[picks[0] % len(consts)]))
+            elif kind == "add":
+                returned.append(bld.add(*gids))
+            elif kind == "mul":
+                returned.append(bld.mul(gids[0], gids[-1]))
+            else:
+                returned.append(bld.scale(consts[picks[0] % len(consts)], gids[-1]))
+        assert returned[0] == returned[1]
+        assert builders[0].gates == builders[1].gates
+        assert builders[0].arcs == builders[1].arcs
+
+
 def test_char2_x_plus_x():
     bld = CircuitBuilder(gf2(8))
     x = bld.inp("v:x")

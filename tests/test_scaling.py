@@ -1,14 +1,19 @@
+import copy
 import re
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
-from kronscale.circuit import CircuitBuilder, evaluate, subset_name
+from kronscale import scaling
+from kronscale.circuit import CircuitBuilder, dead_gate_elimination, evaluate, subset_name
 from kronscale.coeffx import extract_coefficient
 from kronscale.counting import (
     SquareMatrix,
+    build_hafnian_circuit,
     build_permanent_circuit,
+    hafnian_bruteforce,
     matrix_assignment,
     permanent_ryser,
 )
@@ -18,6 +23,7 @@ from kronscale.scaling import (
     BlockStructure,
     IntersectionType,
     PScalingScheme,
+    ScalingDecomposition,
     build_P_circuit,
     classify_tripartition,
     decompose_P,
@@ -26,6 +32,7 @@ from kronscale.scaling import (
     verify_scaling,
     yates_circuit,
 )
+from kronscale.steinitz import VectorFamily, concentration_partition
 from kronscale.tensor import RankDecomposition, Tensor, generate_P, trivial_decomposition
 
 from _tensor_oracle import kron_power, tensor_eval
@@ -137,6 +144,68 @@ def test_verify_scaling_monomial_counts():
     assert len(generate_P(2, field=F).entries) == 90
     assert verify_scaling(BlockStructure(1, 1, 1)) is None
     assert verify_scaling(BlockStructure(1, 2, 1)) is None
+
+
+def steinitz_route(bs):
+    """decompose_P with every type's groups taken from the concentration
+    partition, s = 1 included."""
+    types = enumerate_types(bs)
+    groupings = []
+    for tau in types:
+        vecs = [tuple(Fraction(row[i], 3 * bs.b) for row in (tau.alpha, tau.beta, tau.gamma))
+                for i in range(bs.r)]
+        groupings.append(concentration_partition(VectorFamily.from_vectors(vecs),
+                                                 (bs.g,) * bs.s).groups)
+    delta = max(abs(sum(row[i] for i in grp) - bs.b * bs.g)
+                for tau, groups in zip(types, groupings) for grp in groups
+                for row in (tau.alpha, tau.beta, tau.gamma))
+    d_eff = bs.b * bs.g + delta
+    return ScalingDecomposition(bs, d_eff, delta, tuple(
+        scaling._component(bs, tau, groups, d_eff)
+        for tau, groups in zip(types, groupings)))
+
+
+def counted_partitions(monkeypatch):
+    """Count the concentration partitions that decompose_P asks for."""
+    calls = []
+    real = scaling.concentration_partition
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scaling, "concentration_partition", counted)
+    return calls
+
+
+@pytest.mark.parametrize("bgs", [(1, 3, 1), (1, 4, 1), (1, 5, 1), (2, 2, 1)])
+def test_s1_grouping_matches_the_steinitz_route(bgs, monkeypatch):
+    bs = BlockStructure(*bgs)
+    want = steinitz_route(bs)
+    calls = counted_partitions(monkeypatch)
+    got = decompose_P(bs)
+    assert calls == []
+    assert (got.d_eff, got.delta) == (want.d_eff, want.delta)
+    assert len(got.components) == len(want.components)
+    for comp, ref in zip(got.components, want.components):
+        assert comp.groups == (tuple(range(bs.r)),)
+        assert [set(grp) for grp in comp.groups] == [set(grp) for grp in ref.groups]
+        assert (comp.tau, comp.pad_sizes, comp.factor_grounds) == \
+            (ref.tau, ref.pad_sizes, ref.factor_grounds)
+        # the alive maps set the order of the wire reads, so compare in order
+        for slot in ("alive_x", "alive_y", "alive_z"):
+            assert [list(a.items()) for a in getattr(comp, slot)] == \
+                [list(a.items()) for a in getattr(ref, slot)]
+    assert verify_scaling(bs, got) is None
+
+
+def test_concentration_partition_runs_only_when_s_exceeds_1(monkeypatch):
+    calls = counted_partitions(monkeypatch)
+    decompose_P(BlockStructure(1, 3, 1))
+    assert calls == []
+    bs = BlockStructure(1, 1, 2)
+    decompose_P(bs)
+    assert len(calls) == len(enumerate_types(bs))
 
 
 def _assign_all(c, rng):
@@ -465,6 +534,68 @@ def test_nontrivial_provider_gives_the_default_values(bg):
 
 def test_nontrivial_provider_at_s3_sheds_never_joined_gates():
     _check_split_provider(3, 1, 1, 8830, 18835)
+
+
+def rescaled(d, field):
+    """The trivial decomposition of P_d with every U coefficient times 2 and
+    every V coefficient times 1/2: each term keeps its product, but no U or
+    V coefficient is one, so every hat entry the transform emits costs a
+    scale gate."""
+    dec = trivial_decomposition(generate_P(d, field=field))
+    two = field.add(field.one, field.one)
+
+    def times(rows, c):
+        return tuple(tuple((l, field.mul(c, v)) for l, v in row) for row in rows)
+
+    return replace(dec, U=times(dec.U, two), V=times(dec.V, field.inv(two)))
+
+
+def test_rescaled_provider_emits_no_scale_that_never_joins():
+    # 27,831 arcs when every restriction transformed its slots' inputs
+    # whether or not its other slots had any; the live part is the same
+    circ = build_hafnian_circuit(12, "tri", dec_source=rescaled)
+    assert circ.size <= 12831
+    assert dead_gate_elimination(circ).size == 8294
+    field = circ.field
+    for seed in (3, 4):
+        rng = Rng(seed)
+        rows = [[field.zero] * 12 for _ in range(12)]
+        for i in range(12):
+            for j in range(i + 1, 12):
+                rows[i][j] = rows[j][i] = field.random(rng)
+        mat = SquareMatrix(field, tuple(map(tuple, rows)), symmetric=True)
+        assert evaluate(circ, matrix_assignment(mat))[0] == hafnian_bruteforce(mat)
+
+
+def subset_wires(bld, n, step):
+    """Per slot, every step-th n-subset of [3n] wired to an input gate."""
+    wires = {}
+    for slot in "xyz":
+        masks = [sum(1 << e for e in elems) for elems in combinations(range(3 * n), n)]
+        wires[slot] = {m: bld.inp(subset_name(slot, m)) for m in masks[::step]}
+    return wires
+
+
+def test_instantiate_keeps_no_state_between_calls():
+    scheme = PScalingScheme(3, 1, None, F, dec_source=rescaled)
+    before = copy.deepcopy(vars(scheme))
+    bld = CircuitBuilder(F)
+    for step in (2, 3):
+        wires = subset_wires(bld, 3, step)
+        scheme.instantiate(bld, wires["x"].get, wires["y"].get, wires["z"].get)
+    assert vars(scheme) == before
+
+
+def test_restriction_with_an_empty_slot_emits_no_gate():
+    # with no z input every restriction is zero; the rescaled provider
+    # would pay a scale gate for each x and y hat entry it transformed
+    scheme = PScalingScheme(2, 1, 1, F, dec_source=rescaled)
+    bld = CircuitBuilder(F)
+    wires = subset_wires(bld, 2, 1)
+    zero = bld.zero
+    gates = len(bld.gates)
+    assert scheme.instantiate(bld, wires["x"].get, wires["y"].get, {}.get) == zero
+    assert len(bld.gates) == gates
 
 
 def test_every_scheme_verifies_its_provider():
