@@ -171,27 +171,6 @@ def build_permanent_circuit(n: int, field: Field | None = None, dec_source=None,
     return circ
 
 
-def bordered_matrix(mat: SquareMatrix) -> SquareMatrix:
-    """Pad to the next multiple of 3 with an identity block (permanent
-    invariant), so that a matrix whose n is not divisible by 3 fits
-    build_permanent_circuit."""
-    n = mat.n
-    target = 3 * ((n + 2) // 3)
-    if target == n:
-        return mat
-    f = mat.field
-    rows = []
-    for i in range(target):
-        row = []
-        for j in range(target):
-            if i < n and j < n:
-                row.append(mat.entries[i][j])
-            else:
-                row.append(f.one if i == j else f.zero)
-        rows.append(tuple(row))
-    return SquareMatrix(f, tuple(rows))
-
-
 # ---------------------------------------------------------------------------
 # hafnian
 
@@ -295,24 +274,6 @@ def hafnian_bruteforce(mat: SquareMatrix):
         return total
 
     return rec(tuple(range(two_n)))
-
-
-def embed_permanent_as_hafnian(mat: SquareMatrix) -> SquareMatrix:
-    """Block matrix ((0, A), (A^T, 0)); its hafnian equals perm A."""
-    n = mat.n
-    f = mat.field
-    rows = []
-    for i in range(2 * n):
-        row = []
-        for j in range(2 * n):
-            if i < n and j >= n:
-                row.append(mat.entries[i][j - n])
-            elif i >= n and j < n:
-                row.append(mat.entries[j][i - n])
-            else:
-                row.append(f.zero)
-        rows.append(tuple(row))
-    return SquareMatrix(f, tuple(rows), symmetric=True)
 
 
 # ---------------------------------------------------------------------------

@@ -64,10 +64,6 @@ class TooLarge(KronscaleError):
     pass
 
 
-class GroundOverlap(KronscaleError):
-    pass
-
-
 class ShapeError(KronscaleError):
     pass
 

@@ -7,21 +7,19 @@ balancing groups the blocks (at s = 1 the one group holds them all) and
 padding tops every part up to d_eff.
 
 Padding is adaptive: d_eff = b*g + Delta where Delta is the largest
-deviation the balancing actually achieved over all types and groups (the
-worst-case constant would put d_eff = b*(g+36), far beyond desk scale;
-decompose_P can still build that padding for structural checks).
+deviation the balancing actually achieved over all types and groups.  The
+worst-case constant would put d_eff = b*(g+36), far beyond desk scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 
 from .circuit import Circuit, CircuitBuilder, subset_name
 from .errors import DivisibilityError, InternalError, ProviderError, ShapeError, TooLarge
 from .fields import Field, prime_field
-from .steinitz import VectorFamily, concentration_partition
+from .steinitz import concentration_partition
 from .tensor import (
     RankDecomposition,
     generate_P,
@@ -107,19 +105,6 @@ def enumerate_types(bs: BlockStructure, budget: int = DEFAULT_TYPE_BUDGET):
     return out
 
 
-def classify_tripartition(bs: BlockStructure, amask: int, bmask: int, cmask: int):
-    """Intersection type of a tripartition of [3n]."""
-    alpha, beta, gamma = [], [], []
-    for i in range(bs.r):
-        block = 0
-        for e in bs.block_elements(i):
-            block |= 1 << e
-        alpha.append(bin(amask & block).count("1"))
-        beta.append(bin(bmask & block).count("1"))
-        gamma.append(bin(cmask & block).count("1"))
-    return IntersectionType(tuple(alpha), tuple(beta), tuple(gamma))
-
-
 @dataclass(frozen=True)
 class ScalingComponent:
     """One type's slice: Steinitz groups, padding split, restriction data."""
@@ -194,15 +179,16 @@ def _component(bs: BlockStructure, tau: IntersectionType, groups, d_eff: int) ->
                             tuple(ax), tuple(ay), tuple(az))
 
 
-def decompose_P(bs: BlockStructure, paper_padding: bool = False) -> ScalingDecomposition:
+def decompose_P(bs: BlockStructure) -> ScalingDecomposition:
     """One component per intersection type, all sharing one effective part
     size d_eff.
 
     With s = 1 the one group holding every block is the only partition, so
     it is used as is: every group sum is then n and delta is 0.  With
-    s >= 2 the groups come from the Steinitz concentration partition of
-    the normalized per-block count vectors.  paper_padding replaces the
-    achieved deviation with the worst-case constant 36*b."""
+    s >= 2 the groups come from the concentration partition of the
+    per-block count triples (alpha_i, beta_i, gamma_i) at scale 3b, that
+    is of the vectors (alpha_i, beta_i, gamma_i)/3b, into s groups of g
+    blocks."""
     types = enumerate_types(bs)
     b, g, s = bs.b, bs.g, bs.s
     forced = (tuple(range(bs.r)),)
@@ -212,16 +198,12 @@ def decompose_P(bs: BlockStructure, paper_padding: bool = False) -> ScalingDecom
         if s == 1:
             groups = forced
         else:
-            vecs = [(Fraction(tau.alpha[i], 3 * b), Fraction(tau.beta[i], 3 * b),
-                     Fraction(tau.gamma[i], 3 * b)) for i in range(bs.r)]
-            groups = concentration_partition(VectorFamily.from_vectors(vecs),
-                                             (g,) * s).groups
+            groups = concentration_partition(list(zip(tau.alpha, tau.beta, tau.gamma)),
+                                             3 * b, (g,) * s)
         groupings.append(groups)
         for grp in groups:
             sa, sb, sc = _group_sums(tau, grp)
             delta = max(delta, abs(sa - b * g), abs(sb - b * g), abs(sc - b * g))
-    if paper_padding:
-        delta = 36 * b
     d_eff = b * g + delta
     components = tuple(_component(bs, tau, groups, d_eff)
                        for tau, groups in zip(types, groupings))
@@ -263,6 +245,8 @@ def verify_scaling(bs: BlockStructure, decomposition: ScalingDecomposition | Non
             key = (a, b, c)
             seen[key] = seen.get(key, 0) + 1
     expected = generate_P(bs.n, field=prime_field()).entries
+    if seen.keys() == expected.keys() and all(m == 1 for m in seen.values()):
+        return None
     for key in sorted(set(seen) | set(expected)):
         if seen.get(key, 0) != (1 if key in expected else 0):
             return key

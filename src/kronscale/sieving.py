@@ -18,7 +18,6 @@ from .circuit import (
     analyze_skew,
     dead_gate_elimination,
     evaluate,
-    formal_degrees,
     replay,
 )
 from .coeffx import extract_coefficient
@@ -142,22 +141,6 @@ def det_sieve(circ: Circuit, a: SieveMatrix, rng: Rng, trials: int = 7,
     if a.field.order < 2 * a.k:
         raise FieldTooSmall(f"need |F| >= {2 * a.k}")
     runner = SieveRunner(circ, a, "det", method, xvars=xvars)
-    for _ in range(trials):
-        if runner.run(rng.split()) != a.field.zero:
-            return True
-    return False
-
-
-def odd_sieve(circ: Circuit, a: SieveMatrix, rng: Rng, trials: int = 7,
-              method: str = "direct", xvars=None) -> bool:
-    """True iff some trial certifies a term m with A[., osupp(m)] of full
-    row rank (one-sided)."""
-    degs = formal_degrees(circ, set(xvars) if xvars else
-                          {nm for nm in circ.input_names() if nm.startswith("x:")})
-    d = max(degs[o] for o in circ.outputs)
-    if a.field.order < d + a.k:
-        raise FieldTooSmall(f"need |F| >= {d + a.k}")
-    runner = SieveRunner(circ, a, "odd", method, xvars=xvars)
     for _ in range(trials):
         if runner.run(rng.split()) != a.field.zero:
             return True

@@ -1,274 +1,131 @@
-"""Steinitz prefix rebalancing and the concentration partition.
+"""Steinitz balancing: the concentration partition of the scaling
+decomposition.
 
-The permutation search is an exact min-max dynamic program over multisets
-of remaining vector classes.  `VectorFamily` and `concentration_partition`
-hold vectors and deviations as `Fraction`s; the dynamic program scales the
-class vectors by their common denominator and runs in integers.  Nothing
-uses floating point, so the deviation bounds are checked exactly.
+Steinitz's lemma orders r vectors of infinity norm at most 1 that sum to
+zero so that every prefix sum has infinity norm at most their dimension d.
+Cutting such an order into consecutive groups keeps each group's sum close
+to its share of the total.  The vectors are integer tuples standing for
+v/scale, and the search runs on them centred and scaled to integers, so
+every bound is checked exactly, with no rational or floating-point value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from itertools import accumulate
 
-from .errors import (InternalError, ParseError, PartitionSizeError, TooManyClasses,
-                     content_lines, int_fields)
+from .errors import InternalError, PartitionSizeError, ShapeError, TooManyClasses
 
-DEFAULT_CLASS_CAP = 64
+CLASS_CAP = 64      # distinct vectors the dynamic program accepts
 
 
-@dataclass(frozen=True)
-class VectorFamily:
-    """r vectors in Q^d with ||v||_inf <= 1, stored class-compressed."""
-
-    dim: int
-    classes: tuple          # ((vec as Fraction tuple, count), ...) sorted by vec
-    class_of: tuple         # original index -> class id
-
-    @classmethod
-    def from_vectors(cls, vectors) -> "VectorFamily":
-        vecs = [tuple(Fraction(x) for x in v) for v in vectors]
-        if not vecs:
-            raise ValueError("empty vector family")
-        dim = len(vecs[0])
-        for v in vecs:
-            if len(v) != dim:
-                raise ValueError("inconsistent dimensions")
-            if any(abs(x) > 1 for x in v):
-                raise ValueError("vector exceeds unit infinity norm")
-        distinct = sorted(set(vecs))
-        cid = {v: i for i, v in enumerate(distinct)}
-        counts = [0] * len(distinct)
-        class_of = []
-        for v in vecs:
-            counts[cid[v]] += 1
-            class_of.append(cid[v])
-        classes = tuple((v, counts[i]) for i, v in enumerate(distinct))
-        return cls(dim, classes, tuple(class_of))
-
-    @property
-    def size(self) -> int:
-        return sum(c for _, c in self.classes)
-
-
-@dataclass(frozen=True)
-class SteinitzResult:
-    permutation: tuple      # position k-1 -> original vector index
-    achieved: Fraction      # max_k || prefix_k - ((k-d)/r) * total ||_inf
-
-
-@dataclass(frozen=True)
-class ConcentrationPartition:
-    groups: tuple           # per group: tuple of original indices
-    sizes: tuple
-    deviations: tuple       # per group: Fraction, exact infinity norm
-
-
-def _scaled_classes(family: VectorFamily):
-    denom = 1
-    for vec, _ in family.classes:
-        for x in vec:
-            denom = lcm(denom, x.denominator)
-    scaled = [tuple(int(x * denom) for x in vec) for vec, _ in family.classes]
-    return scaled, denom
-
-
-def _minmax_order(family: VectorFamily, boundaries, limit, class_cap: int):
-    """Exact min-max ordering by dynamic programming over multisets of
+def _balanced_order(classes, counts, dim: int, boundaries, limit: int) -> list:
+    """Class order from an exact min-max dynamic program over multisets of
     per-class counts.
 
-    The deviation of a prefix of length k is || sum of its vectors minus
-    ((k-d)/r) times the total ||_inf.  Among the orders whose every prefix
-    deviation is at most `limit` (None: no limit), returns one minimizing
-    the worst deviation at the prefix lengths in `boundaries`, as
-    (permutation of the original indices, that worst deviation).  Ties
-    break toward the least class index, so the output is deterministic.
+    The classes, taken counts[i] times each, sum to zero, so the deviation
+    of a prefix is the infinity norm of its sum; it depends only on the
+    prefix's multiset.  Among the orders whose every prefix deviation is at
+    most `limit`, returns one minimizing the worst deviation at the prefix
+    lengths in `boundaries`, as a list of class indices.  Ties break toward
+    the least class index, so the output is deterministic.
     """
-    C = len(family.classes)
-    if C > class_cap:
-        raise TooManyClasses(f"{C} distinct vectors exceed cap {class_cap}")
-    d = family.dim
-    r = family.size
-    vecs, denom = _scaled_classes(family)
-    counts = tuple(c for _, c in family.classes)
-    total = tuple(sum(v[t] * c for v, c in zip(vecs, counts)) for t in range(d))
-    # deviations are scaled by r*denom to stay integral
-    bound = None if limit is None else limit * r * denom
-
-    # dev of the prefix pref + vecs[i] of length k; prefixes are carried
-    # with the states so each extension is O(d)
-    def extend_dev(pref, k, i):
-        worst = 0
-        for t in range(d):
-            val = abs(r * (pref[t] + vecs[i][t]) - (k - d) * total[t])
-            if val > worst:
-                worst = val
-        return worst
-
-    # enumerate states level by level, remembering one prefix vector each
-    # (the prefix depends only on the multiset, not the order)
-    levels: list[dict] = [dict() for _ in range(r + 1)]
-    levels[0][tuple([0] * C)] = tuple([0] * d)
-    for k in range(r):
-        nxt = levels[k + 1]
-        for state, pref in levels[k].items():
-            for i in range(C):
-                if state[i] < counts[i]:
-                    if bound is not None and extend_dev(pref, k + 1, i) > bound:
-                        continue
-                    s2 = state[:i] + (state[i] + 1,) + state[i + 1:]
-                    if s2 not in nxt:
-                        nxt[s2] = tuple(pref[t] + vecs[i][t] for t in range(d))
+    r = sum(counts)
+    C = len(classes)
+    start = (0,) * C
     full = tuple(counts)
+    # cost[state]: the state's deviation if its length is a boundary, else
+    # -1; levels[k] maps each length-k state within the limit to its prefix
+    # sum.  A state beyond the limit gets a cost but joins no level, so it
+    # gets no value below and no order passes through it.
+    cost = {start: -1}
+    levels = [{start: (0,) * dim}]
+    for k in range(1, r + 1):
+        nxt = {}
+        for state, pref in levels[-1].items():
+            for i in range(C):
+                if state[i] == counts[i]:
+                    continue
+                s2 = state[:i] + (state[i] + 1,) + state[i + 1:]
+                if s2 in cost:
+                    continue
+                p2 = tuple(p + x for p, x in zip(pref, classes[i]))
+                dev = max(map(abs, p2))
+                cost[s2] = dev if k in boundaries else -1
+                if dev <= limit:
+                    nxt[s2] = p2
+        levels.append(nxt)
     if full not in levels[r]:
         raise InternalError("no order satisfies the Steinitz bound")
 
-    # value of taking class i next from (state, pref) at level k, or None
-    # when that step breaks the limit or leads to a dead state
-    def step(state, pref, k, i):
+    # best[state]: the least worst boundary deviation over the state's
+    # completions, None when it has none
+    best = {full: -1}
+
+    def value(state, i):
+        """best over the completions of state that take class i next."""
+        if state[i] == counts[i]:
+            return None
         s2 = state[:i] + (state[i] + 1,) + state[i + 1:]
-        hs = h.get(s2)
-        if hs is None:
-            return None, s2
-        dev = extend_dev(pref, k + 1, i)
-        if bound is not None and dev > bound:
-            return None, s2
-        return max(dev if (k + 1) in boundaries else -1, hs), s2
+        v = best.get(s2)
+        return None if v is None else max(cost[s2], v)
 
-    # h[state] = best achievable worst boundary deviation over all
-    # completions; None marks a state with no feasible completion
-    h: dict = {full: -1}
-    for k in range(r - 1, -1, -1):
-        for state, pref in levels[k].items():
-            best = None
-            for i in range(C):
-                if state[i] < counts[i]:
-                    cand, _ = step(state, pref, k, i)
-                    if cand is not None and (best is None or cand < best):
-                        best = cand
-            h[state] = best
-    # forward reconstruction, least class index among optima
+    for level in reversed(levels[:r]):
+        for state in level:
+            values = [value(state, i) for i in range(C)]
+            best[state] = min((v for v in values if v is not None), default=None)
     order = []
-    state = tuple([0] * C)
-    pref = tuple([0] * d)
-    for k in range(r):
-        target = h[state]
-        for i in range(C):
-            if state[i] < counts[i]:
-                cand, s2 = step(state, pref, k, i)
-                if cand == target:
-                    order.append(i)
-                    state = s2
-                    pref = tuple(pref[t] + vecs[i][t] for t in range(d))
-                    break
-    # expand class order into original indices (increasing within class)
-    pools = {i: [] for i in range(C)}
-    for idx, ci in enumerate(family.class_of):
-        pools[ci].append(idx)
-    cursor = {i: 0 for i in range(C)}
-    perm = []
-    for ci in order:
-        perm.append(pools[ci][cursor[ci]])
-        cursor[ci] += 1
-    return tuple(perm), Fraction(h[tuple([0] * C)], r * denom)
+    state = start
+    for _ in range(r):
+        i = next(i for i in range(C) if value(state, i) == best[state])
+        order.append(i)
+        state = state[:i] + (state[i] + 1,) + state[i + 1:]
+    return order
 
 
-def steinitz_permutation(family: VectorFamily,
-                         class_cap: int = DEFAULT_CLASS_CAP) -> SteinitzResult:
-    """Order the family to minimize the worst prefix deviation.
+def concentration_partition(vectors, scale: int, sizes) -> tuple:
+    """Groups of the given sizes, consecutive in a Steinitz order of the
+    vectors: a tuple of tuples of vector indices.
 
-    The objective is max over k of || sum of the first k vectors minus
-    ((k-d)/r) times the total ||_inf, minimized exactly by dynamic
-    programming over multisets of per-class remaining counts.  Ties break
-    toward the lexicographically least class index, so the output is
-    deterministic.
+    `vectors` are r integer tuples of one dimension d that stand for
+    v/scale, with ||v||_inf <= scale.  They are centred as u_i = r*v_i minus
+    the sum of all v: that is (v_i - mean)/2 for the vectors v/scale, in
+    units of 1/(2*r*scale).  The u_i sum to zero and have norm at most
+    2*r*scale, so the lemma gives an order whose every prefix sum of u
+    stays within 2*r*scale*d.  Among those orders the one whose group
+    boundaries stray least is taken.  Each
+    group's mean v/scale then lies within 4*d/g of the mean of all of them
+    (checked exactly).  Vectors with equal entries fall into one class, and
+    a class's indices keep their order; more than CLASS_CAP classes raise
+    TooManyClasses, and vectors of mixed dimension or beyond the norm
+    ShapeError.
     """
-    boundaries = set(range(1, family.size + 1))
-    return SteinitzResult(*_minmax_order(family, boundaries, None, class_cap))
-
-
-def _balanced_permutation(family: VectorFamily, sizes,
-                          class_cap: int = DEFAULT_CLASS_CAP) -> tuple:
-    """A Steinitz-valid order (every prefix deviation <= d) minimizing the
-    worst deviation at the group boundaries prescribed by `sizes`.
-
-    The lemma guarantees feasibility; among feasible orders this picks the
-    one whose boundary prefixes stray least, which is what the padding in
-    the scaling decomposition pays for.  Ties break toward the least class
-    index, as in steinitz_permutation.
-    """
-    boundaries = set()
-    acc = 0
-    for g in sizes:
-        acc += g
-        boundaries.add(acc)
-    return _minmax_order(family, boundaries, family.dim, class_cap)[0]
-
-
-def concentration_partition(family: VectorFamily, sizes,
-                            class_cap: int = DEFAULT_CLASS_CAP) -> ConcentrationPartition:
-    """Partition [r] into consecutive Steinitz-permutation blocks of the
-    given sizes; each group's mean then concentrates around the global
-    mean within 4*dim/size exactly."""
-    sizes = tuple(int(g) for g in sizes)
-    r = family.size
+    sizes = tuple(sizes)
+    r = len(vectors)
     if sum(sizes) != r or any(g <= 0 for g in sizes):
         raise PartitionSizeError(f"group sizes {sizes} do not partition [{r}]")
-    d = family.dim
-    # u_i = v_i/2 - (1/2r) * sum of all v
-    total = [Fraction(0)] * d
-    raw = [None] * r
-    for idx, ci in enumerate(family.class_of):
-        raw[idx] = family.classes[ci][0]
-        for t in range(d):
-            total[t] += family.classes[ci][0][t]
-    u_vecs = []
-    for idx in range(r):
-        u_vecs.append(tuple(Fraction(raw[idx][t], 2) - Fraction(total[t], 2 * r)
-                            for t in range(d)))
-    u_family = VectorFamily.from_vectors(u_vecs)
-    permutation = _balanced_permutation(u_family, sizes, class_cap=class_cap)
+    total = [sum(col) for col in zip(*vectors)]
+    dim = len(total)
+    if any(len(v) != dim or any(abs(x) > scale for x in v) for v in vectors):
+        raise ShapeError(f"vectors need one dimension and entries within +-{scale}")
+    centred = [tuple(r * x - t for x, t in zip(v, total)) for v in vectors]
+    classes = sorted(set(centred))
+    if len(classes) > CLASS_CAP:
+        raise TooManyClasses(f"{len(classes)} distinct vectors exceed cap {CLASS_CAP}")
+    class_of = {u: i for i, u in enumerate(classes)}
+    members = [[] for _ in classes]
+    for idx, u in enumerate(centred):
+        members[class_of[u]].append(idx)
+    order = _balanced_order(classes, [len(m) for m in members], dim,
+                            set(accumulate(sizes)), 2 * r * scale * dim)
+    pools = [iter(m) for m in members]
+    perm = [next(pools[i]) for i in order]
     groups = []
-    deviations = []
-    pos = 0
-    mean = [total[t] / r for t in range(d)]
-    for g in sizes:
-        members = tuple(permutation[pos:pos + g])
-        pos += g
-        dev = Fraction(0)
-        for t in range(d):
-            s = sum(raw[i][t] for i in members)
-            dev = max(dev, abs(Fraction(s, g) - mean[t]))
-        groups.append(members)
-        deviations.append(dev)
-        if dev > Fraction(4 * d, g):
-            raise InternalError(
-                f"concentration bound violated: {dev} > 4*{d}/{g}")
-    return ConcentrationPartition(tuple(groups), sizes, tuple(deviations))
-
-
-def parse_vector_file(text: str) -> VectorFamily:
-    """Vector file: first line 'd r', then r lines of d rationals 'p/q'."""
-    lines = content_lines(text)
-    if not lines:
-        raise ParseError("empty vector file")
-    d, r = int_fields(lines[0][1].split(), "'d r' header", lines[0][0], (2,))
-    if r < 1:
-        raise ParseError("a vector family needs r >= 1", lines[0][0])
-    if len(lines) != r + 1:
-        raise ParseError(f"expected {r} vector lines, found {len(lines) - 1}")
-    vectors = []
-    for lineno, ln in lines[1:]:
-        toks = ln.split()
-        if len(toks) != d:
-            raise ParseError(f"expected {d} coordinates", lineno)
-        try:
-            vec = tuple(Fraction(t) for t in toks)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(str(exc), lineno) from None
-        if any(abs(x) > 1 for x in vec):
-            raise ParseError("vector exceeds unit infinity norm", lineno)
-        vectors.append(vec)
-    return VectorFamily.from_vectors(vectors)
+    for end, g in zip(accumulate(sizes), sizes):
+        grp = tuple(perm[end - g:end])
+        for t in range(dim):
+            dev = abs(r * sum(vectors[i][t] for i in grp) - g * total[t])
+            if dev > 4 * dim * r * scale:
+                raise InternalError(f"concentration bound violated: group {grp}, "
+                                    f"coordinate {t}: {dev} > 4*{dim}*{r}*{scale}")
+        groups.append(grp)
+    return tuple(groups)

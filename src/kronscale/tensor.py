@@ -163,8 +163,9 @@ def verify_decomposition(t: Tensor, dec: RankDecomposition):
                         acc.pop(key, None)
                     else:
                         acc[key] = s
-    keys = set(acc) | set(t.entries)
-    for key in sorted(keys):
+    if acc == t.entries:
+        return None
+    for key in sorted(set(acc) | set(t.entries)):
         if acc.get(key, f.zero) != t.entries.get(key, f.zero):
             return key
     return None

@@ -1,7 +1,7 @@
 """Tensor oracles for the tests: Kronecker products and powers of explicit
 tensors, and direct evaluation of a tensor's trilinear form."""
 
-from kronscale.errors import GroundOverlap, ShapeError, UnassignedInput
+from kronscale.errors import ShapeError, UnassignedInput
 from kronscale.tensor import Tensor
 
 
@@ -10,7 +10,7 @@ def kronecker(s: Tensor, t: Tensor) -> Tensor:
     if s.field != t.field:
         raise ShapeError("tensors over different fields")
     if set(s.ground) & set(t.ground):
-        raise GroundOverlap("grounds must be disjoint")
+        raise ShapeError("grounds must be disjoint")
     ground = s.ground + t.ground
     shift = len(s.ground)
     mul = s.field.mul

@@ -7,11 +7,9 @@ from kronscale.circuit import evaluate
 from kronscale.counting import (
     SetFamily,
     SquareMatrix,
-    bordered_matrix,
     build_hafnian_circuit,
     build_permanent_circuit,
     count_set_partitions,
-    embed_permanent_as_hafnian,
     hafnian_bruteforce,
     hafnian_clow_circuit,
     hafnian_value,
@@ -142,14 +140,6 @@ def test_permanent_row_column_permutation_invariance():
     assert evaluate(c, matrix_assignment(permuted))[0] == base
 
 
-def test_bordered_matrix_preserves_permanent():
-    rng = Rng(31)
-    m = rand_matrix(rng, 4)
-    padded = bordered_matrix(m)
-    assert padded.n == 6
-    assert permanent_ryser(padded) == permanent_ryser(m)
-
-
 def test_hafnian_trivial():
     rng = Rng(7)
     m = rand_matrix(rng, 2, symmetric=True)
@@ -218,6 +208,15 @@ def test_hafnian_pair_relabel_invariance():
                                         for j in range(6)) for i in range(6)),
                          symmetric=True)
     assert hafnian_value(m) == hafnian_value(relab)
+
+
+def embed_permanent_as_hafnian(mat):
+    """Block matrix ((0, A), (A^T, 0)); its hafnian equals perm A."""
+    n = mat.n
+    zeros = (F.zero,) * n
+    rows = [zeros + row for row in mat.entries]
+    rows += [tuple(mat.entries[j][i] for j in range(n)) + zeros for i in range(n)]
+    return SquareMatrix(F, tuple(rows), symmetric=True)
 
 
 def test_permanent_embedding_identity():

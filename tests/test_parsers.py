@@ -7,7 +7,6 @@ from kronscale.counting import parse_family_file, parse_matrix_file
 from kronscale.errors import ParseError
 from kronscale.fields import prime_field
 from kronscale.sieving import parse_graph_file
-from kronscale.steinitz import parse_vector_file
 from kronscale.tensor import (
     generate_P,
     parse_decomposition,
@@ -45,7 +44,6 @@ MALFORMED = {
     "graph-sides-not-n": (parse_graph_file, "undirected 3 1 7 9\n1 2\n", 1),
     "graph-edge": (parse_graph_file, "# a comment\ndirected 3 1\n\n1\n", 4),
     "graph-triple": (parse_graph_file, "triples 2 2 2 1\n1 1\n", 2),
-    "vector-norm": (parse_vector_file, "1 1\n3/2\n", 2),
 }
 
 
@@ -75,7 +73,6 @@ VALID = {
     "graph-directed": (parse_graph_file, "directed 3 2\n1 2\n2 3\n"),
     "graph-undirected": (parse_graph_file, "undirected 4 2 2 2\n1 3\n2 4\n"),
     "graph-triples": (parse_graph_file, "triples 2 2 2 1\n1 2 1\n"),
-    "vector": (parse_vector_file, "2 2\n1/2 -1\n0 1/3\n"),
 }
 
 # characters the formats use, so that edits often keep a line almost valid

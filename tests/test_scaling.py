@@ -1,7 +1,6 @@
 import copy
 import re
 from dataclasses import replace
-from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -25,14 +24,13 @@ from kronscale.scaling import (
     PScalingScheme,
     ScalingDecomposition,
     build_P_circuit,
-    classify_tripartition,
     decompose_P,
     enumerate_types,
     trivial_dec_source,
     verify_scaling,
     yates_circuit,
 )
-from kronscale.steinitz import VectorFamily, concentration_partition
+from kronscale.steinitz import concentration_partition
 from kronscale.tensor import RankDecomposition, Tensor, generate_P, trivial_decomposition
 
 from _tensor_oracle import kron_power, tensor_eval
@@ -72,6 +70,14 @@ def test_enumerate_types_counts_more_shapes():
     for bgs in ((2, 1, 1), (1, 1, 2), (1, 3, 1)):
         bs = BlockStructure(*bgs)
         assert len(enumerate_types(bs)) == len(brute_enumerate_types(bs))
+
+
+def classify_tripartition(bs, amask, bmask, cmask):
+    """Intersection type of a tripartition of [3n]: per block, the sizes of
+    its intersections with the three parts."""
+    blocks = [sum(1 << e for e in bs.block_elements(i)) for i in range(bs.r)]
+    return IntersectionType(*(tuple(bin(mask & block).count("1") for block in blocks)
+                              for mask in (amask, bmask, cmask)))
 
 
 def test_every_tripartition_classifies_to_one_type():
@@ -121,16 +127,6 @@ def test_decompose_alive_masks_have_size_d_eff():
                     assert bin(lmask).count("1") == dec.d_eff
 
 
-def test_paper_padding_sizes():
-    bs = BlockStructure(1, 1, 1)
-    dec = decompose_P(bs, paper_padding=True)
-    assert dec.d_eff == 1 * (1 + 36)
-    comp = dec.components[0]
-    pa, pb, pc = comp.pad_sizes[0]
-    assert pa + pb + pc == 3 * 36
-    assert pa == dec.d_eff - 1
-
-
 @pytest.mark.parametrize("bgs", [(1, 1, 1), (1, 2, 1), (2, 1, 1), (1, 1, 2), (1, 2, 2)])
 def test_verify_scaling(bgs):
     bs = BlockStructure(*bgs)
@@ -146,16 +142,35 @@ def test_verify_scaling_monomial_counts():
     assert verify_scaling(BlockStructure(1, 2, 1)) is None
 
 
+def test_verify_scaling_names_the_first_wrong_monomial():
+    bs = BlockStructure(1, 1, 2)
+    dec = decompose_P(bs)
+    comp = dec.components[1]
+    # the monomials of comp's type, sorted; the classification oracle does
+    # not go through the restriction data
+    own = sorted(key for key in generate_P(bs.n, field=F).entries
+                 if classify_tripartition(bs, *key) == comp.tau)
+    # without one x entry of factor 0, the monomials whose A meets the
+    # blocks of group 0 in that entry's elements are missing
+    (lmask, omask), *_ = comp.alive_x[0].items()
+    group0 = sum(1 << e for i in comp.groups[0] for e in bs.block_elements(i))
+    alive = {lm: om for lm, om in comp.alive_x[0].items() if lm != lmask}
+    dropped = list(dec.components)
+    dropped[1] = replace(comp, alive_x=(alive,) + comp.alive_x[1:])
+    missing = [key for key in own if key[0] & group0 == omask]
+    assert verify_scaling(bs, replace(dec, components=tuple(dropped))) == missing[0]
+    # a second copy of comp counts each of its monomials twice
+    assert verify_scaling(bs, replace(dec, components=dec.components + (comp,))) == own[0]
+
+
 def steinitz_route(bs):
     """decompose_P with every type's groups taken from the concentration
     partition, s = 1 included."""
     types = enumerate_types(bs)
     groupings = []
     for tau in types:
-        vecs = [tuple(Fraction(row[i], 3 * bs.b) for row in (tau.alpha, tau.beta, tau.gamma))
-                for i in range(bs.r)]
-        groupings.append(concentration_partition(VectorFamily.from_vectors(vecs),
-                                                 (bs.g,) * bs.s).groups)
+        groupings.append(concentration_partition(list(zip(tau.alpha, tau.beta, tau.gamma)),
+                                                 3 * bs.b, (bs.g,) * bs.s))
     delta = max(abs(sum(row[i] for i in grp) - bs.b * bs.g)
                 for tau, groups in zip(types, groupings) for grp in groups
                 for row in (tau.alpha, tau.beta, tau.gamma))

@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from kronscale.circuit import CircuitBuilder, evaluate
+from kronscale.circuit import CircuitBuilder, evaluate, formal_degrees
 from kronscale.errors import (
     BipartitenessError,
     CharacteristicError,
@@ -23,7 +23,6 @@ from kronscale.sieving import (
     matching3d_detect,
     matroid3_detect,
     mv_det_circuit,
-    odd_sieve,
     parse_graph_file,
     vandermonde,
 )
@@ -144,6 +143,17 @@ def test_det_sieve_vs_exhaustive_support_oracle():
                     exists = True
         got = det_sieve(c, a, rng, trials=12)
         assert got == exists  # 12 trials: miss probability <= 2^-12
+
+
+def odd_sieve(circ, a, rng, trials):
+    """True iff some trial of the odd sieve certifies a term m with
+    A[., osupp(m)] of full row rank (one-sided)."""
+    degs = formal_degrees(circ, {nm for nm in circ.input_names() if nm.startswith("x:")})
+    d = max(degs[o] for o in circ.outputs)
+    if a.field.order < d + a.k:
+        raise FieldTooSmall(f"need |F| >= {d + a.k}")
+    runner = SieveRunner(circ, a, "odd", "direct")
+    return any(runner.run(rng.split()) != a.field.zero for _ in range(trials))
 
 
 def test_odd_sieve_examples():

@@ -1,58 +1,89 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 
 import pytest
 
-from kronscale.errors import PartitionSizeError, TooManyClasses
+from kronscale.errors import PartitionSizeError, ShapeError, TooManyClasses
 from kronscale.fields import Rng
-from kronscale.steinitz import (
-    ConcentrationPartition,
-    VectorFamily,
-    concentration_partition,
-    parse_vector_file,
-    steinitz_permutation,
-)
+from kronscale.steinitz import concentration_partition
 
 
-def prefix_objective(vectors, perm, d):
+def prefix_deviations(vectors, scale, order):
+    """||u_1 + ... + u_k||_inf for k = 1..r along order, in Fractions, where
+    u_i = v_i/2 - (sum of all v)/(2r) and v = vector/scale."""
     r = len(vectors)
-    total = [sum(Fraction(v[t]) for v in vectors) for t in range(len(vectors[0]))]
-    worst = Fraction(0)
-    pref = [Fraction(0)] * len(vectors[0])
-    for k, idx in enumerate(perm, start=1):
-        for t in range(len(pref)):
-            pref[t] += Fraction(vectors[idx][t])
-        dev = max(abs(pref[t] - Fraction(k - d, r) * total[t]) for t in range(len(pref)))
-        worst = max(worst, dev)
-    return worst
+    v = [[Fraction(x, scale) for x in vec] for vec in vectors]
+    mean = [sum(col) / r for col in zip(*v)]
+    u = [[(x - m) / 2 for x, m in zip(vec, mean)] for vec in v]
+    pref = [Fraction(0)] * len(mean)
+    out = []
+    for i in order:
+        pref = [p + x for p, x in zip(pref, u[i])]
+        out.append(max(map(abs, pref)))
+    return out
 
 
-def test_all_vectors_equal():
-    vecs = [(Fraction(1, 2), Fraction(1, 3))] * 5
-    fam = VectorFamily.from_vectors(vecs)
-    res = steinitz_permutation(fam)
-    assert sorted(res.permutation) == list(range(5))
-    assert res.achieved == prefix_objective(vecs, res.permutation, 2)
+def flat(groups):
+    return [i for grp in groups for i in grp]
 
 
-def test_plus_minus_one():
-    vecs = [(1,), (-1,)]
-    fam = VectorFamily.from_vectors(vecs)
-    res = steinitz_permutation(fam)
-    assert res.achieved <= 1  # Lemma bound: <= d = 1
+def random_types(rng, b, r):
+    """r per-block count triples summing to 3b."""
+    vecs = []
+    for _ in range(r):
+        a = rng.below(3 * b + 1)
+        bb = rng.below(3 * b + 1 - a)
+        vecs.append((a, bb, 3 * b - a - bb))
+    return vecs
+
+
+def small_families():
+    """(vectors, scale, sizes) with r <= 6: seeded type vectors, and seeded
+    vectors of dimension 1 or 2.  At r <= 6 every order of 3-dimensional
+    vectors stays within d, so the limit binds only on the others; the
+    first family is one where the best boundary order without the limit
+    leaves it (its prefix after the last -1 reaches 3/2)."""
+    yield [(-1,), (1,), (1,), (1,), (-1,), (-1,)], 1, (1, 5)
+    rng = Rng(2025)
+    shapes = {4: ((2, 2), (1, 3)), 5: ((2, 3), (1, 2, 2)), 6: ((2, 2, 2), (3, 3), (1, 5))}
+    for trial in range(24):
+        r = 4 + rng.below(3)
+        sizes = rng.choice(shapes[r])
+        if trial % 2:
+            b = 1 + rng.below(2)
+            yield random_types(rng, b, r), 3 * b, sizes
+        else:
+            scale = 1 + rng.below(3)
+            d = 1 + rng.below(2)
+            yield [tuple(rng.below(2 * scale + 1) - scale for _ in range(d))
+                   for _ in range(r)], scale, sizes
 
 
 def test_dp_matches_exhaustive_small():
-    rng = Rng(2025)
-    d = 3
-    for trial in range(8):
-        r = 4 + rng.below(3)  # 4..6
-        vecs = [tuple(rng.below(3) - 1 for _ in range(d)) for _ in range(r)]
-        fam = VectorFamily.from_vectors(vecs)
-        res = steinitz_permutation(fam)
-        best = min(prefix_objective(vecs, p, d) for p in permutations(range(r)))
-        assert res.achieved == best
-        assert prefix_objective(vecs, res.permutation, d) == res.achieved
+    # among the orders whose every centred prefix stays within d (Steinitz),
+    # the groups reach the least worst deviation at the group boundaries
+    for vecs, scale, sizes in small_families():
+        r = len(vecs)
+        d = len(vecs[0])
+        bounds = list(accumulate(sizes))
+        best = None
+        for perm in permutations(range(r)):
+            devs = prefix_deviations(vecs, scale, perm)
+            if max(devs) <= d:
+                worst = max(devs[k - 1] for k in bounds)
+                best = worst if best is None else min(best, worst)
+        groups = concentration_partition(vecs, scale, sizes)
+        assert tuple(map(len, groups)) == sizes
+        devs = prefix_deviations(vecs, scale, flat(groups))
+        assert max(devs) <= d
+        assert max(devs[k - 1] for k in bounds) == best
+
+
+def test_plus_minus_one():
+    # both orders are optimal; the tie breaks toward the least vector
+    groups = concentration_partition([(1,), (-1,)], 1, (1, 1))
+    assert groups == ((1,), (0,))
+    assert max(prefix_deviations([(1,), (-1,)], 1, flat(groups))) <= 1
 
 
 def test_dp_respects_lemma_bound_random_pm_one():
@@ -61,81 +92,70 @@ def test_dp_respects_lemma_bound_random_pm_one():
     for _ in range(5):
         # r=18 over the 8 possible +-1 classes keeps the state space small
         vecs = [tuple(1 if rng.below(2) else -1 for _ in range(d)) for _ in range(18)]
-        fam = VectorFamily.from_vectors(vecs)
-        res = steinitz_permutation(fam)
-        assert res.achieved <= d
+        groups = concentration_partition(vecs, 1, (6, 6, 6))
+        assert max(prefix_deviations(vecs, 1, flat(groups))) <= d
 
 
 def test_permutation_is_bijection():
     rng = Rng(13)
-    vecs = [tuple(Fraction(rng.below(4), 3) for _ in range(2)) for _ in range(12)]
-    fam = VectorFamily.from_vectors(vecs)
-    res = steinitz_permutation(fam)
-    assert sorted(res.permutation) == list(range(12))
+    vecs = [tuple(rng.below(4) for _ in range(2)) for _ in range(12)]
+    groups = concentration_partition(vecs, 3, (4, 4, 4))
+    assert [len(grp) for grp in groups] == [4, 4, 4]
+    assert sorted(flat(groups)) == list(range(12))
+
+
+def test_all_vectors_equal():
+    # one class: its indices keep their order across groups of any size
+    assert concentration_partition([(3, 2)] * 5, 6, (2, 3)) == ((0, 1), (2, 3, 4))
 
 
 def test_determinism():
     vecs = [(0, 1), (1, 0), (0, 1), (1, 0), (1, 1), (0, 0)]
-    vecs = [tuple(Fraction(x) for x in v) for v in vecs]
-    fam = VectorFamily.from_vectors(vecs)
-    r1 = steinitz_permutation(fam)
-    r2 = steinitz_permutation(fam)
-    assert r1 == r2
+    assert concentration_partition(vecs, 1, (2, 2, 2)) == \
+        concentration_partition(list(vecs), 1, [2, 2, 2])
 
 
 def test_too_many_classes():
-    vecs = [(Fraction(i, 100), Fraction(0)) for i in range(10)]
-    fam = VectorFamily.from_vectors(vecs)
+    vecs = [(i, 0) for i in range(65)]
     with pytest.raises(TooManyClasses):
-        steinitz_permutation(fam, class_cap=4)
+        concentration_partition(vecs, 64, (65,))
 
 
 def test_concentration_identical_vectors():
-    vecs = [(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))] * 6
-    fam = VectorFamily.from_vectors(vecs)
-    part = concentration_partition(fam, (2, 2, 2))
-    assert all(dev == 0 for dev in part.deviations)
+    groups = concentration_partition([(1, 1, 1)] * 6, 3, (2, 2, 2))
+    assert groups == ((0, 1), (2, 3), (4, 5))
 
 
 def test_concentration_uniform_type():
-    # type vectors (alpha,beta,gamma)/3b from a uniform type: all equal
-    b = 2
-    vec = (Fraction(2, 3 * b), Fraction(3, 3 * b), Fraction(1, 3 * b))
-    fam = VectorFamily.from_vectors([(vec[0] * 3 * b / (3 * b), vec[1], vec[2])] * 8)
-    part = concentration_partition(fam, (4, 4))
-    assert all(dev == 0 for dev in part.deviations)
+    # the type (2, 3, 1) on every block of size 3b, b = 2
+    groups = concentration_partition([(2, 3, 1)] * 8, 6, (4, 4))
+    assert groups == ((0, 1, 2, 3), (4, 5, 6, 7))
 
 
 def test_concentration_random_types():
     rng = Rng(99)
     b, r, g, s = 2, 12, 3, 4
     for _ in range(10):
-        vecs = []
-        for _ in range(r):
-            a = rng.below(3 * b + 1)
-            bb = rng.below(3 * b + 1 - a)
-            c = 3 * b - a - bb
-            vecs.append((Fraction(a, 3 * b), Fraction(bb, 3 * b), Fraction(c, 3 * b)))
-        fam = VectorFamily.from_vectors(vecs)
-        part = concentration_partition(fam, (g,) * s)
-        flat = [i for grp in part.groups for i in grp]
-        assert sorted(flat) == list(range(r))
-        for size, dev in zip(part.sizes, part.deviations):
-            assert dev <= Fraction(4 * 3, size)
-            # deviations reported exactly: recompute directly
-        total = [sum(v[t] for v in vecs) for t in range(3)]
-        for grp, size, dev in zip(part.groups, part.sizes, part.deviations):
-            expect = max(abs(sum(vecs[i][t] for i in grp) / size - total[t] / r)
-                         for t in range(3))
-            assert dev == expect
+        vecs = random_types(rng, b, r)
+        groups = concentration_partition(vecs, 3 * b, (g,) * s)
+        assert sorted(flat(groups)) == list(range(r))
+        # each group's mean lies within 4d/g of the mean of all, d = 3
+        for grp in groups:
+            assert len(grp) == g
+            dev = max(abs(Fraction(sum(vecs[i][t] for i in grp), 3 * b * g)
+                          - Fraction(sum(v[t] for v in vecs), 3 * b * r))
+                      for t in range(3))
+            assert dev <= Fraction(4 * 3, g)
 
 
 def test_partition_size_error():
-    fam = VectorFamily.from_vectors([(Fraction(1), Fraction(0))] * 4)
     with pytest.raises(PartitionSizeError):
-        concentration_partition(fam, (3, 3))
+        concentration_partition([(1, 0)] * 4, 1, (3, 3))
+    with pytest.raises(PartitionSizeError):
+        concentration_partition([(1, 0)] * 4, 1, (4, 0))
 
 
-def test_vector_file():
-    fam = parse_vector_file("2 3\n1/2 -1/2\n1 0\n0 1\n")
-    assert fam.size == 3 and fam.dim == 2
+def test_malformed_vectors_raise_shape_error():
+    for vecs in ([(1, 0), (1,)], [(1,), (1, 0)], [(2, 0), (0, 0)], [(0, -2), (0, 0)]):
+        with pytest.raises(ShapeError):
+            concentration_partition(vecs, 1, (1, 1))

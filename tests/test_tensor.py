@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kronscale.circuit import mask_bits, mask_of
-from kronscale.errors import GroundOverlap, ShapeError, TooLarge, UnassignedInput
+from kronscale.errors import ShapeError, TooLarge, UnassignedInput
 from kronscale.fields import PrimeField, Rng, gf2, prime_field
 from kronscale.tensor import (
     RankDecomposition,
@@ -105,7 +105,7 @@ def test_kronecker_coefficients_exhaustive():
 
 def test_kronecker_ground_overlap():
     t1 = generate_P(1, field=F)
-    with pytest.raises(GroundOverlap):
+    with pytest.raises(ShapeError, match="grounds must be disjoint"):
         kronecker(t1, t1)
 
 
