@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import Circuit, CircuitBuilder, evaluate
-from .coeffx import extract_coefficient
+from .coeffx import DEFAULT_SKEW_CAP, extract_coefficient
 from .errors import (DivisibilityError, ParityError, ParseError, TooLarge,
                      content_lines, int_fields)
 from .fields import Field, prime_field
@@ -323,7 +323,7 @@ def setpart_circuit(fam: SetFamily, field: Field):
 
 
 def count_set_partitions(fam: SetFamily, method: str = "direct",
-                         field: Field | None = None, skew_cap: int = 3):
+                         field: Field | None = None):
     """Number of subfamilies partitioning the ground set, as a residue."""
     field = field or prime_field()
     if fam.ground_size == 0:
@@ -333,7 +333,7 @@ def count_set_partitions(fam: SetFamily, method: str = "direct",
                          sum(1 for s in fam.members if not s))
     circ, xvars = setpart_circuit(fam, field)
     out = extract_coefficient(circ, xvars, method,
-                              skew_cap=max(skew_cap, fam.max_member_size))
+                              skew_cap=max(DEFAULT_SKEW_CAP, fam.max_member_size))
     return evaluate(out, {})[0]
 
 

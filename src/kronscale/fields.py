@@ -2,16 +2,17 @@
 
 Field elements are plain canonical ints (residue mod p, or a w-bit
 polynomial bitmask); all operations go through a Field object so values
-serialize bit-exactly.  GF(2^w) multiplies by log/exp tables at w <= 16,
-by a class-interleaved integer product and a byte-table reduction at
-w = 32 (the sieve default), and by a bit-serial product at w = 64.
+serialize bit-exactly.  A field is a plain value: it holds its modulus or
+width and no tables, costs nothing to build, and compares and hashes equal
+to every field with the same spec string.  GF(2^w) has one scalar
+multiply at every width, the bit-serial carryless product and reduction.
 
 Every field also has two batch operations, which circuit evaluation calls
 once per level: `mul_many(xs, ys)`, the products of two equal-length
 operand sequences, and `sum_many(values, spans)`, the sum of
-`values[span]` for each slice in spans.  At w = 32 `mul_many` multiplies
-all its pairs at once in the 64-bit lanes of one Python int; elsewhere it
-maps the scalar `mul`.
+`values[span]` for each slice in spans.  At w = 32 (the sieve default)
+`mul_many` multiplies all its pairs at once in the 64-bit lanes of one
+Python int; elsewhere it maps the scalar `mul`.
 
 The random generator is SplitMix64, a fixed, versioned, splittable
 generator: identical seeds give identical streams on every platform.
@@ -24,7 +25,7 @@ import sys
 from array import array
 from functools import reduce
 
-from .errors import DivisionByZero, InternalError, ParseError
+from .errors import DivisionByZero, ParseError
 
 # Largest prime below 2^61 (Mersenne M61); leaves headroom for 128-bit
 # intermediate products in Python ints and for int64 hosts downstream.
@@ -97,9 +98,6 @@ class Rng:
             if v < n:
                 return v
 
-    def randrange(self, lo: int, hi: int) -> int:
-        return lo + self.below(hi - lo)
-
     def choice(self, seq):
         return seq[self.below(len(seq))]
 
@@ -107,11 +105,6 @@ class Rng:
         for i in range(len(seq) - 1, 0, -1):
             j = self.below(i + 1)
             seq[i], seq[j] = seq[j], seq[i]
-
-    def sample(self, seq, k: int) -> list:
-        pool = list(seq)
-        self.shuffle(pool)
-        return pool[:k]
 
 
 class Field:
@@ -181,9 +174,6 @@ class PrimeField(Field):
             return pow(self.inv(a), -e, self.p)
         return pow(a, e, self.p)
 
-    def from_int(self, n: int):
-        return n % self.p
-
     def random(self, rng: Rng, nonzero: bool = False):
         while True:
             v = rng.below(self.p)
@@ -207,39 +197,6 @@ def _clmul(a: int, b: int) -> int:
         r ^= a * lsb
         b ^= lsb
     return r
-
-
-def _interleaved_mul32(fold):
-    """Exact GF(2^32) multiply; fold[k][v] = (v * x^(32 + 8k)) mod f.
-
-    Each operand splits into its four classes of bit positions mod 4, and
-    the 16 class products are ordinary integer products.  A class has 8
-    bits, so a product's bit slot sums at most 8 ones: its carries reach at
-    most 3 positions up and never the next slot of the same class.  The
-    parity of each slot therefore survives, and XOR of the 4 products of a
-    class, masked back to that class, is the carryless product there.  The
-    <= 63-bit result is reduced one byte of its high word per table.
-    """
-    f0, f1, f2, f3 = fold
-
-    def mul(a, b):
-        a0 = a & 0x11111111
-        a1 = a & 0x22222222
-        a2 = a & 0x44444444
-        a3 = a & 0x88888888
-        b0 = b & 0x11111111
-        b1 = b & 0x22222222
-        b2 = b & 0x44444444
-        b3 = b & 0x88888888
-        r = (((a0 * b0) ^ (a1 * b3) ^ (a2 * b2) ^ (a3 * b1)) & 0x1111111111111111
-             | ((a0 * b1) ^ (a1 * b0) ^ (a2 * b3) ^ (a3 * b2)) & 0x2222222222222222
-             | ((a0 * b2) ^ (a1 * b1) ^ (a2 * b0) ^ (a3 * b3)) & 0x4444444444444444
-             | ((a0 * b3) ^ (a1 * b2) ^ (a2 * b1) ^ (a3 * b0)) & 0x8888888888888888)
-        h = r >> 32
-        return ((r & 0xFFFFFFFF) ^ f0[h & 0xFF] ^ f1[h >> 8 & 0xFF]
-                ^ f2[h >> 16 & 0xFF] ^ f3[h >> 24])
-
-    return mul
 
 
 def _packed_mul_many32(xs, ys) -> list:
@@ -273,17 +230,11 @@ def _packed_mul_many32(xs, ys) -> list:
 class GF2Field(Field):
     """GF(2^w) for w in {8, 16, 32, 64} with a fixed reduction polynomial.
 
-    Elements are w-bit ints.  `mul` is chosen once per width:
-
-    - w <= 16: log/exp tables.
-    - w = 32: the carryless product as XORs of 16 ordinary integer products
-      of the operands' bit classes mod 4, exact because no carry reaches the
-      next bit of a class, then a byte-table reduction (`_interleaved_mul32`).
-    - w = 64: bit-serial carryless product and reduction (`_mul_slow`).
-
-    `mul_many` packs its operands into 64-bit lanes at w = 32
-    (`_packed_mul_many32`) and maps `mul` at the other widths; `sum_many`
-    XORs each span.
+    Elements are w-bit ints.  `mul` is the bit-serial carryless product
+    (`_clmul`) reduced modulo the field polynomial (`_reduce`) at every
+    width; the field keeps no tables.  `mul_many` packs its operands into
+    64-bit lanes at w = 32 (`_packed_mul_many32`) and maps `mul` at the
+    other widths; `sum_many` XORs each span.
     """
 
     kind = "gf2"
@@ -299,19 +250,7 @@ class GF2Field(Field):
         self.order = 1 << w
         self.zero = 0
         self.one = 1
-        self._log = None
-        self._exp = None
-        self.mul_many = self._mapped_mul_many
-        if w <= 16:
-            self._build_log_tables()
-            self.mul = self._mul_log
-        elif w == 32:
-            self.mul = _interleaved_mul32(tuple(
-                tuple(self._reduce(v << (32 + 8 * k)) for v in range(256))
-                for k in range(4)))
-            self.mul_many = _packed_mul_many32
-        else:
-            self.mul = self._mul_slow
+        self.mul_many = _packed_mul_many32 if w == 32 else self._mapped_mul_many
 
     def spec_string(self):
         return f"gf2 w={self.w}"
@@ -324,60 +263,11 @@ class GF2Field(Field):
             x = (x & self.mask) ^ _clmul(hi, low)
         return x
 
-    def _mul_slow(self, a, b):
+    def mul(self, a, b):
         return self._reduce(_clmul(a, b))
 
     def _mapped_mul_many(self, xs, ys) -> list:
         return list(map(self.mul, xs, ys))
-
-    def _mul_log(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[self._log[a] + self._log[b]]
-
-    def _pow_slow(self, a, e):
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_slow(r, a)
-            a = self._mul_slow(a, a)
-            e >>= 1
-        return r
-
-    def _find_generator(self):
-        order = self.order - 1
-        factors = []
-        n = order
-        d = 3
-        while d * d <= n:
-            if n % d == 0:
-                factors.append(d)
-                while n % d == 0:
-                    n //= d
-            d += 2
-        if n > 1:
-            factors.append(n)
-        g = 2
-        while True:
-            if all(self._pow_slow(g, order // f) != 1 for f in factors):
-                return g
-            g += 1
-
-    def _build_log_tables(self):
-        order = self.order - 1
-        gen = self._find_generator()
-        exp = [0] * (2 * order)
-        log = [0] * self.order
-        x = 1
-        for i in range(order):
-            exp[i] = x
-            exp[i + order] = x
-            log[x] = i
-            x = self._mul_slow(x, gen)
-        if x != 1:
-            raise InternalError(f"generator {gen} of GF(2^{self.w}) has the wrong order")
-        self._exp = exp
-        self._log = log
 
     def add(self, a, b):
         return a ^ b
@@ -394,8 +284,6 @@ class GF2Field(Field):
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of zero")
-        if self._log is not None:
-            return self._exp[self.order - 1 - self._log[a]]
         return self.pow(a, self.order - 2)
 
     def pow(self, a, e):
@@ -410,9 +298,6 @@ class GF2Field(Field):
             base = self.mul(base, base)
             e >>= 1
         return r
-
-    def from_int(self, n: int):
-        return n & self.mask
 
     def random(self, rng: Rng, nonzero: bool = False):
         while True:
@@ -430,33 +315,24 @@ class GF2Field(Field):
         return v
 
 
-_FIELD_CACHE: dict[str, Field] = {}
-
-
 def parse_field_spec(spec: str) -> Field:
     """Parse the field spec grammar: ``p=<prime>`` or ``gf2 w=<8|16|32|64>``."""
     key = " ".join(spec.split())
-    cached = _FIELD_CACHE.get(key)
-    if cached is not None:
-        return cached
     try:
         if key.startswith("p="):
-            field = PrimeField(int(key[2:]))
-        elif key.startswith("gf2 w="):
-            field = GF2Field(int(key[6:]))
-        else:
-            raise ValueError(f"unrecognized field spec {spec!r}")
+            return PrimeField(int(key[2:]))
+        if key.startswith("gf2 w="):
+            return GF2Field(int(key[6:]))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    _FIELD_CACHE[key] = field
-    return field
+    raise ParseError(f"unrecognized field spec {spec!r}")
 
 
 def prime_field(p: int = DEFAULT_PRIME) -> PrimeField:
-    """Cached Z_p constructor."""
+    """Z_p constructor."""
     return parse_field_spec(f"p={p}")
 
 
 def gf2(w: int) -> GF2Field:
-    """Cached GF(2^w) constructor (table builds are shared)."""
+    """GF(2^w) constructor."""
     return parse_field_spec(f"gf2 w={w}")

@@ -122,8 +122,6 @@ class SieveRunner:
         extracted = extract_coefficient(substituted, yvars, method,
                                         dec_source=dec_source)
         self.circuit = dead_gate_elimination(extracted)
-        self.needed = set(self.circuit.input_names())
-        self.kind = kind
 
     def run(self, rng: Rng, extra: dict | None = None):
         asg = dict(extra) if extra else {}

@@ -21,7 +21,7 @@ from kronscale.circuit import (
     subset_name,
 )
 from kronscale.errors import InputOutOfRange, ParseError, UnassignedInput
-from kronscale.fields import Rng, gf2, prime_field
+from kronscale.fields import GF2Field, Rng, gf2, prime_field
 
 from _symbolic import expand_circuit
 
@@ -320,6 +320,24 @@ def test_serialize_gf64_bit_exact():
     assert c2 == c
     v = 0x0123456789ABCDEF
     assert evaluate(c2, {"x:{1}": v}) == evaluate(c, {"x:{1}": v})
+
+
+def test_roundtrip_over_a_freshly_parsed_field():
+    # parse builds its own field from the spec line; it equals the
+    # circuit's, so the parsed circuit equals the original and evaluates
+    # the same
+    field = GF2Field(32)
+    bld = CircuitBuilder(field)
+    x, y = bld.inp("x:{1}"), bld.inp("x:{2}")
+    bld.set_outputs([bld.add(bld.mul(x, y), bld.scale(0x8D, x)), bld.mul(x, x)])
+    c = bld.build()
+    c2 = parse(serialize(c))
+    assert c2.field is not field
+    assert c2 == c
+    rng = Rng(9)
+    for _ in range(5):
+        asg = {"x:{1}": field.random(rng), "x:{2}": field.random(rng)}
+        assert evaluate(c2, asg) == evaluate(c, asg)
 
 
 def test_serialize_large_circuit_roundtrip():

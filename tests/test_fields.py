@@ -58,11 +58,11 @@ def test_reduction_polys_are_irreducible():
         x = 2
         frob = x
         for _ in range(w):
-            frob = field._mul_slow(frob, frob)
+            frob = field.mul(frob, frob)
         assert frob == x, f"x^(2^{w}) != x for width {w}"
         half = x
         for _ in range(w // 2):
-            half = field._mul_slow(half, half)
+            half = field.mul(half, half)
         assert _poly_gcd_gf2(half ^ x, f) == 1, f"poly for width {w} not irreducible"
 
 
@@ -86,8 +86,8 @@ def test_gf2_mul_matches_schoolbook_oracle(w):
         assert field.mul_many(xs, ys) == want[:length], length
 
 
-@pytest.mark.parametrize("spec", ["p=101", "p=2305843009213693951", "gf2 w=8", "gf2 w=32",
-                                  "gf2 w=64"])
+@pytest.mark.parametrize("spec", ["p=101", "p=2305843009213693951", "gf2 w=8", "gf2 w=16",
+                                  "gf2 w=32", "gf2 w=64"])
 def test_batch_ops_match_scalar_ops(spec):
     field = parse_field_spec(spec)
     rng = Rng(31)
@@ -124,7 +124,8 @@ def test_char2_self_cancel():
     assert g.add(a, a) == 0
 
 
-@pytest.mark.parametrize("spec", ["p=2305843009213693951", "p=101", "gf2 w=8", "gf2 w=32"])
+@pytest.mark.parametrize("spec", ["p=2305843009213693951", "p=101", "gf2 w=8", "gf2 w=16",
+                                  "gf2 w=32", "gf2 w=64"])
 def test_inverse_against_extended_euclid(spec):
     field = parse_field_spec(spec)
     rng = Rng(42)
@@ -207,6 +208,18 @@ def test_gf2_frobenius(w):
         lhs = g.mul(g.add(a, b), g.add(a, b))
         rhs = g.add(g.mul(a, a), g.mul(b, b))
         assert lhs == rhs
+
+
+def test_equal_fields_are_interchangeable_values():
+    # a field keeps no tables and no cache: fields built separately are
+    # distinct objects that compare and hash equal by spec string
+    pairs = [(GF2Field(32), gf2(32)), (PrimeField(101), prime_field(101)),
+             (GF2Field(8), parse_field_spec("gf2   w=8"))]
+    for built, made in pairs:
+        assert built is not made
+        assert built == made and hash(built) == hash(made)
+    assert gf2(32) is not gf2(32)
+    assert gf2(32) != gf2(16) and prime_field(101) != prime_field(103)
 
 
 def test_spec_string_roundtrip():

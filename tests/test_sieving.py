@@ -9,7 +9,7 @@ from kronscale.errors import (
     FieldTooSmall,
     ShapeError,
 )
-from kronscale.fields import Rng, gf2, prime_field
+from kronscale.fields import GF2Field, Rng, gf2, prime_field
 from kronscale.sieving import (
     DirectedGraph,
     SieveMatrix,
@@ -105,6 +105,20 @@ def test_det_sieve_no_multilinear_term():
     c = _monomial_circuit([2, 1])  # x1^2 x2: P* is identically zero
     a = SieveMatrix(F, tuple(tuple(F.random(rng) for _ in range(2)) for _ in range(3)))
     assert not det_sieve(c, a, rng, trials=20)
+
+
+def test_runner_accepts_a_matrix_over_a_separately_built_field():
+    # fields are plain values: a GF(2^32) built on its own equals the
+    # circuit's, so the runner takes the matrix and sieves over it
+    field = gf2(32)
+    bld = CircuitBuilder(field)
+    bld.set_outputs([bld.mul(bld.inp("x:{1}"), bld.inp("x:{2}"))])
+    other = GF2Field(32)
+    a = SieveMatrix(other, ((other.one, other.zero), (other.zero, other.one)))
+    assert a.field is not field
+    runner = SieveRunner(bld.build(), a, "det", "direct")
+    rng = Rng(16)
+    assert any(runner.run(rng.split()) != field.zero for _ in range(5))
 
 
 def test_det_sieve_requires_char2():
