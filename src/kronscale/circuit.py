@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 
-from .errors import InputOutOfRange, ParseError, UnassignedInput
+from .errors import InputOutOfRange, ParseError, UnassignedInput, content_lines
 from .fields import Field, parse_field_spec
 
 OP_IN = 0
@@ -406,10 +406,7 @@ def parse(text: str) -> Circuit:
     gates = []
     outputs = None
     saw_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         toks = line.split()
         if not saw_header:
             if toks != ["circuit", "v1"]:
@@ -433,7 +430,7 @@ def parse(text: str) -> Circuit:
             continue
         if field is None:
             raise ParseError("gate before field declaration", lineno)
-        if len(toks) < 3 and kind != "out":
+        if len(toks) < 3:
             raise ParseError(f"truncated {kind} record", lineno)
         try:
             gid = int(toks[1])

@@ -9,10 +9,10 @@ materialized.
 
 * direct: the 2^n subset dynamic program, one layer over all those
   components; the output is the full-set entry of (output, n);
-* tri (tripartition): cut at degrees n/3 and 2n/3, fill the bottom
-  layer once and the middle and top layers once per cut component, and
-  combine each cut pair through the P_{n/3}[[n]] circuit of the scaling
-  module.
+* tri (tripartition): cut at degrees n/3 and 2n/3, fill each of the
+  three layers once, the two upper ones with every cut component as its
+  own fresh variable, and combine each cut pair through the
+  P_{n/3}[[n]] circuit of the scaling module.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .circuit import (
     CircuitBuilder,
     analyze_skew,
     formal_degrees,
+    mask_bits,
     replay,
 )
 from .errors import NotSkew, SingleOutputRequired
@@ -79,19 +80,19 @@ def _seed_tables(circ: Circuit, var_bit: dict, bld: CircuitBuilder) -> dict:
 
 
 def _run_layer(bld: CircuitBuilder, gates, degs, reach, lo: int, hi: int,
-               tables: dict, low_tables: dict | None = None) -> dict:
+               tables: dict) -> dict:
     """Fill tables[(gid, k)] for the reached components with lo < k <= hi;
     returns tables.
 
-    A table maps a variable-set mask to the gate (in bld) computing its
-    coefficient.  Each mul reads its lower-degree side from low_tables
-    (default: tables) and its other side from tables.  A layer above a cut
-    reads the low side from the bottom tables: 1-skewness keeps that side
-    at degree <= 1, so its partner sits at degree >= lo, in the layer or
-    at the cut, and no product ever joins two cut values (the structural
-    linear-in-Y guarantee, checked below).
+    A table maps a key to the gate (in bld) computing its coefficient; a
+    key's low n bits are a variable-set mask.  A layer above a cut (lo >= 0)
+    is seeded with the bottom's components of degree <= 1 and with the cut
+    components, each a fresh variable keyed by its index above the mask
+    bits.  1-skewness keeps every mul's low side at degree <= 1, in the
+    seeds, and its other side at degree >= lo, in the layer or at the cut,
+    so no product joins two cut values and every entry is linear in the
+    cut seeds (the structural linear-in-Y guarantee, checked below).
     """
-    low_tables = tables if low_tables is None else low_tables
     for gid, (op, payload) in enumerate(gates):
         if op in (OP_IN, OP_CONST):
             continue  # seeded
@@ -107,11 +108,11 @@ def _run_layer(bld: CircuitBuilder, gates, degs, reach, lo: int, hi: int,
                 a, b = payload
                 if degs[a] > degs[b]:
                     a, b = b, a
-                if low_tables is not tables and degs[a] > 1:
+                if lo >= 0 and degs[a] > 1:
                     raise NotSkew("cut layer would multiply two cut values")
                 for i in range(min(degs[a], k) + 1):
                     high = tables.get((b, k - i), {})
-                    for t_mask, gl in low_tables.get((a, i), {}).items():
+                    for t_mask, gl in tables.get((a, i), {}).items():
                         for r_mask, gh in high.items():
                             if not t_mask & r_mask:
                                 acc.setdefault(t_mask | r_mask, []).append(bld.mul(gl, gh))
@@ -191,11 +192,8 @@ def _multilinearize(circ: Circuit, variables, cap: int) -> Circuit:
             for k in range(degs[a] + 1):
                 for t_mask, coeff_gate in low_tables.get((a, k), {}).items():
                     term = new[b]
-                    m = t_mask
-                    while m:
-                        bit = (m & -m).bit_length() - 1
+                    for bit in mask_bits(t_mask):
                         term = bld.mul(term, bld.inp(bit_var[bit]))
-                        m &= m - 1
                     terms.append(bld.mul(term, coeff_gate))
             new.append(bld.add(*terms))
     bld.set_outputs([new[o] for o in circ.outputs])
@@ -212,12 +210,12 @@ def extract_coeff_tripartition(circ: Circuit, variables,
     one: padding the kpath-tri benchmark circuit (k=5, six sieve
     variables) to 6 instead of 9 grows it from 16,289 to 22,858 arcs.
     Gates are sliced by homogeneous degree; components of degree n/3 and
-    2n/3 become cut variables, the middle and top multilinear tables come
-    from basis substitutions of the cut variables, and every (cut1, cut2)
-    pair feeds one restricted instantiation of the tripartitioning
-    circuit.  The combining P_{n/3}[[n]] circuit uses blocks of b, groups
-    of g (default n/(3b)) and the decomposition provider dec_source
-    (default: the trivial one).
+    2n/3 become fresh cut variables.  The middle and top layers each run
+    once, linear in all of them, and their tables split per cut
+    component; every (cut1, cut2) pair feeds one restricted instantiation
+    of the tripartitioning circuit.  The combining P_{n/3}[[n]] circuit
+    uses blocks of b, groups of g (default n/(3b)) and the decomposition
+    provider dec_source (default: the trivial one).
     """
     if len(circ.outputs) != 1:
         raise SingleOutputRequired("extraction needs a single-output circuit")
@@ -244,16 +242,21 @@ def extract_coeff_tripartition(circ: Circuit, variables,
     cut1 = sorted(c for c in reach if c[1] == n3)
     cut2 = sorted(c for c in reach if c[1] == 2 * n3)
     f_tables = [bottom.get(c, {}) for c in cut1]
-    # middle: per cut1 basis vector, the tables of the cut2 components
-    g_tables = []
-    for c1 in cut1:
-        middle = _run_layer(bld, gates, degs, reach, n3, 2 * n3, {c1: {0: bld.one}}, bottom)
-        g_tables.append([middle.get(c2, {}) for c2 in cut2])
-    # top: per cut2 basis vector, the table of the output component
-    h_tables = []
-    for c2 in cut2:
-        top = _run_layer(bld, gates, degs, reach, 2 * n3, n, {c2: {0: bld.one}}, bottom)
-        h_tables.append(top.get((out, n), {}))
+    # one pass per layer, each cut component i seeded as the fresh variable
+    # i << n; splitting the keys by key >> n gives the per-component tables
+    low = {c: t for c, t in bottom.items() if c[1] <= 1}
+    middle = _run_layer(bld, gates, degs, reach, n3, 2 * n3,
+                        {c: {i << n: bld.one} for i, c in enumerate(cut1)} | low)
+    top = _run_layer(bld, gates, degs, reach, 2 * n3, n,
+                     {c: {i << n: bld.one} for i, c in enumerate(cut2)} | low)
+    full = (1 << n) - 1
+    g_tables = [[{} for _ in cut2] for _ in cut1]
+    for j, c2 in enumerate(cut2):
+        for key, gate in middle.get(c2, {}).items():
+            g_tables[key >> n][j][key & full] = gate
+    h_tables = [{} for _ in cut2]
+    for key, gate in top.get((out, n), {}).items():
+        h_tables[key >> n][key & full] = gate
 
     scheme = PScalingScheme(n3, b, g, circ.field, dec_source=dec_source)
     pair_outputs = []

@@ -10,9 +10,9 @@ multiply at every width, the bit-serial carryless product and reduction.
 Every field also has two batch operations, which circuit evaluation calls
 once per level: `mul_many(xs, ys)`, the products of two equal-length
 operand sequences, and `sum_many(values, spans)`, the sum of
-`values[span]` for each slice in spans.  At w = 32 (the sieve default)
-`mul_many` multiplies all its pairs at once in the 64-bit lanes of one
-Python int; elsewhere it maps the scalar `mul`.
+`values[span]` for each slice in spans.  Over GF(2^w) `mul_many`
+multiplies all its pairs at once in the lanes of one Python int, at
+every width.
 
 The random generator is SplitMix64, a fixed, versioned, splittable
 generator: identical seeds give identical streams on every platform.
@@ -199,42 +199,14 @@ def _clmul(a: int, b: int) -> int:
     return r
 
 
-def _packed_mul_many32(xs, ys) -> list:
-    """Exact GF(2^32) products of the pairs (xs[i], ys[i]), all at once.
-
-    Each operand list is packed into the 64-bit lanes of one Python int,
-    read in the host's byte order so that every lane holds one operand.
-    Bit i of every lane of y, spread to a 32-bit mask, selects x shifted by
-    i, so 32 rounds of AND, shift and XOR give every lane's carryless
-    product; at most 63 bits wide, it never reaches the next lane.  Two
-    folds by x^32 = x^7 + x^3 + x^2 + 1 (REDUCTION_POLY_LOW[32]) reduce
-    the <= 31 high bits of each lane, then the <= 6 bits the first fold
-    pushed past bit 31.
-    """
-    a = array("Q", xs)
-    n = len(a)
-    x = int.from_bytes(a, sys.byteorder)
-    y = int.from_bytes(array("Q", ys), sys.byteorder)
-    ones = int.from_bytes(array("Q", [1]) * n, sys.byteorder)
-    r = 0
-    for i in range(32):
-        bit = (y >> i) & ones
-        r ^= (x & ((bit << 32) - bit)) << i
-    low = (ones << 32) - ones
-    for _ in range(2):
-        h = (r >> 32) & low
-        r = (r & low) ^ h ^ (h << 2) ^ (h << 3) ^ (h << 7)
-    return array("Q", r.to_bytes(8 * n, sys.byteorder)).tolist()
-
-
 class GF2Field(Field):
     """GF(2^w) for w in {8, 16, 32, 64} with a fixed reduction polynomial.
 
     Elements are w-bit ints.  `mul` is the bit-serial carryless product
-    (`_clmul`) reduced modulo the field polynomial (`_reduce`) at every
-    width; the field keeps no tables.  `mul_many` packs its operands into
-    64-bit lanes at w = 32 (`_packed_mul_many32`) and maps `mul` at the
-    other widths; `sum_many` XORs each span.
+    (`_clmul`) reduced modulo the field polynomial (`_reduce`); `mul_many`
+    packs all its operands into one int and folds by the set bits of the
+    polynomial's low part; `sum_many` XORs each span.  The field keeps no
+    tables.
     """
 
     kind = "gf2"
@@ -250,7 +222,7 @@ class GF2Field(Field):
         self.order = 1 << w
         self.zero = 0
         self.one = 1
-        self.mul_many = _packed_mul_many32 if w == 32 else self._mapped_mul_many
+        self.folds = tuple(s for s in range(w) if self.poly_low >> s & 1)
 
     def spec_string(self):
         return f"gf2 w={self.w}"
@@ -266,8 +238,42 @@ class GF2Field(Field):
     def mul(self, a, b):
         return self._reduce(_clmul(a, b))
 
-    def _mapped_mul_many(self, xs, ys) -> list:
-        return list(map(self.mul, xs, ys))
+    def mul_many(self, xs, ys) -> list:
+        """Exact GF(2^w) products of the pairs (xs[i], ys[i]), all at once.
+
+        Each operand list is packed into one Python int, read in the host's
+        byte order so that each operand fills one 64-bit word; at w = 64 the
+        operands alternate with zero words.  Either way each operand has at
+        least w - 1 free bits above it, or is the top word, so its carryless
+        product never reaches the next operand.  Bit i of every operand of y,
+        spread to a w-bit mask, selects x shifted by i, so w rounds of AND,
+        shift and XOR give every carryless product.  Two folds by x^w = the
+        sum of x^s over the fold shifts s (the set bits of
+        REDUCTION_POLY_LOW[w]) reduce each product's w - 1 high bits, then
+        the few bits the first fold pushed past bit w - 1.
+        """
+        w, folds = self.w, self.folds
+        words = 1 if w <= 32 else 2
+        a = array("Q", xs)
+        n = len(a)
+        lanes = array("Q", bytes(8 * words * n))
+
+        def pack(values) -> int:
+            lanes[::words] = values
+            return int.from_bytes(lanes, sys.byteorder)
+
+        x, y, ones = pack(a), pack(array("Q", ys)), pack(array("Q", [1]) * n)
+        r = 0
+        for i in range(w):
+            bit = (y >> i) & ones
+            r ^= (x & ((bit << w) - bit)) << i
+        low = (ones << w) - ones
+        for _ in range(2):
+            h = (r >> w) & low
+            r &= low
+            for s in folds:
+                r ^= h << s
+        return array("Q", r.to_bytes(8 * words * n, sys.byteorder))[::words].tolist()
 
     def add(self, a, b):
         return a ^ b

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .circuit import mask_bits, mask_of
-from .errors import ParseError, ShapeError, TooLarge, int_fields
+from .errors import ParseError, ShapeError, TooLarge, content_lines, int_fields
 from .fields import Field, parse_field_spec
 
 MAX_GROUND = 63
@@ -230,10 +230,7 @@ def parse_decomposition(text: str) -> RankDecomposition:
     mats = {"U": [], "V": [], "W": []}
     section = None
     saw_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if not saw_header:
             if line != "rankdec v1":
                 raise ParseError("expected 'rankdec v1' header", lineno)

@@ -1,13 +1,18 @@
 import pytest
 
 from conftest import random_skew_circuit
-from kronscale.circuit import CircuitBuilder, evaluate
+from kronscale import coeffx
+from kronscale.circuit import CircuitBuilder, evaluate, formal_degrees
 from kronscale.coeffx import (
+    _reach,
+    _run_layer,
+    _seed_tables,
     extract_coeff_direct,
     extract_coeff_tripartition,
     extract_coefficient,
     pad_degree,
 )
+from kronscale.counting import build_hafnian_circuit, hafnian_clow_circuit
 from kronscale.errors import NotSkew
 from kronscale.fields import Rng, gf2, prime_field
 
@@ -199,3 +204,96 @@ def test_tripartition_reports_when_the_full_monomial_cannot_appear():
     out = extract_coeff_tripartition(full_product_circuit(F, names[:2]), names)
     assert evaluate(out, {}) == (0,)
     assert out.meta == {"method": "tri", "s": 0, "t": 0, "table_entries": 0}
+
+
+def layered_1skew_circuit(field, rng, names, width):
+    """Degree-len(names) circuit with `width` gates per degree: each is a sum
+    of two products of a gate one degree down and a random linear form of
+    three variables, whose coefficients are constants or the carried input
+    v:w.  Every degree has several gates, so both cuts have several
+    components."""
+    bld = CircuitBuilder(field)
+    xs = [bld.inp(nm) for nm in names]
+    w = bld.inp("v:w")
+
+    def linear():
+        terms = []
+        for _ in range(3):
+            coeff = w if rng.below(2) else bld.const(field.random(rng, nonzero=True))
+            terms.append(bld.mul(coeff, rng.choice(xs)))
+        return bld.add(*terms)
+
+    level = [linear() for _ in range(width)]
+    for _ in range(len(names) - 1):
+        level = [bld.add(*[bld.mul(rng.choice(level), linear()) for _ in range(2)])
+                 for _ in range(width)]
+    bld.set_outputs([bld.add(*level)])
+    return bld.build()
+
+
+def test_tripartition_splits_several_cut_components():
+    rng = Rng(4242)
+    names = names_for(9)
+    for width in (2, 3, 3):
+        c = layered_1skew_circuit(F, rng, names, width)
+        direct = extract_coefficient(c, names, "direct")
+        tri = extract_coefficient(c, names, "tri")
+        assert tri.meta["s"] >= 2 and tri.meta["t"] >= 2, tri.meta
+        values = set()
+        for _ in range(3):
+            asg = {"v:w": F.random(rng)}
+            got = evaluate(tri, asg)
+            assert got == evaluate(direct, asg)
+            values.add(got)
+        assert len(values) > 1  # the coefficient depends on v:w
+
+
+def test_tripartition_runs_each_layer_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[4:6])
+        return _run_layer(*args)
+
+    monkeypatch.setattr(coeffx, "_run_layer", counted)
+    circ, xvars = pad_degree(*hafnian_clow_circuit(12, F))
+    out = extract_coeff_tripartition(circ, xvars)
+    # one pass per cut component would make 1 + 309 + 71 calls
+    assert (out.meta["s"], out.meta["t"]) == (309, 71)
+    assert calls == [(-1, 3), (3, 6), (6, 9)]
+
+
+def test_hafnian_tri_sizes_are_pinned():
+    circ = build_hafnian_circuit(12, "tri")
+    assert (len(circ.gates), circ.size) == (5607, 12431)
+    assert circ.meta == {"method": "tri", "s": 309, "t": 71, "table_entries": 3238}
+
+
+def _two_degree_product():
+    # (x0 * x1) * (x2 * x3): the outer mul's low side has degree 2
+    names = names_for(4)
+    bld = CircuitBuilder(F)
+    xs = [bld.inp(nm) for nm in names]
+    inner = (bld.mul(xs[0], xs[1]), bld.mul(xs[2], xs[3]))
+    bld.set_outputs([bld.mul(*inner)])
+    circ = bld.build()
+    degs = formal_degrees(circ, set(names))
+    return circ, names, degs, inner, _reach(circ.gates, degs, [(circ.outputs[0], 4)])
+
+
+def test_cut_layer_refuses_to_multiply_two_cut_values():
+    # a layer above a cut at degree 2, both inner products seeded as cut values
+    circ, _, degs, inner, reach = _two_degree_product()
+    bld = CircuitBuilder(F)
+    seeds = {(gid, 2): {i << 4: bld.one} for i, gid in enumerate(inner)}
+    with pytest.raises(NotSkew, match="two cut values"):
+        _run_layer(bld, circ.gates, degs, reach, 2, 4, seeds)
+
+
+def test_bottom_layer_multiplies_components_of_any_degree():
+    # the bottom layer (and the direct route) has no cut to keep linear
+    circ, names, degs, _, reach = _two_degree_product()
+    bld = CircuitBuilder(F)
+    tables = _seed_tables(circ, {name: i for i, name in enumerate(names)}, bld)
+    _run_layer(bld, circ.gates, degs, reach, -1, 4, tables)
+    assert tables[(circ.outputs[0], 4)] == {0b1111: bld.one}

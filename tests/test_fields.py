@@ -94,6 +94,8 @@ def test_batch_ops_match_scalar_ops(spec):
     xs = [field.random(rng) for _ in range(200)]
     ys = [field.random(rng) for _ in range(200)]
     assert field.mul_many(xs, ys) == [field.mul(a, b) for a, b in zip(xs, ys)]
+    assert field.mul_many([], []) == []
+    assert field.mul_many(xs[:1], ys[:1]) == [field.mul(xs[0], ys[0])]
     spans, start = [], 0
     while start < len(xs):
         stop = min(len(xs), start + 1 + rng.below(5))
