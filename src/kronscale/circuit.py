@@ -8,14 +8,18 @@ only make binary ones.  Size is the arc count: the sum of gate fan-ins.
 `evaluate` runs level by level from the circuit's plan: inputs and
 constants are level 0, a gate sits one level above its deepest argument,
 and each level is one batch of field multiplications (`mul_many`) and one
-of sums (`sum_many`).  The plan is built on the first evaluation and held
-by the `Circuit` itself, so it lives and dies with the circuit.
+of sums (`sum_many`), over the add gates grouped by arity.  The plan holds
+one `operator.itemgetter` per operand list, so each batch gathers its
+operands in one C-level call.  It is built on the first evaluation and
+held by the `Circuit` itself, so it lives and dies with the circuit and
+its cost stays out of every build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import InputOutOfRange, ParseError, UnassignedInput, content_lines
 from .fields import Field, parse_field_spec
@@ -219,15 +223,28 @@ class CircuitBuilder:
         return Circuit(self.field, tuple(self.gates), tuple(self.outputs))
 
 
+def _getter(slots):
+    """A function from the value list to the tuple of its entries at
+    `slots`, or None when there are none."""
+    if len(slots) == 1:
+        (i,) = slots
+        return lambda vals: (vals[i],)
+    return itemgetter(*slots) if slots else None
+
+
 def _level_plan(gates, outputs) -> tuple:
     """(inputs, consts, levels, outputs): gates grouped by depth, with
     every value in one list of slots.
 
     The slots hold the inputs in gate order, then the constants, then per
-    level its mul gates and then its add gates.  `inputs` and `consts`
-    are the input names and constant values, `outputs` the output slots.
-    A level is (A, B, args, spans): mul gate j multiplies slots A[j] and
-    B[j], and add gate j sums the slots args[spans[j]].  Every gate is
+    level its mul gates and then its add gates, grouped by arity.
+    `inputs` and `consts` are the input names and constant values,
+    `outputs` the output slots.  A level is (xs, ys, args, groups): each
+    of the first three maps the value list to the operand tuple it
+    gathers, or is None for a level without such gates.  Mul gate j
+    multiplies xs(vals)[j] and ys(vals)[j].  The add gates' arguments
+    come in `groups`, pairs (k, n) of n gates of arity k whose k * n
+    arguments follow each other row by row in args(vals).  Every gate is
     planned, reached or not, so each input needs a value.
     """
     depth = [0] * len(gates)
@@ -256,17 +273,21 @@ def _level_plan(gates, outputs) -> tuple:
     levels = []
     for level_muls, level_adds in zip(muls, adds):
         pairs = [gates[gid][1] for gid in level_muls]
-        a = tuple([slot[x] for x, _ in pairs])
-        b = tuple([slot[y] for _, y in pairs])
-        args, spans = [], []
+        xs = [slot[x] for x, _ in pairs]
+        ys = [slot[y] for _, y in pairs]
+        by_arity: dict[int, list] = {}
         for gid in level_adds:
-            start = len(args)
-            args += map(slot.__getitem__, gates[gid][1])
-            spans.append(slice(start, len(args)))
-        for i, gid in enumerate(level_muls + level_adds, used):
+            by_arity.setdefault(len(gates[gid][1]), []).append(gid)
+        args, groups, ordered = [], [], list(level_muls)
+        for k, group in by_arity.items():
+            for gid in group:
+                args += map(slot.__getitem__, gates[gid][1])
+            groups.append((k, len(group)))
+            ordered += group
+        for i, gid in enumerate(ordered, used):
             slot[gid] = i
-        used += len(level_muls) + len(level_adds)
-        levels.append((a, b, tuple(args), tuple(spans)))
+        used += len(ordered)
+        levels.append((_getter(xs), _getter(ys), _getter(args), tuple(groups)))
     return (tuple(gates[gid][1] for gid in inputs), tuple(gates[gid][1] for gid in consts),
             tuple(levels), tuple(slot[o] for o in outputs))
 
@@ -291,14 +312,13 @@ def evaluate(circ: Circuit, assignment: dict) -> tuple:
             raise InputOutOfRange(f"value {v} for input {name!r} is outside [0, {order})")
         vals.append(v)
     vals += consts
-    get = vals.__getitem__
     mul_many, sum_many = field.mul_many, field.sum_many
-    for a, b, args, spans in levels:
-        if a:
-            vals += mul_many(map(get, a), map(get, b))
-        if spans:
-            vals += sum_many(list(map(get, args)), spans)
-    return tuple(map(get, outputs))
+    for xs, ys, args, groups in levels:
+        if xs:
+            vals += mul_many(xs(vals), ys(vals))
+        if args:
+            vals += sum_many(args(vals), groups)
+    return tuple(map(vals.__getitem__, outputs))
 
 
 def formal_degrees(circ: Circuit, variables=None) -> list[int]:
@@ -368,11 +388,14 @@ def replay(circ: Circuit, bld: CircuitBuilder, input_map=None) -> list:
 
 
 def dead_gate_elimination(circ: Circuit) -> Circuit:
-    """Explicit pass: drop gates unreachable from the outputs."""
+    """Explicit pass: drop gates unreachable from the outputs, keeping the
+    circuit's meta."""
     bld = CircuitBuilder(circ.field)
     new = replay(circ, bld)
     bld.set_outputs(new[o] for o in circ.outputs)
-    return bld.build()
+    result = bld.build()
+    result.meta.update(circ.meta)
+    return result
 
 
 def serialize(circ: Circuit) -> str:

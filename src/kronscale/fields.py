@@ -9,10 +9,12 @@ multiply at every width, the bit-serial carryless product and reduction.
 
 Every field also has two batch operations, which circuit evaluation calls
 once per level: `mul_many(xs, ys)`, the products of two equal-length
-operand sequences, and `sum_many(values, spans)`, the sum of
-`values[span]` for each slice in spans.  Over GF(2^w) `mul_many`
-multiplies all its pairs at once in the lanes of one Python int, at
-every width.
+operand sequences, and `sum_many(values, groups)`, the sums of
+consecutive runs of values: a group (k, n) takes the next k * n values
+as n rows of k and sums each row.  Over GF(2^w) `mul_many` multiplies
+all its pairs at once in the lanes of one Python int, a 4-bit window at
+a time, at every width, and `sum_many` XORs a group's k columns, each
+one strided slice.
 
 The random generator is SplitMix64, a fixed, versioned, splittable
 generator: identical seeds give identical streams on every platform.
@@ -23,7 +25,6 @@ from __future__ import annotations
 import operator
 import sys
 from array import array
-from functools import reduce
 
 from .errors import DivisionByZero, ParseError
 
@@ -160,9 +161,15 @@ class PrimeField(Field):
     def mul_many(self, xs, ys) -> list:
         return list(map(self.p.__rmod__, map(operator.mul, xs, ys)))
 
-    def sum_many(self, values, spans) -> list:
+    def sum_many(self, values, groups) -> list:
         p = self.p
-        return [sum(values[s]) % p for s in spans]
+        out, start = [], 0
+        for k, n in groups:
+            stop = start + k * n
+            rows = zip(*[iter(values[start:stop])] * k)
+            out += map(p.__rmod__, map(sum, rows))
+            start = stop
+        return out
 
     def inv(self, a):
         if a == 0:
@@ -203,10 +210,15 @@ class GF2Field(Field):
     """GF(2^w) for w in {8, 16, 32, 64} with a fixed reduction polynomial.
 
     Elements are w-bit ints.  `mul` is the bit-serial carryless product
-    (`_clmul`) reduced modulo the field polynomial (`_reduce`); `mul_many`
-    packs all its operands into one int and folds by the set bits of the
-    polynomial's low part; `sum_many` XORs each span.  The field keeps no
-    tables.
+    (`_clmul`) reduced modulo the field polynomial (`_reduce`).
+    `mul_many` packs all its operands into one int, one lane each, and
+    forms every carryless product at once by a Horner scheme over 4-bit
+    windows of y: one subtraction per bit makes the mask that selects
+    x << k, and each lane's headroom (at least w - 1 free bits above the
+    operand, and a mask bit above x << 3) keeps borrows and products
+    inside it.  It then folds by the set bits of the polynomial's low
+    part.  `sum_many` XORs the columns of each arity group.  The field
+    keeps no tables.
     """
 
     kind = "gf2"
@@ -245,12 +257,20 @@ class GF2Field(Field):
         byte order so that each operand fills one 64-bit word; at w = 64 the
         operands alternate with zero words.  Either way each operand has at
         least w - 1 free bits above it, or is the top word, so its carryless
-        product never reaches the next operand.  Bit i of every operand of y,
-        spread to a w-bit mask, selects x shifted by i, so w rounds of AND,
-        shift and XOR give every carryless product.  Two folds by x^w = the
-        sum of x^s over the fold shifts s (the set bits of
-        REDUCTION_POLY_LOW[w]) reduce each product's w - 1 high bits, then
-        the few bits the first fold pushed past bit w - 1.
+        product never reaches the next operand.
+
+        The product is a Horner scheme over the nibbles of y, from the top:
+        shift the partial product up by 4, then add x shifted by k wherever
+        bit k of the nibble is set, for k = 0..3.  The selecting mask comes
+        from one subtraction per bit, `(ones << (w + k)) - (bit k of y)`,
+        which is either the single bit w + k, among the free bits, or the
+        bits k..w + k - 1 of each lane: the borrow never leaves the lane, and
+        x << k, at most w + k bits, never meets the lone bit.  After each shift the partial product
+        is x times the top nibbles of y, shifted, so it never has more bits
+        than the full product.  Two folds by x^w = the sum of x^s over the fold
+        shifts s (the set bits of REDUCTION_POLY_LOW[w]) reduce each
+        product's w - 1 high bits, then the few bits the first fold pushed
+        past bit w - 1.
         """
         w, folds = self.w, self.folds
         words = 1 if w <= 32 else 2
@@ -263,10 +283,13 @@ class GF2Field(Field):
             return int.from_bytes(lanes, sys.byteorder)
 
         x, y, ones = pack(a), pack(array("Q", ys)), pack(array("Q", [1]) * n)
+        window = [(x << k, ones << k, ones << (w + k)) for k in range(4)]
         r = 0
-        for i in range(w):
-            bit = (y >> i) & ones
-            r ^= (x & ((bit << w) - bit)) << i
+        for p in range(w - 4, -1, -4):
+            t = y >> p
+            r <<= 4
+            for xk, bit, top in window:
+                r ^= xk & (top - (t & bit))
         low = (ones << w) - ones
         for _ in range(2):
             h = (r >> w) & low
@@ -280,9 +303,17 @@ class GF2Field(Field):
 
     sub = add
 
-    def sum_many(self, values, spans) -> list:
+    def sum_many(self, values, groups) -> list:
         xor = operator.xor
-        return [reduce(xor, values[s]) for s in spans]
+        out, start = [], 0
+        for k, n in groups:
+            stop = start + k * n
+            acc = values[start:stop:k]
+            for c in range(start + 1, start + k):
+                acc = list(map(xor, acc, values[c:stop:k]))
+            out += acc
+            start = stop
+        return out
 
     def neg(self, a):
         return a

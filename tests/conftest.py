@@ -7,12 +7,15 @@ from kronscale.circuit import CircuitBuilder
 from kronscale.fields import Rng
 
 
-def random_skew_circuit(field, rng: Rng, var_names, n_gates=40, q=1, force_degree=None):
+def random_skew_circuit(field, rng: Rng, var_names, n_gates=40, q=1, full_monomial=False):
     """Random q-skew circuit over the given variables.
 
     Gates mix adds and muls; every mul keeps one side of formal degree <= q.
-    When force_degree is set, the output is multiplied up to at least that
-    formal degree using degree-1 factors.
+    When full_monomial is set, the random output o becomes (o + 1) times
+    the degree-1 gate c_i x_i + d_i of every variable, in a random order.
+    The coefficient of the product of all the variables is then
+    prod c_i * (1 + o_ml(d / c)), with o_ml the multilinear part of o: it
+    is nonzero unless o_ml takes the value -1 at that point.
     """
     bld = CircuitBuilder(field)
     xs = [bld.inp(name) for name in var_names]
@@ -23,6 +26,7 @@ def random_skew_circuit(field, rng: Rng, var_names, n_gates=40, q=1, force_degre
         g = bld.add(bld.mul(bld.const(c), x), bld.const(field.random(rng)))
         degs[g] = 1
         low_pool.append(g)
+    forms = low_pool[len(xs):]
     for _ in range((q - 1) * len(xs)):
         a = rng.choice([g for g in low_pool if degs[g] < q])
         b = rng.choice(xs)
@@ -42,11 +46,10 @@ def random_skew_circuit(field, rng: Rng, var_names, n_gates=40, q=1, force_degre
             degs[g] = degs[a] + degs[b]
         pool.append(g)
     out = pool[-1]
-    if force_degree is not None:
-        while degs[out] < force_degree:
-            b = rng.choice(xs)
-            new = bld.mul(out, b)
-            degs[new] = degs[out] + 1
-            out = new
+    if full_monomial:
+        out = bld.add(out, bld.one)
+        rng.shuffle(forms)
+        for g in forms:
+            out = bld.mul(out, g)
     bld.set_outputs([out])
     return bld.build()

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_skew_circuit
@@ -260,6 +260,58 @@ def test_evaluate_matches_naive_recursive(field):
         want = scalar_eval(c, asg)
         assert naive_eval(c, asg) == want
         assert evaluate(c, asg) == want
+
+
+def _layered_circuit(field, rng, shape, n_inputs, n_random_outputs):
+    """Gates straight from a shape, with no folding: level i + 1 has
+    shape[i] = (muls, add arities), and one argument of each gate comes
+    from the level below, so the gate sits exactly on its level.  Inputs
+    and constants are level 0, and an input that nothing reads comes
+    last.  The outputs are `n_random_outputs` random gates, then the first
+    input and both constants."""
+    gates = [(OP_IN, f"v:x{i}") for i in range(n_inputs)]
+    gates += [(OP_CONST, field.random(rng)), (OP_CONST, field.one)]
+    below = list(range(len(gates)))
+    for muls, arities in shape:
+        earlier, level = len(gates), []
+        for arity in [2] * muls + list(arities):
+            args = [rng.choice(below)] + [rng.below(earlier) for _ in range(arity - 1)]
+            rng.shuffle(args)
+            level.append((OP_MUL if len(level) < muls else OP_ADD, tuple(args)))
+        if level:
+            gates += level
+            below = list(range(earlier, len(gates)))
+    outputs = tuple(rng.below(len(gates)) for _ in range(n_random_outputs))
+    gates.append((OP_IN, "v:unread"))
+    return Circuit(field, tuple(gates), outputs + (0, n_inputs, n_inputs + 1))
+
+
+_LEVEL = st.tuples(st.integers(0, 3), st.lists(st.integers(1, 9), max_size=6))
+
+
+@pytest.mark.parametrize("field", [prime_field(101), gf2(8), gf2(32)],
+                         ids=lambda f: f.spec_string())
+@settings(max_examples=40, deadline=None)
+@example(shape=[(1, [2]), (1, [2]), (0, [2, 3, 4, 5, 6, 7, 8, 9])], seed=1)
+@example(shape=[(0, [9, 2, 5, 2, 9, 1]), (1, [3]), (2, [])], seed=2)
+@given(shape=st.lists(_LEVEL, min_size=1, max_size=5), seed=st.integers(0, 2**32))
+def test_evaluate_matches_scalar_reference_level_by_level(field, shape, seed):
+    # levels with one mul and one add, mixed add arities in one level, and
+    # outputs that are inputs (gate 0) or constants (the two after the
+    # inputs), against one field operation at a time
+    rng = Rng(seed)
+    circ = _layered_circuit(field, rng, shape, 3, 4)
+    assert len(circ.plan[2]) == sum(1 for m, adds in shape if m or adds)
+    every = Circuit(field, circ.gates, tuple(range(len(circ.gates))))
+    names = circ.input_names()
+    asg = {n: field.random(rng) for n in names}
+    assert evaluate(every, asg) == scalar_eval(every, asg)
+    assert evaluate(circ, asg) == scalar_eval(circ, asg)
+    for name in names:
+        with pytest.raises(UnassignedInput, match=name):
+            evaluate(circ, {n: v for n, v in asg.items() if n != name})
+        with pytest.raises(InputOutOfRange, match=name):
+            evaluate(circ, dict(asg, **{name: field.order}))
 
 
 def test_formal_degrees_and_skew():

@@ -60,9 +60,10 @@ def test_direct_matches_expansion_oracle():
     for trial in range(10):
         n = 4 + rng.below(4)  # 4..7
         names = names_for(n)
-        c = random_skew_circuit(F, rng, names, n_gates=25, force_degree=n)
+        c = random_skew_circuit(F, rng, names, n_gates=25, full_monomial=True)
         out = extract_coefficient(c, names, "direct")
         want = expand_circuit(c)[0].coefficient_of_full_monomial(names)
+        assert want != 0
         assert evaluate(out, {}) == (want,)
 
 
@@ -128,11 +129,12 @@ def test_cross_method_random_1skew():
     rng = Rng(1001)
     names = names_for(9)
     for trial in range(8):
-        c = random_skew_circuit(F, rng, names, n_gates=30, force_degree=9)
+        c = random_skew_circuit(F, rng, names, n_gates=30, full_monomial=True)
         d = evaluate(extract_coefficient(c, names, "direct"), {})
         t = evaluate(extract_coefficient(c, names, "tri"), {})
         assert d == t
         want = expand_circuit(c, term_cap=500_000)[0].coefficient_of_full_monomial(names)
+        assert want != 0
         assert d == (want,)
 
 
@@ -176,10 +178,11 @@ def test_padded_extraction_agrees():
     rng = Rng(77)
     names = names_for(7)
     for _ in range(4):
-        c = random_skew_circuit(F, rng, names, n_gates=20, force_degree=7)
+        c = random_skew_circuit(F, rng, names, n_gates=20, full_monomial=True)
         d = evaluate(extract_coefficient(c, names, "direct"), {})
         t = evaluate(extract_coefficient(c, names, "tri"), {})  # pads to 9
         assert d == t
+        assert d != (0,)
 
 
 def test_tripartition_rejects_unpadded():

@@ -116,6 +116,15 @@ def test_permanent_benchmark_circuit_does_not_grow():
     assert stats["arcs"] <= 727 and stats["gates"] <= 359
 
 
+def test_permanent_build_leaves_the_evaluation_plan_unbuilt():
+    # the plan is built on the first evaluation, so its cost stays out of
+    # the build
+    c = build_permanent_circuit(6, b=1, g=1)
+    assert "plan" not in c.__dict__
+    evaluate(c, matrix_assignment(ones(6)))
+    assert "plan" in c.__dict__
+
+
 def test_permanent_rejects_bad_n():
     with pytest.raises(DivisibilityError):
         build_permanent_circuit(4, F)

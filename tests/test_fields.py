@@ -86,6 +86,24 @@ def test_gf2_mul_matches_schoolbook_oracle(w):
         assert field.mul_many(xs, ys) == want[:length], length
 
 
+@pytest.mark.parametrize("w", [8, 16, 32, 64])
+def test_gf2_mul_many_window_kernel_edges(w):
+    # the window kernel against scalar mul on operands that fill a lane's
+    # edges: every pair of 0, 1, the top bit and 2^w - 1, alone, beside an
+    # all-ones lane on either side, and between two all-ones lanes, so a
+    # borrow or carry that left its lane would show in a neighbour
+    field = gf2(w)
+    ones = field.mask
+    edges = [0, 1, 1 << (w - 1), ones]
+    assert field.mul_many([], []) == []
+    for a in edges:
+        for b in edges:
+            for xs, ys in (([a], [b]), ([a, ones], [b, ones]), ([ones, a], [ones, b]),
+                           ([ones, a, ones], [ones, b, ones])):
+                want = [field.mul(x, y) for x, y in zip(xs, ys)]
+                assert field.mul_many(xs, ys) == want, (hex(a), hex(b), len(xs))
+
+
 @pytest.mark.parametrize("spec", ["p=101", "p=2305843009213693951", "gf2 w=8", "gf2 w=16",
                                   "gf2 w=32", "gf2 w=64"])
 def test_batch_ops_match_scalar_ops(spec):
@@ -96,18 +114,23 @@ def test_batch_ops_match_scalar_ops(spec):
     assert field.mul_many(xs, ys) == [field.mul(a, b) for a, b in zip(xs, ys)]
     assert field.mul_many([], []) == []
     assert field.mul_many(xs[:1], ys[:1]) == [field.mul(xs[0], ys[0])]
-    spans, start = [], 0
+    # groups (k, n): n sums of k values each, laid out row by row
+    groups, sums, start = [], [], 0
     while start < len(xs):
-        stop = min(len(xs), start + 1 + rng.below(5))
-        spans.append(slice(start, stop))
-        start = stop
-    sums = []
-    for span in spans:
-        acc = field.zero
-        for v in xs[span]:
-            acc = field.add(acc, v)
-        sums.append(acc)
-    assert field.sum_many(xs, spans) == sums
+        k = 1 + rng.below(5)
+        n = min(1 + rng.below(4), (len(xs) - start) // k)
+        if not n:
+            k, n = len(xs) - start, 1
+        groups.append((k, n))
+        for _ in range(n):
+            acc = field.zero
+            for v in xs[start:start + k]:
+                acc = field.add(acc, v)
+            sums.append(acc)
+            start += k
+    assert field.sum_many(xs, groups) == sums
+    assert field.sum_many(tuple(xs), groups) == sums
+    assert field.sum_many([], []) == []
 
 
 def test_default_prime():

@@ -385,14 +385,31 @@ def test_sieve_tripartition_method_agrees():
     assert not kpath_detect(g2, 8, rng, trials=7, method="tri", field=F)
 
 
-def test_kpath_tri_benchmark_circuit_does_not_grow():
-    # the kpath-tri benchmark circuit (k = 5 on complete digraphs of 5 and
-    # 2 vertices, GF(2^32)), checked as upper bounds
+def _kpath_tri_benchmark_runner():
+    # the kpath-tri benchmark circuit: k = 5 on complete digraphs of 5 and
+    # 2 vertices, GF(2^32)
     field = gf2(32)
     arcs = tuple((u, v) for part in (range(1, 6), range(6, 8))
                  for u in part for v in part if u != v)
-    circ, _ = _kpath_labeled_circuit(DirectedGraph(7, arcs), 5, field)
+    circ, labels = _kpath_labeled_circuit(DirectedGraph(7, arcs), 5, field)
     runner = SieveRunner(circ, vandermonde(6, 7, field, Rng(5)), "det", "tri",
                          xvars=[f"x:{{{v}}}" for v in range(1, 8)])
-    stats = runner.circuit.stats()
+    return runner, labels
+
+
+def test_kpath_tri_benchmark_circuit_does_not_grow():
+    # checked as upper bounds
+    stats = _kpath_tri_benchmark_runner()[0].circuit.stats()
     assert stats["arcs"] <= 16_289 and stats["gates"] <= 7_318
+
+
+def test_tri_runner_keeps_the_extraction_meta_and_an_unbuilt_plan():
+    # dead-gate elimination carries the extraction's meta over, and the
+    # evaluation plan is built by the first trial, not by the runner
+    runner, labels = _kpath_tri_benchmark_runner()
+    assert runner.circuit.meta == {"method": "tri", "s": 34, "t": 8, "table_entries": 1361}
+    assert "plan" not in runner.circuit.__dict__
+    rng = Rng(9)
+    assert runner.run(rng, extra={nm: runner.field.random(rng, nonzero=True)
+                                  for nm in labels}) == 0  # no 5-path
+    assert "plan" in runner.circuit.__dict__
