@@ -40,13 +40,6 @@ def subset_name(prefix: str, elems) -> str:
     return f"{prefix}:{{{body}}}"
 
 
-def name_elements(name: str) -> list[int]:
-    """Inverse of subset_name for names of the form 'p:{i,j,...}'."""
-    _, _, body = name.partition(":")
-    body = body.strip("{}")
-    return [int(t) for t in body.split(",")] if body else []
-
-
 def mask_bits(mask: int) -> list[int]:
     out = []
     i = 0
@@ -101,42 +94,45 @@ class Circuit:
 
 
 class CircuitBuilder:
-    """Incremental circuit constructor with constant folding.
+    """Incremental circuit constructor with constant folding and interning.
 
     Folding is local and value-level only (0/1 absorption, const*const,
     single-argument sums alias their argument); no algebraic rewriting,
     and no dead-gate removal: that stays an explicit pass.
+
+    Every gate that survives folding goes through `_push`, which interns
+    it: a gate equal to one pushed before, as the tuple (op, payload),
+    returns the earlier id and adds no arcs.  Arguments are not sorted,
+    so mul(x, y) and mul(y, x) are two gates, and a circuit with no
+    equal gates is built exactly as its calls emit it.
     """
 
     def __init__(self, field: Field):
         self.field = field
         self.gates: list = []
-        self._inputs: dict[str, int] = {}
-        self._consts: dict[int, int] = {}
+        self._ids: dict[tuple, int] = {}
         self._arcs = 0
         self.outputs: list[int] = []
 
     def _push(self, op, payload) -> int:
-        self.gates.append((op, payload))
-        if op in (OP_ADD, OP_MUL):
-            self._arcs += len(payload)
-        return len(self.gates) - 1
+        """The id of the gate (op, payload), appended unless already there."""
+        gate = (op, payload)
+        gates = self.gates
+        new = len(gates)
+        gid = self._ids.setdefault(gate, new)
+        if gid == new:
+            gates.append(gate)
+            if op in (OP_ADD, OP_MUL):
+                self._arcs += len(payload)
+        return gid
 
     def inp(self, name: str) -> int:
         if not name or any(ch.isspace() for ch in name):
             raise ValueError(f"bad input name {name!r}")
-        gid = self._inputs.get(name)
-        if gid is None:
-            gid = self._push(OP_IN, name)
-            self._inputs[name] = gid
-        return gid
+        return self._push(OP_IN, name)
 
     def const(self, value: int) -> int:
-        gid = self._consts.get(value)
-        if gid is None:
-            gid = self._push(OP_CONST, value)
-            self._consts[value] = gid
-        return gid
+        return self._push(OP_CONST, value)
 
     @property
     def zero(self) -> int:
@@ -161,9 +157,7 @@ class CircuitBuilder:
                     break
             else:
                 # no constant argument: nothing folds
-                gates.append((OP_ADD, args))
-                self._arcs += len(args)
-                return len(gates) - 1
+                return self._push(OP_ADD, args)
         live = [a for a in args if not self.is_zero(a)]
         if not live:
             return self.zero
@@ -181,9 +175,7 @@ class CircuitBuilder:
         gates = self.gates
         if gates[a][0] != OP_CONST and gates[b][0] != OP_CONST:
             # no constant argument: nothing folds
-            gates.append((OP_MUL, (a, b)))
-            self._arcs += 2
-            return len(gates) - 1
+            return self._push(OP_MUL, (a, b))
         if self.is_zero(a) or self.is_zero(b):
             return self.zero
         ca, cb = self.is_const(a), self.is_const(b)

@@ -84,6 +84,8 @@ class SieveRunner:
 
     def __init__(self, circ: Circuit, a: SieveMatrix, kind: str, method: str,
                  xvars=None, dec_source=None):
+        if kind not in ("det", "odd"):
+            raise ValueError(f"unknown sieve kind {kind!r}")
         field = circ.field
         if field.characteristic != 2:
             raise CharacteristicError("sieving needs characteristic 2")
@@ -238,17 +240,6 @@ def _kpath_labeled_circuit(g: DirectedGraph, k: int, field: Field):
     out = bld.add(*vec.values()) if vec else bld.zero
     bld.set_outputs([out])
     return bld.build(), labels
-
-
-def kpath_circuit(g: DirectedGraph, k: int, rng: Rng, field: Field | None = None) -> Circuit:
-    """The labeled walk polynomial with labels drawn and baked in; its
-    multilinear x-terms correspond to simple paths of length k (whp)."""
-    field = field or gf2(DEFAULT_SIEVE_FIELD_WIDTH)
-    circ, labels = _kpath_labeled_circuit(g, k, field)
-    bld = CircuitBuilder(field)
-    values = {nm: bld.const(field.random(rng, nonzero=True)) for nm in labels}
-    bld.set_outputs([replay(circ, bld, values.get)[circ.outputs[0]]])
-    return bld.build()
 
 
 def kpath_detect(g: DirectedGraph, k: int, rng: Rng, trials: int = 7,

@@ -48,20 +48,17 @@ class Tensor:
         return sorted({c for _, _, c in self.entries})
 
 
-def generate_P(q: int, ground=None, field: Field | None = None) -> Tensor:
+def generate_P(q: int, field: Field | None = None) -> Tensor:
     """Balanced tripartitioning tensor: ordered partitions of the ground
-    into three q-sets, all coefficients one."""
+    {0, ..., 3q - 1} into three q-sets, all coefficients one."""
     from .fields import prime_field
 
     field = field or prime_field()
-    if ground is None:
-        ground = tuple(range(3 * q))
-    ground = tuple(ground)
-    if len(ground) != 3 * q:
-        raise ShapeError(f"ground size {len(ground)} != 3q = {3 * q}")
-    if len(ground) > MAX_P_GROUND:
-        raise TooLarge(f"3q = {len(ground)} exceeds enumeration bound {MAX_P_GROUND}")
-    m = len(ground)
+    if q < 0:
+        raise ShapeError(f"q = {q} is negative")
+    m = 3 * q
+    if m > MAX_P_GROUND:
+        raise TooLarge(f"3q = {m} exceeds enumeration bound {MAX_P_GROUND}")
     one = field.one
     entries = {}
     positions = range(m)
@@ -72,7 +69,7 @@ def generate_P(q: int, ground=None, field: Field | None = None) -> Tensor:
             bmask = mask_of(b_elems)
             cmask = ((1 << m) - 1) ^ amask ^ bmask
             entries[(amask, bmask, cmask)] = one
-    return Tensor(field, ground, entries)
+    return Tensor(field, tuple(positions), entries)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from kronscale.circuit import (
     evaluate,
     formal_degrees,
     mask_bits,
-    name_elements,
     parse,
     serialize,
     subset_name,
@@ -76,8 +75,6 @@ def scalar_eval(circ, assignment):
 def test_names():
     assert subset_name("x", [1, 5]) == "x:{1,5}"
     assert subset_name("x", 0b100010) == "x:{1,5}"
-    assert name_elements("x:{1,5}") == [1, 5]
-    assert name_elements("y:{}") == []
     assert mask_bits(0b1010) == [1, 3]
 
 
@@ -120,6 +117,21 @@ def test_arc_counter_matches_circuit_size(calls):
             value, scaled = evaluate(bld.build(), values)
             assert scaled == f.mul(coeff, value)
         assert bld.arcs == bld.build().size
+
+
+def test_equal_gates_are_interned():
+    bld = CircuitBuilder(ZP)
+    x, y = bld.inp("v:x"), bld.inp("v:y")
+    assert bld.inp("v:x") == x and bld.const(3) == bld.const(3)
+    for op in (bld.add, bld.mul):
+        gid = op(x, y)
+        gates, arcs = len(bld.gates), bld.arcs
+        assert op(x, y) == gid
+        assert (len(bld.gates), bld.arcs) == (gates, arcs)
+        # arguments are not sorted: the swapped call is a gate of its own
+        swapped = op(y, x)
+        assert swapped == gates and bld.gates[swapped] == (bld.gates[gid][0], (y, x))
+        assert bld.arcs == arcs + 2
 
 
 class ReferenceBuilder(CircuitBuilder):
@@ -198,6 +210,48 @@ def test_builder_folds_like_the_reference(spec, calls):
         assert returned[0] == returned[1]
         assert builders[0].gates == builders[1].gates
         assert builders[0].arcs == builders[1].arcs
+
+
+class AppendingBuilder(CircuitBuilder):
+    """The builder with no intern table: every gate is appended, equal to
+    an earlier one or not.  It keeps no arc count; read build().size."""
+
+    def _push(self, op, payload):
+        self.gates.append((op, payload))
+        return len(self.gates) - 1
+
+
+@pytest.mark.parametrize("spec", sorted(FOLDING_FIELDS))
+@settings(max_examples=200, deadline=None, database=None)
+@given(calls=BUILDER_CALLS, seed=st.integers(0, 2**32))
+def test_interning_keeps_values_and_never_adds_arcs(spec, calls, seed):
+    # the same calls, on gates picked by call position rather than by id,
+    # through the interning builder and one that appends every gate
+    f, consts = FOLDING_FIELDS[spec]
+    builders = (CircuitBuilder(f), AppendingBuilder(f))
+    handles = tuple([bld.inp("v:0")] for bld in builders)
+    for kind, picks in calls:
+        for bld, got in zip(builders, handles):
+            gids = [got[p % len(got)] for p in picks]
+            if kind == "inp":
+                got.append(bld.inp(f"v:{picks[0] % 3}"))
+            elif kind == "const":
+                got.append(bld.const(consts[picks[0] % len(consts)]))
+            elif kind == "add":
+                got.append(bld.add(*gids))
+            elif kind == "mul":
+                got.append(bld.mul(gids[0], gids[-1]))
+            else:
+                got.append(bld.scale(consts[picks[0] % len(consts)], gids[-1]))
+    interned, appended = builders
+    for bld, got in zip(builders, handles):
+        bld.set_outputs(got)
+    circ, plain = interned.build(), appended.build()
+    assert interned.arcs == circ.size <= plain.size
+    rng = Rng(seed)
+    for _ in range(3):
+        asg = {f"v:{i}": f.random(rng) for i in range(3)}
+        assert evaluate(circ, asg) == evaluate(plain, asg)
 
 
 def test_char2_x_plus_x():
@@ -398,7 +452,7 @@ def test_serialize_large_circuit_roundtrip():
     bld = CircuitBuilder(ZP)
     xs = [bld.inp(n) for n in names]
     pool = list(xs)
-    for _ in range(100_000):
+    while len(bld.gates) < 100_000:
         a = pool[rng.below(len(pool))]
         b = pool[rng.below(len(pool))]
         g = bld.add(a, b) if rng.below(2) else bld.mul(a, xs[rng.below(len(xs))])

@@ -1,7 +1,8 @@
 """Every name a kronscale module imports is used by that module and comes
 from the standard library or kronscale itself, no function writes into a
-module-level container (a hidden global cache), and every definition, in
-a kronscale module or a shared test helper, is named somewhere outside
+module-level container (a hidden global cache), no code but
+CircuitBuilder._push writes a builder's gate list, and every definition,
+in a kronscale module or a shared test helper, is named somewhere outside
 itself."""
 
 import ast
@@ -142,6 +143,65 @@ def test_scan_finds_a_global_container_write():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_global_container_writes(path):
     assert global_container_writes(path.read_text()) == []
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+GATE_WRITERS = {"append", "extend", "insert"}
+
+
+def gate_writes_outside_push(source: str) -> list:
+    """(line, function) for each write into a builder's gate list by any
+    function but CircuitBuilder._push: append, extend or insert, `+=` or
+    an item assignment on X.gates, or on a local name bound to X.gates.
+    A list that a function makes itself, even one called `gates`, is not
+    a builder's."""
+    tree = ast.parse(source)
+    funcs = [(None, node) for node in tree.body if isinstance(node, FUNCTIONS)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            funcs += [(cls.name, item) for item in cls.body if isinstance(item, FUNCTIONS)]
+
+    def is_gate_list(expr):
+        return isinstance(expr, ast.Attribute) and expr.attr == "gates"
+
+    hits = []
+    for owner, func in funcs:
+        if (owner, func.name) == ("CircuitBuilder", "_push"):
+            continue
+        aliases = {target.id for node in ast.walk(func)
+                   if isinstance(node, ast.Assign) and is_gate_list(node.value)
+                   for target in node.targets if isinstance(target, ast.Name)}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in GATE_WRITERS:
+                target = node.func.value
+            elif isinstance(node, ast.AugAssign):
+                target = node.target
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                target = node.value
+            else:
+                continue
+            if is_gate_list(target) or isinstance(target, ast.Name) and target.id in aliases:
+                hits.append((node.lineno, func.name))
+    return sorted(hits)
+
+
+def test_scan_finds_a_gate_write_outside_push():
+    source = ("class CircuitBuilder:\n"
+              "    def _push(self, op, payload):\n        self.gates.append((op, payload))\n"
+              "    def mul(self, a, b):\n        gates = self.gates\n"
+              "        gates.append((3, (a, b)))\n        return gates[a]\n"
+              "def copy(bld, circ):\n    bld.gates.extend(circ.gates)\n"
+              "    bld.gates += [(0, 'x')]\n    bld.gates[0] = (1, 0)\n"
+              "def parse(text):\n    gates = []\n    gates.append((0, text))\n")
+    assert gate_writes_outside_push(source) == \
+        [(6, "mul"), (9, "copy"), (10, "copy"), (11, "copy")]
+
+
+# every gate goes through the intern table in CircuitBuilder._push
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_gates_are_written_only_by_push(path):
+    assert gate_writes_outside_push(path.read_text()) == []
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -570,7 +570,7 @@ def test_rescaled_provider_emits_no_scale_that_never_joins():
     # whether or not its other slots had any; the live part is the same
     circ = build_hafnian_circuit(12, "tri", dec_source=rescaled)
     assert circ.size <= 12831
-    assert dead_gate_elimination(circ).size == 8294
+    assert dead_gate_elimination(circ).size == 6936
     field = circ.field
     for seed in (3, 4):
         rng = Rng(seed)

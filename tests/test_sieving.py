@@ -17,7 +17,6 @@ from kronscale.sieving import (
     UndirectedGraph,
     _kpath_labeled_circuit,
     det_sieve,
-    kpath_circuit,
     kpath_detect,
     longcycle_detect,
     matching3d_detect,
@@ -121,6 +120,13 @@ def test_runner_accepts_a_matrix_over_a_separately_built_field():
     assert any(runner.run(rng.split()) != field.zero for _ in range(5))
 
 
+def test_runner_rejects_an_unknown_kind():
+    bld = CircuitBuilder(F)
+    bld.set_outputs([bld.mul(bld.inp("x:{1}"), bld.inp("x:{2}"))])
+    with pytest.raises(ValueError, match="unknown sieve kind 'bogus'"):
+        SieveRunner(bld.build(), identity_matrix(2), "bogus", "direct")
+
+
 def test_det_sieve_requires_char2():
     rng = Rng(12)
     zp = prime_field(101)
@@ -205,14 +211,6 @@ def test_odd_sieve_vs_osupp_rank_oracle():
                     exists = True
         got = odd_sieve(c, a, rng, trials=12)
         assert got == exists
-
-
-def test_kpath_circuit_single_edge():
-    rng = Rng(16)
-    g = DirectedGraph(2, ((1, 2),))
-    c = kpath_circuit(g, 1, rng, F)
-    val = evaluate(c, {"x:{1}": F.one, "x:{2}": F.one})
-    assert val[0] != F.zero
 
 
 def test_kpath_cycle_has_no_simple_path_of_length_n():

@@ -56,6 +56,11 @@ def test_generate_P_too_large():
         generate_P(8, field=F)
 
 
+def test_generate_P_negative_q():
+    with pytest.raises(ShapeError, match="negative"):
+        generate_P(-1, field=F)
+
+
 def test_generate_P_permutation_symmetry():
     rng = Rng(1)
     for q in (1, 2, 3):
