@@ -11,8 +11,9 @@ materialized.
   components; the output is the full-set entry of (output, n);
 * tri (tripartition): cut at degrees n/3 and 2n/3, fill each of the
   three layers once, the two upper ones with every cut component as its
-  own fresh variable, and combine each cut pair through the
-  P_{n/3}[[n]] circuit of the scaling module.
+  own fresh variable, and combine the cut pairs through the
+  P_{n/3}[[n]] circuit of the scaling module: one instantiation per
+  cut2 component, summing every pair that meets it.
 """
 
 from __future__ import annotations
@@ -208,14 +209,17 @@ def extract_coeff_tripartition(circ: Circuit, variables,
     Requires n = |variables| with n % 3 == 0 and n >= 9 (callers pad via
     pad_degree).  The floor of 9 is a measured choice, not a soundness
     one: padding the kpath-tri benchmark circuit (k=5, six sieve
-    variables) to 6 instead of 9 grows it from 16,289 to 22,858 arcs.
+    variables) to 6 instead of 9 grows it from 16,272 to 18,621 arcs.
     Gates are sliced by homogeneous degree; components of degree n/3 and
     2n/3 become fresh cut variables.  The middle and top layers each run
     once, linear in all of them, and their tables split per cut
-    component; every (cut1, cut2) pair feeds one restricted instantiation
-    of the tripartitioning circuit.  The combining P_{n/3}[[n]] circuit
-    uses blocks of b, groups of g (default n/(3b)) and the decomposition
-    provider dec_source (default: the trivial one).
+    component into f_i (bottom, cut1 component i), g_ij (middle) and h_j
+    (top, cut2 component j).  P is trilinear, so the pairs that share j
+    sum inside one restricted instantiation of the tripartitioning
+    circuit, sum_i P(f_i, g_ij, h_j), which transforms h_j once per
+    type.  The combining P_{n/3}[[n]] circuit uses blocks of b, groups
+    of g (default n/(3b)) and the decomposition provider dec_source
+    (default: the trivial one).
     """
     if len(circ.outputs) != 1:
         raise SingleOutputRequired("extraction needs a single-output circuit")
@@ -259,18 +263,11 @@ def extract_coeff_tripartition(circ: Circuit, variables,
         h_tables[key >> n][key & full] = gate
 
     scheme = PScalingScheme(n3, b, g, circ.field, dec_source=dec_source)
-    pair_outputs = []
-    for i in range(len(cut1)):
-        fi = f_tables[i]
-        if not fi:
-            continue
-        for j in range(len(cut2)):
-            hj = h_tables[j]
-            gij = g_tables[i][j]
-            if not hj or not gij:
-                continue
-            pair_outputs.append(scheme.instantiate(bld, fi.get, gij.get, hj.get))
-    bld.set_outputs([bld.add(*pair_outputs) if pair_outputs else bld.zero])
+    outputs = [scheme.instantiate(bld, [(fi.get, row[j].get)
+                                        for fi, row in zip(f_tables, g_tables)
+                                        if fi and row[j]], hj.get)
+               for j, hj in enumerate(h_tables) if hj]
+    bld.set_outputs([bld.add(*outputs)])
     result = bld.build()
     result.meta.update(method="tri", s=len(cut1), t=len(cut2),
                        table_entries=sum(len(t) for t in f_tables)

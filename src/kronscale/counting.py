@@ -163,7 +163,7 @@ def build_permanent_circuit(n: int, field: Field | None = None, dec_source=None,
         block_tables.append(prev)
     bottom_arcs = bld.arcs
     scheme = PScalingScheme(q, b, g, field, dec_source=dec_source)
-    out = scheme.instantiate(bld, block_tables[0].get, block_tables[1].get,
+    out = scheme.instantiate(bld, [(block_tables[0].get, block_tables[1].get)],
                              block_tables[2].get)
     bld.set_outputs([out])
     circ = bld.build()

@@ -318,51 +318,80 @@ def _yates_transform(bld: CircuitBuilder, rows, s: int, inputs: dict, live,
     return cur
 
 
+def _present_inputs(bld: CircuitBuilder, wire, entries) -> dict:
+    """Side-index tuple -> gate of every s-fold combination of the factor
+    entries whose input wire(OR of the masks) is neither None nor zero."""
+    inputs = {}
+    for combo in product(*entries):
+        omask = 0
+        for _, om in combo:
+            omask |= om
+        gate = wire(omask)
+        if gate is not None and not bld.is_zero(gate):
+            inputs[tuple(i for i, _ in combo)] = gate
+    return inputs
+
+
+def _reached_terms(support, inputs: dict, s: int) -> list:
+    """Per factor j: the terms that some input's j-th side index reaches."""
+    return [frozenset().union(*(support[i] for i in {key[j] for key in inputs}))
+            for j in range(s)]
+
+
 def _restricted_power(bld: CircuitBuilder, dec: RankDecomposition, supports, s: int,
-                      side_entries, wires, arc_budget: int) -> list:
-    """Terms of the s-th Kronecker power of dec, restricted to the given
-    side entries.
+                      side_entries, pairs, zwire, arc_budget: int) -> list:
+    """The s-th Kronecker power of dec, restricted to the given side
+    entries, applied to every (xwire, ywire) pair against one zwire and
+    summed, in factored form: the returned gates, one per distinct z-hat
+    gate, are z^ * (sum of x^ * y^) and add up to the sum.
 
     side_entries[slot][j] lists (side index, mask) pairs alive in factor j;
-    an s-fold combination reads its input from wires[slot](OR of the
-    masks), and it is present only if that gate is neither None nor zero.
-    The inputs come first: when some slot has no present input the
-    restriction is zero, and [] returns before any gate is emitted.  A term
-    survives factor j only if every slot has a present input whose j-th
-    side index has a row (supports[slot]) reaching it; each slot's inputs
-    run through the Yates transform over the surviving terms, and one
-    x*y*z product is returned per term key present on all three sides.
+    an s-fold combination reads its input from the slot's wire at the OR of
+    the masks, and it is present only if that gate is neither None nor
+    zero.  Without a present z input, or without a pair that has both a
+    present x and a present y input, the sum is zero and [] returns with
+    no gate emitted; a pair without both is skipped.  A pair's term survives
+    factor j only if each slot has a present input whose j-th side index
+    has a row (supports[slot]) reaching it.  Every pair's x and y inputs
+    run through the Yates transform over the pair's surviving terms, and
+    then the z inputs once, over the union of those terms; so the arc
+    budget checks x, y and z in that order.  The power is trilinear, so
+    sum_p P(x_p, y_p, z) = sum_l z^[l] * sum_p x^_p[l] * y^_p[l], and the
+    terms whose z-hat is one gate share its product.  A group of one term
+    costs the two muls of x^ * y^ * z^, as the unfactored sum does.
     """
-    present = []
-    for wire, entries in zip(wires, side_entries):
-        inputs = {}
-        for combo in product(*entries):
-            omask = 0
-            for _, om in combo:
-                omask |= om
-            gate = wire(omask)
-            if gate is not None and not bld.is_zero(gate):
-                inputs[tuple(i for i, _ in combo)] = gate
-        if not inputs:
-            return []
-        present.append(inputs)
-    live = []
-    for j in range(s):
-        reach = [frozenset().union(*(supp[i] for i in {key[j] for key in inputs}))
-                 for supp, inputs in zip(supports, present)]
-        live.append(reach[0] & reach[1] & reach[2])
-    hx, hy, hz = (_yates_transform(bld, dec.rows[slot], s, present[slot], live,
-                                   arc_budget, "xyz"[slot]) for slot in range(3))
-    terms = []
-    for key, gx in hx.items():
-        gy = hy.get(key)
-        if gy is None:
+    zin = _present_inputs(bld, zwire, side_entries[2])
+    if not zin:
+        return []
+    zreach = _reached_terms(supports[2], zin, s)
+    hats = []
+    zlive = [frozenset()] * s
+    for xwire, ywire in pairs:
+        xin = _present_inputs(bld, xwire, side_entries[0])
+        if not xin:
             continue
-        gz = hz.get(key)
-        if gz is None:
+        yin = _present_inputs(bld, ywire, side_entries[1])
+        if not yin:
             continue
-        terms.append(bld.mul(bld.mul(gx, gy), gz))
-    return terms
+        live = [a & b & c for a, b, c in zip(_reached_terms(supports[0], xin, s),
+                                             _reached_terms(supports[1], yin, s), zreach)]
+        hats.append((_yates_transform(bld, dec.rows[0], s, xin, live, arc_budget, "x"),
+                     _yates_transform(bld, dec.rows[1], s, yin, live, arc_budget, "y")))
+        zlive = [u | l for u, l in zip(zlive, live)]
+    if not hats:
+        return []
+    hz = _yates_transform(bld, dec.rows[2], s, zin, zlive, arc_budget, "z")
+    groups: dict = {}
+    for hx, hy in hats:
+        for key, gx in hx.items():
+            gy = hy.get(key)
+            if gy is None:
+                continue
+            gz = hz.get(key)
+            if gz is None:
+                continue
+            groups.setdefault(gz, []).append(bld.mul(gx, gy))
+    return [bld.mul(bld.add(*xy), gz) for gz, xy in groups.items()]
 
 
 def yates_circuit(dec: RankDecomposition, s: int,
@@ -383,9 +412,10 @@ def yates_circuit(dec: RankDecomposition, s: int,
     side_entries = tuple(
         [[(i, mask << (j * m)) for i, mask in enumerate(side)] for j in range(s)]
         for side in (dec.side_x, dec.side_y, dec.side_z))
-    wires = tuple(lambda mask, slot=slot: bld.inp(subset_name(slot, mask))
-                  for slot in "xyz")
-    terms = _restricted_power(bld, dec, supports, s, side_entries, wires, arc_budget)
+    xwire, ywire, zwire = (lambda mask, slot=slot: bld.inp(subset_name(slot, mask))
+                           for slot in "xyz")
+    terms = _restricted_power(bld, dec, supports, s, side_entries, [(xwire, ywire)],
+                              zwire, arc_budget)
     bld.set_outputs([bld.add(*terms)])
     return bld.build()
 
@@ -394,14 +424,15 @@ class PScalingScheme:
     """Reusable builder for the P_n circuit of Theorem-style pipelines.
 
     Constructed once per (n, b, g, field, provider); instantiate() emits
-    the per-type restricted Yates copies into any CircuitBuilder, wiring
-    inputs through caller-supplied mask->gate maps (None kills an input).
-    g=None means n // b; every construction asks the provider (default:
-    the trivial decomposition) and verifies its answer.  The side entries
-    of every type (side_entries[type][slot][j]: the (side index, mask)
-    pairs alive in factor j) do not depend on the wires, so they are built
-    here once; instantiate() keeps no state between calls, and a type
-    with a slot that no wire feeds emits nothing.
+    into any CircuitBuilder one restricted Yates copy per type, which sums
+    every (x, y) wire pair against one z wire; wires are caller-supplied
+    mask->gate maps (None kills an input).  g=None means n // b; every
+    construction asks the provider (default: the trivial decomposition)
+    and verifies its answer.  The side entries of every type
+    (side_entries[type][slot][j]: the (side index, mask) pairs alive in
+    factor j) do not depend on the wires, so they are built here once;
+    instantiate() keeps no state between calls, and a type with a slot
+    that no wire feeds emits nothing.
     """
 
     def __init__(self, n: int, b: int, g: int | None, field: Field, dec_source=None,
@@ -432,13 +463,18 @@ class PScalingScheme:
                                           (comp.alive_x, comp.alive_y, comp.alive_z)))
             for comp in self.decomposition.components)
 
-    def instantiate(self, bld: CircuitBuilder, xwire, ywire, zwire) -> int:
-        """Emit the full type sum; returns the output gate id."""
+    def instantiate(self, bld: CircuitBuilder, pairs, zwire) -> int:
+        """Emit sum_p P_n(x_p, y_p, z) over the (xwire, ywire) pairs p,
+        with z read through zwire; returns the output gate id.
+
+        Every type transforms z once for all the pairs and groups their
+        joins by z-hat, so pairs that share a z belong in one call.  With
+        no pair, or nothing that joins, the result is bld.zero and no gate
+        is emitted."""
         type_outputs = []
         for side_entries in self.side_entries:
             terms = _restricted_power(bld, self.dec, self.supports, self.s,
-                                      side_entries, (xwire, ywire, zwire),
-                                      self.arc_budget)
+                                      side_entries, pairs, zwire, self.arc_budget)
             if terms:
                 type_outputs.append(bld.add(*terms))
         return bld.add(*type_outputs)
@@ -455,6 +491,6 @@ def build_P_circuit(n: int, b: int, g: int, field: Field | None = None,
         for elems in combinations(range(3 * n), n):
             mask = sum(1 << e for e in elems)
             gates[slot][mask] = bld.inp(subset_name(slot, mask))
-    out = scheme.instantiate(bld, gates["x"].get, gates["y"].get, gates["z"].get)
+    out = scheme.instantiate(bld, [(gates["x"].get, gates["y"].get)], gates["z"].get)
     bld.set_outputs([out])
     return bld.build()

@@ -2,11 +2,18 @@ import copy
 import re
 from dataclasses import replace
 from itertools import combinations, product
+from math import factorial
 
 import pytest
 
 from kronscale import scaling
-from kronscale.circuit import CircuitBuilder, dead_gate_elimination, evaluate, subset_name
+from kronscale.circuit import (
+    OP_MUL,
+    CircuitBuilder,
+    dead_gate_elimination,
+    evaluate,
+    subset_name,
+)
 from kronscale.coeffx import extract_coefficient
 from kronscale.counting import (
     SquareMatrix,
@@ -360,7 +367,7 @@ def test_instantiate_arc_budget_reports_where_it_fired():
     # the trivial provider's transform adds no gates, so the five arcs
     # already in the builder trip the budget at the first check
     with pytest.raises(TooLarge) as info:
-        scheme.instantiate(bld, wires["x"].get, wires["y"].get, wires["z"].get)
+        scheme.instantiate(bld, [(wires["x"].get, wires["y"].get)], wires["z"].get)
     assert str(info.value) == "yates: slot x, level 1 of s=2: 5 arcs exceed the arc budget 4"
 
 
@@ -424,15 +431,59 @@ def test_build_P_trilinear_in_x():
 
 def test_trivial_provider_sizes_are_pinned():
     perm = build_permanent_circuit(6, b=1, g=1)
-    assert (perm.size, len(perm.gates)) == (727, 359)
-    assert build_P_circuit(3, 1, 1, field=F).size == 8449
+    assert (perm.size, len(perm.gates)) == (646, 329)
+    assert build_P_circuit(3, 1, 1, field=F).size == 6544
+
+
+def join_count_model(q, r):
+    """The coefficient of (uvw)^q in ((u+v+w)^3 - (6-r)*uvw)^q: the x*y
+    products that build_P_circuit(q, 1, 1) joins when its provider has
+    rank r on the (1,1,1) block slice of P_3."""
+    base = {(a, b, 3 - a - b): 6 // (factorial(a) * factorial(b) * factorial(3 - a - b))
+            for a in range(4) for b in range(4 - a)}
+    base[(1, 1, 1)] -= 6 - r
+    poly = {(0, 0, 0): 1}
+    for _ in range(q):
+        nxt = {}
+        for (a, b, c), v in poly.items():
+            for (da, db, dc), w in base.items():
+                key = (a + da, b + db, c + dc)
+                nxt[key] = nxt.get(key, 0) + v * w
+        poly = nxt
+    return poly.get((q, q, q), 0)
+
+
+def distinct_z_hats(q):
+    """Per type, the z-masks that some joined term reads, summed over the
+    types of P_q at b = g = 1.  With the trivial provider each z-hat is one
+    input gate, and a type's joined terms are the products of its factors'
+    joined terms, so a type has as many z-hats as the product over its
+    factors of the z-masks that meet some disjoint x- and y-mask."""
+    total = 0
+    for comp in decompose_P(BlockStructure(1, 1, q)).components:
+        count = 1
+        for j, ground in enumerate(comp.factor_grounds):
+            full = (1 << len(ground)) - 1
+            count *= len({full ^ lx ^ ly for lx in comp.alive_x[j] for ly in comp.alive_y[j]
+                          if not lx & ly and full ^ lx ^ ly in comp.alive_z[j]})
+        total += count
+    return total
+
+
+@pytest.mark.parametrize("q, joins, z_hats", [(3, 1680, 525), (4, 34650, 7839)])
+def test_mul_gates_are_one_per_join_and_one_per_z_hat(q, joins, z_hats):
+    # each joined term is one x*y mul, and each distinct z-hat of a type
+    # one more mul by the sum of its x*y products
+    assert (join_count_model(q, 6), distinct_z_hats(q)) == (joins, z_hats)
+    circ = build_P_circuit(q, 1, 1, field=F)
+    assert sum(op == OP_MUL for op, _ in circ.gates) == joins + z_hats
 
 
 def test_p4_permanent_is_pinned_and_agrees_with_ryser():
     # n=12 with g=4 runs on trivial P_4 factors (34,650 terms), the
     # largest provider any test builds
     perm = build_permanent_circuit(12, b=1, g=4)
-    assert (perm.size, len(perm.gates)) == (198613, 80519)
+    assert (perm.size, len(perm.gates)) == (151480, 60197)
     field = perm.field
     for seed in (1, 2):
         rng = Rng(seed)
@@ -570,7 +621,7 @@ def test_rescaled_provider_emits_no_scale_that_never_joins():
     # whether or not its other slots had any; the live part is the same
     circ = build_hafnian_circuit(12, "tri", dec_source=rescaled)
     assert circ.size <= 12831
-    assert dead_gate_elimination(circ).size == 6936
+    assert dead_gate_elimination(circ).size == 6897
     field = circ.field
     for seed in (3, 4):
         rng = Rng(seed)
@@ -597,7 +648,7 @@ def test_instantiate_keeps_no_state_between_calls():
     bld = CircuitBuilder(F)
     for step in (2, 3):
         wires = subset_wires(bld, 3, step)
-        scheme.instantiate(bld, wires["x"].get, wires["y"].get, wires["z"].get)
+        scheme.instantiate(bld, [(wires["x"].get, wires["y"].get)], wires["z"].get)
     assert vars(scheme) == before
 
 
@@ -609,7 +660,12 @@ def test_restriction_with_an_empty_slot_emits_no_gate():
     wires = subset_wires(bld, 2, 1)
     zero = bld.zero
     gates = len(bld.gates)
-    assert scheme.instantiate(bld, wires["x"].get, wires["y"].get, {}.get) == zero
+    assert scheme.instantiate(bld, [(wires["x"].get, wires["y"].get)], {}.get) == zero
+    assert len(bld.gates) == gates
+    # no pair, or no pair with both an x and a y input, is zero as well
+    assert scheme.instantiate(bld, [], wires["z"].get) == zero
+    assert scheme.instantiate(bld, [(wires["x"].get, {}.get), ({}.get, wires["y"].get)],
+                              wires["z"].get) == zero
     assert len(bld.gates) == gates
 
 

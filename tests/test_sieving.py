@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from kronscale import scaling
 from kronscale.circuit import CircuitBuilder, evaluate, formal_degrees
 from kronscale.errors import (
     BipartitenessError,
@@ -411,3 +412,39 @@ def test_tri_runner_keeps_the_extraction_meta_and_an_unbuilt_plan():
     assert runner.run(rng, extra={nm: runner.field.random(rng, nonzero=True)
                                   for nm in labels}) == 0  # no 5-path
     assert "plan" in runner.circuit.__dict__
+
+
+def test_tri_route_sums_the_pairs_of_each_cut2_component_in_one_instantiation(monkeypatch):
+    # k = 6 on a seeded 7-vertex digraph: several cut1 components meet each
+    # cut2 component, and their pairs sum inside one instantiation
+    field = gf2(32)
+    rng = Rng(1)
+    arcs = tuple((u, v) for u in range(1, 8) for v in range(1, 8)
+                 if u != v and rng.below(10) < 4)
+    circ, labels = _kpath_labeled_circuit(DirectedGraph(7, arcs), 6, field)
+    a = vandermonde(7, 7, field, Rng(2))
+    xvars = [f"x:{{{v}}}" for v in range(1, 8)]
+    calls = []
+    instantiate = scaling.PScalingScheme.instantiate
+
+    def recorded(self, bld, pairs, zwire):
+        calls.append((pairs, zwire.__self__))
+        return instantiate(self, bld, pairs, zwire)
+
+    monkeypatch.setattr(scaling.PScalingScheme, "instantiate", recorded)
+    tri = SieveRunner(circ, a, "det", "tri", xvars=xvars)
+    monkeypatch.undo()
+    direct = SieveRunner(circ, a, "det", "direct", xvars=xvars)
+    # one call per non-empty h table, each with every pair that meets it
+    h_tables = [h for _, h in calls]
+    assert all(h_tables) and len({id(h) for h in h_tables}) == len(calls) >= 2
+    assert all(f.__self__ and g.__self__ for pairs, _ in calls for f, g in pairs)
+    assert max(len(pairs) for pairs, _ in calls) >= 2
+    values = set()
+    for seed in range(3):
+        point = Rng(seed)
+        extra = {nm: field.random(point, nonzero=True) for nm in labels}
+        got = tri.run(Rng(seed + 10), extra=extra)
+        assert got == direct.run(Rng(seed + 10), extra=extra)
+        values.add(got)
+    assert len(values) > 1  # a 6-path exists, so the value varies
