@@ -1,6 +1,6 @@
 """Coefficient-of-full-multilinear-monomial extraction compilers.
 
-Two routes compile a q-skew circuit for P(x) into a circuit for the
+Two routes compile a circuit for P(x) into a circuit for the
 coefficient of x_1*...*x_n.  Both split every gate into the homogeneous
 degree components reachable from the output's degree-n component and
 fill one sparse table per component (gate, k): the coefficients of the
@@ -8,12 +8,14 @@ size-k variable subsets, with identically-zero entries never
 materialized.
 
 * direct: the 2^n subset dynamic program, one layer over all those
-  components; the output is the full-set entry of (output, n);
+  components; the output is the full-set entry of (output, n).  It takes
+  a circuit of any skewness: with no cut, nothing has to stay linear;
 * tri (tripartition): cut at degrees n/3 and 2n/3, fill each of the
   three layers once, the two upper ones with every cut component as its
   own fresh variable, and combine the cut pairs through the
   P_{n/3}[[n]] circuit of the scaling module: one instantiation per
-  cut2 component, summing every pair that meets it.
+  cut2 component, summing every pair that meets it.  It takes 1-skew
+  circuits only, which every application builds.
 """
 
 from __future__ import annotations
@@ -27,20 +29,10 @@ from .circuit import (
     CircuitBuilder,
     analyze_skew,
     formal_degrees,
-    mask_bits,
     replay,
 )
-from .errors import NotSkew, SingleOutputRequired
+from .errors import NotSkew, ShapeError, SingleOutputRequired
 from .scaling import PScalingScheme
-
-DEFAULT_SKEW_CAP = 3
-
-
-def _check_skew(circ: Circuit, variables, cap: int) -> int:
-    q = analyze_skew(circ, set(variables))
-    if q > cap:
-        raise NotSkew(f"circuit is {q}-skew; cap is {cap}")
-    return q
 
 
 def _reach(gates, degs, roots) -> set:
@@ -127,9 +119,8 @@ def _run_layer(bld: CircuitBuilder, gates, degs, reach, lo: int, hi: int,
     return tables
 
 
-def extract_coeff_direct(circ: Circuit, variables,
-                         skew_cap: int = DEFAULT_SKEW_CAP) -> Circuit:
-    """The 2^n subset-DP compiler.
+def extract_coeff_direct(circ: Circuit, variables) -> Circuit:
+    """The 2^n subset-DP compiler, for a circuit of any skewness.
 
     Output circuit computes the coefficient of the full multilinear
     monomial over `variables`; its inputs are the remaining inputs of
@@ -138,7 +129,6 @@ def extract_coeff_direct(circ: Circuit, variables,
     """
     if len(circ.outputs) != 1:
         raise SingleOutputRequired("extraction needs a single-output circuit")
-    _check_skew(circ, variables, skew_cap)
     n = len(variables)
     degs = formal_degrees(circ, set(variables))
     out = circ.outputs[0]
@@ -152,61 +142,12 @@ def extract_coeff_direct(circ: Circuit, variables,
     return result
 
 
-def _multilinearize(circ: Circuit, variables, cap: int) -> Circuit:
-    """Rewrite a q-skew circuit (2 <= q <= cap) into a 1-skew one with the
-    same multilinear part over `variables`.
-
-    Each mul with a low side of variable-degree >= 2 is expanded through
-    the low side's multilinear tables: sum over supports T of
-    ((high * x_{t1}) * ... * x_{tk}) * coeff_T, every product 1-skew.
-    Non-multilinear monomials of the low side are dropped, which cannot
-    change any multilinear coefficient upstream.
-    """
-    q = _check_skew(circ, variables, cap)
-    if q <= 1:
-        return circ
-    var_bit = {name: i for i, name in enumerate(variables)}
-    bit_var = {i: name for name, i in var_bit.items()}
-    degs = formal_degrees(circ, set(variables))
-    lows = [min(payload, key=degs.__getitem__)
-            for op, payload in circ.gates if op == OP_MUL]
-    roots = [(a, k) for a in lows if degs[a] > 1 for k in range(degs[a] + 1)]
-    bld = CircuitBuilder(circ.field)
-    low_tables = _run_layer(bld, circ.gates, degs, _reach(circ.gates, degs, roots),
-                            -1, q, _seed_tables(circ, var_bit, bld))
-    new = []
-    for gid, (op, payload) in enumerate(circ.gates):
-        if op == OP_IN:
-            new.append(bld.inp(payload))
-        elif op == OP_CONST:
-            new.append(bld.const(payload))
-        elif op == OP_ADD:
-            new.append(bld.add(*[new[a] for a in payload]))
-        else:
-            a, b = payload
-            if degs[a] > degs[b]:
-                a, b = b, a
-            if degs[a] <= 1:
-                new.append(bld.mul(new[a], new[b]))
-                continue
-            terms = []
-            for k in range(degs[a] + 1):
-                for t_mask, coeff_gate in low_tables.get((a, k), {}).items():
-                    term = new[b]
-                    for bit in mask_bits(t_mask):
-                        term = bld.mul(term, bld.inp(bit_var[bit]))
-                    terms.append(bld.mul(term, coeff_gate))
-            new.append(bld.add(*terms))
-    bld.set_outputs([new[o] for o in circ.outputs])
-    return bld.build()
-
-
-def extract_coeff_tripartition(circ: Circuit, variables,
-                               skew_cap: int = DEFAULT_SKEW_CAP, b: int = 1,
+def extract_coeff_tripartition(circ: Circuit, variables, b: int = 1,
                                g: int | None = None, dec_source=None) -> Circuit:
     """The three-layer compiler via the P_{n/3}[[n]] scaling circuit.
 
-    Requires n = |variables| with n % 3 == 0 and n >= 9 (callers pad via
+    Requires a 1-skew circuit (NotSkew otherwise) and n = |variables|
+    with n % 3 == 0 and n >= 9 (ShapeError otherwise; callers pad via
     pad_degree).  The floor of 9 is a measured choice, not a soundness
     one: padding the kpath-tri benchmark circuit (k=5, six sieve
     variables) to 6 instead of 9 grows it from 16,272 to 18,621 arcs.
@@ -225,9 +166,11 @@ def extract_coeff_tripartition(circ: Circuit, variables,
         raise SingleOutputRequired("extraction needs a single-output circuit")
     n = len(variables)
     if n % 3 != 0 or n < 9:
-        raise NotSkew(f"tripartition extraction needs padded n (got {n}); "
-                      "use pad_degree first")
-    circ = _multilinearize(circ, variables, skew_cap)
+        raise ShapeError(f"tripartition extraction needs padded n (got {n}); "
+                         "use pad_degree first")
+    q = analyze_skew(circ, set(variables))
+    if q > 1:
+        raise NotSkew(f"tripartition extraction needs a 1-skew circuit, got {q}-skew")
     degs = formal_degrees(circ, set(variables))
     n3 = n // 3
     out = circ.outputs[0]
@@ -297,13 +240,13 @@ def pad_degree(circ: Circuit, variables) -> tuple[Circuit, tuple]:
 
 
 def extract_coefficient(circ: Circuit, variables, method: str = "direct",
-                        skew_cap: int = DEFAULT_SKEW_CAP, b: int = 1,
-                        g: int | None = None, dec_source=None) -> Circuit:
+                        b: int = 1, g: int | None = None,
+                        dec_source=None) -> Circuit:
     """Front end: pads for the tripartition route, then dispatches."""
     variables = tuple(variables)
     if method == "direct":
-        return extract_coeff_direct(circ, variables, skew_cap)
+        return extract_coeff_direct(circ, variables)
     if method == "tri":
         circ, variables = pad_degree(circ, variables)
-        return extract_coeff_tripartition(circ, variables, skew_cap, b, g, dec_source)
+        return extract_coeff_tripartition(circ, variables, b, g, dec_source)
     raise ValueError(f"unknown extraction method {method!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import Circuit, CircuitBuilder, evaluate
-from .coeffx import DEFAULT_SKEW_CAP, extract_coefficient
+from .coeffx import extract_coefficient
 from .errors import (DivisibilityError, ParityError, ParseError, TooLarge,
                      content_lines, int_fields)
 from .fields import Field, prime_field
@@ -284,10 +284,6 @@ class SetFamily:
     ground_size: int
     members: tuple          # tuple of sorted element tuples, 1-based
 
-    @property
-    def max_member_size(self) -> int:
-        return max((len(s) for s in self.members), default=0)
-
 
 def parse_family_file(text: str) -> SetFamily:
     """Family file: 'n q m' then m lines of q elements each."""
@@ -307,17 +303,19 @@ def parse_family_file(text: str) -> SetFamily:
 
 
 def setpart_circuit(fam: SetFamily, field: Field):
-    """q-skew product circuit: product over members of (1 + prod x_i)."""
+    """1-skew circuit for the product over members S of (1 + prod_{i in S} x_i).
+
+    Each member turns acc into acc + acc*x_i1*...*x_iq, multiplying in one
+    variable at a time; an empty member doubles acc.
+    """
     bld = CircuitBuilder(field)
     xs = {i: bld.inp(f"x:{{{i}}}") for i in range(1, fam.ground_size + 1)}
     acc = bld.one
     for member in fam.members:
-        chain = None
+        chain = acc
         for e in member:
-            chain = xs[e] if chain is None else bld.mul(chain, xs[e])
-        term = bld.add(bld.one, chain) if chain is not None else bld.const(
-            field.add(field.one, field.one))
-        acc = bld.mul(acc, term)
+            chain = bld.mul(chain, xs[e])
+        acc = bld.add(acc, chain)
     bld.set_outputs([acc])
     return bld.build(), [f"x:{{{i}}}" for i in range(1, fam.ground_size + 1)]
 
@@ -326,14 +324,8 @@ def count_set_partitions(fam: SetFamily, method: str = "direct",
                          field: Field | None = None):
     """Number of subfamilies partitioning the ground set, as a residue."""
     field = field or prime_field()
-    if fam.ground_size == 0:
-        # only the empty subfamily partitions the empty ground set; each
-        # empty member doubles it (the factor 1+1)
-        return field.pow(field.add(field.one, field.one),
-                         sum(1 for s in fam.members if not s))
     circ, xvars = setpart_circuit(fam, field)
-    out = extract_coefficient(circ, xvars, method,
-                              skew_cap=max(DEFAULT_SKEW_CAP, fam.max_member_size))
+    out = extract_coefficient(circ, xvars, method)
     return evaluate(out, {})[0]
 
 

@@ -74,12 +74,13 @@ class SieveRunner:
     """One substituted-and-extracted circuit, reused across trials.
 
     kind 'det':  x_i -> rx_i * sum_j A[j,i] y_j
-    kind 'odd':  x_i -> rx_i * (1 + z * rxp_i * sum_j A[j,i] y_j)
+    kind 'odd':  x_i -> rx_i * (1 + rxp_i * sum_j A[j,i] y_j)
 
-    The rx/rxp randomness are inputs assigned per trial.  For 'odd', every
-    y factor in the substitution carries exactly one z, so the coefficient
-    of y_1..y_k is homogeneous of degree k in z; the z^k slice is therefore
-    obtained exactly by evaluating the carried z input at one.
+    The rx/rxp randomness are inputs assigned per trial.  For 'odd', each
+    y enters through exactly one factor rxp_i * (linear form), so the
+    coefficient of y_1..y_k collects exactly the terms with k such
+    factors: it is already the slice that a marker variable z on those
+    factors, kept at z^k, would select.
     """
 
     def __init__(self, circ: Circuit, a: SieveMatrix, kind: str, method: str,
@@ -97,14 +98,12 @@ class SieveRunner:
         if len(xvars) != a.n:
             raise ShapeError(f"{len(xvars)} variables vs {a.n} matrix columns")
         k = a.k
-        self.k = k
         self.field = field
         bld = CircuitBuilder(field)
         yvars = [f"y:{{{j}}}" for j in range(1, k + 1)]
         ys = [bld.inp(nm) for nm in yvars]
         self.rand_inputs = []
         subst = {}
-        z = bld.inp("v:__z") if kind == "odd" else None
         for i, name in enumerate(xvars):
             lin = bld.add(*[bld.scale(a.rows[j][i], ys[j]) for j in range(k)])
             rx = bld.inp(f"v:__rx{i}")
@@ -114,7 +113,7 @@ class SieveRunner:
             else:
                 rxp = bld.inp(f"v:__rxp{i}")
                 self.rand_inputs.append(f"v:__rxp{i}")
-                subst[name] = bld.mul(rx, bld.add(bld.one, bld.mul(z, bld.mul(rxp, lin))))
+                subst[name] = bld.mul(rx, bld.add(bld.one, bld.mul(rxp, lin)))
         bld.set_outputs([replay(circ, bld, subst.get)[circ.outputs[0]]])
         substituted = bld.build()
         # the transform preserves 1-skewness in the sieve variables
@@ -127,7 +126,6 @@ class SieveRunner:
 
     def run(self, rng: Rng, extra: dict | None = None):
         asg = dict(extra) if extra else {}
-        asg["v:__z"] = self.field.one
         for name in self.rand_inputs:
             asg[name] = self.field.random(rng)
         return evaluate(self.circuit, asg)[0]
@@ -249,7 +247,7 @@ def kpath_detect(g: DirectedGraph, k: int, rng: Rng, trials: int = 7,
     if k >= g.n:
         return False  # a simple path of length k needs k+1 distinct vertices
     circ, labels = _kpath_labeled_circuit(g, k, field)
-    if not any(nm.startswith("v:lbl_") for nm in circ.input_names()):
+    if not labels:
         return False  # no walks of length k at all
     a = vandermonde(k + 1, g.n, field, rng)
     runner = SieveRunner(circ, a, "det", method,

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import random_skew_circuit
 from kronscale import coeffx
-from kronscale.circuit import CircuitBuilder, evaluate, formal_degrees
+from kronscale.circuit import CircuitBuilder, analyze_skew, evaluate, formal_degrees
 from kronscale.coeffx import (
     _reach,
     _run_layer,
@@ -12,9 +12,16 @@ from kronscale.coeffx import (
     extract_coefficient,
     pad_degree,
 )
-from kronscale.counting import build_hafnian_circuit, hafnian_clow_circuit
-from kronscale.errors import NotSkew
+from kronscale.counting import (
+    SetFamily,
+    build_hafnian_circuit,
+    hafnian_clow_circuit,
+    permanent_skew_circuit,
+    setpart_circuit,
+)
+from kronscale.errors import NotSkew, ShapeError
 from kronscale.fields import Rng, gf2, prime_field
+from kronscale.sieving import DirectedGraph, _kpath_labeled_circuit, mv_det_circuit
 
 from _symbolic import expand_circuit
 
@@ -80,17 +87,40 @@ def test_direct_with_carried_inputs():
         assert evaluate(out, {"v:w": v}) == (v,)
 
 
-def test_direct_skew_cap():
+def two_skew_product():
     names = names_for(6)
     bld = CircuitBuilder(F)
     xs = [bld.inp(nm) for nm in names]
     left = bld.mul(bld.mul(xs[0], xs[1]), bld.mul(xs[2], xs[3]))  # 2-skew already
     right = bld.mul(xs[4], xs[5])
     bld.set_outputs([bld.mul(left, right)])  # min side degree 2
-    with pytest.raises(NotSkew):
-        extract_coefficient(bld.build(), names, "direct", skew_cap=1)
-    out = extract_coefficient(bld.build(), names, "direct", skew_cap=4)
+    return bld.build(), names
+
+
+def test_direct_skew_cap():
+    # the direct route takes a circuit of any skewness
+    c, names = two_skew_product()
+    out = extract_coefficient(c, names, "direct")
     assert evaluate(out, {}) == (1,)
+
+
+def test_tripartition_rejects_a_2skew_circuit():
+    c, names = two_skew_product()
+    with pytest.raises(NotSkew, match="2-skew"):
+        extract_coefficient(c, names, "tri")
+
+
+def test_direct_matches_expansion_oracle_on_3skew_circuits():
+    rng = Rng(2718)
+    names = names_for(6)
+    skews = set()
+    for _ in range(6):
+        c = random_skew_circuit(F, rng, names, n_gates=20, q=3, full_monomial=True)
+        skews.add(analyze_skew(c, set(names)))
+        want = expand_circuit(c, term_cap=500_000)[0].coefficient_of_full_monomial(names)
+        assert want != 0
+        assert evaluate(extract_coeff_direct(c, names), {}) == (want,)
+    assert 3 in skews
 
 
 def test_tripartition_product_blocks():
@@ -138,27 +168,6 @@ def test_cross_method_random_1skew():
         assert d == (want,)
 
 
-def test_tripartition_qskew_via_rewrite():
-    # q = 2 circuit: product of (1 + x_i x_j) pairs, the set-partition shape
-    names = names_for(9)
-    bld = CircuitBuilder(F)
-    xs = [bld.inp(nm) for nm in names]
-    pairs = [(0, 1), (2, 3), (4, 5), (6, 7), (0, 8), (1, 2)]
-    acc = None
-    for i, j in pairs:
-        term = bld.add(bld.one, bld.mul(xs[i], xs[j]))
-        acc = term if acc is None else bld.mul(acc, term)
-    # close the degree gap so the full monomial can appear
-    for i in (3, 4, 5, 6, 7, 8):
-        acc = bld.mul(acc, xs[i])
-    bld.set_outputs([acc])
-    c = bld.build()
-    d = evaluate(extract_coefficient(c, names, "direct"), {})
-    t = evaluate(extract_coefficient(c, names, "tri"), {})
-    want = expand_circuit(c)[0].coefficient_of_full_monomial(names)
-    assert d == t == (want,)
-
-
 def test_pad_degree():
     names = names_for(7)
     c = full_product_circuit(F, names)
@@ -188,7 +197,7 @@ def test_padded_extraction_agrees():
 def test_tripartition_rejects_unpadded():
     names = names_for(7)
     c = full_product_circuit(F, names)
-    with pytest.raises(NotSkew):
+    with pytest.raises(ShapeError):
         extract_coeff_tripartition(c, names)
 
 
@@ -300,3 +309,32 @@ def test_bottom_layer_multiplies_components_of_any_degree():
     tables = _seed_tables(circ, {name: i for i, name in enumerate(names)}, bld)
     _run_layer(bld, circ.gates, degs, reach, -1, 4, tables)
     assert tables[(circ.outputs[0], 4)] == {0b1111: bld.one}
+
+
+def _mv_det_application():
+    f = gf2(8)
+    xvars = names_for(3)
+    entries = [[(f.one if p == q else f.zero,
+                 tuple((xvars[i], 1 + p + q + i) for i in range(3)))
+                for q in range(4)] for p in range(4)]
+    return mv_det_circuit(entries, f), xvars
+
+
+def _kpath_application():
+    arcs = tuple((u, v) for u in range(1, 5) for v in range(1, 5) if u != v)
+    circ, _ = _kpath_labeled_circuit(DirectedGraph(4, arcs), 3, gf2(8))
+    return circ, [f"x:{{{v}}}" for v in range(1, 5)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: permanent_skew_circuit(4, F),
+    lambda: hafnian_clow_circuit(8, F),
+    lambda: setpart_circuit(SetFamily(6, ((), (1,), (2, 3), (1, 4, 5), (2, 3, 5, 6),
+                                          (3,), ())), F),
+    _kpath_application,
+    _mv_det_application,
+], ids=["permanent", "hafnian", "setpart", "kpath", "mv_det"])
+def test_every_application_circuit_is_1skew(build):
+    # the tri route takes 1-skew circuits only
+    circ, xvars = build()
+    assert analyze_skew(circ, set(xvars)) == 1

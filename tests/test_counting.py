@@ -295,6 +295,23 @@ def test_setpart_tri_mode():
     assert count_set_partitions(fam, "tri") == want
 
 
+@pytest.mark.parametrize("method", ["direct", "tri"])
+def test_setpart_empty_ground_set(method):
+    # the empty subfamily partitions it, with or without each empty member:
+    # 1 and 2^3
+    for fam in (SetFamily(0, ()), SetFamily(0, ((), (), ()))):
+        assert count_set_partitions(fam, method) == setpart_bruteforce(fam)
+
+
+def test_setpart_members_of_mixed_sizes():
+    fam = SetFamily(8, ((), (1,), (2,), (1, 2, 3), (4, 5, 6), (3, 4, 5, 6),
+                        (1, 2, 7, 8), (3,), (6, 7, 8), (5, 7, 8)))
+    want = setpart_bruteforce(fam)
+    assert want > 1
+    assert count_set_partitions(fam, "direct") == want
+    assert count_set_partitions(fam, "tri") == want
+
+
 def test_matrix_file_roundtrip():
     text = "3\n1 2 3\n4 5 6\n7 8 9\n"
     m = parse_matrix_file(text, F)

@@ -186,6 +186,13 @@ def test_odd_sieve_examples():
     assert not odd_sieve(c2, one1, rng, trials=20)
 
 
+def test_odd_runner_circuit_has_no_marker_input():
+    runner = SieveRunner(_monomial_circuit([1, 1]), identity_matrix(2), "odd", "direct")
+    names = runner.circuit.input_names()
+    assert "v:__z" not in names
+    assert set(names) <= set(runner.rand_inputs)
+
+
 def test_odd_sieve_vs_osupp_rank_oracle():
     rng = Rng(15)
     from _symbolic import expand_circuit
