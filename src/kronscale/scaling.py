@@ -339,30 +339,34 @@ def _reached_terms(support, inputs: dict, s: int) -> list:
 
 
 def _restricted_power(bld: CircuitBuilder, dec: RankDecomposition, supports, s: int,
-                      side_entries, pairs, zwire, arc_budget: int) -> list:
+                      side_entries, pairs, zwire, arc_budget: int, groups: dict) -> None:
     """The s-th Kronecker power of dec, restricted to the given side
-    entries, applied to every (xwire, ywire) pair against one zwire and
-    summed, in factored form: the returned gates, one per distinct z-hat
-    gate, are z^ * (sum of x^ * y^) and add up to the sum.
+    entries, applied to every (xwire, ywire) pair against one zwire, in
+    factored form: every x^ * y^ product is appended to groups[z^], the
+    list that the caller's dict keeps for that z-hat gate, and
+    sum over groups of z^ * (sum of its list) is the sum over the pairs.
 
     side_entries[slot][j] lists (side index, mask) pairs alive in factor j;
     an s-fold combination reads its input from the slot's wire at the OR of
     the masks, and it is present only if that gate is neither None nor
     zero.  Without a present z input, or without a pair that has both a
-    present x and a present y input, the sum is zero and [] returns with
-    no gate emitted; a pair without both is skipped.  A pair's term survives
+    present x and a present y input, the sum is zero and groups is left as
+    it was; a pair without both is skipped.  A pair's term survives
     factor j only if each slot has a present input whose j-th side index
     has a row (supports[slot]) reaching it.  Every pair's x and y inputs
     run through the Yates transform over the pair's surviving terms, and
     then the z inputs once, over the union of those terms; so the arc
     budget checks x, y and z in that order.  The power is trilinear, so
     sum_p P(x_p, y_p, z) = sum_l z^[l] * sum_p x^_p[l] * y^_p[l], and the
-    terms whose z-hat is one gate share its product.  A group of one term
-    costs the two muls of x^ * y^ * z^, as the unfactored sum does.
+    terms whose z-hat is one gate share its product; interning makes equal
+    z-hats of different restrictions one gate, so a caller that passes one
+    dict to several restrictions shares the product across them too.  A
+    group of one term costs the two muls of x^ * y^ * z^, as the
+    unfactored sum does.
     """
     zin = _present_inputs(bld, zwire, side_entries[2])
     if not zin:
-        return []
+        return
     zreach = _reached_terms(supports[2], zin, s)
     hats = []
     zlive = [frozenset()] * s
@@ -379,9 +383,8 @@ def _restricted_power(bld: CircuitBuilder, dec: RankDecomposition, supports, s: 
                      _yates_transform(bld, dec.rows[1], s, yin, live, arc_budget, "y")))
         zlive = [u | l for u, l in zip(zlive, live)]
     if not hats:
-        return []
+        return
     hz = _yates_transform(bld, dec.rows[2], s, zin, zlive, arc_budget, "z")
-    groups: dict = {}
     for hx, hy in hats:
         for key, gx in hx.items():
             gy = hy.get(key)
@@ -391,7 +394,11 @@ def _restricted_power(bld: CircuitBuilder, dec: RankDecomposition, supports, s: 
             if gz is None:
                 continue
             groups.setdefault(gz, []).append(bld.mul(gx, gy))
-    return [bld.mul(bld.add(*xy), gz) for gz, xy in groups.items()]
+
+
+def _join(bld: CircuitBuilder, groups: dict) -> int:
+    """sum over the z-hat groups of z^ * (sum of its x^ * y^ products)."""
+    return bld.add(*[bld.mul(bld.add(*xy), gz) for gz, xy in groups.items()])
 
 
 def yates_circuit(dec: RankDecomposition, s: int,
@@ -414,9 +421,10 @@ def yates_circuit(dec: RankDecomposition, s: int,
         for side in (dec.side_x, dec.side_y, dec.side_z))
     xwire, ywire, zwire = (lambda mask, slot=slot: bld.inp(subset_name(slot, mask))
                            for slot in "xyz")
-    terms = _restricted_power(bld, dec, supports, s, side_entries, [(xwire, ywire)],
-                              zwire, arc_budget)
-    bld.set_outputs([bld.add(*terms)])
+    groups: dict = {}
+    _restricted_power(bld, dec, supports, s, side_entries, [(xwire, ywire)], zwire,
+                      arc_budget, groups)
+    bld.set_outputs([_join(bld, groups)])
     return bld.build()
 
 
@@ -424,11 +432,13 @@ class PScalingScheme:
     """Reusable builder for the P_n circuit of Theorem-style pipelines.
 
     Constructed once per (n, b, g, field, provider); instantiate() emits
-    into any CircuitBuilder one restricted Yates copy per type, which sums
-    every (x, y) wire pair against one z wire; wires are caller-supplied
-    mask->gate maps (None kills an input).  g=None means n // b; every
-    construction asks the provider (default: the trivial decomposition)
-    and verifies its answer.  The side entries of every type
+    into any CircuitBuilder every type's restricted Kronecker power of the
+    provider, applied to every (x, y) wire pair against one z wire, and
+    joins them all through one product per distinct z-hat gate of the
+    call; wires are caller-supplied mask->gate maps (None kills an
+    input).  g=None means n // b; every construction asks the provider
+    (default: the trivial decomposition) and verifies its answer.  The
+    side entries of every type
     (side_entries[type][slot][j]: the (side index, mask) pairs alive in
     factor j) do not depend on the wires, so they are built here once;
     instantiate() keeps no state between calls, and a type with a slot
@@ -467,17 +477,17 @@ class PScalingScheme:
         """Emit sum_p P_n(x_p, y_p, z) over the (xwire, ywire) pairs p,
         with z read through zwire; returns the output gate id.
 
-        Every type transforms z once for all the pairs and groups their
-        joins by z-hat, so pairs that share a z belong in one call.  With
-        no pair, or nothing that joins, the result is bld.zero and no gate
-        is emitted."""
-        type_outputs = []
+        Every type transforms z once for all the pairs, and the x^ * y^
+        products of all types and pairs are grouped by their z-hat gate:
+        types that share a gamma read the same z inputs, so each z-hat is
+        multiplied once per call, not once per type.  Pairs that share a z
+        belong in one call.  With no pair, or nothing that joins, the
+        result is bld.zero and no gate is emitted."""
+        groups: dict = {}
         for side_entries in self.side_entries:
-            terms = _restricted_power(bld, self.dec, self.supports, self.s,
-                                      side_entries, pairs, zwire, self.arc_budget)
-            if terms:
-                type_outputs.append(bld.add(*terms))
-        return bld.add(*type_outputs)
+            _restricted_power(bld, self.dec, self.supports, self.s, side_entries,
+                              pairs, zwire, self.arc_budget, groups)
+        return _join(bld, groups)
 
 
 def build_P_circuit(n: int, b: int, g: int, field: Field | None = None,

@@ -111,9 +111,9 @@ def test_permanent_bottom_size_bound():
 
 
 def test_permanent_benchmark_circuit_does_not_grow():
-    # the perm6-s2 benchmark circuit, checked as upper bounds
+    # the perm6-s2 benchmark circuit, pinned exactly
     stats = build_permanent_circuit(6, b=1, g=1).stats()
-    assert stats["arcs"] <= 727 and stats["gates"] <= 359
+    assert (stats["arcs"], stats["gates"]) == (585, 292)
 
 
 def test_permanent_build_leaves_the_evaluation_plan_unbuilt():

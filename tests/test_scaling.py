@@ -8,10 +8,13 @@ import pytest
 
 from kronscale import scaling
 from kronscale.circuit import (
+    OP_ADD,
+    OP_IN,
     OP_MUL,
     CircuitBuilder,
     dead_gate_elimination,
     evaluate,
+    mask_bits,
     subset_name,
 )
 from kronscale.coeffx import extract_coefficient
@@ -21,10 +24,11 @@ from kronscale.counting import (
     build_permanent_circuit,
     hafnian_bruteforce,
     matrix_assignment,
+    matrix_input_name,
     permanent_ryser,
 )
 from kronscale.errors import DivisibilityError, ProviderError, ShapeError, TooLarge
-from kronscale.fields import Rng, prime_field
+from kronscale.fields import Rng, gf2, prime_field
 from kronscale.scaling import (
     BlockStructure,
     IntersectionType,
@@ -38,7 +42,13 @@ from kronscale.scaling import (
     yates_circuit,
 )
 from kronscale.steinitz import concentration_partition
-from kronscale.tensor import RankDecomposition, Tensor, generate_P, trivial_decomposition
+from kronscale.tensor import (
+    RankDecomposition,
+    Tensor,
+    generate_P,
+    trivial_decomposition,
+    verify_decomposition,
+)
 
 from _tensor_oracle import kron_power, tensor_eval
 
@@ -431,8 +441,8 @@ def test_build_P_trilinear_in_x():
 
 def test_trivial_provider_sizes_are_pinned():
     perm = build_permanent_circuit(6, b=1, g=1)
-    assert (perm.size, len(perm.gates)) == (646, 329)
-    assert build_P_circuit(3, 1, 1, field=F).size == 6544
+    assert (perm.size, len(perm.gates)) == (585, 292)
+    assert build_P_circuit(3, 1, 1, field=F).size == 5292
 
 
 def join_count_model(q, r):
@@ -454,26 +464,28 @@ def join_count_model(q, r):
 
 
 def distinct_z_hats(q):
-    """Per type, the z-masks that some joined term reads, summed over the
-    types of P_q at b = g = 1.  With the trivial provider each z-hat is one
-    input gate, and a type's joined terms are the products of its factors'
-    joined terms, so a type has as many z-hats as the product over its
-    factors of the z-masks that meet some disjoint x- and y-mask."""
-    total = 0
+    """The z-masks that some joined term of some type of P_q reads, at
+    b = g = 1.  With the trivial provider each z-hat is the input gate at
+    its z-mask, one gate whichever type reads it, and a type's joined terms
+    are the products of its factors' joined terms, so a type reads the ORs
+    of one z-mask per factor that meets some disjoint x- and y-mask."""
+    masks = set()
     for comp in decompose_P(BlockStructure(1, 1, q)).components:
-        count = 1
+        per_factor = []
         for j, ground in enumerate(comp.factor_grounds):
             full = (1 << len(ground)) - 1
-            count *= len({full ^ lx ^ ly for lx in comp.alive_x[j] for ly in comp.alive_y[j]
-                          if not lx & ly and full ^ lx ^ ly in comp.alive_z[j]})
-        total += count
-    return total
+            per_factor.append({comp.alive_z[j][full ^ lx ^ ly]
+                               for lx in comp.alive_x[j] for ly in comp.alive_y[j]
+                               if not lx & ly and full ^ lx ^ ly in comp.alive_z[j]})
+        masks.update(sum(combo) for combo in product(*per_factor))
+    return len(masks)
 
 
-@pytest.mark.parametrize("q, joins, z_hats", [(3, 1680, 525), (4, 34650, 7839)])
+@pytest.mark.parametrize("q, joins, z_hats", [(3, 1680, 84), (4, 34650, 495)])
 def test_mul_gates_are_one_per_join_and_one_per_z_hat(q, joins, z_hats):
-    # each joined term is one x*y mul, and each distinct z-hat of a type
-    # one more mul by the sum of its x*y products
+    # each joined term is one x*y mul, and each distinct z-hat of the build
+    # one more mul by the sum of the x*y products of every type that reads
+    # it; every n-subset of [3n] is some joined term's z-mask
     assert (join_count_model(q, 6), distinct_z_hats(q)) == (joins, z_hats)
     circ = build_P_circuit(q, 1, 1, field=F)
     assert sum(op == OP_MUL for op, _ in circ.gates) == joins + z_hats
@@ -483,12 +495,109 @@ def test_p4_permanent_is_pinned_and_agrees_with_ryser():
     # n=12 with g=4 runs on trivial P_4 factors (34,650 terms), the
     # largest provider any test builds
     perm = build_permanent_circuit(12, b=1, g=4)
-    assert (perm.size, len(perm.gates)) == (151480, 60197)
+    assert (perm.size, len(perm.gates)) == (130383, 46444)
     field = perm.field
     for seed in (1, 2):
         rng = Rng(seed)
         mat = SquareMatrix(field, tuple(tuple(field.random(rng) for _ in range(12))
                                         for _ in range(12)))
+        assert evaluate(perm, matrix_assignment(mat))[0] == permanent_ryser(mat)
+
+
+def z_hat_operands(circ, is_z_input):
+    """Per product gate that the output reaches through add gates only: its
+    one operand that reads nothing but z inputs (and constants)."""
+    gates = circ.gates
+    z_only = []
+    for op, payload in gates:
+        if op == OP_IN:
+            z_only.append(is_z_input(payload))
+        elif op in (OP_ADD, OP_MUL):
+            z_only.append(all(z_only[a] for a in payload))
+        else:
+            z_only.append(True)
+    stack, seen, operands = list(circ.outputs), set(), []
+    while stack:
+        gid = stack.pop()
+        if gid in seen:
+            continue
+        seen.add(gid)
+        op, payload = gates[gid]
+        if op == OP_ADD:
+            stack.extend(payload)
+            continue
+        assert op == OP_MUL
+        (gz,) = [a for a in payload if z_only[a]]
+        operands.append(gz)
+    return operands
+
+
+@pytest.mark.parametrize("build, z_names", [
+    (lambda: build_P_circuit(3, 1, 1, field=F), lambda n: n.startswith("z:")),
+    (lambda: build_permanent_circuit(6, b=1, g=1),
+     {matrix_input_name(i, j) for i in (5, 6) for j in range(1, 7)}.__contains__),
+], ids=["P3", "perm6"])
+def test_every_z_hat_is_joined_once_across_types(build, z_names):
+    # one instantiate multiplies each z-hat gate once, by the sum of the
+    # x*y products of every type that reads it
+    operands = z_hat_operands(build(), z_names)
+    assert len(operands) > 1
+    assert len(set(operands)) == len(operands)
+
+
+# the rank-5 decomposition of P_1 over GF(2): (x, y, z) bitmasks over its
+# three elements, all coefficients one
+P1_RANK5_GF2 = ((0b001, 0b010, 0b100), (0b010, 0b001, 0b111), (0b100, 0b111, 0b001),
+                (0b110, 0b101, 0b011), (0b111, 0b100, 0b010))
+
+
+def block_first(d, field):
+    """Block-first decomposition of P_d over characteristic 2: the six
+    tripartitions that differ only in how they split the block {0,1,2} one
+    element per part share the rank-5 P_1 on that block, times their common
+    outer parts; every other tripartition is one trivial term."""
+    terms = []
+    for parts in sorted(generate_P(d, field=field).entries):
+        inner = [m & 0b111 for m in parts]
+        if inner == [0b001, 0b010, 0b100]:
+            outer = [m ^ i for m, i in zip(parts, inner)]
+            terms.extend(tuple([o | 1 << e for e in mask_bits(m)] for o, m in zip(outer, term))
+                         for term in P1_RANK5_GF2)
+        # the other five one-per-part splits are in those P_1 terms
+        elif any(i.bit_count() != 1 for i in inner):
+            terms.append(tuple([m] for m in parts))
+    sides = [sorted({m for term in terms for m in term[k]}) for k in range(3)]
+    rows = [{m: [] for m in side} for side in sides]
+    for l, term in enumerate(terms):
+        for k in range(3):
+            for m in term[k]:
+                rows[k][m].append((l, field.one))
+    return RankDecomposition(field, 3 * d, len(terms), *map(tuple, sides),
+                             *(tuple(tuple(r[m]) for m in side)
+                               for r, side in zip(rows, sides)))
+
+
+def test_block_first_rank5_provider_verifies():
+    field = gf2(32)
+    dec = block_first(3, field)
+    # 1,680 trivial terms, less one for each of the 90 splits of the block
+    assert dec.rank == 1590
+    assert verify_decomposition(generate_P(3, field=field), dec) is None
+
+
+@pytest.mark.parametrize("n, trivial, rank5", [
+    # at n = 9 the rank-5 provider still loses; from n = 12 it wins
+    (9, (8208, 3262), (8812, 3635)),
+    (12, (130383, 46444), (123674, 45849)),
+], ids=["n9", "n12"])
+def test_block_first_rank5_permanent_sizes(n, trivial, rank5):
+    field = gf2(32)
+    rng = Rng(n)
+    mat = SquareMatrix(field, tuple(tuple(field.random(rng) for _ in range(n))
+                                    for _ in range(n)))
+    for dec_source, size in ((None, trivial), (block_first, rank5)):
+        perm = build_permanent_circuit(n, field, dec_source=dec_source, b=1, g=1)
+        assert (perm.size, len(perm.gates)) == size
         assert evaluate(perm, matrix_assignment(mat))[0] == permanent_ryser(mat)
 
 
@@ -621,7 +730,7 @@ def test_rescaled_provider_emits_no_scale_that_never_joins():
     # whether or not its other slots had any; the live part is the same
     circ = build_hafnian_circuit(12, "tri", dec_source=rescaled)
     assert circ.size <= 12831
-    assert dead_gate_elimination(circ).size == 6897
+    assert dead_gate_elimination(circ).size == 6894
     field = circ.field
     for seed in (3, 4):
         rng = Rng(seed)

@@ -404,9 +404,8 @@ def _kpath_tri_benchmark_runner():
 
 
 def test_kpath_tri_benchmark_circuit_does_not_grow():
-    # checked as upper bounds
     stats = _kpath_tri_benchmark_runner()[0].circuit.stats()
-    assert stats["arcs"] <= 16_289 and stats["gates"] <= 7_318
+    assert (stats["arcs"], stats["gates"]) == (16_268, 7_297)
 
 
 def test_tri_runner_keeps_the_extraction_meta_and_an_unbuilt_plan():
