@@ -346,14 +346,8 @@ def analyze_skew(circ: Circuit, variables=None) -> int:
     return q
 
 
-def replay(circ: Circuit, bld: CircuitBuilder, input_map=None) -> list:
-    """Copy the gates the outputs reach into bld, in order, through its
-    folding calls.
-
-    input_map(name) may return a gate of bld to stand in for an input;
-    None (or no map) copies the input.  Returns the new id of every old
-    gate, None for gates the outputs do not reach.
-    """
+def _reached(circ: Circuit) -> list:
+    """Per gate: whether some output reaches it, marked walking backwards."""
     gates = circ.gates
     live = [False] * len(gates)
     for o in circ.outputs:
@@ -363,8 +357,20 @@ def replay(circ: Circuit, bld: CircuitBuilder, input_map=None) -> list:
         if live[gid] and op in (OP_ADD, OP_MUL):
             for a in payload:
                 live[a] = True
-    new = [None] * len(gates)
-    for gid, (op, payload) in enumerate(gates):
+    return live
+
+
+def replay(circ: Circuit, bld: CircuitBuilder, input_map=None) -> list:
+    """Copy the gates the outputs reach into bld, in order, through its
+    folding calls.
+
+    input_map(name) may return a gate of bld to stand in for an input;
+    None (or no map) copies the input.  Returns the new id of every old
+    gate, None for gates the outputs do not reach.
+    """
+    live = _reached(circ)
+    new = [None] * len(circ.gates)
+    for gid, (op, payload) in enumerate(circ.gates):
         if not live[gid]:
             continue
         if op == OP_IN:
@@ -380,12 +386,23 @@ def replay(circ: Circuit, bld: CircuitBuilder, input_map=None) -> list:
 
 
 def dead_gate_elimination(circ: Circuit) -> Circuit:
-    """Explicit pass: drop gates unreachable from the outputs, keeping the
-    circuit's meta."""
-    bld = CircuitBuilder(circ.field)
-    new = replay(circ, bld)
-    bld.set_outputs(new[o] for o in circ.outputs)
-    result = bld.build()
+    """Explicit pass: keep the gates that the outputs reach, in their
+    order, renumbered, and the circuit's meta.
+
+    Gates are copied as they are, not rebuilt: nothing folds, and two
+    equal kept gates stay two gates."""
+    live = _reached(circ)
+    new = [None] * len(circ.gates)
+    kept = []
+    for gid, gate in enumerate(circ.gates):
+        if not live[gid]:
+            continue
+        op, payload = gate
+        if op in (OP_ADD, OP_MUL):
+            gate = (op, tuple(map(new.__getitem__, payload)))
+        new[gid] = len(kept)
+        kept.append(gate)
+    result = Circuit(circ.field, tuple(kept), tuple(new[o] for o in circ.outputs))
     result.meta.update(circ.meta)
     return result
 
@@ -442,6 +459,7 @@ def parse(text: str) -> Circuit:
                 outputs = tuple(int(t) for t in toks[1:])
             except ValueError:
                 raise ParseError("bad output id", lineno) from None
+            out_line = lineno
             continue
         if field is None:
             raise ParseError("gate before field declaration", lineno)
@@ -481,5 +499,5 @@ def parse(text: str) -> Circuit:
         raise ParseError("missing out record")
     for o in outputs:
         if not 0 <= o < len(gates):
-            raise ParseError(f"output id {o} out of range")
+            raise ParseError(f"output id {o} out of range", out_line)
     return Circuit(field, tuple(gates), outputs)

@@ -3,8 +3,13 @@
 The ground [3n] is split into r = g*s blocks of size 3b; every balanced
 tripartition gets an intersection type (per-block size triple), and each
 type's slice embeds into a restriction of P_{d_eff}^{(x) s} after Steinitz
-balancing groups the blocks (at s = 1 the one group holds them all) and
-padding tops every part up to d_eff.
+balancing groups the blocks into s groups of g and padding tops every part
+up to d_eff.
+
+At s = 1 the one group holds every block, so every group sum is n, d_eff
+is n and no padding is needed: the type slices partition the support of
+P_n, and their sum is P_n itself.  The decomposition is then one component
+that reads every n-subset of [3n] as it is, and no type is enumerated.
 
 Padding is adaptive: d_eff = b*g + Delta where Delta is the largest
 deviation the balancing actually achieved over all types and groups.  The
@@ -107,9 +112,14 @@ def enumerate_types(bs: BlockStructure, budget: int = DEFAULT_TYPE_BUDGET):
 
 @dataclass(frozen=True)
 class ScalingComponent:
-    """One type's slice: Steinitz groups, padding split, restriction data."""
+    """One type's slice: Steinitz groups, padding split, restriction data.
 
-    tau: IntersectionType
+    tau is None for the one component at s = 1, which is every type's
+    slice at once: its group holds every block, its padding is (0, 0, 0),
+    its factor ground is [3n] and each alive map is the identity on the
+    n-subsets of [3n]."""
+
+    tau: IntersectionType | None
     groups: tuple              # per factor j: tuple of block indices
     pad_sizes: tuple           # per factor j: (pad_a, pad_b, pad_c)
     factor_grounds: tuple      # per factor j: tuple of global element ids
@@ -180,26 +190,30 @@ def _component(bs: BlockStructure, tau: IntersectionType, groups, d_eff: int) ->
 
 
 def decompose_P(bs: BlockStructure) -> ScalingDecomposition:
-    """One component per intersection type, all sharing one effective part
-    size d_eff.
+    """The components of P_n, all sharing one effective part size d_eff.
 
-    With s = 1 the one group holding every block is the only partition, so
-    it is used as is: every group sum is then n and delta is 0.  With
-    s >= 2 the groups come from the concentration partition of the
-    per-block count triples (alpha_i, beta_i, gamma_i) at scale 3b, that
-    is of the vectors (alpha_i, beta_i, gamma_i)/3b, into s groups of g
-    blocks."""
-    types = enumerate_types(bs)
+    With s = 1 the one group holding every block is the only partition:
+    every group sum is n, so d_eff is n, delta is 0, and the slices of all
+    types add up to P_n itself.  The result is the single component that
+    ScalingComponent describes for tau None.  With s >= 2 there is one
+    component per intersection type, its groups taken from the
+    concentration partition of the per-block count triples
+    (alpha_i, beta_i, gamma_i) at scale 3b, that is of the vectors
+    (alpha_i, beta_i, gamma_i)/3b, into s groups of g blocks."""
     b, g, s = bs.b, bs.g, bs.s
-    forced = (tuple(range(bs.r)),)
+    if s == 1:
+        n = bs.n
+        alive = ({m: m for m in (sum(1 << e for e in elems)
+                                 for elems in combinations(range(3 * n), n))},)
+        return ScalingDecomposition(bs, n, 0, (ScalingComponent(
+            None, (tuple(range(bs.r)),), ((0, 0, 0),), (tuple(range(3 * n)),),
+            alive, alive, alive),))
+    types = enumerate_types(bs)
     groupings = []
     delta = 0
     for tau in types:
-        if s == 1:
-            groups = forced
-        else:
-            groups = concentration_partition(list(zip(tau.alpha, tau.beta, tau.gamma)),
-                                             3 * b, (g,) * s)
+        groups = concentration_partition(list(zip(tau.alpha, tau.beta, tau.gamma)),
+                                         3 * b, (g,) * s)
         groupings.append(groups)
         for grp in groups:
             sa, sb, sc = _group_sums(tau, grp)
@@ -253,20 +267,21 @@ def verify_scaling(bs: BlockStructure, decomposition: ScalingDecomposition | Non
     return None
 
 
-def trivial_dec_source(d: int, field: Field) -> RankDecomposition:
-    """Default provider: the one-term-per-entry decomposition of P_d."""
-    return trivial_decomposition(generate_P(d, field=field))
-
-
 def _provider_dec(dec_source, d: int, field: Field) -> RankDecomposition:
+    """The provider's decomposition of P_d, or the trivial one when there
+    is no provider, checked exactly against one generated P_d."""
+    tensor = generate_P(d, field=field)
+    if dec_source is None:
+        dec = trivial_decomposition(tensor)
+    else:
+        try:
+            dec = dec_source(d, field)
+        except TooLarge:
+            raise
+        except Exception as exc:
+            raise ProviderError(f"decomposition provider failed for d={d}: {exc}") from exc
     try:
-        dec = dec_source(d, field)
-    except TooLarge:
-        raise
-    except Exception as exc:
-        raise ProviderError(f"decomposition provider failed for d={d}: {exc}") from exc
-    try:
-        bad = verify_decomposition(generate_P(d, field=field), dec)
+        bad = verify_decomposition(tensor, dec)
     except ShapeError as exc:
         raise ProviderError(f"provider decomposition for d={d} is malformed: {exc}") from exc
     if bad is not None:
@@ -432,17 +447,19 @@ class PScalingScheme:
     """Reusable builder for the P_n circuit of Theorem-style pipelines.
 
     Constructed once per (n, b, g, field, provider); instantiate() emits
-    into any CircuitBuilder every type's restricted Kronecker power of the
-    provider, applied to every (x, y) wire pair against one z wire, and
-    joins them all through one product per distinct z-hat gate of the
-    call; wires are caller-supplied mask->gate maps (None kills an
-    input).  g=None means n // b; every construction asks the provider
-    (default: the trivial decomposition) and verifies its answer.  The
-    side entries of every type
-    (side_entries[type][slot][j]: the (side index, mask) pairs alive in
-    factor j) do not depend on the wires, so they are built here once;
-    instantiate() keeps no state between calls, and a type with a slot
-    that no wire feeds emits nothing.
+    into any CircuitBuilder every component's restricted Kronecker power
+    of the provider, applied to every (x, y) wire pair against one z wire,
+    and joins them all through one product per distinct z-hat gate of the
+    call; wires are caller-supplied mask->gate maps (None kills an input).
+    g=None means n // b, so s = 1 and the one component is P_n itself,
+    evaluated by one restricted power of the provider's P_n.  Every
+    construction generates P_{d_eff} once, asks the provider for its
+    decomposition (default: the trivial one of that tensor) and verifies
+    the answer against it.  The side entries of every component
+    (side_entries[component][slot][j]: the (side index, mask) pairs alive
+    in factor j) do not depend on the wires, so they are built here once;
+    instantiate() keeps no state between calls, and a component with a
+    slot that no wire feeds emits nothing.
     """
 
     def __init__(self, n: int, b: int, g: int | None, field: Field, dec_source=None,
@@ -462,7 +479,7 @@ class PScalingScheme:
         self.arc_budget = arc_budget
         self.decomposition = decompose_P(self.bs)
         self.d_eff = self.decomposition.d_eff
-        self.dec = _provider_dec(dec_source or trivial_dec_source, self.d_eff, field)
+        self.dec = _provider_dec(dec_source, self.d_eff, field)
         self.supports = _supports(self.dec)
         side_index = tuple({m: i for i, m in enumerate(side)}
                            for side in (self.dec.side_x, self.dec.side_y, self.dec.side_z))
@@ -477,12 +494,12 @@ class PScalingScheme:
         """Emit sum_p P_n(x_p, y_p, z) over the (xwire, ywire) pairs p,
         with z read through zwire; returns the output gate id.
 
-        Every type transforms z once for all the pairs, and the x^ * y^
-        products of all types and pairs are grouped by their z-hat gate:
-        types that share a gamma read the same z inputs, so each z-hat is
-        multiplied once per call, not once per type.  Pairs that share a z
-        belong in one call.  With no pair, or nothing that joins, the
-        result is bld.zero and no gate is emitted."""
+        Every component transforms z once for all the pairs, and the
+        x^ * y^ products of all components and pairs are grouped by their
+        z-hat gate: types that share a gamma read the same z inputs, so
+        each z-hat is multiplied once per call, not once per type.  Pairs
+        that share a z belong in one call.  With no pair, or nothing that
+        joins, the result is bld.zero and no gate is emitted."""
         groups: dict = {}
         for side_entries in self.side_entries:
             _restricted_power(bld, self.dec, self.supports, self.s, side_entries,

@@ -6,7 +6,8 @@ and every metric that needs the probe is then reported as absent.  Here
 both probe sets run around a small permanent build with one evaluation
 and around a small tri k-path detection, calling through the module
 attributes that the benchmark's worker calls through, and every per-layer
-metric must come out present.
+metric must come out present.  The tri k-path build runs at s = 1, where
+no type is enumerated; it must still record d_eff through decompose_P.
 """
 
 import sys
@@ -59,3 +60,7 @@ def test_every_per_layer_metric_is_present(run, counted):
                                        installed.absent, counted=counted)
     assert metrics
     assert [name for name, m in metrics.items() if m.get("absent")] == []
+    if run is kpath_run and not counted:
+        # at s = 1 the tri route still asks decompose_P for d_eff and delta
+        assert any(span[0] == "scaling.decompose_P" for span in tracer.spans)
+        assert metrics["scaling.d_eff"]["value"] == 3

@@ -16,6 +16,7 @@ from kronscale.circuit import (
     formal_degrees,
     mask_bits,
     parse,
+    replay,
     serialize,
     subset_name,
 )
@@ -489,3 +490,79 @@ def test_dead_gate_elimination():
     c2 = dead_gate_elimination(c)
     assert len(c2.gates) < len(c.gates)
     assert evaluate(c2, {"x:{1}": 9}) == evaluate(c, {"x:{1}": 9})
+
+
+def replay_dge(circ):
+    """Dead-gate elimination by replay: the reached gates copied through a
+    fresh builder, which folds and interns them again."""
+    bld = CircuitBuilder(circ.field)
+    new = replay(circ, bld)
+    bld.set_outputs(new[o] for o in circ.outputs)
+    return bld.build()
+
+
+def reached_gates(circ):
+    """The gate ids that the outputs reach, by a walk down from them."""
+    stack, seen = list(circ.outputs), set()
+    while stack:
+        gid = stack.pop()
+        if gid not in seen:
+            seen.add(gid)
+            op, payload = circ.gates[gid]
+            if op in (OP_ADD, OP_MUL):
+                stack.extend(payload)
+    return sorted(seen)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(calls=BUILDER_CALLS, picks=st.lists(st.integers(0, 1000), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32))
+def test_dead_gate_elimination_keeps_the_reached_gates_in_order(calls, picks, seed):
+    f = prime_field(5)
+    bld = CircuitBuilder(f)
+    bld.inp("v:0")
+    for kind, args in calls:
+        gids = [p % len(bld.gates) for p in args]
+        if kind == "inp":
+            bld.inp(f"v:{args[0] % 3}")
+        elif kind == "const":
+            bld.const(args[0] % 5)
+        elif kind == "add":
+            bld.add(*gids)
+        elif kind == "mul":
+            bld.mul(gids[0], gids[-1])
+        else:
+            bld.scale(args[0] % 5, gids[-1])
+    # the first output comes twice
+    outputs = [p % len(bld.gates) for p in picks]
+    bld.set_outputs(outputs + outputs[:1])
+    circ = bld.build()
+    circ.meta.update(method="test", s=1)
+    got = dead_gate_elimination(circ)
+    kept = reached_gates(circ)
+    new = {gid: i for i, gid in enumerate(kept)}
+    assert got.gates == tuple(
+        (op, tuple(new[a] for a in payload)) if op in (OP_ADD, OP_MUL) else (op, payload)
+        for op, payload in (circ.gates[gid] for gid in kept))
+    assert got.outputs == tuple(new[o] for o in circ.outputs)
+    assert got.meta == circ.meta
+    # a builder's circuit has nothing left to fold or intern, so the
+    # replay gives the same circuit
+    ref = replay_dge(circ)
+    assert (got.gates, got.outputs) == (ref.gates, ref.outputs)
+    rng = Rng(seed)
+    asg = {f"v:{i}": f.random(rng) for i in range(3)}
+    assert evaluate(got, asg) == evaluate(circ, asg)
+
+
+def test_dead_gate_elimination_keeps_equal_gates_apart():
+    # marking renumbers the gates as they are, so two equal live gates of
+    # a parsed circuit stay two; the replay interns them into one
+    circ = parse("circuit v1\nfield p=7\nin 0 x:{1}\nin 1 x:{2}\nadd 2 0 0\n"
+                 "add 3 0 0\nmul 4 2 3\nout 4\n")
+    got = dead_gate_elimination(circ)
+    assert got.gates == ((OP_IN, "x:{1}"), (OP_ADD, (0, 0)), (OP_ADD, (0, 0)),
+                         (OP_MUL, (1, 2)))
+    assert got.outputs == (3,)
+    assert len(replay_dge(circ).gates) == 3
+    assert evaluate(got, {"x:{1}": 3}) == evaluate(circ, {"x:{1}": 3, "x:{2}": 0}) == (1,)

@@ -25,6 +25,8 @@ def parse_matrix(text):
 # lines count, so the number points into the file as written
 MALFORMED = {
     "circuit-second-out": (parse, "circuit v1\nfield p=7\nin 0 x:{1}\nout 0\nout 0\n", 5),
+    "circuit-out-past-gates": (parse, "circuit v1\nfield gf2 w=8\nin 0 x:{1}\nout 3\n", 4),
+    "circuit-out-negative": (parse, "circuit v1\nfield gf2 w=8\nin 0 x:{1}\nout -1\n", 4),
     "rankdec-rank": (parse_decomposition, "rankdec v1\nfield p=7\nr=x\n", 3),
     "rankdec-mask": (parse_decomposition, "rankdec v1\nfield p=7\nr=1\nxside:\n{a}\n", 5),
     "rankdec-negative-rank": (parse_decomposition, "rankdec v1\nfield p=7\nr=-1\n", 3),

@@ -37,7 +37,6 @@ from kronscale.scaling import (
     build_P_circuit,
     decompose_P,
     enumerate_types,
-    trivial_dec_source,
     verify_scaling,
     yates_circuit,
 )
@@ -126,12 +125,14 @@ def test_decompose_forced_single_component():
 
 
 def test_decompose_uniform_type_minimal_padding():
-    # with g dividing everything evenly, the uniform type gets deviation 0
-    bs = BlockStructure(1, 2, 1)
+    # with g dividing everything evenly, the uniform type gets deviation 0:
+    # each of its groups sums to b*g in every part, so every part is padded
+    # by delta, the least any type needs
+    bs = BlockStructure(1, 2, 2)
     dec = decompose_P(bs)
-    for comp in dec.components:
-        if comp.tau.alpha == (1, 1) and comp.tau.beta == (1, 1):
-            assert comp.pad_sizes == ((0, 0, 0),)
+    assert dec.delta == 2
+    (comp,) = [c for c in dec.components if c.tau.alpha == c.tau.beta == (1,) * bs.r]
+    assert comp.pad_sizes == ((dec.delta,) * 3,) * bs.s
 
 
 def test_decompose_alive_masks_have_size_d_eff():
@@ -212,22 +213,25 @@ def counted_partitions(monkeypatch):
 
 @pytest.mark.parametrize("bgs", [(1, 3, 1), (1, 4, 1), (1, 5, 1), (2, 2, 1)])
 def test_s1_grouping_matches_the_steinitz_route(bgs, monkeypatch):
+    # at s = 1 the concentration partition puts every block in its one
+    # group, so every type is padded by nothing; decompose_P asks for no
+    # partition and gives the one component that reads each n-subset of
+    # [3n] as it is
     bs = BlockStructure(*bgs)
     want = steinitz_route(bs)
+    assert all([set(grp) for grp in ref.groups] == [set(range(bs.r))]
+               and ref.pad_sizes == ((0, 0, 0),) for ref in want.components)
     calls = counted_partitions(monkeypatch)
     got = decompose_P(bs)
     assert calls == []
-    assert (got.d_eff, got.delta) == (want.d_eff, want.delta)
-    assert len(got.components) == len(want.components)
-    for comp, ref in zip(got.components, want.components):
-        assert comp.groups == (tuple(range(bs.r)),)
-        assert [set(grp) for grp in comp.groups] == [set(grp) for grp in ref.groups]
-        assert (comp.tau, comp.pad_sizes, comp.factor_grounds) == \
-            (ref.tau, ref.pad_sizes, ref.factor_grounds)
-        # the alive maps set the order of the wire reads, so compare in order
-        for slot in ("alive_x", "alive_y", "alive_z"):
-            assert [list(a.items()) for a in getattr(comp, slot)] == \
-                [list(a.items()) for a in getattr(ref, slot)]
+    assert (got.d_eff, got.delta) == (want.d_eff, want.delta) == (bs.n, 0)
+    (comp,) = got.components
+    assert comp.tau is None
+    assert (comp.groups, comp.pad_sizes, comp.factor_grounds) == \
+        ((tuple(range(bs.r)),), ((0, 0, 0),), (tuple(range(3 * bs.n)),))
+    identity = {m: m for m in (sum(1 << e for e in elems)
+                               for elems in combinations(range(3 * bs.n), bs.n))}
+    assert comp.alive_x == comp.alive_y == comp.alive_z == (identity,)
     assert verify_scaling(bs, got) is None
 
 
@@ -672,7 +676,7 @@ def term_past_rank(d, field):
 
 
 @pytest.mark.parametrize("source, message", [
-    (lambda d, field: trivial_dec_source(d, prime_field(101)), "field"),
+    (lambda d, field: trivial_decomposition(generate_P(d, field=prime_field(101))), "field"),
     (term_past_rank, "outside"),
 ])
 def test_malformed_provider_decomposition_is_a_provider_error(source, message):
@@ -794,3 +798,25 @@ def test_every_scheme_verifies_its_provider():
     with pytest.raises(ProviderError):
         PScalingScheme(2, 1, 2, F, dec_source=flaky)
     assert flaky.calls == 2
+
+
+@pytest.mark.parametrize("dec_source, field", [
+    (None, F), (rescaled, F), (block_first, gf2(32)),
+], ids=["trivial", "rescaled", "block_first"])
+def test_one_component_at_s1_equals_the_per_type_sum(dec_source, field, monkeypatch):
+    # at s = 1 the one component reads every n-subset of [3n] and the
+    # Steinitz route's types each read their own slice; both sum to P_n,
+    # on full wires (P_3, the n = 9 permanent) and on the tri route's
+    # partial ones (the hafnian, 2n = 12)
+    builds = (lambda: build_P_circuit(3, 1, 3, field=field, dec_source=dec_source),
+              lambda: build_permanent_circuit(9, field, dec_source=dec_source),
+              lambda: build_hafnian_circuit(12, "tri", field, dec_source=dec_source))
+    got = [build() for build in builds]
+    monkeypatch.setattr(scaling, "decompose_P", steinitz_route)
+    want = [build() for build in builds]
+    rng = Rng(17)
+    for circ, ref in zip(got, want):
+        assert (circ.size, len(circ.gates)) == (ref.size, len(ref.gates))
+        for _ in range(3):
+            asg = {name: field.random(rng) for name in ref.input_names()}
+            assert evaluate(circ, asg) == evaluate(ref, asg)
