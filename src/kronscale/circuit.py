@@ -236,12 +236,19 @@ def _level_plan(gates, outputs) -> tuple:
     gathers, or is None for a level without such gates.  Mul gate j
     multiplies xs(vals)[j] and ys(vals)[j].  The add gates' arguments
     come in `groups`, pairs (k, n) of n gates of arity k whose k * n
-    arguments follow each other row by row in args(vals).  Every gate is
-    planned, reached or not, so each input needs a value.
+    arguments follow each other row by row in args(vals).  Only the gates
+    that the outputs reach are planned, but every input is, so each input
+    needs a value.
     """
     depth = [0] * len(gates)
+    live = _reached(gates, outputs)
     inputs, consts, muls, adds = [], [], [], []
     for gid, (op, payload) in enumerate(gates):
+        if op == OP_IN:
+            inputs.append(gid)
+            continue
+        if not live[gid]:
+            continue
         if op == OP_MUL:
             x, y = payload
             d = depth[x] if depth[x] > depth[y] else depth[y]
@@ -250,7 +257,7 @@ def _level_plan(gates, outputs) -> tuple:
             d = max(map(depth.__getitem__, payload))
             by_level = adds
         else:
-            (inputs if op == OP_IN else consts).append(gid)
+            consts.append(gid)
             continue
         depth[gid] = d + 1
         # level d + 1 is at most one past the deepest level so far
@@ -346,11 +353,10 @@ def analyze_skew(circ: Circuit, variables=None) -> int:
     return q
 
 
-def _reached(circ: Circuit) -> list:
+def _reached(gates, outputs) -> list:
     """Per gate: whether some output reaches it, marked walking backwards."""
-    gates = circ.gates
     live = [False] * len(gates)
-    for o in circ.outputs:
+    for o in outputs:
         live[o] = True
     for gid in range(len(gates) - 1, -1, -1):
         op, payload = gates[gid]
@@ -368,7 +374,7 @@ def replay(circ: Circuit, bld: CircuitBuilder, input_map=None) -> list:
     None (or no map) copies the input.  Returns the new id of every old
     gate, None for gates the outputs do not reach.
     """
-    live = _reached(circ)
+    live = _reached(circ.gates, circ.outputs)
     new = [None] * len(circ.gates)
     for gid, (op, payload) in enumerate(circ.gates):
         if not live[gid]:
@@ -391,7 +397,7 @@ def dead_gate_elimination(circ: Circuit) -> Circuit:
 
     Gates are copied as they are, not rebuilt: nothing folds, and two
     equal kept gates stay two gates."""
-    live = _reached(circ)
+    live = _reached(circ.gates, circ.outputs)
     new = [None] * len(circ.gates)
     kept = []
     for gid, gate in enumerate(circ.gates):

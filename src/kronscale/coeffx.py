@@ -11,11 +11,14 @@ materialized.
   components; the output is the full-set entry of (output, n).  It takes
   a circuit of any skewness: with no cut, nothing has to stay linear;
 * tri (tripartition): cut at degrees n/3 and 2n/3, fill each of the
-  three layers once, the two upper ones with every cut component as its
-  own fresh variable, and combine the cut pairs through the
-  P_{n/3}[[n]] circuit of the scaling module: one instantiation per
-  cut2 component, summing every pair that meets it.  It takes 1-skew
-  circuits only, which every application builds.
+  three layers once, and combine the cut pairs through the P_{n/3}[[n]]
+  circuit of the scaling module: one instantiation per cut2 component,
+  summing every pair that meets it.  The two upper layers are linear in
+  their cut components, so by Baur-Strassen transposition either can be
+  filled from the cut above it, walking down, as well as from the cut
+  below: the top layer walks down from the one output component, and
+  the middle layer walks whichever way a count finds cheaper in arcs.
+  It takes 1-skew circuits only, which every application builds.
 """
 
 from __future__ import annotations
@@ -72,51 +75,213 @@ def _seed_tables(circ: Circuit, var_bit: dict, bld: CircuitBuilder) -> dict:
     return tables
 
 
-def _run_layer(bld: CircuitBuilder, gates, degs, reach, lo: int, hi: int,
-               tables: dict) -> dict:
-    """Fill tables[(gid, k)] for the reached components with lo < k <= hi;
-    returns tables.
+def _layer(gates, degs, reach, lo: int, hi: int) -> list:
+    """The reached components (gid, k) with lo < k <= hi, in gate order,
+    each with its edges (operand, low): an add's operand (a, k) with low
+    None, or a mul's high-side component (b, k - i) with the low-side one
+    (a, i) it is multiplied by.
 
-    A table maps a key to the gate (in bld) computing its coefficient; a
-    key's low n bits are a variable-set mask.  A layer above a cut (lo >= 0)
-    is seeded with the bottom's components of degree <= 1 and with the cut
-    components, each a fresh variable keyed by its index above the mask
-    bits.  1-skewness keeps every mul's low side at degree <= 1, in the
-    seeds, and its other side at degree >= lo, in the layer or at the cut,
-    so no product joins two cut values and every entry is linear in the
-    cut seeds (the structural linear-in-Y guarantee, checked below).
+    A layer above a cut (lo >= 0) is seeded with the bottom's components
+    of degree <= 1 and with the cut components.  1-skewness keeps every
+    mul's low side at degree <= 1, in the seeds, and its other side at
+    degree >= lo, in the layer or at the cut, so no product joins two cut
+    values and every entry is linear in the cut seeds (the structural
+    linear-in-Y guarantee, checked here for either direction of fill).
     """
+    layer = []
     for gid, (op, payload) in enumerate(gates):
         if op in (OP_IN, OP_CONST):
             continue  # seeded
         for k in range(lo + 1, min(degs[gid], hi) + 1):
             if (gid, k) not in reach:
                 continue
-            acc: dict = {}
             if op == OP_ADD:
-                for a in payload:
-                    for m, g in tables.get((a, k), {}).items():
-                        acc.setdefault(m, []).append(g)
+                edges = [((a, k), None) for a in payload if k <= degs[a]]
             else:
                 a, b = payload
                 if degs[a] > degs[b]:
                     a, b = b, a
                 if lo >= 0 and degs[a] > 1:
                     raise NotSkew("cut layer would multiply two cut values")
-                for i in range(min(degs[a], k) + 1):
-                    high = tables.get((b, k - i), {})
-                    for t_mask, gl in tables.get((a, i), {}).items():
-                        for r_mask, gh in high.items():
-                            if not t_mask & r_mask:
-                                acc.setdefault(t_mask | r_mask, []).append(bld.mul(gl, gh))
-            tab = {}
-            for m, gs in acc.items():
-                g = bld.add(*gs)
-                if not bld.is_zero(g):
-                    tab[m] = g
-            if tab:
-                tables[(gid, k)] = tab
+                edges = [((b, k - i), (a, i)) for i in range(min(degs[a], k) + 1)
+                         if k - i <= degs[b]]
+            layer.append(((gid, k), edges))
+    return layer
+
+
+def _spread(bld, into: dict, src: dict, low, target=None, alive=None) -> None:
+    """Append to into[t | m] every product low[t] * src[m] of disjoint
+    masks, or each src entry as it is when low is None (an add's operand);
+    with alive, only the keys that alive[target, key] keeps."""
+    if low is None:
+        for m, g in src.items():
+            if alive is None or alive[target, m]:
+                into.setdefault(m, []).append(g)
+        return
+    for t, gl in low.items():
+        for m, g in src.items():
+            if not t & m and (alive is None or alive[target, t | m]):
+                into.setdefault(t | m, []).append(bld.mul(gl, g))
+
+
+def _run_layer(bld, layer, tables: dict, roots=None, alive=None) -> dict:
+    """Fill the tables of a layer's components (_layer); returns tables.
+
+    A table maps a key to the gate (in bld) computing its coefficient; a
+    key's low n bits are a variable-set mask, and a layer above a cut
+    keys each entry by its seed's index above the mask bits.
+
+    Forward (no roots), in gate order: a component's table sums, over its
+    edges, low[t] * operand[m] under key t | m.  Transposed, in reverse
+    gate order from roots (component -> key -> [seed gate]): a component's
+    table is its adjoint, the sum of what its users pushed, and it pushes
+    low[t] * table[m] under key t | m into each operand.  The components
+    at the layer's lower cut end up with the adjoint of every root seed,
+    which is the forward fill transposed (Baur-Strassen): the same
+    coefficients, reached from the cut above instead of the one below.
+    alive[component, key] drops a pushed entry before its product is
+    emitted.  bld may be an _ArcCount.
+    """
+    transposed = roots is not None
+    acc: dict = dict(roots or {})
+
+    def settle(comp):
+        tab = {}
+        for key, gs in acc.pop(comp, {}).items():
+            g = bld.add(*gs)
+            if not bld.is_zero(g):
+                tab[key] = g
+        if tab:
+            tables[comp] = tab
+        return tab
+
+    for comp, edges in reversed(layer) if transposed else layer:
+        if transposed and not settle(comp):
+            continue
+        for high, low in edges:
+            low = None if low is None else tables.get(low, {})
+            if transposed:
+                _spread(bld, acc.setdefault(high, {}), tables[comp], low, high, alive)
+            else:
+                _spread(bld, acc.setdefault(comp, {}), tables.get(high, {}), low)
+        if not transposed:
+            settle(comp)
+    for comp in list(acc):
+        settle(comp)  # transposed: the components at the layer's lower cut
     return tables
+
+
+class _ArcCount:
+    """A CircuitBuilder stand-in that counts the arcs a layer above a cut
+    would emit, for all its seeds at once.
+
+    Keys are masks alone.  An entry is a triple of seed bitsets: the seeds
+    that have it, those whose gate is the constant one, and those whose
+    gate is a constant; a low-table gate is its constant value, or None.
+    Folding is CircuitBuilder's (a product with one, or of two constants,
+    and a sum of constants, emit nothing), but nothing is interned, and a
+    sum of constants counts as a constant other than zero and one.
+    """
+
+    def __init__(self, field, cap=None):
+        self.one = field.one
+        self.arcs = 0
+        self.cap = cap
+
+    def is_zero(self, entry) -> bool:
+        return False
+
+    def mul(self, low, entry):
+        have, one, const = entry
+        if low is None:
+            self.arcs += 2 * (have & ~one).bit_count()
+            return have, 0, 0
+        if low == self.one:
+            return entry
+        self.arcs += 2 * (have & ~const).bit_count()
+        return have, 0, const
+
+    def add(self, *entries):
+        if self.cap is not None and self.arcs > self.cap:
+            raise _OverCap
+        if len(entries) == 1:
+            return entries[0]
+        once = many = varies = ones = consts = 0
+        for have, one, const in entries:
+            many |= once & have
+            once |= have
+            varies |= have & ~const
+            ones |= one
+            consts |= const
+        summed = many & varies
+        self.arcs += sum((have & summed).bit_count() for have, _, _ in entries)
+        single = once & ~many
+        return once, single & ones, single & consts | many & ~varies
+
+
+class _OverCap(Exception):
+    """An _ArcCount passed its cap."""
+
+
+def _masks(layer, masks: dict) -> dict:
+    """The masks-only forward pass: masks[component] gets every mask the
+    direct route's DP fills there (folding aside), read from the masks of
+    its operands; returns masks.  It emits no gate."""
+    for comp, edges in layer:
+        got = set()
+        for high, low in edges:
+            src = masks.get(high, ())
+            if low is None:
+                got.update(src)
+            else:
+                for t in masks.get(low, ()):
+                    got.update(t | m for m in src if not t & m)
+        if got:
+            masks[comp] = got
+    return masks
+
+
+class _Alive(dict):
+    """(component, key) -> whether the key's mask misses some mask of
+    masks[component], filled on first lookup.  An adjoint entry whose mask
+    meets every mask the direct route fills at its component never meets
+    a disjoint forward entry there, so it reaches no output."""
+
+    def __init__(self, masks: dict, full: int):
+        super().__init__()
+        self.masks = masks
+        self.full = full
+
+    def __missing__(self, item):
+        comp, key = item
+        m = key & self.full
+        hit = False
+        for s in self.masks.get(comp, ()):
+            if not m & s:
+                hit = True
+                break
+        self[item] = hit
+        return hit
+
+
+def _middle_transposed(bld, layer, low: dict, cut1, live: dict, alive) -> bool:
+    """Whether the middle layer emits fewer arcs transposed, from the cut2
+    components live[j], than forward, from every cut1 component; a tie
+    stays forward.  _ArcCount counts both, seed bit i or j standing for
+    the seed keyed i << n or j << n, and the forward count stops once it
+    passes the transposed one."""
+    consts = {c: {t: bld.is_const(gate) for t, gate in tab.items()} for c, tab in low.items()}
+
+    def arcs(tables, roots=None, cap=None):
+        count = _ArcCount(bld.field, cap)
+        try:
+            _run_layer(count, layer, tables, roots, alive)
+        except _OverCap:
+            pass
+        return count.arcs
+
+    cap = arcs(dict(consts), {c: {0: [(1 << j,) * 3]} for j, c in live.items()})
+    return cap < arcs({c: {0: (1 << i,) * 3} for i, c in enumerate(cut1)} | consts, cap=cap)
 
 
 def extract_coeff_direct(circ: Circuit, variables) -> Circuit:
@@ -134,7 +299,8 @@ def extract_coeff_direct(circ: Circuit, variables) -> Circuit:
     out = circ.outputs[0]
     bld = CircuitBuilder(circ.field)
     tables = _seed_tables(circ, {name: i for i, name in enumerate(variables)}, bld)
-    _run_layer(bld, circ.gates, degs, _reach(circ.gates, degs, [(out, n)]), -1, n, tables)
+    _run_layer(bld, _layer(circ.gates, degs, _reach(circ.gates, degs, [(out, n)]), -1, n),
+               tables)
     bld.set_outputs([tables.get((out, n), {}).get((1 << n) - 1, bld.zero)])
     result = bld.build()
     result.meta.update(method="direct",
@@ -150,17 +316,27 @@ def extract_coeff_tripartition(circ: Circuit, variables, b: int = 1,
     with n % 3 == 0 and n >= 9 (ShapeError otherwise; callers pad via
     pad_degree).  The floor of 9 is a measured choice, not a soundness
     one: padding the kpath-tri benchmark circuit (k=5, six sieve
-    variables) to 6 instead of 9 grows it from 16,272 to 18,621 arcs.
-    Gates are sliced by homogeneous degree; components of degree n/3 and
-    2n/3 become fresh cut variables.  The middle and top layers each run
-    once, linear in all of them, and their tables split per cut
-    component into f_i (bottom, cut1 component i), g_ij (middle) and h_j
-    (top, cut2 component j).  P is trilinear, so the pairs that share j
-    sum inside one restricted instantiation of the tripartitioning
-    circuit, sum_i P(f_i, g_ij, h_j), which transforms h_j once per
-    type.  The combining P_{n/3}[[n]] circuit uses blocks of b, groups
-    of g (default n/(3b)) and the decomposition provider dec_source
-    (default: the trivial one).
+    variables) to 6 instead of 9 grows it from 8,238 to 14,828 arcs.
+    Gates are sliced by homogeneous degree, and the tables of the
+    components of degree n/3 and 2n/3 split per cut component into f_i
+    (bottom, cut1 component i), g_ij (middle) and h_j (top, cut2
+    component j).  The bottom layer runs forward from the variables.  The
+    top layer runs transposed, down from the output component, so h_j is
+    the adjoint of cut2 component j.  The middle layer runs once, either
+    forward with each cut1 component i a fresh variable, so g_ij sits in
+    cut2 component j's table, or transposed from each cut2 component j
+    whose h_j is non-empty, so g_ij is the adjoint of cut1 component i:
+    whichever _middle_transposed counts fewer arcs for.  A transposed
+    entry is kept only when its mask misses some mask that the direct
+    route's DP fills at its component (_masks, which emits no gate);
+    any other entry could only meet overlapping masks.  P is trilinear,
+    so the pairs that share j sum inside one restricted instantiation of
+    the tripartitioning circuit, sum_i P(f_i, g_ij, h_j), which
+    transforms h_j once per type.  The combining P_{n/3}[[n]] circuit
+    uses blocks of b, groups of g (default n/(3b)) and the decomposition
+    provider dec_source (default: the trivial one).  meta["report"] gives
+    the arcs that each stage emitted, bottom, middle, top and the join,
+    and the middle layer's direction of fill.
     """
     if len(circ.outputs) != 1:
         raise SingleOutputRequired("extraction needs a single-output circuit")
@@ -183,27 +359,41 @@ def extract_coeff_tripartition(circ: Circuit, variables, b: int = 1,
         return result
 
     gates = circ.gates
+    full = (1 << n) - 1
     reach = _reach(gates, degs, [(out, n)])
     bottom = _seed_tables(circ, {name: i for i, name in enumerate(variables)}, bld)
-    _run_layer(bld, gates, degs, reach, -1, n3, bottom)
+    _run_layer(bld, _layer(gates, degs, reach, -1, n3), bottom)
+    arcs = {"bottom": bld.arcs}
     cut1 = sorted(c for c in reach if c[1] == n3)
     cut2 = sorted(c for c in reach if c[1] == 2 * n3)
     f_tables = [bottom.get(c, {}) for c in cut1]
-    # one pass per layer, each cut component i seeded as the fresh variable
-    # i << n; splitting the keys by key >> n gives the per-component tables
     low = {c: t for c, t in bottom.items() if c[1] <= 1}
-    middle = _run_layer(bld, gates, degs, reach, n3, 2 * n3,
-                        {c: {i << n: bld.one} for i, c in enumerate(cut1)} | low)
-    top = _run_layer(bld, gates, degs, reach, 2 * n3, n,
-                     {c: {i << n: bld.one} for i, c in enumerate(cut2)} | low)
-    full = (1 << n) - 1
+    middle_layer = _layer(gates, degs, reach, n3, 2 * n3)
+    top_layer = _layer(gates, degs, reach, 2 * n3, n)
+    alive = _Alive(_masks(middle_layer + top_layer, dict(bottom)), full)
+    # the top layer, transposed from its one seed: h_j is the adjoint of
+    # cut2 component j
+    top = _run_layer(bld, top_layer, dict(low), {(out, n): {0: [bld.one]}}, alive)
+    h_tables = [top.get(c, {}) for c in cut2]
+    arcs["top"] = bld.arcs - sum(arcs.values())
+    # the middle layer, from whichever side emits fewer arcs: forward from
+    # every cut1 component i, keyed i << n, or transposed from each cut2
+    # component j whose h_j is non-empty, keyed j << n; one pass either way
+    live = {j: c for j, c in enumerate(cut2) if h_tables[j]}
+    transposed = _middle_transposed(bld, middle_layer, low, cut1, live, alive)
+    if transposed:
+        middle = _run_layer(bld, middle_layer, dict(low),
+                            {c: {j << n: [bld.one]} for j, c in live.items()}, alive)
+    else:
+        middle = _run_layer(bld, middle_layer,
+                            {c: {i << n: bld.one} for i, c in enumerate(cut1)} | low)
+    arcs["middle"] = bld.arcs - sum(arcs.values())
+    # split the keys by key >> n into g_ij
     g_tables = [[{} for _ in cut2] for _ in cut1]
-    for j, c2 in enumerate(cut2):
-        for key, gate in middle.get(c2, {}).items():
-            g_tables[key >> n][j][key & full] = gate
-    h_tables = [{} for _ in cut2]
-    for key, gate in top.get((out, n), {}).items():
-        h_tables[key >> n][key & full] = gate
+    for e, c in enumerate(cut1 if transposed else cut2):
+        for key, gate in middle.get(c, {}).items():
+            i, j = (e, key >> n) if transposed else (key >> n, e)
+            g_tables[i][j][key & full] = gate
 
     scheme = PScalingScheme(n3, b, g, circ.field, dec_source=dec_source)
     outputs = [scheme.instantiate(bld, [(fi.get, row[j].get)
@@ -211,11 +401,17 @@ def extract_coeff_tripartition(circ: Circuit, variables, b: int = 1,
                                         if fi and row[j]], hj.get)
                for j, hj in enumerate(h_tables) if hj]
     bld.set_outputs([bld.add(*outputs)])
+    arcs["join"] = bld.arcs - sum(arcs.values())
     result = bld.build()
     result.meta.update(method="tri", s=len(cut1), t=len(cut2),
                        table_entries=sum(len(t) for t in f_tables)
                        + sum(len(t) for row in g_tables for t in row)
-                       + sum(len(t) for t in h_tables))
+                       + sum(len(t) for t in h_tables),
+                       report={"bottom": {"arcs": arcs["bottom"]},
+                               "middle": {"arcs": arcs["middle"],
+                                          "fill": "transposed" if transposed else "forward"},
+                               "top": {"arcs": arcs["top"]},
+                               "join": {"arcs": arcs["join"]}})
     return result
 
 

@@ -18,6 +18,7 @@ worst-case constant would put d_eff = b*(g+36), far beyond desk scale.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -230,34 +231,31 @@ def verify_scaling(bs: BlockStructure, decomposition: ScalingDecomposition | Non
     Enumerates each component's projected nonzero monomials from its
     restriction data and compares the multiset against the tripartitions
     of P_n; returns None when they agree with multiplicity one everywhere,
-    else the first offending (A,B,C) monomial.
+    else the first offending (A,B,C) monomial.  Per factor, each y mask
+    is drawn from the subsets of x's complement that have a size alive_y
+    holds, as generate_P draws B, and looked up.
     """
     if bs.n > 5:
         raise TooLarge("verify_scaling is exhaustive; needs n <= 5")
     dec = decomposition or decompose_P(bs)
-    seen: dict = {}
+    seen: Counter = Counter()
     for comp in dec.components:
-        factor_triples = []
+        monomials = None
         for j in range(bs.s):
             triples = []
-            full = (1 << len(comp.factor_grounds[j])) - 1
+            width = len(comp.factor_grounds[j])
+            full = (1 << width) - 1
+            ys, zs = comp.alive_y[j], comp.alive_z[j]
+            sizes = {ly.bit_count() for ly in ys}
             for lx, ox in comp.alive_x[j].items():
-                for ly, oy in comp.alive_y[j].items():
-                    if lx & ly:
-                        continue
-                    lz = full ^ lx ^ ly
-                    oz = comp.alive_z[j].get(lz)
-                    if oz is not None:
-                        triples.append((ox, oy, oz))
-            factor_triples.append(triples)
-        for combo in product(*factor_triples):
-            a = b = c = 0
-            for ox, oy, oz in combo:
-                a |= ox
-                b |= oy
-                c |= oz
-            key = (a, b, c)
-            seen[key] = seen.get(key, 0) + 1
+                rest = [1 << e for e in range(width) if not lx >> e & 1]
+                for size in sizes:
+                    triples += [(ox, ys[ly], zs[lz])
+                                for ly in map(sum, combinations(rest, size))
+                                if ly in ys and (lz := full ^ lx ^ ly) in zs]
+            monomials = triples if monomials is None else [
+                (a | x, b | y, c | z) for a, b, c in monomials for x, y, z in triples]
+        seen.update(monomials)
     expected = generate_P(bs.n, field=prime_field()).entries
     if seen.keys() == expected.keys() and all(m == 1 for m in seen.values()):
         return None

@@ -279,6 +279,20 @@ def test_missing_input_that_no_output_reaches():
         evaluate(bld.build(), {"v:x": 3})
 
 
+def test_plan_skips_gates_that_no_output_reaches():
+    bld = CircuitBuilder(ZP)
+    x, y = bld.inp("v:x"), bld.inp("v:y")
+    dead = bld.mul(bld.add(x, bld.const(5)), y)
+    for _ in range(3):
+        dead = bld.mul(dead, dead)
+    bld.set_outputs([bld.add(x, y)])
+    inputs, consts, levels, _ = bld.build().plan
+    assert (inputs, consts, len(levels)) == (("v:x", "v:y"), (), 1)
+    assert evaluate(bld.build(), {"v:x": 3, "v:y": 4}) == (7,)
+    with pytest.raises(UnassignedInput, match="v:y"):
+        evaluate(bld.build(), {"v:x": 3})
+
+
 @pytest.mark.parametrize("value", [-1, 1 << 32, 1 << 64],
                          ids=["negative", "order", "beyond_64_bits"])
 def test_input_value_outside_the_field(value):
@@ -356,8 +370,11 @@ def test_evaluate_matches_scalar_reference_level_by_level(field, shape, seed):
     # inputs), against one field operation at a time
     rng = Rng(seed)
     circ = _layered_circuit(field, rng, shape, 3, 4)
-    assert len(circ.plan[2]) == sum(1 for m, adds in shape if m or adds)
     every = Circuit(field, circ.gates, tuple(range(len(circ.gates))))
+    # the plan holds only what the outputs reach, so every gate's levels
+    # show when every gate is an output
+    assert len(every.plan[2]) == sum(1 for m, adds in shape if m or adds)
+    assert len(circ.plan[2]) <= len(every.plan[2])
     names = circ.input_names()
     asg = {n: field.random(rng) for n in names}
     assert evaluate(every, asg) == scalar_eval(every, asg)

@@ -2,8 +2,15 @@ import pytest
 
 from conftest import random_skew_circuit
 from kronscale import coeffx
-from kronscale.circuit import CircuitBuilder, analyze_skew, evaluate, formal_degrees
+from kronscale.circuit import (
+    CircuitBuilder,
+    analyze_skew,
+    dead_gate_elimination,
+    evaluate,
+    formal_degrees,
+)
 from kronscale.coeffx import (
+    _layer,
     _reach,
     _run_layer,
     _seed_tables,
@@ -14,8 +21,10 @@ from kronscale.coeffx import (
 )
 from kronscale.counting import (
     SetFamily,
+    SquareMatrix,
     build_hafnian_circuit,
     hafnian_clow_circuit,
+    matrix_assignment,
     permanent_skew_circuit,
     setpart_circuit,
 )
@@ -218,6 +227,20 @@ def test_tripartition_reports_when_the_full_monomial_cannot_appear():
     assert out.meta == {"method": "tri", "s": 0, "t": 0, "table_entries": 0}
 
 
+def test_tripartition_when_no_full_monomial_is_multilinear():
+    # x0 * (x0 + x1)^8 reaches degree 9, but every degree-9 monomial
+    # repeats x0: no h_j survives, and neither does any middle root
+    names = names_for(9)
+    bld = CircuitBuilder(F)
+    x0, x1 = bld.inp(names[0]), bld.inp(names[1])
+    acc = x0
+    for _ in range(8):
+        acc = bld.mul(acc, bld.add(x0, x1))
+    bld.set_outputs([acc])
+    out = extract_coeff_tripartition(bld.build(), names)
+    assert evaluate(out, {}) == (0,) and out.size == 0
+
+
 def layered_1skew_circuit(field, rng, names, width):
     """Degree-len(names) circuit with `width` gates per degree: each is a sum
     of two products of a gate one degree down and a random linear form of
@@ -260,25 +283,136 @@ def test_tripartition_splits_several_cut_components():
         assert len(values) > 1  # the coefficient depends on v:w
 
 
+def force_middle(monkeypatch, transposed):
+    """Fill the tri route's middle layer in the given direction, whatever
+    the count would pick."""
+    monkeypatch.setattr(coeffx, "_middle_transposed", lambda *args: transposed)
+
+
 def test_tripartition_runs_each_layer_once(monkeypatch):
     calls = []
 
-    def counted(*args):
-        calls.append(args[4:6])
-        return _run_layer(*args)
+    def counted(bld, layer, tables, roots=None, alive=None):
+        if isinstance(bld, CircuitBuilder):
+            calls.append((max(k for (_, k), _ in layer), roots and len(roots)))
+        return _run_layer(bld, layer, tables, roots, alive)
 
     monkeypatch.setattr(coeffx, "_run_layer", counted)
     circ, xvars = pad_degree(*hafnian_clow_circuit(12, F))
-    out = extract_coeff_tripartition(circ, xvars)
-    # one pass per cut component would make 1 + 309 + 71 calls
-    assert (out.meta["s"], out.meta["t"]) == (309, 71)
-    assert calls == [(-1, 3), (3, 6), (6, 9)]
+    for transposed in (False, True):
+        calls.clear()
+        force_middle(monkeypatch, transposed)
+        out = extract_coeff_tripartition(circ, xvars)
+        # one pass per cut component would make 1 + 309 + 71 calls: the
+        # bottom runs forward, the top transposed from the output alone,
+        # and the middle forward from all 309 cut1 components or
+        # transposed from the cut2 components with a non-empty h_j
+        assert (out.meta["s"], out.meta["t"]) == (309, 71)
+        (bottom, top, middle) = calls
+        assert (bottom, top) == ((3, None), (9, 1))
+        assert middle[0] == 6 and (middle[1] is None) != transposed
+        assert not transposed or 1 <= middle[1] <= 71
 
 
 def test_hafnian_tri_sizes_are_pinned():
     circ = build_hafnian_circuit(12, "tri")
-    assert (len(circ.gates), circ.size) == (4020, 9131)
-    assert circ.meta == {"method": "tri", "s": 309, "t": 71, "table_entries": 3238}
+    assert (len(circ.gates), circ.size) == (2824, 6472)
+    assert circ.meta == {"method": "tri", "s": 309, "t": 71, "table_entries": 1638,
+                         "report": {"bottom": {"arcs": 3862},
+                                    "middle": {"arcs": 2310, "fill": "transposed"},
+                                    "top": {"arcs": 0},
+                                    "join": {"arcs": 300}}}
+
+
+def test_hafnian_tri_at_2n14_keeps_the_forward_middle():
+    # 490 cut1 against 494 cut2 components: the count finds the forward
+    # fill smaller, and the report's stages add up to the circuit
+    circ = build_hafnian_circuit(14, "tri")
+    report = circ.meta["report"]
+    assert report["middle"]["fill"] == "forward"
+    assert sum(stage["arcs"] for stage in report.values()) == circ.size == 52441
+
+
+def random_symmetric_assignment(field, two_n, rng):
+    rows = [[field.zero] * two_n for _ in range(two_n)]
+    for i in range(two_n):
+        for j in range(i + 1, two_n):
+            rows[i][j] = rows[j][i] = field.random(rng)
+    return matrix_assignment(SquareMatrix(field, tuple(map(tuple, rows)), symmetric=True))
+
+
+@pytest.mark.parametrize("transposed", [False, True], ids=["forward", "transposed"])
+def test_either_middle_direction_equals_the_direct_route(transposed, monkeypatch):
+    force_middle(monkeypatch, transposed)
+    fill = "transposed" if transposed else "forward"
+    rng = Rng(1001)
+    names = names_for(9)
+    for _ in range(6):
+        c = random_skew_circuit(F, rng, names, n_gates=30, full_monomial=True)
+        tri = extract_coefficient(c, names, "tri")
+        assert tri.meta["report"]["middle"]["fill"] == fill
+        assert evaluate(tri, {}) == evaluate(extract_coefficient(c, names, "direct"), {})
+    for width in (2, 3):
+        c = layered_1skew_circuit(F, rng, names, width)
+        tri, direct = (extract_coefficient(c, names, m) for m in ("tri", "direct"))
+        for _ in range(2):
+            asg = {"v:w": F.random(rng)}
+            assert evaluate(tri, asg) == evaluate(direct, asg)
+    tri = build_hafnian_circuit(12, "tri")
+    assert tri.meta["report"]["middle"]["fill"] == fill
+    direct = build_hafnian_circuit(12, "direct")
+    for _ in range(2):
+        asg = random_symmetric_assignment(F, 12, rng)
+        assert evaluate(tri, asg) == evaluate(direct, asg)
+
+
+def test_transposed_fill_drops_products_that_meet_every_mask_below(monkeypatch):
+    # x0x1x2 * x3 * (w*x3 + w3*x4) * (w2*x5) * x6x7x8: walking down from
+    # x5, the x3 term of the linear form meets x3 in every mask below it,
+    # so its product with w2 is never emitted; only w3 * w2 is
+    names = names_for(9)
+    bld = CircuitBuilder(F)
+    x = [bld.inp(nm) for nm in names]
+    w, w2, w3 = bld.inp("v:w"), bld.inp("v:w2"), bld.inp("v:w3")
+    acc = bld.mul(bld.mul(bld.mul(x[0], x[1]), x[2]), x[3])
+    acc = bld.mul(acc, bld.add(bld.mul(w, x[3]), bld.mul(w3, x[4])))
+    acc = bld.mul(acc, bld.mul(w2, x[5]))
+    for v in x[6:]:
+        acc = bld.mul(acc, v)
+    bld.set_outputs([acc])
+    force_middle(monkeypatch, True)
+    tri = extract_coeff_tripartition(bld.build(), names)
+    assert tri.size == dead_gate_elimination(tri).size == 2
+    assert evaluate(tri, {"v:w": 5, "v:w2": 7, "v:w3": 11}) == (77,)
+
+
+def test_transposed_fill_is_the_forward_fill_transposed():
+    # with nothing pruned, g_ij filled down from cut2 component j equals
+    # g_ij filled up from cut1 component i, entry by entry
+    rng = Rng(99)
+    names = names_for(9)
+    circ = layered_1skew_circuit(F, rng, names, 3)
+    degs = formal_degrees(circ, set(names))
+    reach = _reach(circ.gates, degs, [(circ.outputs[0], 9)])
+    bld = CircuitBuilder(F)
+    bottom = _seed_tables(circ, {name: i for i, name in enumerate(names)}, bld)
+    _run_layer(bld, _layer(circ.gates, degs, reach, -1, 3), bottom)
+    low = {c: t for c, t in bottom.items() if c[1] <= 1}
+    cut1 = sorted(c for c in reach if c[1] == 3)
+    cut2 = sorted(c for c in reach if c[1] == 6)
+    layer = _layer(circ.gates, degs, reach, 3, 6)
+    up = _run_layer(bld, layer, {c: {i << 9: bld.one} for i, c in enumerate(cut1)} | low)
+    down = _run_layer(bld, layer, dict(low), {c: {j << 9: [bld.one]} for j, c in enumerate(cut2)})
+    full = (1 << 9) - 1
+    forward = {(key >> 9, j, key & full): gate
+               for j, c in enumerate(cut2) for key, gate in up.get(c, {}).items()}
+    transposed = {(i, key >> 9, key & full): gate
+                  for i, c in enumerate(cut1) for key, gate in down.get(c, {}).items()}
+    assert forward.keys() == transposed.keys()
+    assert len({i for i, _, _ in forward}) >= 2 and len({j for _, j, _ in forward}) >= 2
+    bld.set_outputs([forward[key] for key in forward] + [transposed[key] for key in forward])
+    values = evaluate(bld.build(), {"v:w": F.random(rng)})
+    assert values[:len(forward)] == values[len(forward):]
 
 
 def _two_degree_product():
@@ -286,28 +420,26 @@ def _two_degree_product():
     names = names_for(4)
     bld = CircuitBuilder(F)
     xs = [bld.inp(nm) for nm in names]
-    inner = (bld.mul(xs[0], xs[1]), bld.mul(xs[2], xs[3]))
-    bld.set_outputs([bld.mul(*inner)])
+    bld.set_outputs([bld.mul(bld.mul(xs[0], xs[1]), bld.mul(xs[2], xs[3]))])
     circ = bld.build()
     degs = formal_degrees(circ, set(names))
-    return circ, names, degs, inner, _reach(circ.gates, degs, [(circ.outputs[0], 4)])
+    return circ, names, degs, _reach(circ.gates, degs, [(circ.outputs[0], 4)])
 
 
 def test_cut_layer_refuses_to_multiply_two_cut_values():
-    # a layer above a cut at degree 2, both inner products seeded as cut values
-    circ, _, degs, inner, reach = _two_degree_product()
-    bld = CircuitBuilder(F)
-    seeds = {(gid, 2): {i << 4: bld.one} for i, gid in enumerate(inner)}
+    # a layer above a cut at degree 2 whose one mul joins two cut values;
+    # either direction of fill walks the edges that _layer makes
+    circ, _, degs, reach = _two_degree_product()
     with pytest.raises(NotSkew, match="two cut values"):
-        _run_layer(bld, circ.gates, degs, reach, 2, 4, seeds)
+        _layer(circ.gates, degs, reach, 2, 4)
 
 
 def test_bottom_layer_multiplies_components_of_any_degree():
     # the bottom layer (and the direct route) has no cut to keep linear
-    circ, names, degs, _, reach = _two_degree_product()
+    circ, names, degs, reach = _two_degree_product()
     bld = CircuitBuilder(F)
     tables = _seed_tables(circ, {name: i for i, name in enumerate(names)}, bld)
-    _run_layer(bld, circ.gates, degs, reach, -1, 4, tables)
+    _run_layer(bld, _layer(circ.gates, degs, reach, -1, 4), tables)
     assert tables[(circ.outputs[0], 4)] == {0b1111: bld.one}
 
 

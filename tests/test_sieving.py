@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from kronscale import scaling
+from kronscale import coeffx, scaling
 from kronscale.circuit import CircuitBuilder, evaluate, formal_degrees
 from kronscale.errors import (
     BipartitenessError,
@@ -405,19 +405,51 @@ def _kpath_tri_benchmark_runner():
 
 def test_kpath_tri_benchmark_circuit_does_not_grow():
     stats = _kpath_tri_benchmark_runner()[0].circuit.stats()
-    assert (stats["arcs"], stats["gates"]) == (16_268, 7_297)
+    assert (stats["arcs"], stats["gates"]) == (8_238, 3_752)
 
 
 def test_tri_runner_keeps_the_extraction_meta_and_an_unbuilt_plan():
     # dead-gate elimination carries the extraction's meta over, and the
-    # evaluation plan is built by the first trial, not by the runner
+    # evaluation plan is built by the first trial, not by the runner; the
+    # middle layer is filled transposed, from the one cut2 component of 8
+    # with a non-empty top table, not forward from 34 cut1 components
     runner, labels = _kpath_tri_benchmark_runner()
-    assert runner.circuit.meta == {"method": "tri", "s": 34, "t": 8, "table_entries": 1361}
+    assert runner.circuit.meta == {
+        "method": "tri", "s": 34, "t": 8, "table_entries": 821,
+        "report": {"bottom": {"arcs": 4584},
+                   "middle": {"arcs": 3234, "fill": "transposed"},
+                   "top": {"arcs": 0},
+                   "join": {"arcs": 420}}}
     assert "plan" not in runner.circuit.__dict__
     rng = Rng(9)
     assert runner.run(rng, extra={nm: runner.field.random(rng, nonzero=True)
                                   for nm in labels}) == 0  # no 5-path
     assert "plan" in runner.circuit.__dict__
+
+
+@pytest.mark.parametrize("transposed", [False, True], ids=["forward", "transposed"])
+@pytest.mark.parametrize("k", [5, 4])
+def test_kpath_tri_either_middle_direction_equals_the_direct_route(k, transposed, monkeypatch):
+    # the benchmark graph: k = 5 has no path, k = 4 has many
+    field = gf2(32)
+    arcs = tuple((u, v) for part in (range(1, 6), range(6, 8))
+                 for u in part for v in part if u != v)
+    circ, labels = _kpath_labeled_circuit(DirectedGraph(7, arcs), k, field)
+    a = vandermonde(k + 1, 7, field, Rng(5))
+    xvars = [f"x:{{{v}}}" for v in range(1, 8)]
+    direct = SieveRunner(circ, a, "det", "direct", xvars=xvars)
+    monkeypatch.setattr(coeffx, "_middle_transposed", lambda *args: transposed)
+    tri = SieveRunner(circ, a, "det", "tri", xvars=xvars)
+    assert tri.circuit.meta["report"]["middle"]["fill"] == ("transposed" if transposed
+                                                          else "forward")
+    values = set()
+    for seed in range(3):
+        point = Rng(seed)
+        extra = {nm: field.random(point, nonzero=True) for nm in labels}
+        got = tri.run(Rng(seed + 10), extra=extra)
+        assert got == direct.run(Rng(seed + 10), extra=extra)
+        values.add(got)
+    assert (values == {0}) == (k == 5)
 
 
 def test_tri_route_sums_the_pairs_of_each_cut2_component_in_one_instantiation(monkeypatch):
