@@ -14,7 +14,8 @@ consecutive runs of values: a group (k, n) takes the next k * n values
 as n rows of k and sums each row.  Over GF(2^w) `mul_many` multiplies
 all its pairs at once in the lanes of one Python int, a 4-bit window at
 a time, at every width, and `sum_many` XORs a group's k columns, each
-one strided slice.
+one strided slice, or, when the group has more columns than rows, each
+row by one `reduce`.
 
 The random generator is SplitMix64, a fixed, versioned, splittable
 generator: identical seeds give identical streams on every platform.
@@ -25,6 +26,7 @@ from __future__ import annotations
 import operator
 import sys
 from array import array
+from functools import reduce
 
 from .errors import DivisionByZero, ParseError
 
@@ -217,8 +219,9 @@ class GF2Field(Field):
     x << k, and each lane's headroom (at least w - 1 free bits above the
     operand, and a mask bit above x << 3) keeps borrows and products
     inside it.  It then folds by the set bits of the polynomial's low
-    part.  `sum_many` XORs the columns of each arity group.  The field
-    keeps no tables.
+    part.  `sum_many` XORs the columns of each arity group, or its rows
+    when they are wider than the group is tall.  The field keeps no
+    tables.
     """
 
     kind = "gf2"
@@ -308,10 +311,13 @@ class GF2Field(Field):
         out, start = [], 0
         for k, n in groups:
             stop = start + k * n
-            acc = values[start:stop:k]
-            for c in range(start + 1, start + k):
-                acc = list(map(xor, acc, values[c:stop:k]))
-            out += acc
+            if k > n:
+                out += [reduce(xor, values[i:i + k]) for i in range(start, stop, k)]
+            else:
+                acc = values[start:stop:k]
+                for c in range(start + 1, start + k):
+                    acc = list(map(xor, acc, values[c:stop:k]))
+                out += acc
             start = stop
         return out
 

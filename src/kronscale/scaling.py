@@ -21,8 +21,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import itemgetter
 
-from .circuit import Circuit, CircuitBuilder, subset_name
+from .circuit import Circuit, CircuitBuilder, mask_of, subset_name
 from .errors import DivisibilityError, InternalError, ProviderError, ShapeError, TooLarge
 from .fields import Field, prime_field
 from .steinitz import concentration_partition
@@ -30,6 +31,7 @@ from .tensor import (
     RankDecomposition,
     generate_P,
     trivial_decomposition,
+    tripartitions,
     verify_decomposition,
 )
 
@@ -145,11 +147,19 @@ def _group_sums(tau: IntersectionType, group):
     return sa, sb, sc
 
 
-def _component(bs: BlockStructure, tau: IntersectionType, groups, d_eff: int) -> ScalingComponent:
+def _component(bs: BlockStructure, tau: IntersectionType, groups, d_eff: int,
+               block_masks) -> ScalingComponent:
     """Padding split, factor grounds and alive maps of one type, given its
-    groups; within a group the block order does not matter."""
+    groups; within a group the block order does not matter.
+
+    block_masks[c] lists the c-subsets of one block as masks over its 3b
+    elements, in the order of combinations.  Factor j's ground is the
+    elements of its group's blocks in ascending order, then its padding,
+    so a block i at position p of the sorted group turns an in-block mask
+    m into the local mask m << 3b*p and the original mask m << 3b*i; the
+    padding of each slot is one run of local bits above the blocks."""
+    w = 3 * bs.b
     pad_per_factor = 3 * (d_eff - bs.b * bs.g)
-    n3 = bs.ground_size
     pad_sizes = []
     grounds = []
     ax, ay, az = [], [], []
@@ -159,33 +169,20 @@ def _component(bs: BlockStructure, tau: IntersectionType, groups, d_eff: int) ->
         if min(pa, pb, pc) < 0 or pa + pb + pc != pad_per_factor:
             raise InternalError("negative or inconsistent padding")
         pad_sizes.append((pa, pb, pc))
-        pads = [n3 + pad_per_factor * j + t for t in range(pad_per_factor)]
-        ground = sorted(e for i in grp for e in bs.block_elements(i)) + pads
-        grounds.append(tuple(ground))
-        local = {e: t for t, e in enumerate(ground)}
-        pad_local = [local[e] for e in pads]
-        pad_a = sum(1 << pad_local[t] for t in range(pa))
-        pad_b = sum(1 << pad_local[t] for t in range(pa, pa + pb))
-        pad_c = sum(1 << pad_local[t] for t in range(pa + pb, pad_per_factor))
-        for counts, pad_mask, sink in ((tau.alpha, pad_a, ax), (tau.beta, pad_b, ay),
-                                       (tau.gamma, pad_c, az)):
-            per_block = []
-            for i in sorted(grp):
-                opts = []
-                for chosen in combinations(bs.block_elements(i), counts[i]):
-                    lmask = sum(1 << local[e] for e in chosen)
-                    omask = sum(1 << e for e in chosen)
-                    opts.append((lmask, omask))
-                per_block.append(opts)
-            alive = {}
-            for combo in product(*per_block):
-                lmask = pad_mask
-                omask = 0
-                for lm, om in combo:
-                    lmask |= lm
-                    omask |= om
-                alive[lmask] = omask
-            sink.append(alive)
+        blocks = sorted(grp)
+        pad_start = bs.ground_size + pad_per_factor * j
+        grounds.append(tuple(e for i in blocks for e in range(w * i, w * i + w))
+                       + tuple(range(pad_start, pad_start + pad_per_factor)))
+        low = w * len(blocks)
+        pads = (((1 << pa) - 1) << low, ((1 << pb) - 1) << (low + pa),
+                ((1 << pc) - 1) << (low + pa + pb))
+        for counts, pad_mask, sink in zip((tau.alpha, tau.beta, tau.gamma), pads,
+                                          (ax, ay, az)):
+            alive = [(pad_mask, 0)]
+            for p, i in enumerate(blocks):
+                opts = [(m << w * p, m << w * i) for m in block_masks[counts[i]]]
+                alive = [(l | lm, o | om) for l, o in alive for lm, om in opts]
+            sink.append(dict(alive))
     return ScalingComponent(tau, tuple(groups), tuple(pad_sizes), tuple(grounds),
                             tuple(ax), tuple(ay), tuple(az))
 
@@ -200,27 +197,38 @@ def decompose_P(bs: BlockStructure) -> ScalingDecomposition:
     component per intersection type, its groups taken from the
     concentration partition of the per-block count triples
     (alpha_i, beta_i, gamma_i) at scale 3b, that is of the vectors
-    (alpha_i, beta_i, gamma_i)/3b, into s groups of g blocks."""
+    (alpha_i, beta_i, gamma_i)/3b, into s groups of g blocks.
+
+    That partition depends only on the multiset of the triples, so it is
+    computed once per multiset, on the triples sorted, and mapped back: the
+    partition takes the blocks of equal triples in ascending index order,
+    so the k-th copy of a triple in the sorted list is the k-th block that
+    holds it.  The in-block subset masks are tabled once for all types."""
     b, g, s = bs.b, bs.g, bs.s
     if s == 1:
         n = bs.n
-        alive = ({m: m for m in (sum(1 << e for e in elems)
-                                 for elems in combinations(range(3 * n), n))},)
+        alive = ({m: m for m in map(mask_of, combinations(range(3 * n), n))},)
         return ScalingDecomposition(bs, n, 0, (ScalingComponent(
             None, (tuple(range(bs.r)),), ((0, 0, 0),), (tuple(range(3 * n)),),
             alive, alive, alive),))
     types = enumerate_types(bs)
+    by_shape = {}   # sorted block triples -> their groups, as positions in that list
     groupings = []
     delta = 0
     for tau in types:
-        groups = concentration_partition(list(zip(tau.alpha, tau.beta, tau.gamma)),
-                                         3 * b, (g,) * s)
-        groupings.append(groups)
-        for grp in groups:
-            sa, sb, sc = _group_sums(tau, grp)
-            delta = max(delta, abs(sa - b * g), abs(sb - b * g), abs(sc - b * g))
+        triples = list(zip(tau.alpha, tau.beta, tau.gamma))
+        order = sorted(range(bs.r), key=triples.__getitem__)
+        shape = tuple(map(triples.__getitem__, order))
+        groups = by_shape.get(shape)
+        if groups is None:
+            groups = by_shape[shape] = concentration_partition(list(shape), 3 * b, (g,) * s)
+            for grp in groups:
+                for total in map(sum, zip(*map(shape.__getitem__, grp))):
+                    delta = max(delta, abs(total - b * g))
+        groupings.append(tuple(tuple(map(order.__getitem__, grp)) for grp in groups))
     d_eff = b * g + delta
-    components = tuple(_component(bs, tau, groups, d_eff)
+    block_masks = [list(map(mask_of, combinations(range(3 * b), c))) for c in range(3 * b + 1)]
+    components = tuple(_component(bs, tau, groups, d_eff, block_masks)
                        for tau, groups in zip(types, groupings))
     return ScalingDecomposition(bs, d_eff, delta, components)
 
@@ -230,10 +238,10 @@ def verify_scaling(bs: BlockStructure, decomposition: ScalingDecomposition | Non
 
     Enumerates each component's projected nonzero monomials from its
     restriction data and compares the multiset against the tripartitions
-    of P_n; returns None when they agree with multiplicity one everywhere,
-    else the first offending (A,B,C) monomial.  Per factor, each y mask
-    is drawn from the subsets of x's complement that have a size alive_y
-    holds, as generate_P draws B, and looked up.
+    of [3n], the keys of P_n without its coefficients; returns None when
+    they agree with multiplicity one everywhere, else the first offending
+    (A,B,C) monomial.  Per factor, each y mask is drawn from the subsets of
+    x's complement that have a size alive_y holds, and looked up.
     """
     if bs.n > 5:
         raise TooLarge("verify_scaling is exhaustive; needs n <= 5")
@@ -256,10 +264,12 @@ def verify_scaling(bs: BlockStructure, decomposition: ScalingDecomposition | Non
             monomials = triples if monomials is None else [
                 (a | x, b | y, c | z) for a, b, c in monomials for x, y, z in triples]
         seen.update(monomials)
-    expected = generate_P(bs.n, field=prime_field()).entries
-    if seen.keys() == expected.keys() and all(m == 1 for m in seen.values()):
+    expected = tripartitions(bs.n)
+    if (len(seen) == len(expected) and all(map(seen.__contains__, expected))
+            and all(m == 1 for m in seen.values())):
         return None
-    for key in sorted(set(seen) | set(expected)):
+    expected = set(expected)
+    for key in sorted(set(seen) | expected):
         if seen.get(key, 0) != (1 if key in expected else 0):
             return key
     return None
@@ -289,7 +299,7 @@ def _provider_dec(dec_source, d: int, field: Field) -> RankDecomposition:
 
 def _supports(dec: RankDecomposition) -> tuple:
     """Per slot and side entry: the set of terms its row reaches."""
-    return tuple([frozenset(l for l, _ in row) for row in rows] for rows in dec.rows)
+    return tuple([frozenset(map(itemgetter(0), row)) for row in rows] for rows in dec.rows)
 
 
 def _yates_transform(bld: CircuitBuilder, rows, s: int, inputs: dict, live,
@@ -482,7 +492,7 @@ class PScalingScheme:
         side_index = tuple({m: i for i, m in enumerate(side)}
                            for side in (self.dec.side_x, self.dec.side_y, self.dec.side_z))
         self.side_entries = tuple(
-            tuple(tuple(tuple((index[lmask], omask) for lmask, omask in alive[j].items())
+            tuple(tuple(tuple(zip(map(index.__getitem__, alive[j]), alive[j].values()))
                         for j in range(self.s))
                   for index, alive in zip(side_index,
                                           (comp.alive_x, comp.alive_y, comp.alive_z)))

@@ -8,7 +8,8 @@ ordered colexicographically, which for masks is plain integer order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, repeat
+from operator import itemgetter
 
 from .circuit import mask_bits, mask_of
 from .errors import ParseError, ShapeError, TooLarge, content_lines, int_fields
@@ -38,19 +39,33 @@ class Tensor:
     def ground_size(self) -> int:
         return len(self.ground)
 
-    def x_side(self) -> list[int]:
-        return sorted({a for a, _, _ in self.entries})
 
-    def y_side(self) -> list[int]:
-        return sorted({b for _, b, _ in self.entries})
+def _subset_masks(m: int, q: int) -> list:
+    """The q-subsets of {0, ..., m - 1} as masks, in colex order."""
+    rows = [[0]] + [[] for _ in range(q)]  # rows[k]: the k-subsets of the elements so far
+    for e in range(m):
+        bit = 1 << e
+        for k in range(min(q, e + 1), 0, -1):
+            rows[k] += [x | bit for x in rows[k - 1]]
+    return rows[q]
 
-    def z_side(self) -> list[int]:
-        return sorted({c for _, _, c in self.entries})
+
+def tripartitions(q: int) -> list:
+    """The (A, B, C) masks of the ordered partitions of {0, ..., 3q - 1}
+    into three q-sets, in colex order: by A, then by B."""
+    m = 3 * q
+    full = (1 << m) - 1
+    masks = _subset_masks(m, q)
+    keys = []
+    for a in masks:
+        keys += [(a, b, full ^ a ^ b) for b in masks if not a & b]
+    return keys
 
 
 def generate_P(q: int, field: Field | None = None) -> Tensor:
     """Balanced tripartitioning tensor: ordered partitions of the ground
-    {0, ..., 3q - 1} into three q-sets, all coefficients one."""
+    {0, ..., 3q - 1} into three q-sets, all coefficients one, with the
+    entries in colex order."""
     from .fields import prime_field
 
     field = field or prime_field()
@@ -59,17 +74,7 @@ def generate_P(q: int, field: Field | None = None) -> Tensor:
     m = 3 * q
     if m > MAX_P_GROUND:
         raise TooLarge(f"3q = {m} exceeds enumeration bound {MAX_P_GROUND}")
-    one = field.one
-    entries = {}
-    positions = range(m)
-    for a_elems in combinations(positions, q):
-        amask = mask_of(a_elems)
-        rest = [p for p in positions if not (amask >> p) & 1]
-        for b_elems in combinations(rest, q):
-            bmask = mask_of(b_elems)
-            cmask = ((1 << m) - 1) ^ amask ^ bmask
-            entries[(amask, bmask, cmask)] = one
-    return Tensor(field, tuple(positions), entries)
+    return Tensor(field, tuple(range(m)), dict.fromkeys(tripartitions(q), field.one))
 
 
 @dataclass(frozen=True)
@@ -126,19 +131,47 @@ def _check_shapes(dec: RankDecomposition):
                                      f"[0, {dec.rank})")
 
 
+def _unit_term_keys(dec: RankDecomposition):
+    """The (A, B, C) masks of every term, in term order, when each term has
+    exactly one entry in each slot and every coefficient is one; else None."""
+    one = dec.field.one
+    per_slot = []
+    for side, rows in zip((dec.side_x, dec.side_y, dec.side_z), dec.rows):
+        entries = list(chain.from_iterable(rows))
+        if len(entries) != dec.rank or set(map(itemgetter(1), entries)) - {one}:
+            return None
+        mask_of_term = dict(zip(map(itemgetter(0), entries),
+                                chain.from_iterable(map(repeat, side, map(len, rows)))))
+        if len(mask_of_term) != dec.rank:
+            return None
+        per_slot.append(map(mask_of_term.__getitem__, range(dec.rank)))
+    return list(zip(*per_slot))
+
+
 def verify_decomposition(t: Tensor, dec: RankDecomposition):
     """None when the decomposition reproduces the tensor exactly, else the
-    first failing (A,B,C) triple in colex order."""
+    first failing (A,B,C) triple in colex order.
+
+    When every term is one monomial x_A y_B z_C with coefficient one (the
+    trivial decomposition is), the coefficient of (A,B,C) is the number of
+    terms with those masks, so the check is exact as a key comparison: the
+    terms' triples must be distinct and be the tensor's support, and every
+    entry must be one.  Any other decomposition, and one that fails that
+    comparison, is expanded term by term in the field, which names the
+    first mismatch."""
     _check_shapes(dec)
     if dec.field != t.field:
         raise ShapeError("decomposition field differs from tensor field")
-    sx, sy, sz = set(dec.side_x), set(dec.side_y), set(dec.side_z)
-    for (a, b, c) in t.entries:
-        if a not in sx or b not in sy or c not in sz:
-            raise ShapeError("side index lists do not cover the tensor support")
     f = t.field
     mul = f.mul
     one = f.one
+    keys = _unit_term_keys(dec)
+    if (keys is not None and len(keys) == len(t.entries) and t.entries.keys() == set(keys)
+            and not set(t.entries.values()) - {one}):
+        return None
+    for k, side in enumerate((dec.side_x, dec.side_y, dec.side_z)):
+        if not set(map(itemgetter(k), t.entries)).issubset(side):
+            raise ShapeError("side index lists do not cover the tensor support")
     # per slot: term -> the (mask, coeff) pairs of the rows that reach it
     cols_x, cols_y, cols_z = cols = ({}, {}, {})
     for col, side, rows in zip(cols, (dec.side_x, dec.side_y, dec.side_z), dec.rows):
@@ -146,8 +179,8 @@ def verify_decomposition(t: Tensor, dec: RankDecomposition):
             for l, v in row:
                 col.setdefault(l, []).append((mask, v))
     acc: dict = {}
-    # most coefficients are one (all of them in a trivial decomposition),
-    # so a factor equal to one is skipped rather than multiplied
+    # most coefficients are one, so a factor equal to one is skipped
+    # rather than multiplied
     for l, xs in cols_x.items():
         for a, u in xs:
             for b, v in cols_y.get(l, ()):
@@ -169,18 +202,21 @@ def verify_decomposition(t: Tensor, dec: RankDecomposition):
 
 
 def trivial_decomposition(t: Tensor) -> RankDecomposition:
-    """One rank-one term per nonzero entry; always verifies."""
-    sides = (t.x_side(), t.y_side(), t.z_side())
-    index = [{m: i for i, m in enumerate(side)} for side in sides]
-    U, V, W = ([[] for _ in side] for side in sides)
-    one = t.field.one
+    """One rank-one term per nonzero entry, the terms in colex order of the
+    entries; always verifies.  Term l puts (l, its coefficient) in the U
+    row of its A and (l, one) in the V and W rows of its B and C."""
     terms = sorted(t.entries.items())
-    for l, ((a, b, c), coeff) in enumerate(terms):
-        U[index[0][a]].append((l, coeff))
-        V[index[1][b]].append((l, one))
-        W[index[2][c]].append((l, one))
-    return RankDecomposition(t.field, len(t.ground), len(terms), *map(tuple, sides),
-                             *(tuple(map(tuple, rows)) for rows in (U, V, W)))
+    one = t.field.one
+    unit = [(l, one) for l in range(len(terms))]
+    sides, rows = [], []
+    for pairs, col in zip(([(l, v) for l, (_, v) in enumerate(terms)], unit, unit),
+                          list(zip(*[key for key, _ in terms])) or [()] * 3):
+        by_mask = {m: [] for m in sorted(set(col))}
+        for pair, m in zip(pairs, col):
+            by_mask[m].append(pair)
+        sides.append(tuple(by_mask))
+        rows.append(tuple(map(tuple, by_mask.values())))
+    return RankDecomposition(t.field, len(t.ground), len(terms), *sides, *rows)
 
 
 def _fmt_mask(mask: int) -> str:

@@ -130,6 +130,15 @@ def test_batch_ops_match_scalar_ops(spec):
             start += k
     assert field.sum_many(xs, groups) == sums
     assert field.sum_many(tuple(xs), groups) == sums
+    # rows wider than the group is tall, and the other way round
+    for k, n in ((140, 1), (30, 2), (2, 30), (5, 5)):
+        want = []
+        for i in range(n):
+            acc = field.zero
+            for v in xs[i * k:(i + 1) * k]:
+                acc = field.add(acc, v)
+            want.append(acc)
+        assert field.sum_many(xs[:k * n], [(k, n)]) == want
     assert field.sum_many([], []) == []
 
 

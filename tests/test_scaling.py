@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from kronscale import scaling
+from kronscale import scaling, steinitz
 from kronscale.circuit import (
     OP_ADD,
     OP_IN,
@@ -181,9 +181,34 @@ def test_verify_scaling_names_the_first_wrong_monomial():
     assert verify_scaling(bs, replace(dec, components=dec.components + (comp,))) == own[0]
 
 
-def steinitz_route(bs):
-    """decompose_P with every type's groups taken from the concentration
-    partition, s = 1 included."""
+def per_type_component(bs, tau, groups, d_eff):
+    """One type's component built element by element: the factor ground
+    sorted explicitly, each block's subsets from combinations, and every
+    alive mask summed bit by bit."""
+    pad_per_factor = 3 * (d_eff - bs.b * bs.g)
+    pad_sizes, grounds, ax, ay, az = [], [], [], [], []
+    for j, grp in enumerate(groups):
+        pads = [bs.ground_size + pad_per_factor * j + t for t in range(pad_per_factor)]
+        ground = sorted(e for i in grp for e in bs.block_elements(i)) + pads
+        grounds.append(tuple(ground))
+        local = {e: t for t, e in enumerate(ground)}
+        sizes = [d_eff - sum(row[i] for i in grp) for row in (tau.alpha, tau.beta, tau.gamma)]
+        pad_sizes.append(tuple(sizes))
+        cuts = [0, sizes[0], sizes[0] + sizes[1], pad_per_factor]
+        for t, (counts, sink) in enumerate(zip((tau.alpha, tau.beta, tau.gamma), (ax, ay, az))):
+            pad_mask = sum(1 << local[e] for e in pads[cuts[t]:cuts[t + 1]])
+            per_block = [[(sum(1 << local[e] for e in chosen), sum(1 << e for e in chosen))
+                          for chosen in combinations(bs.block_elements(i), counts[i])]
+                         for i in sorted(grp)]
+            sink.append({pad_mask + sum(lm for lm, _ in combo): sum(om for _, om in combo)
+                         for combo in product(*per_block)})
+    return scaling.ScalingComponent(tau, tuple(groups), tuple(pad_sizes), tuple(grounds),
+                                    tuple(ax), tuple(ay), tuple(az))
+
+
+def steinitz_groupings(bs):
+    """Every type with its own concentration partition, s = 1 included,
+    and the largest deviation of a group sum from b*g."""
     types = enumerate_types(bs)
     groupings = []
     for tau in types:
@@ -192,9 +217,17 @@ def steinitz_route(bs):
     delta = max(abs(sum(row[i] for i in grp) - bs.b * bs.g)
                 for tau, groups in zip(types, groupings) for grp in groups
                 for row in (tau.alpha, tau.beta, tau.gamma))
+    return types, groupings, delta
+
+
+def steinitz_route(bs):
+    """decompose_P with every type's groups taken from its own concentration
+    partition, s = 1 included, and its component built by
+    per_type_component."""
+    types, groupings, delta = steinitz_groupings(bs)
     d_eff = bs.b * bs.g + delta
     return ScalingDecomposition(bs, d_eff, delta, tuple(
-        scaling._component(bs, tau, groups, d_eff)
+        per_type_component(bs, tau, groups, d_eff)
         for tau, groups in zip(types, groupings)))
 
 
@@ -218,13 +251,13 @@ def test_s1_grouping_matches_the_steinitz_route(bgs, monkeypatch):
     # partition and gives the one component that reads each n-subset of
     # [3n] as it is
     bs = BlockStructure(*bgs)
-    want = steinitz_route(bs)
-    assert all([set(grp) for grp in ref.groups] == [set(range(bs.r))]
-               and ref.pad_sizes == ((0, 0, 0),) for ref in want.components)
+    _, groupings, delta = steinitz_groupings(bs)
+    assert delta == 0
+    assert all([set(grp) for grp in groups] == [set(range(bs.r))] for groups in groupings)
     calls = counted_partitions(monkeypatch)
     got = decompose_P(bs)
     assert calls == []
-    assert (got.d_eff, got.delta) == (want.d_eff, want.delta) == (bs.n, 0)
+    assert (got.d_eff, got.delta) == (bs.n, 0)
     (comp,) = got.components
     assert comp.tau is None
     assert (comp.groups, comp.pad_sizes, comp.factor_grounds) == \
@@ -235,13 +268,53 @@ def test_s1_grouping_matches_the_steinitz_route(bgs, monkeypatch):
     assert verify_scaling(bs, got) is None
 
 
+@pytest.mark.parametrize("bgs", [(1, 1, 2), (1, 1, 3), (1, 2, 2), (2, 1, 2)])
+def test_decompose_P_matches_the_per_type_steinitz_route(bgs):
+    # one partition per block multiset, mapped back to each type's blocks,
+    # and the tabled components give what each type's own partition and
+    # element-by-element component give: groups (in their order), pad
+    # sizes, factor grounds, and the alive maps in their insertion order,
+    # which fixes the order of every gate built from them
+    bs = BlockStructure(*bgs)
+    got, want = decompose_P(bs), steinitz_route(bs)
+    assert (got.d_eff, got.delta) == (want.d_eff, want.delta)
+    assert len(got.components) == len(want.components) == len(enumerate_types(bs))
+    for comp, ref in zip(got.components, want.components):
+        assert (comp.tau, comp.groups, comp.pad_sizes, comp.factor_grounds) == \
+            (ref.tau, ref.groups, ref.pad_sizes, ref.factor_grounds)
+        for slot in ("alive_x", "alive_y", "alive_z"):
+            assert [list(m.items()) for m in getattr(comp, slot)] == \
+                [list(m.items()) for m in getattr(ref, slot)]
+    assert verify_scaling(bs, got) is None
+
+
+@pytest.mark.parametrize("bgs, types, shapes", [
+    ((1, 1, 2), 7, 4), ((1, 1, 3), 55, 10), ((1, 1, 4), 415, 25),
+])
+def test_one_steinitz_dp_per_block_multiset(bgs, types, shapes, monkeypatch):
+    runs = []
+    real = steinitz._balanced_order
+
+    def counted(*args):
+        runs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(steinitz, "_balanced_order", counted)
+    bs = BlockStructure(*bgs)
+    dec = decompose_P(bs)
+    assert len(dec.components) == types
+    assert len(runs) == shapes == len({tuple(sorted(zip(c.tau.alpha, c.tau.beta, c.tau.gamma)))
+                                       for c in dec.components})
+
+
 def test_concentration_partition_runs_only_when_s_exceeds_1(monkeypatch):
     calls = counted_partitions(monkeypatch)
     decompose_P(BlockStructure(1, 3, 1))
     assert calls == []
-    bs = BlockStructure(1, 1, 2)
-    decompose_P(bs)
-    assert len(calls) == len(enumerate_types(bs))
+    # at (1, 1, 2) the 7 types have 4 distinct multisets of block triples,
+    # and the partition runs once per multiset
+    decompose_P(BlockStructure(1, 1, 2))
+    assert len(calls) == 4
 
 
 def _assign_all(c, rng):

@@ -13,6 +13,7 @@ from kronscale.fields import PrimeField, Rng, gf2, prime_field
 from kronscale.tensor import (
     RankDecomposition,
     Tensor,
+    _unit_term_keys,
     generate_P,
     parse_decomposition,
     trivial_decomposition,
@@ -41,6 +42,18 @@ def test_generate_P_counts():
     assert len(generate_P(1, field=F).entries) == 6  # 3! orderings
     assert len(generate_P(2, field=F).entries) == brute_tripartition_count(6, 2) == 90
     assert len(generate_P(3, field=F).entries) == factorial(9) // factorial(3) ** 3 == 1680
+
+
+@pytest.mark.parametrize("q", [0, 1, 2, 3])
+def test_generate_P_lists_every_tripartition_in_colex_order(q):
+    full = (1 << 3 * q) - 1
+    want = []
+    for a in combinations(range(3 * q), q):
+        for b in combinations([e for e in range(3 * q) if e not in a], q):
+            want.append((mask_of(a), mask_of(b), full ^ mask_of(a) ^ mask_of(b)))
+    t = generate_P(q, field=F)
+    assert list(t.entries) == sorted(want)
+    assert set(t.entries.values()) <= {F.one}
 
 
 def test_generate_P_entry_shapes():
@@ -232,6 +245,70 @@ def test_verify_multiplies_no_unit_coefficient():
     want = _first_mismatch_by_expansion(t2, broken)
     assert want is not None
     assert verify_decomposition(t2, broken) == want
+
+
+def _terms_of(dec):
+    """Per term: one {mask: coeff} dict per slot."""
+    terms = [({}, {}, {}) for _ in range(dec.rank)]
+    for slot, (side, rows) in enumerate(zip((dec.side_x, dec.side_y, dec.side_z), dec.rows)):
+        for mask, row in zip(side, rows):
+            for l, v in row:
+                terms[l][slot][mask] = v
+    return terms
+
+
+def _with_terms(dec, terms):
+    """dec's sides and field with the given terms, numbered in list order."""
+    rows = [tuple(tuple((l, term[slot][mask]) for l, term in enumerate(terms)
+                        if mask in term[slot]) for mask in side)
+            for slot, side in enumerate((dec.side_x, dec.side_y, dec.side_z))]
+    return replace(dec, rank=len(terms), U=rows[0], V=rows[1], W=rows[2])
+
+
+@pytest.mark.parametrize("field", [prime_field(7), GF256], ids=["p7", "gf2_8"])
+@pytest.mark.parametrize("flaw, unit", [
+    ("duplicated", True), ("dropped", True), ("two_monomials", False), ("moved", False),
+    ("non_unit", False),
+])
+def test_unit_coefficient_check_names_the_expansions_first_mismatch(field, flaw, unit):
+    # a duplicated term cancels in characteristic 2 and gives coefficient
+    # 2 in odd characteristic; either way the key comparison fails and the
+    # expansion names the same first mismatch as the oracle; the other
+    # flaws are not unit terms and take the general path from the start:
+    # "moved" keeps rank x entries in all, but term 5 has two and term 6
+    # none
+    t = generate_P(2, field=field)
+    dec = trivial_decomposition(t)
+    terms = _terms_of(dec)
+    x, y, z = terms[5]
+    if flaw == "duplicated":
+        terms.append(terms[5])
+    elif flaw == "dropped":
+        del terms[5]
+    elif flaw == "two_monomials":
+        other = next(m for m in dec.side_x if m not in x)
+        terms[5] = ({**x, other: field.one}, y, z)
+    elif flaw == "moved":
+        terms[5] = ({**x, **terms[6][0]}, y, z)
+        terms[6] = ({},) + terms[6][1:]
+    else:
+        terms[5] = (x, y, dict.fromkeys(z, 3))
+    broken = _with_terms(dec, terms)
+    assert (_unit_term_keys(broken) is not None) == unit
+    want = _first_mismatch_by_expansion(t, broken)
+    assert want is not None
+    assert verify_decomposition(t, broken) == want
+
+
+def test_unit_coefficient_check_accepts_any_term_order():
+    t = generate_P(2, field=GF256)
+    dec = trivial_decomposition(t)
+    shuffled = _with_terms(dec, _terms_of(dec)[::-1])
+    assert shuffled != dec and _unit_term_keys(shuffled) is not None
+    assert verify_decomposition(t, shuffled) is None
+    # entries other than one make the tensor disagree with every unit term
+    bumped = Tensor(GF256, t.ground, {key: 2 for key in t.entries})
+    assert verify_decomposition(bumped, shuffled) == min(t.entries)
 
 
 def test_strassen_mm2_fixture():
