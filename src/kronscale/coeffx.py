@@ -38,26 +38,36 @@ from .errors import NotSkew, ShapeError, SingleOutputRequired
 from .scaling import PScalingScheme
 
 
-def _reach(gates, degs, roots) -> set:
-    """The homogeneous components (gid, k) that the root components read,
-    walking down; components above a gate's degree are zero."""
-    reach = set()
-    stack = list(roots)
-    while stack:
-        gid, k = stack.pop()
-        if (gid, k) in reach:
-            continue
-        reach.add((gid, k))
+def _reach(gates, degs, root) -> list:
+    """The component graph below root, in gate order: every homogeneous
+    component (gid, k) that root reads, walking down, with its edges
+    (operand, low).  An add's operand stays at degree k: (a, k) with low
+    None.  A mul splits k into i + (k - i): the high-side component
+    (b, k - i) with the low-side one (a, i) it is multiplied by, a being
+    the side of lower degree (the left one on a tie).  Components above a
+    gate's degree are zero and never reached, so a root above its gate's
+    degree gives an empty graph; inputs and consts are seeded, not filled,
+    and have no entry."""
+    out, n = root
+    need = {out: {n}} if n <= degs[out] else {}
+    graph = []
+    for gid in range(out, -1, -1):
         op, payload = gates[gid]
-        if op == OP_ADD:
-            stack.extend((a, k) for a in payload if k <= degs[a])
-        elif op == OP_MUL:
-            left, right = payload
-            for i in range(min(degs[left], k) + 1):
-                if k - i <= degs[right]:
-                    stack.append((left, i))
-                    stack.append((right, k - i))
-    return reach
+        if gid not in need or op in (OP_IN, OP_CONST):
+            continue
+        if op == OP_MUL:
+            a, b = payload if degs[payload[0]] <= degs[payload[1]] else payload[::-1]
+        for k in sorted(need[gid], reverse=True):
+            if op == OP_ADD:
+                edges = [((c, k), None) for c in payload if k <= degs[c]]
+            else:
+                edges = [((b, k - i), (a, i)) for i in range(min(degs[a], k) + 1)
+                         if k - i <= degs[b]]
+            for c, i in (comp for edge in edges for comp in edge if comp):
+                need.setdefault(c, set()).add(i)
+            graph.append(((gid, k), edges))
+    graph.reverse()
+    return graph
 
 
 def _seed_tables(circ: Circuit, var_bit: dict, bld: CircuitBuilder) -> dict:
@@ -75,11 +85,9 @@ def _seed_tables(circ: Circuit, var_bit: dict, bld: CircuitBuilder) -> dict:
     return tables
 
 
-def _layer(gates, degs, reach, lo: int, hi: int) -> list:
-    """The reached components (gid, k) with lo < k <= hi, in gate order,
-    each with its edges (operand, low): an add's operand (a, k) with low
-    None, or a mul's high-side component (b, k - i) with the low-side one
-    (a, i) it is multiplied by.
+def _layer(graph, lo: int, hi: int) -> list:
+    """The components (gid, k) of the graph (_reach) with lo < k <= hi, in
+    gate order, each with its edges.
 
     A layer above a cut (lo >= 0) is seeded with the bottom's components
     of degree <= 1 and with the cut components.  1-skewness keeps every
@@ -88,24 +96,9 @@ def _layer(gates, degs, reach, lo: int, hi: int) -> list:
     values and every entry is linear in the cut seeds (the structural
     linear-in-Y guarantee, checked here for either direction of fill).
     """
-    layer = []
-    for gid, (op, payload) in enumerate(gates):
-        if op in (OP_IN, OP_CONST):
-            continue  # seeded
-        for k in range(lo + 1, min(degs[gid], hi) + 1):
-            if (gid, k) not in reach:
-                continue
-            if op == OP_ADD:
-                edges = [((a, k), None) for a in payload if k <= degs[a]]
-            else:
-                a, b = payload
-                if degs[a] > degs[b]:
-                    a, b = b, a
-                if lo >= 0 and degs[a] > 1:
-                    raise NotSkew("cut layer would multiply two cut values")
-                edges = [((b, k - i), (a, i)) for i in range(min(degs[a], k) + 1)
-                         if k - i <= degs[b]]
-            layer.append(((gid, k), edges))
+    layer = [(comp, edges) for comp, edges in graph if lo < comp[1] <= hi]
+    if lo >= 0 and any(low and low[1] > 1 for _, edges in layer for _, low in edges):
+        raise NotSkew("cut layer would multiply two cut values")
     return layer
 
 
@@ -284,6 +277,18 @@ def _middle_transposed(bld, layer, low: dict, cut1, live: dict, alive) -> bool:
     return cap < arcs({c: {0: (1 << i,) * 3} for i, c in enumerate(cut1)} | consts, cap=cap)
 
 
+def _open(circ: Circuit, variables) -> tuple:
+    """What both routes start from: a builder, the seed tables it holds
+    (_seed_tables) and the component graph (_reach) below the output's
+    degree-n component."""
+    if len(circ.outputs) != 1:
+        raise SingleOutputRequired("extraction needs a single-output circuit")
+    bld = CircuitBuilder(circ.field)
+    tables = _seed_tables(circ, {name: i for i, name in enumerate(variables)}, bld)
+    degs = formal_degrees(circ, set(variables))
+    return bld, tables, _reach(circ.gates, degs, (circ.outputs[0], len(variables)))
+
+
 def extract_coeff_direct(circ: Circuit, variables) -> Circuit:
     """The 2^n subset-DP compiler, for a circuit of any skewness.
 
@@ -292,16 +297,10 @@ def extract_coeff_direct(circ: Circuit, variables) -> Circuit:
     the original circuit.  Only the components that the output's
     degree-n component reaches get a table.
     """
-    if len(circ.outputs) != 1:
-        raise SingleOutputRequired("extraction needs a single-output circuit")
+    bld, tables, graph = _open(circ, variables)
+    _run_layer(bld, graph, tables)
     n = len(variables)
-    degs = formal_degrees(circ, set(variables))
-    out = circ.outputs[0]
-    bld = CircuitBuilder(circ.field)
-    tables = _seed_tables(circ, {name: i for i, name in enumerate(variables)}, bld)
-    _run_layer(bld, _layer(circ.gates, degs, _reach(circ.gates, degs, [(out, n)]), -1, n),
-               tables)
-    bld.set_outputs([tables.get((out, n), {}).get((1 << n) - 1, bld.zero)])
+    bld.set_outputs([tables.get((circ.outputs[0], n), {}).get((1 << n) - 1, bld.zero)])
     result = bld.build()
     result.meta.update(method="direct",
                        table_entries=sum(len(t) for t in tables.values()))
@@ -313,10 +312,9 @@ def extract_coeff_tripartition(circ: Circuit, variables, b: int = 1,
     """The three-layer compiler via the P_{n/3}[[n]] scaling circuit.
 
     Requires a 1-skew circuit (NotSkew otherwise) and n = |variables|
-    with n % 3 == 0 and n >= 9 (ShapeError otherwise; callers pad via
-    pad_degree).  The floor of 9 is a measured choice, not a soundness
-    one: padding the kpath-tri benchmark circuit (k=5, six sieve
-    variables) to 6 instead of 9 grows it from 8,238 to 14,828 arcs.
+    with n % 3 == 0 and n >= 6 (ShapeError otherwise; extract_coefficient
+    pads via pad_degree).  At n = 3 the cut1 components have degree 1, so
+    they would also be the low tables that seed the upper layers.
     Gates are sliced by homogeneous degree, and the tables of the
     components of degree n/3 and 2n/3 split per cut component into f_i
     (bottom, cut1 component i), g_ij (middle) and h_j (top, cut2
@@ -338,42 +336,36 @@ def extract_coeff_tripartition(circ: Circuit, variables, b: int = 1,
     the arcs that each stage emitted, bottom, middle, top and the join,
     and the middle layer's direction of fill.
     """
-    if len(circ.outputs) != 1:
-        raise SingleOutputRequired("extraction needs a single-output circuit")
     n = len(variables)
-    if n % 3 != 0 or n < 9:
-        raise ShapeError(f"tripartition extraction needs padded n (got {n}); "
-                         "use pad_degree first")
+    if n % 3 != 0 or n < 6:
+        raise ShapeError(f"tripartition extraction needs n a multiple of 3 and >= 6 "
+                         f"(got {n}); use pad_degree first")
     q = analyze_skew(circ, set(variables))
     if q > 1:
         raise NotSkew(f"tripartition extraction needs a 1-skew circuit, got {q}-skew")
-    degs = formal_degrees(circ, set(variables))
-    n3 = n // 3
-    out = circ.outputs[0]
-    bld = CircuitBuilder(circ.field)
-    if degs[out] < n:
+    bld, bottom, graph = _open(circ, variables)
+    if not graph:
         # the full monomial cannot appear at all
+        bld = CircuitBuilder(circ.field)
         bld.set_outputs([bld.zero])
         result = bld.build()
         result.meta.update(method="tri", s=0, t=0, table_entries=0)
         return result
 
-    gates = circ.gates
+    n3 = n // 3
     full = (1 << n) - 1
-    reach = _reach(gates, degs, [(out, n)])
-    bottom = _seed_tables(circ, {name: i for i, name in enumerate(variables)}, bld)
-    _run_layer(bld, _layer(gates, degs, reach, -1, n3), bottom)
+    _run_layer(bld, _layer(graph, -1, n3), bottom)
     arcs = {"bottom": bld.arcs}
-    cut1 = sorted(c for c in reach if c[1] == n3)
-    cut2 = sorted(c for c in reach if c[1] == 2 * n3)
+    cut1 = [c for c, _ in graph if c[1] == n3]
+    cut2 = [c for c, _ in graph if c[1] == 2 * n3]
     f_tables = [bottom.get(c, {}) for c in cut1]
     low = {c: t for c, t in bottom.items() if c[1] <= 1}
-    middle_layer = _layer(gates, degs, reach, n3, 2 * n3)
-    top_layer = _layer(gates, degs, reach, 2 * n3, n)
+    middle_layer = _layer(graph, n3, 2 * n3)
+    top_layer = _layer(graph, 2 * n3, n)
     alive = _Alive(_masks(middle_layer + top_layer, dict(bottom)), full)
     # the top layer, transposed from its one seed: h_j is the adjoint of
     # cut2 component j
-    top = _run_layer(bld, top_layer, dict(low), {(out, n): {0: [bld.one]}}, alive)
+    top = _run_layer(bld, top_layer, dict(low), {(circ.outputs[0], n): {0: [bld.one]}}, alive)
     h_tables = [top.get(c, {}) for c in cut2]
     arcs["top"] = bld.arcs - sum(arcs.values())
     # the middle layer, from whichever side emits fewer arcs: forward from
@@ -417,22 +409,27 @@ def extract_coeff_tripartition(circ: Circuit, variables, b: int = 1,
 
 def pad_degree(circ: Circuit, variables) -> tuple[Circuit, tuple]:
     """Round the variable count up to a multiple of 3 that is >= 9 by
-    multiplying the output with fresh variables; the coefficient of the
-    enlarged full monomial equals the original one."""
+    multiplying the output with fresh variables v:__pad0, v:__pad1, ...;
+    the coefficient of the enlarged full monomial equals the original one.
+    An input of circ with one of those names would merge with it, so it
+    raises ShapeError.  The floor of 9 is a measured choice, not a
+    soundness one (the tripartition route takes 6): padding the kpath-tri
+    benchmark circuit (k=5, six sieve variables) to 6 instead of 9 grows
+    it from 8,238 to 14,828 arcs."""
     variables = tuple(variables)
     n = len(variables)
-    target = max(9, 3 * ((n + 2) // 3))
-    if target == n:
+    fresh = tuple(f"v:__pad{i}" for i in range(max(9, 3 * ((n + 2) // 3)) - n))
+    if not fresh:
         return circ, variables
+    clash = set(fresh).intersection(circ.input_names())
+    if clash:
+        raise ShapeError(f"input {min(clash)!r} has the name of a padding variable")
     bld = CircuitBuilder(circ.field)
     out = replay(circ, bld)[circ.outputs[0]]
-    fresh = []
-    for i in range(target - n):
-        name = f"v:__pad{i}"
-        fresh.append(name)
+    for name in fresh:
         out = bld.mul(out, bld.inp(name))
     bld.set_outputs([out])
-    return bld.build(), variables + tuple(fresh)
+    return bld.build(), variables + fresh
 
 
 def extract_coefficient(circ: Circuit, variables, method: str = "direct",

@@ -35,8 +35,9 @@ from .tensor import (
     verify_decomposition,
 )
 
-DEFAULT_TYPE_BUDGET = 10 ** 6       # cap on the number of intersection types
-DEFAULT_ARC_BUDGET = 20_000_000     # cap on materialized circuit arcs
+TYPE_BUDGET = 10 ** 6          # cap on the number of intersection types
+ARC_BUDGET = 20_000_000        # cap on materialized circuit arcs
+RANK_POWER_BUDGET = 2_000_000  # cap on rank^s in yates_circuit
 
 
 @dataclass(frozen=True)
@@ -74,12 +75,12 @@ class IntersectionType:
     gamma: tuple
 
 
-def enumerate_types(bs: BlockStructure, budget: int = DEFAULT_TYPE_BUDGET):
+def enumerate_types(bs: BlockStructure):
     """All intersection types, lexicographically ordered on (alpha,beta,gamma).
 
     A type gives each block a triple summing to 3b, with every row summing
-    to n across blocks.  TooLarge fires once more than `budget` types have
-    been found.
+    to n across blocks.  TooLarge fires once more than TYPE_BUDGET types
+    have been found.
     """
     cap = 3 * bs.b
     n = bs.n
@@ -93,9 +94,9 @@ def enumerate_types(bs: BlockStructure, budget: int = DEFAULT_TYPE_BUDGET):
             if sum_a == n and sum_b == n:
                 gamma = tuple(cap - alpha[t] - beta[t] for t in range(r))
                 out.append(IntersectionType(tuple(alpha), tuple(beta), gamma))
-                if len(out) > budget:
+                if len(out) > TYPE_BUDGET:
                     raise TooLarge(f"enumerate_types: {len(out)} types exceed "
-                                   f"the type budget {budget}")
+                                   f"the type budget {TYPE_BUDGET}")
             return
         remaining = (r - i - 1) * cap
         for a in range(cap + 1):
@@ -303,7 +304,7 @@ def _supports(dec: RankDecomposition) -> tuple:
 
 
 def _yates_transform(bld: CircuitBuilder, rows, s: int, inputs: dict, live,
-                     arc_budget: int, slot: str) -> dict:
+                     slot: str) -> dict:
     """Sparse layered Kronecker transform.
 
     inputs maps side-index tuples to gates; level u rewrites position u
@@ -335,9 +336,9 @@ def _yates_transform(bld: CircuitBuilder, rows, s: int, inputs: dict, live,
         cur = {}
         for nk, val in acc.items():
             cur[nk] = bld.add(*val) if isinstance(val, list) else val
-        if bld.arcs > arc_budget:
+        if bld.arcs > ARC_BUDGET:
             raise TooLarge(f"yates: slot {slot}, level {u + 1} of s={s}: "
-                           f"{bld.arcs} arcs exceed the arc budget {arc_budget}")
+                           f"{bld.arcs} arcs exceed the arc budget {ARC_BUDGET}")
     return cur
 
 
@@ -362,7 +363,7 @@ def _reached_terms(support, inputs: dict, s: int) -> list:
 
 
 def _restricted_power(bld: CircuitBuilder, dec: RankDecomposition, supports, s: int,
-                      side_entries, pairs, zwire, arc_budget: int, groups: dict) -> None:
+                      side_entries, pairs, zwire, groups: dict) -> None:
     """The s-th Kronecker power of dec, restricted to the given side
     entries, applied to every (xwire, ywire) pair against one zwire, in
     factored form: every x^ * y^ product is appended to groups[z^], the
@@ -402,12 +403,12 @@ def _restricted_power(bld: CircuitBuilder, dec: RankDecomposition, supports, s: 
             continue
         live = [a & b & c for a, b, c in zip(_reached_terms(supports[0], xin, s),
                                              _reached_terms(supports[1], yin, s), zreach)]
-        hats.append((_yates_transform(bld, dec.rows[0], s, xin, live, arc_budget, "x"),
-                     _yates_transform(bld, dec.rows[1], s, yin, live, arc_budget, "y")))
+        hats.append((_yates_transform(bld, dec.rows[0], s, xin, live, "x"),
+                     _yates_transform(bld, dec.rows[1], s, yin, live, "y")))
         zlive = [u | l for u, l in zip(zlive, live)]
     if not hats:
         return
-    hz = _yates_transform(bld, dec.rows[2], s, zin, zlive, arc_budget, "z")
+    hz = _yates_transform(bld, dec.rows[2], s, zin, zlive, "z")
     for hx, hy in hats:
         for key, gx in hx.items():
             gy = hy.get(key)
@@ -424,17 +425,15 @@ def _join(bld: CircuitBuilder, groups: dict) -> int:
     return bld.add(*[bld.mul(bld.add(*xy), gz) for gz, xy in groups.items()])
 
 
-def yates_circuit(dec: RankDecomposition, s: int,
-                  gate_budget: int = 2_000_000,
-                  arc_budget: int = DEFAULT_ARC_BUDGET) -> Circuit:
+def yates_circuit(dec: RankDecomposition, s: int) -> Circuit:
     """Kronecker-power evaluation circuit from a rank decomposition.
 
     Inputs are x/y/z over s-fold combined subset masks (copy j of the base
     ground shifted by j*ground_size); the single output computes the s-th
     Kronecker power applied to the inputs.
     """
-    if dec.rank ** s > gate_budget:
-        raise TooLarge(f"rank^s = {dec.rank ** s} exceeds budget {gate_budget}")
+    if dec.rank ** s > RANK_POWER_BUDGET:
+        raise TooLarge(f"rank^s = {dec.rank ** s} exceeds budget {RANK_POWER_BUDGET}")
     field = dec.field
     bld = CircuitBuilder(field)
     m = dec.ground_size
@@ -446,7 +445,7 @@ def yates_circuit(dec: RankDecomposition, s: int,
                            for slot in "xyz")
     groups: dict = {}
     _restricted_power(bld, dec, supports, s, side_entries, [(xwire, ywire)], zwire,
-                      arc_budget, groups)
+                      groups)
     bld.set_outputs([_join(bld, groups)])
     return bld.build()
 
@@ -470,8 +469,7 @@ class PScalingScheme:
     slot that no wire feeds emits nothing.
     """
 
-    def __init__(self, n: int, b: int, g: int | None, field: Field, dec_source=None,
-                 arc_budget: int = DEFAULT_ARC_BUDGET):
+    def __init__(self, n: int, b: int, g: int | None, field: Field, dec_source=None):
         if b < 1:
             raise ShapeError(f"b={b} must be at least 1")
         if g is None:
@@ -484,7 +482,6 @@ class PScalingScheme:
         self.field = field
         self.s = n // (b * g)
         self.bs = BlockStructure(b, g, self.s)
-        self.arc_budget = arc_budget
         self.decomposition = decompose_P(self.bs)
         self.d_eff = self.decomposition.d_eff
         self.dec = _provider_dec(dec_source, self.d_eff, field)
@@ -511,7 +508,7 @@ class PScalingScheme:
         groups: dict = {}
         for side_entries in self.side_entries:
             _restricted_power(bld, self.dec, self.supports, self.s, side_entries,
-                              pairs, zwire, self.arc_budget, groups)
+                              pairs, zwire, groups)
         return _join(bld, groups)
 
 

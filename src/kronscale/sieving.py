@@ -76,7 +76,9 @@ class SieveRunner:
     kind 'det':  x_i -> rx_i * sum_j A[j,i] y_j
     kind 'odd':  x_i -> rx_i * (1 + rxp_i * sum_j A[j,i] y_j)
 
-    The rx/rxp randomness are inputs assigned per trial.  For 'odd', each
+    The rx/rxp randomness are inputs assigned per trial; an input of circ
+    other than the x_i that has the name of a y, rx or rxp input would
+    merge with it, so it raises ShapeError.  For 'odd', each
     y enters through exactly one factor rxp_i * (linear form), so the
     coefficient of y_1..y_k collects exactly the terms with k such
     factors: it is already the slice that a marker variable z on those
@@ -99,20 +101,23 @@ class SieveRunner:
             raise ShapeError(f"{len(xvars)} variables vs {a.n} matrix columns")
         k = a.k
         self.field = field
-        bld = CircuitBuilder(field)
         yvars = [f"y:{{{j}}}" for j in range(1, k + 1)]
+        self.rand_inputs = [f"v:__{r}{i}" for i in range(len(xvars))
+                            for r in (("rx",) if kind == "det" else ("rx", "rxp"))]
+        clash = set(circ.input_names()).difference(xvars).intersection(
+            yvars + self.rand_inputs)
+        if clash:
+            raise ShapeError(f"input {min(clash)!r} has the name of a sieve input")
+        bld = CircuitBuilder(field)
         ys = [bld.inp(nm) for nm in yvars]
-        self.rand_inputs = []
         subst = {}
         for i, name in enumerate(xvars):
             lin = bld.add(*[bld.scale(a.rows[j][i], ys[j]) for j in range(k)])
             rx = bld.inp(f"v:__rx{i}")
-            self.rand_inputs.append(f"v:__rx{i}")
             if kind == "det":
                 subst[name] = bld.mul(rx, lin)
             else:
                 rxp = bld.inp(f"v:__rxp{i}")
-                self.rand_inputs.append(f"v:__rxp{i}")
                 subst[name] = bld.mul(rx, bld.add(bld.one, bld.mul(rxp, lin)))
         bld.set_outputs([replay(circ, bld, subst.get)[circ.outputs[0]]])
         substituted = bld.build()

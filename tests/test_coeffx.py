@@ -210,6 +210,17 @@ def test_tripartition_rejects_unpadded():
         extract_coeff_tripartition(c, names)
 
 
+def test_padding_refuses_an_input_named_like_a_padding_variable():
+    # x0...x5 * w with w named v:__pad0: padding would merge w with the
+    # first padding variable, and the tri route would give 0
+    f = prime_field(101)
+    names = names_for(6)
+    circ = full_product_circuit(f, names + ["v:__pad0"])
+    assert evaluate(extract_coefficient(circ, names, "direct"), {"v:__pad0": 5}) == (5,)
+    with pytest.raises(ShapeError, match="'v:__pad0'"):
+        extract_coefficient(circ, names, "tri")
+
+
 def test_table_size_reporting():
     names = names_for(9)
     c = full_product_circuit(F, names)
@@ -314,6 +325,22 @@ def test_tripartition_runs_each_layer_once(monkeypatch):
         assert not transposed or 1 <= middle[1] <= 71
 
 
+def test_each_extraction_builds_the_component_graph_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return _reach(*args)
+
+    monkeypatch.setattr(coeffx, "_reach", counted)
+    circ, xvars = pad_degree(*hafnian_clow_circuit(12, F))
+    extract_coeff_direct(circ, xvars)
+    for transposed in (False, True):
+        force_middle(monkeypatch, transposed)
+        extract_coeff_tripartition(circ, xvars)
+    assert calls == [(circ.outputs[0], 9)] * 3
+
+
 def test_hafnian_tri_sizes_are_pinned():
     circ = build_hafnian_circuit(12, "tri")
     assert (len(circ.gates), circ.size) == (2824, 6472)
@@ -392,15 +419,14 @@ def test_transposed_fill_is_the_forward_fill_transposed():
     rng = Rng(99)
     names = names_for(9)
     circ = layered_1skew_circuit(F, rng, names, 3)
-    degs = formal_degrees(circ, set(names))
-    reach = _reach(circ.gates, degs, [(circ.outputs[0], 9)])
+    graph = _reach(circ.gates, formal_degrees(circ, set(names)), (circ.outputs[0], 9))
     bld = CircuitBuilder(F)
     bottom = _seed_tables(circ, {name: i for i, name in enumerate(names)}, bld)
-    _run_layer(bld, _layer(circ.gates, degs, reach, -1, 3), bottom)
+    _run_layer(bld, _layer(graph, -1, 3), bottom)
     low = {c: t for c, t in bottom.items() if c[1] <= 1}
-    cut1 = sorted(c for c in reach if c[1] == 3)
-    cut2 = sorted(c for c in reach if c[1] == 6)
-    layer = _layer(circ.gates, degs, reach, 3, 6)
+    cut1 = [c for c, _ in graph if c[1] == 3]
+    cut2 = [c for c, _ in graph if c[1] == 6]
+    layer = _layer(graph, 3, 6)
     up = _run_layer(bld, layer, {c: {i << 9: bld.one} for i, c in enumerate(cut1)} | low)
     down = _run_layer(bld, layer, dict(low), {c: {j << 9: [bld.one]} for j, c in enumerate(cut2)})
     full = (1 << 9) - 1
@@ -422,24 +448,24 @@ def _two_degree_product():
     xs = [bld.inp(nm) for nm in names]
     bld.set_outputs([bld.mul(bld.mul(xs[0], xs[1]), bld.mul(xs[2], xs[3]))])
     circ = bld.build()
-    degs = formal_degrees(circ, set(names))
-    return circ, names, degs, _reach(circ.gates, degs, [(circ.outputs[0], 4)])
+    return circ, names, _reach(circ.gates, formal_degrees(circ, set(names)),
+                               (circ.outputs[0], 4))
 
 
 def test_cut_layer_refuses_to_multiply_two_cut_values():
     # a layer above a cut at degree 2 whose one mul joins two cut values;
     # either direction of fill walks the edges that _layer makes
-    circ, _, degs, reach = _two_degree_product()
+    _, _, graph = _two_degree_product()
     with pytest.raises(NotSkew, match="two cut values"):
-        _layer(circ.gates, degs, reach, 2, 4)
+        _layer(graph, 2, 4)
 
 
 def test_bottom_layer_multiplies_components_of_any_degree():
     # the bottom layer (and the direct route) has no cut to keep linear
-    circ, names, degs, reach = _two_degree_product()
+    circ, names, graph = _two_degree_product()
     bld = CircuitBuilder(F)
     tables = _seed_tables(circ, {name: i for i, name in enumerate(names)}, bld)
-    _run_layer(bld, _layer(circ.gates, degs, reach, -1, 4), tables)
+    _run_layer(bld, _layer(graph, -1, 4), tables)
     assert tables[(circ.outputs[0], 4)] == {0b1111: bld.one}
 
 

@@ -3,7 +3,7 @@ from math import comb, factorial
 
 import pytest
 
-from kronscale.circuit import evaluate
+from kronscale.circuit import dead_gate_elimination, evaluate
 from kronscale.counting import (
     SetFamily,
     SquareMatrix,
@@ -18,12 +18,13 @@ from kronscale.counting import (
     parse_family_file,
     parse_matrix_file,
     permanent_ryser,
+    permanent_skew_circuit,
     permanent_via_extraction,
     setpart_bruteforce,
 )
 from kronscale.circuit import analyze_skew
-from kronscale.coeffx import extract_coeff_direct
-from kronscale.errors import DivisibilityError, ParityError
+from kronscale.coeffx import extract_coeff_direct, extract_coeff_tripartition
+from kronscale.errors import DivisibilityError, ParityError, ShapeError
 from kronscale.fields import Rng, prime_field
 
 F = prime_field(2**31 - 1)
@@ -114,6 +115,29 @@ def test_permanent_benchmark_circuit_does_not_grow():
     # the perm6-s2 benchmark circuit, pinned exactly
     stats = build_permanent_circuit(6, b=1, g=1).stats()
     assert (stats["arcs"], stats["gates"]) == (585, 292)
+
+
+@pytest.mark.parametrize("g", [1, None], ids=["g1", "gNone"])
+def test_tripartition_at_its_floor_matches_the_permanent_circuit(g):
+    # at n = 6 the tri extraction of the 1-skew permanent circuit has the
+    # benchmark circuit's size: 585 arcs, and 292 live gates of the 293 it
+    # emits (the unread const 1 that the seed tables push)
+    circ = extract_coeff_tripartition(*permanent_skew_circuit(6, F), b=1, g=g)
+    assert (circ.size, len(circ.gates)) == (585, 293)
+    live = dead_gate_elimination(circ).stats()
+    assert live == build_permanent_circuit(6, b=1, g=g).stats()
+    assert (live["arcs"], live["gates"]) == (585, 292)
+    rng = Rng(31)
+    for _ in range(4):
+        m = rand_matrix(rng, 6)
+        assert evaluate(circ, matrix_assignment(m))[0] == permanent_ryser(m)
+
+
+def test_tripartition_refuses_n3():
+    # the cut1 components would have degree 1, the degree of the low
+    # tables that seed the upper layers
+    with pytest.raises(ShapeError, match=r"\(got 3\)"):
+        extract_coeff_tripartition(*permanent_skew_circuit(3, F))
 
 
 def test_permanent_build_leaves_the_evaluation_plan_unbuilt():

@@ -106,12 +106,13 @@ def test_every_tripartition_classifies_to_one_type():
             assert (tau.alpha, tau.beta, tau.gamma) in types
 
 
-def test_enumerate_types_budget():
+def test_enumerate_types_budget(monkeypatch):
     # the budget bounds the types found: n=5 at b=g=1 has 3,391 of them
     assert len(enumerate_types(BlockStructure(1, 1, 5))) == 3391
+    monkeypatch.setattr(scaling, "TYPE_BUDGET", 1000)
     message = "^enumerate_types: 1001 types exceed the type budget 1000$"
     with pytest.raises(TooLarge, match=message):
-        enumerate_types(BlockStructure(1, 3, 3), budget=1000)
+        enumerate_types(BlockStructure(1, 3, 3))
 
 
 def test_decompose_forced_single_component():
@@ -408,18 +409,19 @@ def test_yates_size_ratio_invariant():
     assert max(ratios) / min(ratios) <= 4
 
 
-def test_yates_budget():
+def test_yates_budget(monkeypatch):
     rng = Rng(6)
     _, dec = random_tensor_with_dec(rng, 3, 6)
+    monkeypatch.setattr(scaling, "RANK_POWER_BUDGET", 10_000)
     with pytest.raises(TooLarge):
-        yates_circuit(dec, 9, gate_budget=10_000)
+        yates_circuit(dec, 9)
 
 
 BUDGET_MESSAGE = re.compile(
     r"yates: slot ([xyz]), level (\d+) of s=(\d+): (\d+) arcs exceed the arc budget (\d+)")
 
 
-def test_yates_arc_budget_names_slot_and_level():
+def test_yates_arc_budget_names_slot_and_level(monkeypatch):
     rng = Rng(6)
     _, dec = random_tensor_with_dec(rng, 3, 6)
     # each budget is the arc count the previous firing reported, so the
@@ -428,7 +430,8 @@ def test_yates_arc_budget_names_slot_and_level():
     budget = 0
     while True:
         try:
-            yates_circuit(dec, 2, arc_budget=budget)
+            monkeypatch.setattr(scaling, "ARC_BUDGET", budget)
+            yates_circuit(dec, 2)
         except TooLarge as exc:
             m = BUDGET_MESSAGE.fullmatch(str(exc))
             assert m is not None, str(exc)
@@ -441,8 +444,9 @@ def test_yates_arc_budget_names_slot_and_level():
     assert fired == [(slot, level) for slot in "xyz" for level in (1, 2)]
 
 
-def test_instantiate_arc_budget_reports_where_it_fired():
-    scheme = PScalingScheme(2, 1, 1, F, arc_budget=4)
+def test_instantiate_arc_budget_reports_where_it_fired(monkeypatch):
+    monkeypatch.setattr(scaling, "ARC_BUDGET", 4)
+    scheme = PScalingScheme(2, 1, 1, F)
     bld = CircuitBuilder(F)
     wires = {}
     for slot in "xyz":

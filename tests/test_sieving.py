@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import pytest
@@ -126,6 +127,18 @@ def test_runner_rejects_an_unknown_kind():
     bld.set_outputs([bld.mul(bld.inp("x:{1}"), bld.inp("x:{2}"))])
     with pytest.raises(ValueError, match="unknown sieve kind 'bogus'"):
         SieveRunner(bld.build(), identity_matrix(2), "bogus", "direct")
+
+
+@pytest.mark.parametrize("kind,name", [("det", "y:{1}"), ("det", "v:__rx1"),
+                                       ("odd", "v:__rxp0")])
+def test_runner_refuses_an_input_named_like_a_sieve_input(kind, name):
+    # x1 * x2 * w with w named like an input the runner adds: the two would
+    # merge, and with w named y:{1} every trial would evaluate to 0
+    field = gf2(16)
+    bld = CircuitBuilder(field)
+    bld.set_outputs([bld.mul(bld.mul(bld.inp("x:{1}"), bld.inp("x:{2}")), bld.inp(name))])
+    with pytest.raises(ShapeError, match=re.escape(repr(name))):
+        SieveRunner(bld.build(), vandermonde(2, 2, field, Rng(3)), kind, "direct")
 
 
 def test_det_sieve_requires_char2():
