@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
+from itertools import accumulate, compress
 from operator import itemgetter
 
 from .errors import InputOutOfRange, ParseError, UnassignedInput, content_lines
@@ -127,7 +128,7 @@ class CircuitBuilder:
         return gid
 
     def inp(self, name: str) -> int:
-        if not name or any(ch.isspace() for ch in name):
+        if name.split() != [name]:  # empty, or holds whitespace
             raise ValueError(f"bad input name {name!r}")
         return self._push(OP_IN, name)
 
@@ -150,8 +151,11 @@ class CircuitBuilder:
         return self.gates[gid] == (OP_CONST, self.field.zero)
 
     def add(self, *args: int) -> int:
+        if len(args) == 1:
+            # a sum of one is its argument; a zero one is the interned zero
+            return args[0]
         gates = self.gates
-        if len(args) > 1:
+        if args:
             for a in args:
                 if gates[a][0] == OP_CONST:
                     break
@@ -254,7 +258,10 @@ def _level_plan(gates, outputs) -> tuple:
             d = depth[x] if depth[x] > depth[y] else depth[y]
             by_level = muls
         elif op == OP_ADD:
-            d = max(map(depth.__getitem__, payload))
+            d = 0
+            for a in payload:
+                if depth[a] > d:
+                    d = depth[a]
             by_level = adds
         else:
             consts.append(gid)
@@ -276,11 +283,18 @@ def _level_plan(gates, outputs) -> tuple:
         ys = [slot[y] for _, y in pairs]
         by_arity: dict[int, list] = {}
         for gid in level_adds:
-            by_arity.setdefault(len(gates[gid][1]), []).append(gid)
+            k = len(gates[gid][1])
+            group = by_arity.get(k)
+            if group is None:
+                by_arity[k] = [gid]
+            else:
+                group.append(gid)
         args, groups, ordered = [], [], list(level_muls)
+        gather = args.append
         for k, group in by_arity.items():
             for gid in group:
-                args += map(slot.__getitem__, gates[gid][1])
+                for a in gates[gid][1]:
+                    gather(slot[a])
             groups.append((k, len(group)))
             ordered += group
         for i, gid in enumerate(ordered, used):
@@ -331,7 +345,11 @@ def formal_degrees(circ: Circuit, variables=None) -> list[int]:
         if op == OP_IN:
             degs[gid] = 1 if variables is None or payload in variables else 0
         elif op == OP_ADD:
-            degs[gid] = max(degs[a] for a in payload)
+            d = 0
+            for a in payload:
+                if degs[a] > d:
+                    d = degs[a]
+            degs[gid] = d
         elif op == OP_MUL:
             degs[gid] = degs[payload[0]] + degs[payload[1]]
     return degs
@@ -398,15 +416,16 @@ def dead_gate_elimination(circ: Circuit) -> Circuit:
     Gates are copied as they are, not rebuilt: nothing folds, and two
     equal kept gates stay two gates."""
     live = _reached(circ.gates, circ.outputs)
-    new = [None] * len(circ.gates)
+    # new[gid]: how many gates before gid are kept, gid's new id if kept
+    new = list(accumulate(live, initial=0))
     kept = []
-    for gid, gate in enumerate(circ.gates):
-        if not live[gid]:
-            continue
+    for gate in compress(circ.gates, live):
         op, payload = gate
-        if op in (OP_ADD, OP_MUL):
-            gate = (op, tuple(map(new.__getitem__, payload)))
-        new[gid] = len(kept)
+        if op == OP_MUL:
+            a, b = payload
+            gate = (op, (new[a], new[b]))
+        elif op == OP_ADD:
+            gate = (op, tuple([new[a] for a in payload]))
         kept.append(gate)
     result = Circuit(circ.field, tuple(kept), tuple(new[o] for o in circ.outputs))
     result.meta.update(circ.meta)

@@ -63,8 +63,15 @@ def _reach(gates, degs, root) -> list:
             else:
                 edges = [((b, k - i), (a, i)) for i in range(min(degs[a], k) + 1)
                          if k - i <= degs[b]]
-            for c, i in (comp for edge in edges for comp in edge if comp):
-                need.setdefault(c, set()).add(i)
+            for edge in edges:
+                for comp in edge:
+                    if comp:
+                        c, i = comp
+                        degrees = need.get(c)
+                        if degrees is None:
+                            need[c] = {i}
+                        else:
+                            degrees.add(i)
             graph.append(((gid, k), edges))
     graph.reverse()
     return graph
@@ -102,19 +109,30 @@ def _layer(graph, lo: int, hi: int) -> list:
     return layer
 
 
-def _spread(bld, into: dict, src: dict, low, target=None, alive=None) -> None:
+def _spread(bld, into: dict, src: dict, low, alive=None) -> None:
     """Append to into[t | m] every product low[t] * src[m] of disjoint
     masks, or each src entry as it is when low is None (an add's operand);
-    with alive, only the keys that alive[target, key] keeps."""
+    with alive (key -> bool), only the keys that it keeps."""
     if low is None:
         for m, g in src.items():
-            if alive is None or alive[target, m]:
-                into.setdefault(m, []).append(g)
+            if alive is None or alive[m]:
+                gs = into.get(m)
+                if gs is None:
+                    into[m] = [g]
+                else:
+                    gs.append(g)
         return
+    mul = bld.mul
     for t, gl in low.items():
         for m, g in src.items():
-            if not t & m and (alive is None or alive[target, t | m]):
-                into.setdefault(t | m, []).append(bld.mul(gl, g))
+            if not t & m:
+                key = t | m
+                if alive is None or alive[key]:
+                    gs = into.get(key)
+                    if gs is None:
+                        into[key] = [mul(gl, g)]
+                    else:
+                        gs.append(mul(gl, g))
 
 
 def _run_layer(bld, layer, tables: dict, roots=None, alive=None) -> dict:
@@ -132,7 +150,7 @@ def _run_layer(bld, layer, tables: dict, roots=None, alive=None) -> dict:
     at the layer's lower cut end up with the adjoint of every root seed,
     which is the forward fill transposed (Baur-Strassen): the same
     coefficients, reached from the cut above instead of the one below.
-    alive[component, key] drops a pushed entry before its product is
+    alive[component][key] drops a pushed entry before its product is
     emitted.  bld may be an _ArcCount.
     """
     transposed = roots is not None
@@ -154,7 +172,8 @@ def _run_layer(bld, layer, tables: dict, roots=None, alive=None) -> dict:
         for high, low in edges:
             low = None if low is None else tables.get(low, {})
             if transposed:
-                _spread(bld, acc.setdefault(high, {}), tables[comp], low, high, alive)
+                _spread(bld, acc.setdefault(high, {}), tables[comp], low,
+                        None if alive is None else alive[high])
             else:
                 _spread(bld, acc.setdefault(comp, {}), tables.get(high, {}), low)
         if not transposed:
@@ -207,7 +226,8 @@ class _ArcCount:
             ones |= one
             consts |= const
         summed = many & varies
-        self.arcs += sum((have & summed).bit_count() for have, _, _ in entries)
+        for have, _, _ in entries:
+            self.arcs += (have & summed).bit_count()
         single = once & ~many
         return once, single & ones, single & consts | many & ~varies
 
@@ -235,25 +255,38 @@ def _masks(layer, masks: dict) -> dict:
 
 
 class _Alive(dict):
-    """(component, key) -> whether the key's mask misses some mask of
-    masks[component], filled on first lookup.  An adjoint entry whose mask
-    meets every mask the direct route fills at its component never meets
-    a disjoint forward entry there, so it reaches no output."""
+    """component -> its _Misses map, made on first lookup.  An adjoint
+    entry whose mask meets every mask the direct route fills at its
+    component never meets a disjoint forward entry there, so it reaches
+    no output."""
 
     def __init__(self, masks: dict, full: int):
         super().__init__()
         self.masks = masks
         self.full = full
 
-    def __missing__(self, item):
-        comp, key = item
+    def __missing__(self, comp):
+        misses = self[comp] = _Misses(self.masks.get(comp, ()), self.full)
+        return misses
+
+
+class _Misses(dict):
+    """key -> whether the key's mask misses some mask of masks, filled on
+    first lookup."""
+
+    def __init__(self, masks, full: int):
+        super().__init__()
+        self.masks = masks
+        self.full = full
+
+    def __missing__(self, key):
         m = key & self.full
         hit = False
-        for s in self.masks.get(comp, ()):
+        for s in self.masks:
             if not m & s:
                 hit = True
                 break
-        self[item] = hit
+        self[key] = hit
         return hit
 
 

@@ -417,7 +417,11 @@ def _restricted_power(bld: CircuitBuilder, dec: RankDecomposition, supports, s: 
             gz = hz.get(key)
             if gz is None:
                 continue
-            groups.setdefault(gz, []).append(bld.mul(gx, gy))
+            xy = groups.get(gz)
+            if xy is None:
+                groups[gz] = [bld.mul(gx, gy)]
+            else:
+                xy.append(bld.mul(gx, gy))
 
 
 def _join(bld: CircuitBuilder, groups: dict) -> int:

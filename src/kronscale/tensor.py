@@ -8,7 +8,6 @@ ordered colexicographically, which for masks is plain integer order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
 from operator import itemgetter
 
 from .circuit import mask_bits, mask_of
@@ -137,14 +136,15 @@ def _unit_term_keys(dec: RankDecomposition):
     one = dec.field.one
     per_slot = []
     for side, rows in zip((dec.side_x, dec.side_y, dec.side_z), dec.rows):
-        entries = list(chain.from_iterable(rows))
-        if len(entries) != dec.rank or set(map(itemgetter(1), entries)) - {one}:
+        owner = [None] * dec.rank  # owner[l]: the mask of term l's one entry
+        for mask, row in zip(side, rows):
+            for l, v in row:
+                if v != one or owner[l] is not None:
+                    return None
+                owner[l] = mask
+        if None in owner:
             return None
-        mask_of_term = dict(zip(map(itemgetter(0), entries),
-                                chain.from_iterable(map(repeat, side, map(len, rows)))))
-        if len(mask_of_term) != dec.rank:
-            return None
-        per_slot.append(map(mask_of_term.__getitem__, range(dec.rank)))
+        per_slot.append(owner)
     return list(zip(*per_slot))
 
 

@@ -558,10 +558,13 @@ def test_dead_gate_elimination_keeps_the_reached_gates_in_order(calls, picks, se
     got = dead_gate_elimination(circ)
     kept = reached_gates(circ)
     new = {gid: i for i, gid in enumerate(kept)}
-    assert got.gates == tuple(
+    want = Circuit(f, tuple(
         (op, tuple(new[a] for a in payload)) if op in (OP_ADD, OP_MUL) else (op, payload)
-        for op, payload in (circ.gates[gid] for gid in kept))
-    assert got.outputs == tuple(new[o] for o in circ.outputs)
+        for op, payload in (circ.gates[gid] for gid in kept)),
+        tuple(new[o] for o in circ.outputs))
+    assert (got.gates, got.outputs) == (want.gates, want.outputs)
+    # True == 1, so only the text tells a bool id from an int one
+    assert serialize(got) == serialize(want)
     assert got.meta == circ.meta
     # a builder's circuit has nothing left to fold or intern, so the
     # replay gives the same circuit
@@ -581,5 +584,7 @@ def test_dead_gate_elimination_keeps_equal_gates_apart():
     assert got.gates == ((OP_IN, "x:{1}"), (OP_ADD, (0, 0)), (OP_ADD, (0, 0)),
                          (OP_MUL, (1, 2)))
     assert got.outputs == (3,)
+    assert serialize(got) == ("circuit v1\nfield p=7\nin 0 x:{1}\nadd 1 0 0\nadd 2 0 0\n"
+                              "mul 3 1 2\nout 3\n")
     assert len(replay_dge(circ).gates) == 3
     assert evaluate(got, {"x:{1}": 3}) == evaluate(circ, {"x:{1}": 3, "x:{2}": 0}) == (1,)

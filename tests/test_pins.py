@@ -1,0 +1,41 @@
+"""Byte-identical circuits: the SHA-256 of `serialize` of each benchmark
+and reference circuit, pinned by its first twelve hex digits.
+
+A change that is meant to keep every circuit (a speed-up, a refactor)
+keeps every pin.  A change that is meant to change a circuit updates its
+pin and says why.  The pins do not depend on PYTHONHASHSEED.
+"""
+
+import hashlib
+
+import pytest
+
+from kronscale.circuit import serialize
+from kronscale.coeffx import extract_coefficient
+from kronscale.counting import (
+    build_hafnian_circuit,
+    build_permanent_circuit,
+    permanent_skew_circuit,
+)
+from kronscale.fields import prime_field
+
+from test_sieving import _kpath_tri_benchmark_runner
+
+PINS = {
+    "kpath-tri": (lambda: _kpath_tri_benchmark_runner()[0].circuit, "cd0374241bd1"),
+    "hafnian12-direct": (lambda: build_hafnian_circuit(12, "direct"), "114d1a847e24"),
+    "hafnian14-direct": (lambda: build_hafnian_circuit(14, "direct"), "e5544499de3f"),
+    "hafnian12-tri": (lambda: build_hafnian_circuit(12, "tri"), "ad638dd25551"),
+    "hafnian14-tri": (lambda: build_hafnian_circuit(14, "tri"), "fd8b6e4dcab1"),
+    "perm9-direct": (lambda: extract_coefficient(*permanent_skew_circuit(9, prime_field()),
+                                                 "direct"), "94fef9ab2b88"),
+    "perm9-tri": (lambda: extract_coefficient(*permanent_skew_circuit(9, prime_field()),
+                                              "tri"), "1b2040cf641f"),
+    "perm6-s2": (lambda: build_permanent_circuit(6, b=1, g=1), "036627e96557"),
+}
+
+
+@pytest.mark.parametrize("name", PINS)
+def test_circuit_text_is_pinned(name):
+    build, pin = PINS[name]
+    assert hashlib.sha256(serialize(build()).encode()).hexdigest()[:12] == pin

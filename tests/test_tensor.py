@@ -268,7 +268,7 @@ def _with_terms(dec, terms):
 @pytest.mark.parametrize("field", [prime_field(7), GF256], ids=["p7", "gf2_8"])
 @pytest.mark.parametrize("flaw, unit", [
     ("duplicated", True), ("dropped", True), ("two_monomials", False), ("moved", False),
-    ("non_unit", False),
+    ("emptied", False), ("non_unit", False),
 ])
 def test_unit_coefficient_check_names_the_expansions_first_mismatch(field, flaw, unit):
     # a duplicated term cancels in characteristic 2 and gives coefficient
@@ -276,7 +276,8 @@ def test_unit_coefficient_check_names_the_expansions_first_mismatch(field, flaw,
     # expansion names the same first mismatch as the oracle; the other
     # flaws are not unit terms and take the general path from the start:
     # "moved" keeps rank x entries in all, but term 5 has two and term 6
-    # none
+    # none; "emptied" leaves term 6 with no x entry and every other term
+    # with one
     t = generate_P(2, field=field)
     dec = trivial_decomposition(t)
     terms = _terms_of(dec)
@@ -290,6 +291,8 @@ def test_unit_coefficient_check_names_the_expansions_first_mismatch(field, flaw,
         terms[5] = ({**x, other: field.one}, y, z)
     elif flaw == "moved":
         terms[5] = ({**x, **terms[6][0]}, y, z)
+        terms[6] = ({},) + terms[6][1:]
+    elif flaw == "emptied":
         terms[6] = ({},) + terms[6][1:]
     else:
         terms[5] = (x, y, dict.fromkeys(z, 3))
