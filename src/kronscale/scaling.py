@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from operator import itemgetter
 
 from .circuit import Circuit, CircuitBuilder, mask_of, subset_name
@@ -298,11 +298,6 @@ def _provider_dec(dec_source, d: int, field: Field) -> RankDecomposition:
     return dec
 
 
-def _supports(dec: RankDecomposition) -> tuple:
-    """Per slot and side entry: the set of terms its row reaches."""
-    return tuple([frozenset(map(itemgetter(0), row)) for row in rows] for rows in dec.rows)
-
-
 def _yates_transform(bld: CircuitBuilder, rows, s: int, inputs: dict, live,
                      slot: str) -> dict:
     """Sparse layered Kronecker transform.
@@ -312,6 +307,9 @@ def _yates_transform(bld: CircuitBuilder, rows, s: int, inputs: dict, live,
     coefficient-scaled sums.  Zero gates never materialize, and terms
     outside live[u] are never emitted, so restrictions stay cheap.
     """
+    scale = bld.scale
+    is_zero = bld.is_zero
+    one = bld.field.one
     cur = inputs
     for u in range(s):
         keep = live[u]
@@ -323,8 +321,8 @@ def _yates_transform(bld: CircuitBuilder, rows, s: int, inputs: dict, live,
                 if l not in keep:
                     continue
                 nk = head + (l,) + tail
-                term = bld.scale(coeff, gate)
-                if bld.is_zero(term):
+                term = gate if coeff == one else scale(coeff, gate)
+                if is_zero(term):
                     continue
                 prev = acc.get(nk)
                 if prev is None:
@@ -356,14 +354,15 @@ def _present_inputs(bld: CircuitBuilder, wire, entries) -> dict:
     return inputs
 
 
-def _reached_terms(support, inputs: dict, s: int) -> list:
-    """Per factor j: the terms that some input's j-th side index reaches."""
-    return [frozenset().union(*(support[i] for i in {key[j] for key in inputs}))
-            for j in range(s)]
+def _reached_terms(rows, inputs: dict, s: int) -> list:
+    """Per factor j: the terms that the row of some input's j-th side
+    index reaches."""
+    return [frozenset(map(itemgetter(0), chain.from_iterable(
+        map(rows.__getitem__, set(map(itemgetter(j), inputs)))))) for j in range(s)]
 
 
-def _restricted_power(bld: CircuitBuilder, dec: RankDecomposition, supports, s: int,
-                      side_entries, pairs, zwire, groups: dict) -> None:
+def _restricted_power(bld: CircuitBuilder, dec: RankDecomposition, s: int, side_entries,
+                      pairs, zwire, groups: dict) -> None:
     """The s-th Kronecker power of dec, restricted to the given side
     entries, applied to every (xwire, ywire) pair against one zwire, in
     factored form: every x^ * y^ product is appended to groups[z^], the
@@ -377,7 +376,7 @@ def _restricted_power(bld: CircuitBuilder, dec: RankDecomposition, supports, s: 
     present x and a present y input, the sum is zero and groups is left as
     it was; a pair without both is skipped.  A pair's term survives
     factor j only if each slot has a present input whose j-th side index
-    has a row (supports[slot]) reaching it.  Every pair's x and y inputs
+    has a row (dec.rows[slot]) reaching it.  Every pair's x and y inputs
     run through the Yates transform over the pair's surviving terms, and
     then the z inputs once, over the union of those terms; so the arc
     budget checks x, y and z in that order.  The power is trilinear, so
@@ -391,7 +390,7 @@ def _restricted_power(bld: CircuitBuilder, dec: RankDecomposition, supports, s: 
     zin = _present_inputs(bld, zwire, side_entries[2])
     if not zin:
         return
-    zreach = _reached_terms(supports[2], zin, s)
+    zreach = _reached_terms(dec.rows[2], zin, s)
     hats = []
     zlive = [frozenset()] * s
     for xwire, ywire in pairs:
@@ -401,8 +400,8 @@ def _restricted_power(bld: CircuitBuilder, dec: RankDecomposition, supports, s: 
         yin = _present_inputs(bld, ywire, side_entries[1])
         if not yin:
             continue
-        live = [a & b & c for a, b, c in zip(_reached_terms(supports[0], xin, s),
-                                             _reached_terms(supports[1], yin, s), zreach)]
+        live = [a & b & c for a, b, c in zip(_reached_terms(dec.rows[0], xin, s),
+                                             _reached_terms(dec.rows[1], yin, s), zreach)]
         hats.append((_yates_transform(bld, dec.rows[0], s, xin, live, "x"),
                      _yates_transform(bld, dec.rows[1], s, yin, live, "y")))
         zlive = [u | l for u, l in zip(zlive, live)]
@@ -441,15 +440,13 @@ def yates_circuit(dec: RankDecomposition, s: int) -> Circuit:
     field = dec.field
     bld = CircuitBuilder(field)
     m = dec.ground_size
-    supports = _supports(dec)
     side_entries = tuple(
         [[(i, mask << (j * m)) for i, mask in enumerate(side)] for j in range(s)]
         for side in (dec.side_x, dec.side_y, dec.side_z))
     xwire, ywire, zwire = (lambda mask, slot=slot: bld.inp(subset_name(slot, mask))
                            for slot in "xyz")
     groups: dict = {}
-    _restricted_power(bld, dec, supports, s, side_entries, [(xwire, ywire)], zwire,
-                      groups)
+    _restricted_power(bld, dec, s, side_entries, [(xwire, ywire)], zwire, groups)
     bld.set_outputs([_join(bld, groups)])
     return bld.build()
 
@@ -489,7 +486,6 @@ class PScalingScheme:
         self.decomposition = decompose_P(self.bs)
         self.d_eff = self.decomposition.d_eff
         self.dec = _provider_dec(dec_source, self.d_eff, field)
-        self.supports = _supports(self.dec)
         side_index = tuple({m: i for i, m in enumerate(side)}
                            for side in (self.dec.side_x, self.dec.side_y, self.dec.side_z))
         self.side_entries = tuple(
@@ -511,8 +507,7 @@ class PScalingScheme:
         joins, the result is bld.zero and no gate is emitted."""
         groups: dict = {}
         for side_entries in self.side_entries:
-            _restricted_power(bld, self.dec, self.supports, self.s, side_entries,
-                              pairs, zwire, groups)
+            _restricted_power(bld, self.dec, self.s, side_entries, pairs, zwire, groups)
         return _join(bld, groups)
 
 

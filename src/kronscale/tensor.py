@@ -7,6 +7,7 @@ ordered colexicographically, which for masks is plain integer order.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -156,9 +157,11 @@ def verify_decomposition(t: Tensor, dec: RankDecomposition):
     trivial decomposition is), the coefficient of (A,B,C) is the number of
     terms with those masks, so the check is exact as a key comparison: the
     terms' triples must be distinct and be the tensor's support, and every
-    entry must be one.  Any other decomposition, and one that fails that
-    comparison, is expanded term by term in the field, which names the
-    first mismatch."""
+    entry must be one.  The tensor's keys are distinct, so triples that
+    list them in their order pass at once; any other order is compared as
+    a set.  Any other decomposition, and one that fails that comparison,
+    is expanded term by term in the field, which names the first
+    mismatch."""
     _check_shapes(dec)
     if dec.field != t.field:
         raise ShapeError("decomposition field differs from tensor field")
@@ -166,7 +169,8 @@ def verify_decomposition(t: Tensor, dec: RankDecomposition):
     mul = f.mul
     one = f.one
     keys = _unit_term_keys(dec)
-    if (keys is not None and len(keys) == len(t.entries) and t.entries.keys() == set(keys)
+    if (keys is not None and len(keys) == len(t.entries)
+            and (keys == list(t.entries) or t.entries.keys() == set(keys))
             and not set(t.entries.values()) - {one}):
         return None
     for k, side in enumerate((dec.side_x, dec.side_y, dec.side_z)):
@@ -204,19 +208,20 @@ def verify_decomposition(t: Tensor, dec: RankDecomposition):
 def trivial_decomposition(t: Tensor) -> RankDecomposition:
     """One rank-one term per nonzero entry, the terms in colex order of the
     entries; always verifies.  Term l puts (l, its coefficient) in the U
-    row of its A and (l, one) in the V and W rows of its B and C."""
-    terms = sorted(t.entries.items())
+    row of its A and (l, one) in the V and W rows of its B and C, one
+    tuple shared by both, and by U too when its coefficient is one."""
     one = t.field.one
-    unit = [(l, one) for l in range(len(terms))]
-    sides, rows = [], []
-    for pairs, col in zip(([(l, v) for l, (_, v) in enumerate(terms)], unit, unit),
-                          list(zip(*[key for key, _ in terms])) or [()] * 3):
-        by_mask = {m: [] for m in sorted(set(col))}
-        for pair, m in zip(pairs, col):
-            by_mask[m].append(pair)
-        sides.append(tuple(by_mask))
-        rows.append(tuple(map(tuple, by_mask.values())))
-    return RankDecomposition(t.field, len(t.ground), len(terms), *sides, *rows)
+    rows = defaultdict(list), defaultdict(list), defaultdict(list)
+    ux, uy, uz = rows
+    for l, ((a, b, c), v) in enumerate(sorted(t.entries.items())):
+        pair = (l, one)
+        ux[a].append(pair if v == one else (l, v))
+        uy[b].append(pair)
+        uz[c].append(pair)
+    sides = [tuple(sorted(by_mask)) for by_mask in rows]
+    return RankDecomposition(t.field, len(t.ground), len(t.entries), *sides,
+                             *(tuple(map(tuple, map(by_mask.__getitem__, side)))
+                               for by_mask, side in zip(rows, sides)))
 
 
 def _fmt_mask(mask: int) -> str:

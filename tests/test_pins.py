@@ -17,8 +17,9 @@ from kronscale.counting import (
     build_permanent_circuit,
     permanent_skew_circuit,
 )
-from kronscale.fields import prime_field
+from kronscale.fields import gf2, prime_field
 
+from test_scaling import block_first
 from test_sieving import _kpath_tri_benchmark_runner
 
 PINS = {
@@ -32,6 +33,10 @@ PINS = {
     "perm9-tri": (lambda: extract_coefficient(*permanent_skew_circuit(9, prime_field()),
                                               "tri"), "1b2040cf641f"),
     "perm6-s2": (lambda: build_permanent_circuit(6, b=1, g=1), "036627e96557"),
+    # the one pin with a provider other than the trivial one: its rows
+    # share terms across several side entries
+    "perm9-block-first": (lambda: build_permanent_circuit(9, gf2(32), dec_source=block_first,
+                                                          b=1, g=1), "4ddbe2b90875"),
 }
 
 

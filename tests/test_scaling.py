@@ -666,6 +666,36 @@ def test_block_first_rank5_provider_verifies():
     assert verify_decomposition(generate_P(3, field=field), dec) is None
 
 
+def counted_calls(monkeypatch, *names):
+    """Log each call of the named scaling functions, in call order."""
+    calls = []
+    for name in names:
+        real = getattr(scaling, name)
+
+        def counted(*args, name=name, real=real, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scaling, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("dec_source, field, rank, jobs", [
+    (None, F, 1680, ["generate_P", "trivial_decomposition", "verify_decomposition"]),
+    (block_first, gf2(32), 1590, ["generate_P", "verify_decomposition"]),
+], ids=["trivial", "block_first"])
+def test_scheme_setup_does_each_job_once(dec_source, field, rank, jobs, monkeypatch):
+    # one P_d, one decomposition of it (the provider's, or else the
+    # trivial one) and one exact check, with no per-row table beside the
+    # rows
+    calls = counted_calls(monkeypatch, "generate_P", "trivial_decomposition",
+                          "verify_decomposition")
+    scheme = PScalingScheme(3, 1, None, field, dec_source=dec_source)
+    assert calls == jobs
+    assert scheme.dec.rank == rank
+    assert not hasattr(scheme, "supports")
+
+
 @pytest.mark.parametrize("n, trivial, rank5", [
     # at n = 9 the rank-5 provider still loses; from n = 12 it wins
     (9, (8208, 3262), (8812, 3635)),

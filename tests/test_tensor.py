@@ -184,6 +184,21 @@ def test_trivial_decomposition_stores_one_entry_per_term_per_slot(d):
         assert terms == list(range(dec.rank))
 
 
+def test_trivial_decomposition_of_unsorted_non_unit_entries():
+    # the dict lists P_2's entries in reverse colex order, two of every
+    # three with coefficient 5: the terms still come in colex order, each
+    # U entry carries its coefficient and every V and W entry carries one
+    p2 = generate_P(2, field=GF101)
+    t = Tensor(GF101, p2.ground, {key: 5 if i % 3 else GF101.one
+                                  for i, key in enumerate(reversed(p2.entries))})
+    assert list(t.entries) != sorted(t.entries)
+    assert set(t.entries.values()) == {GF101.one, 5}
+    dec = trivial_decomposition(t)
+    assert _terms_of(dec) == [({a: v}, {b: GF101.one}, {c: GF101.one})
+                              for (a, b, c), v in sorted(t.entries.items())]
+    assert verify_decomposition(t, dec) is None
+
+
 def test_diagonal_tensor_identity_decomposition():
     # <2>: sum_i x_i y_i z_i with i in {0,1} as singleton masks
     entries = {(1 << i, 1 << i, 1 << i): F.one for i in range(2)}
@@ -267,13 +282,15 @@ def _with_terms(dec, terms):
 
 @pytest.mark.parametrize("field", [prime_field(7), GF256], ids=["p7", "gf2_8"])
 @pytest.mark.parametrize("flaw, unit", [
-    ("duplicated", True), ("dropped", True), ("two_monomials", False), ("moved", False),
-    ("emptied", False), ("non_unit", False),
+    ("duplicated", True), ("dropped", True), ("replaced", True), ("two_monomials", False),
+    ("moved", False), ("emptied", False), ("non_unit", False),
 ])
 def test_unit_coefficient_check_names_the_expansions_first_mismatch(field, flaw, unit):
     # a duplicated term cancels in characteristic 2 and gives coefficient
     # 2 in odd characteristic; either way the key comparison fails and the
-    # expansion names the same first mismatch as the oracle; the other
+    # expansion names the same first mismatch as the oracle; "replaced"
+    # keeps the rank but lists term 5's key twice and term 6's never, so
+    # both the in-order and the set comparison of the keys fail; the other
     # flaws are not unit terms and take the general path from the start:
     # "moved" keeps rank x entries in all, but term 5 has two and term 6
     # none; "emptied" leaves term 6 with no x entry and every other term
@@ -286,6 +303,8 @@ def test_unit_coefficient_check_names_the_expansions_first_mismatch(field, flaw,
         terms.append(terms[5])
     elif flaw == "dropped":
         del terms[5]
+    elif flaw == "replaced":
+        terms[6] = terms[5]
     elif flaw == "two_monomials":
         other = next(m for m in dec.side_x if m not in x)
         terms[5] = ({**x, other: field.one}, y, z)
