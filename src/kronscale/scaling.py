@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, product
-from operator import itemgetter
+from itertools import combinations, product
 
 from .circuit import Circuit, CircuitBuilder, mask_of, subset_name
 from .errors import DivisibilityError, InternalError, ProviderError, ShapeError, TooLarge
@@ -309,7 +308,6 @@ def _yates_transform(bld: CircuitBuilder, rows, s: int, inputs: dict, live,
     """
     scale = bld.scale
     is_zero = bld.is_zero
-    one = bld.field.one
     cur = inputs
     for u in range(s):
         keep = live[u]
@@ -321,7 +319,7 @@ def _yates_transform(bld: CircuitBuilder, rows, s: int, inputs: dict, live,
                 if l not in keep:
                     continue
                 nk = head + (l,) + tail
-                term = gate if coeff == one else scale(coeff, gate)
+                term = scale(coeff, gate)
                 if is_zero(term):
                     continue
                 prev = acc.get(nk)
@@ -357,8 +355,8 @@ def _present_inputs(bld: CircuitBuilder, wire, entries) -> dict:
 def _reached_terms(rows, inputs: dict, s: int) -> list:
     """Per factor j: the terms that the row of some input's j-th side
     index reaches."""
-    return [frozenset(map(itemgetter(0), chain.from_iterable(
-        map(rows.__getitem__, set(map(itemgetter(j), inputs)))))) for j in range(s)]
+    return [frozenset(l for i in {key[j] for key in inputs} for l, _ in rows[i])
+            for j in range(s)]
 
 
 def _restricted_power(bld: CircuitBuilder, dec: RankDecomposition, s: int, side_entries,

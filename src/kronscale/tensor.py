@@ -157,11 +157,10 @@ def verify_decomposition(t: Tensor, dec: RankDecomposition):
     trivial decomposition is), the coefficient of (A,B,C) is the number of
     terms with those masks, so the check is exact as a key comparison: the
     terms' triples must be distinct and be the tensor's support, and every
-    entry must be one.  The tensor's keys are distinct, so triples that
-    list them in their order pass at once; any other order is compared as
-    a set.  Any other decomposition, and one that fails that comparison,
-    is expanded term by term in the field, which names the first
-    mismatch."""
+    entry must be one.  The tensor's keys are distinct, so the comparison
+    is made in the tensor's key order.  Any other decomposition, and one
+    that fails that comparison (terms in another order too), is expanded
+    term by term in the field, which names the first mismatch."""
     _check_shapes(dec)
     if dec.field != t.field:
         raise ShapeError("decomposition field differs from tensor field")
@@ -169,8 +168,7 @@ def verify_decomposition(t: Tensor, dec: RankDecomposition):
     mul = f.mul
     one = f.one
     keys = _unit_term_keys(dec)
-    if (keys is not None and len(keys) == len(t.entries)
-            and (keys == list(t.entries) or t.entries.keys() == set(keys))
+    if (keys is not None and keys == list(t.entries)
             and not set(t.entries.values()) - {one}):
         return None
     for k, side in enumerate((dec.side_x, dec.side_y, dec.side_z)):
@@ -220,7 +218,7 @@ def trivial_decomposition(t: Tensor) -> RankDecomposition:
         uz[c].append(pair)
     sides = [tuple(sorted(by_mask)) for by_mask in rows]
     return RankDecomposition(t.field, len(t.ground), len(t.entries), *sides,
-                             *(tuple(map(tuple, map(by_mask.__getitem__, side)))
+                             *(tuple(tuple(by_mask[m]) for m in side)
                                for by_mask, side in zip(rows, sides)))
 
 

@@ -290,7 +290,7 @@ def test_unit_coefficient_check_names_the_expansions_first_mismatch(field, flaw,
     # 2 in odd characteristic; either way the key comparison fails and the
     # expansion names the same first mismatch as the oracle; "replaced"
     # keeps the rank but lists term 5's key twice and term 6's never, so
-    # both the in-order and the set comparison of the keys fail; the other
+    # the key comparison fails although the lengths agree; the other
     # flaws are not unit terms and take the general path from the start:
     # "moved" keeps rank x entries in all, but term 5 has two and term 6
     # none; "emptied" leaves term 6 with no x entry and every other term
@@ -326,6 +326,8 @@ def test_unit_coefficient_check_accepts_any_term_order():
     t = generate_P(2, field=GF256)
     dec = trivial_decomposition(t)
     shuffled = _with_terms(dec, _terms_of(dec)[::-1])
+    # out of the tensor's key order the key comparison fails, and the
+    # expansion accepts it
     assert shuffled != dec and _unit_term_keys(shuffled) is not None
     assert verify_decomposition(t, shuffled) is None
     # entries other than one make the tensor disagree with every unit term
