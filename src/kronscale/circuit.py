@@ -18,7 +18,7 @@ its cost stays out of every build.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate, compress
 from operator import itemgetter
 
@@ -101,12 +101,19 @@ class CircuitBuilder:
     single-argument sums alias their argument); no algebraic rewriting,
     and no dead-gate removal: that stays an explicit pass.
 
-    Every gate that survives folding goes through `_push`, which interns
-    it: a gate equal to one pushed before, as the tuple (op, payload),
-    returns the earlier id and adds no arcs.  Arguments are not sorted,
-    so mul(x, y) and mul(y, x) are two gates, and a circuit with no
-    equal gates is built exactly as its calls emit it.
+    A constant is a negative handle h, interned by value (_values[~h]):
+    `zero` is -1, `one` is -2.  It becomes a gate right before the first
+    pushed add or mul, or output at `build`, that reads it, so a constant
+    that folds away or is never read emits nothing.
+
+    Every gate, a constant's too, goes through `_push`, which interns it:
+    a gate equal to one pushed before, as the tuple (op, payload), returns
+    the earlier id and adds no arcs.  Arguments are not sorted, so
+    mul(x, y) and mul(y, x) are two gates, and a circuit with no equal
+    gates is built exactly as its calls emit it.
     """
+
+    zero, one = -1, -2
 
     def __init__(self, field: Field):
         self.field = field
@@ -114,6 +121,8 @@ class CircuitBuilder:
         self._ids: dict[tuple, int] = {}
         self._arcs = 0
         self.outputs: list[int] = []
+        self._values = [field.zero, field.one]
+        self._handles = {field.zero: -1, field.one: -2}
 
     def _push(self, op, payload) -> int:
         """The id of the gate (op, payload), appended unless already there."""
@@ -127,83 +136,75 @@ class CircuitBuilder:
                 self._arcs += len(payload)
         return gid
 
+    def _gate(self, gid: int) -> int:
+        """The gate id of gid, a constant's handle pushed as its gate."""
+        return gid if gid >= 0 else self._push(OP_CONST, self._values[~gid])
+
     def inp(self, name: str) -> int:
         if name.split() != [name]:  # empty, or holds whitespace
             raise ValueError(f"bad input name {name!r}")
         return self._push(OP_IN, name)
 
     def const(self, value: int) -> int:
-        return self._push(OP_CONST, value)
-
-    @property
-    def zero(self) -> int:
-        return self.const(self.field.zero)
-
-    @property
-    def one(self) -> int:
-        return self.const(self.field.one)
+        h = self._handles.setdefault(value, ~len(self._values))
+        if ~h == len(self._values):
+            self._values.append(value)
+        return h
 
     def is_const(self, gid: int):
-        op, payload = self.gates[gid]
-        return payload if op == OP_CONST else None
+        return self._values[~gid] if gid < 0 else None
 
     def is_zero(self, gid: int) -> bool:
-        return self.gates[gid] == (OP_CONST, self.field.zero)
+        return gid == -1
 
     def add(self, *args: int) -> int:
         if len(args) == 1:
-            # a sum of one is its argument; a zero one is the interned zero
+            # a sum of one is its argument; a zero one is the zero handle
             return args[0]
-        gates = self.gates
         if args:
             for a in args:
-                if gates[a][0] == OP_CONST:
+                if a < 0:
                     break
             else:
                 # no constant argument: nothing folds
                 return self._push(OP_ADD, args)
-        live = [a for a in args if not self.is_zero(a)]
+        live = [a for a in args if a != -1]
         if not live:
-            return self.zero
+            return -1
         if len(live) == 1:
             return live[0]
-        consts = [self.gates[a][1] for a in live if self.gates[a][0] == OP_CONST]
+        consts = [self._values[~a] for a in live if a < 0]
         if len(consts) == len(live):
-            total = self.field.zero
-            for c in consts:
-                total = self.field.add(total, c)
-            return self.const(total)
-        return self._push(OP_ADD, tuple(live))
+            return self.const(reduce(self.field.add, consts))
+        return self._push(OP_ADD, tuple(map(self._gate, live)))
 
     def mul(self, a: int, b: int) -> int:
-        gates = self.gates
-        if gates[a][0] != OP_CONST and gates[b][0] != OP_CONST:
+        if a >= 0 and b >= 0:
             # no constant argument: nothing folds
             return self._push(OP_MUL, (a, b))
-        if self.is_zero(a) or self.is_zero(b):
-            return self.zero
-        ca, cb = self.is_const(a), self.is_const(b)
-        if ca == self.field.one:
+        if a == -1 or b == -1:
+            return -1
+        if a == -2:
             return b
-        if cb == self.field.one:
+        if b == -2:
             return a
-        if ca is not None and cb is not None:
-            return self.const(self.field.mul(ca, cb))
-        return self._push(OP_MUL, (a, b))
+        if a < 0 and b < 0:
+            return self.const(self.field.mul(self._values[~a], self._values[~b]))
+        return self._push(OP_MUL, (self._gate(a), self._gate(b)))
 
     def scale(self, coeff: int, gid: int) -> int:
         """coeff * gate, with const*const chains folded."""
         if coeff == self.field.zero:
-            return self.zero
+            return -1
         if coeff == self.field.one:
             return gid
+        if gid < 0:
+            return self.const(self.field.mul(coeff, self._values[~gid]))
         op, payload = self.gates[gid]
-        if op == OP_CONST:
-            return self.const(self.field.mul(coeff, payload))
         if op == OP_MUL:
             x, y = payload
-            cx = self.is_const(x)
-            if cx is not None:
+            opx, cx = self.gates[x]
+            if opx == OP_CONST:
                 return self.mul(self.const(self.field.mul(coeff, cx)), y)
         return self.mul(self.const(coeff), gid)
 
@@ -216,7 +217,8 @@ class CircuitBuilder:
         return self._arcs
 
     def build(self) -> Circuit:
-        return Circuit(self.field, tuple(self.gates), tuple(self.outputs))
+        outputs = tuple(map(self._gate, self.outputs))
+        return Circuit(self.field, tuple(self.gates), outputs)
 
 
 def _getter(slots):
@@ -390,7 +392,7 @@ def replay(circ: Circuit, bld: CircuitBuilder, input_map=None) -> list:
 
     input_map(name) may return a gate of bld to stand in for an input;
     None (or no map) copies the input.  Returns the new id of every old
-    gate, None for gates the outputs do not reach.
+    gate, a handle for a constant, and None for those no output reaches.
     """
     live = _reached(circ.gates, circ.outputs)
     new = [None] * len(circ.gates)
@@ -490,6 +492,8 @@ def parse(text: str) -> Circuit:
             raise ParseError("gate before field declaration", lineno)
         if len(toks) < 3:
             raise ParseError(f"truncated {kind} record", lineno)
+        if kind in ("in", "const") and len(toks) > 3:
+            raise ParseError(f"trailing tokens on {kind} record", lineno)
         try:
             gid = int(toks[1])
         except ValueError:

@@ -298,6 +298,8 @@ def parse_family_file(text: str) -> SetFamily:
         elems = tuple(sorted(int_fields(ln.split(), f"{q} elements", lineno, (q,))))
         if elems and (elems[0] < 1 or elems[-1] > n):
             raise ParseError("element out of range", lineno)
+        if len(set(elems)) < q:
+            raise ParseError("repeated element", lineno)
         members.append(elems)
     return SetFamily(n, tuple(members))
 

@@ -46,12 +46,13 @@ def content_lines(text: str) -> list:
 
 def int_fields(tokens, what: str, lineno: int, counts=None) -> list:
     """The tokens as ints; ParseError('expected <what>') at lineno when one
-    is not an integer or, given `counts`, their number is not in it."""
+    is not an integer, is negative (no format has a negative count, size
+    or element) or, given `counts`, their number is not in it."""
     try:
         values = [int(t) for t in tokens]
     except ValueError:
         raise ParseError(f"expected {what}", lineno) from None
-    if counts is not None and len(values) not in counts:
+    if min(values, default=0) < 0 or counts is not None and len(values) not in counts:
         raise ParseError(f"expected {what}", lineno)
     return values
 

@@ -192,8 +192,8 @@ def parse_graph_file(text: str):
         sizes = int_fields(head[1:], "'directed n m'", head_no, (2,))
     else:
         sizes = int_fields(head[1:], "'undirected n m [u_size w_size]'", head_no, (2, 4))
-        if len(sizes) == 4 and (min(sizes[2:]) < 0 or sizes[2] + sizes[3] != sizes[0]):
-            raise ParseError("side sizes must be non-negative and sum to n", head_no)
+        if len(sizes) == 4 and sizes[2] + sizes[3] != sizes[0]:
+            raise ParseError("side sizes must sum to n", head_no)
     n, m = sizes[0], sizes[1]
     edges = []
     for lineno, ln in lines[1:]:
@@ -314,10 +314,8 @@ def mv_det_circuit(entries, field: Field) -> Circuit:
     for row in entries:
         gates = []
         for const, terms in row:
-            parts = [] if const == field.zero else [bld.const(const)]
-            for name, coeff in terms:
-                parts.append(bld.scale(coeff, bld.inp(name)))
-            gates.append(bld.add(*parts) if parts else bld.zero)
+            gates.append(bld.add(bld.const(const),
+                                 *[bld.scale(coeff, bld.inp(name)) for name, coeff in terms]))
         gate_rows.append(gates)
     bld.set_outputs([_emit_mv_det(bld, gate_rows)])
     return bld.build()

@@ -232,7 +232,7 @@ def _parse_mask(tok: str, lineno: int) -> int:
         raise ParseError(f"bad subset token {tok!r}", lineno)
     body = tok[1:-1]
     elems = int_fields(body.split(","), "a subset '{i,j,...}'", lineno) if body else []
-    if not all(0 <= e < MAX_GROUND for e in elems):
+    if not all(e < MAX_GROUND for e in elems):
         raise ParseError(f"subset element outside [0, {MAX_GROUND})", lineno)
     return mask_of(elems)
 
@@ -280,13 +280,11 @@ def parse_decomposition(text: str) -> RankDecomposition:
             continue
         if line.startswith("ground "):
             (ground_size,) = int_fields([line[7:]], "'ground <size>'", lineno)
-            if not 0 <= ground_size <= MAX_GROUND:
+            if ground_size > MAX_GROUND:
                 raise ParseError(f"ground size outside [0, {MAX_GROUND}]", lineno)
             continue
         if line.startswith("r="):
             (r,) = int_fields([line[2:]], "'r=<rank>'", lineno)
-            if r < 0:
-                raise ParseError("expected 'r=<rank>'", lineno)
             continue
         if line.rstrip(":") in ("xside", "yside", "zside", "U", "V", "W") and line.endswith(":"):
             section = line[:-1]

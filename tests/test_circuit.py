@@ -100,21 +100,22 @@ def test_arc_counter_matches_circuit_size(calls):
     # zero and one absorption, const*const, and scale through a const mul
     f = prime_field(5)
     bld = CircuitBuilder(f)
-    bld.inp("v:0")
+    got = [bld.inp("v:0")]
     values = {"v:0": 2, "v:1": 3, "v:2": 4}
     for kind, picks in calls:
-        gids = [p % len(bld.gates) for p in picks]
+        gids = [got[p % len(got)] for p in picks]
         if kind == "inp":
-            bld.inp(f"v:{picks[0] % 3}")
+            got.append(bld.inp(f"v:{picks[0] % 3}"))
         elif kind == "const":
-            bld.const(picks[0] % 5)
+            got.append(bld.const(picks[0] % 5))
         elif kind == "add":
-            bld.add(*gids)
+            got.append(bld.add(*gids))
         elif kind == "mul":
-            bld.mul(gids[0], gids[-1])
+            got.append(bld.mul(gids[0], gids[-1]))
         else:
             coeff = picks[0] % 5
-            bld.set_outputs([gids[-1], bld.scale(coeff, gids[-1])])
+            got.append(bld.scale(coeff, gids[-1]))
+            bld.set_outputs([gids[-1], got[-1]])
             value, scaled = evaluate(bld.build(), values)
             assert scaled == f.mul(coeff, value)
         assert bld.arcs == bld.build().size
@@ -123,7 +124,8 @@ def test_arc_counter_matches_circuit_size(calls):
 def test_equal_gates_are_interned():
     bld = CircuitBuilder(ZP)
     x, y = bld.inp("v:x"), bld.inp("v:y")
-    assert bld.inp("v:x") == x and bld.const(3) == bld.const(3)
+    assert bld.inp("v:x") == x and bld.const(3) == bld.const(3) < 0
+    assert (bld.const(ZP.zero), bld.const(ZP.one)) == (bld.zero, bld.one) == (-1, -2)
     for op in (bld.add, bld.mul):
         gid = op(x, y)
         gates, arcs = len(bld.gates), bld.arcs
@@ -137,47 +139,51 @@ def test_equal_gates_are_interned():
 
 class ReferenceBuilder(CircuitBuilder):
     """The folding rules of add, mul and scale with no fast path: every
-    argument goes through is_zero and is_const."""
+    argument's value goes through is_const, and a constant that a pushed
+    gate reads is pushed as a gate right before it."""
+
+    def operand(self, gid):
+        value = self.is_const(gid)
+        return gid if value is None else self._push(OP_CONST, value)
 
     def add(self, *args):
-        live = [a for a in args if not self.is_zero(a)]
+        live = [a for a in args if self.is_const(a) != self.field.zero]
         if not live:
             return self.zero
         if len(live) == 1:
             return live[0]
-        consts = [self.gates[a][1] for a in live if self.gates[a][0] == OP_CONST]
+        consts = [self.is_const(a) for a in live if self.is_const(a) is not None]
         if len(consts) == len(live):
             total = self.field.zero
             for c in consts:
                 total = self.field.add(total, c)
             return self.const(total)
-        return self._push(OP_ADD, tuple(live))
+        return self._push(OP_ADD, tuple(self.operand(a) for a in live))
 
     def mul(self, a, b):
-        if self.is_zero(a) or self.is_zero(b):
-            return self.zero
         ca, cb = self.is_const(a), self.is_const(b)
+        if self.field.zero in (ca, cb):
+            return self.zero
         if ca == self.field.one:
             return b
         if cb == self.field.one:
             return a
         if ca is not None and cb is not None:
             return self.const(self.field.mul(ca, cb))
-        return self._push(OP_MUL, (a, b))
+        return self._push(OP_MUL, (self.operand(a), self.operand(b)))
 
     def scale(self, coeff, gid):
         if coeff == self.field.zero:
             return self.zero
         if coeff == self.field.one:
             return gid
+        if self.is_const(gid) is not None:
+            return self.const(self.field.mul(coeff, self.is_const(gid)))
         op, payload = self.gates[gid]
-        if op == OP_CONST:
-            return self.const(self.field.mul(coeff, payload))
         if op == OP_MUL:
             x, y = payload
-            cx = self.is_const(x)
-            if cx is not None:
-                return self.mul(self.const(self.field.mul(coeff, cx)), y)
+            if self.gates[x][0] == OP_CONST:
+                return self.mul(self.const(self.field.mul(coeff, self.gates[x][1])), y)
         return self.mul(self.const(coeff), gid)
 
 
@@ -186,31 +192,58 @@ FOLDING_FIELDS = {"p=5": (prime_field(5), (0, 1, 2, 3, 4)),
                   "gf2 w=8": (gf2(8), (0, 1, 2, 0x53, 0xCA))}
 
 
+def apply_call(bld, kind, picks, got, consts):
+    """One of BUILDER_CALLS on bld, its operands picked among the handles
+    `got` that earlier calls returned; appends and returns its handle."""
+    gids = [got[p % len(got)] for p in picks]
+    if kind == "inp":
+        got.append(bld.inp(f"v:{picks[0] % 3}"))
+    elif kind == "const":
+        got.append(bld.const(consts[picks[0] % len(consts)]))
+    elif kind == "add":
+        got.append(bld.add(*gids))
+    elif kind == "mul":
+        got.append(bld.mul(gids[0], gids[-1]))
+    else:
+        got.append(bld.scale(consts[picks[0] % len(consts)], gids[-1]))
+    return got[-1]
+
+
 @pytest.mark.parametrize("spec", sorted(FOLDING_FIELDS))
 @settings(max_examples=200, deadline=None, database=None)
 @given(calls=BUILDER_CALLS)
 def test_builder_folds_like_the_reference(spec, calls):
     f, consts = FOLDING_FIELDS[spec]
     builders = (CircuitBuilder(f), ReferenceBuilder(f))
-    for bld in builders:
-        bld.inp("v:0")
+    handles = tuple([bld.inp("v:0")] for bld in builders)
     for kind, picks in calls:
-        returned = []
-        for bld in builders:
-            gids = [p % len(bld.gates) for p in picks]
-            if kind == "inp":
-                returned.append(bld.inp(f"v:{picks[0] % 3}"))
-            elif kind == "const":
-                returned.append(bld.const(consts[picks[0] % len(consts)]))
-            elif kind == "add":
-                returned.append(bld.add(*gids))
-            elif kind == "mul":
-                returned.append(bld.mul(gids[0], gids[-1]))
-            else:
-                returned.append(bld.scale(consts[picks[0] % len(consts)], gids[-1]))
+        returned = [apply_call(bld, kind, picks, got, consts)
+                    for bld, got in zip(builders, handles)]
         assert returned[0] == returned[1]
         assert builders[0].gates == builders[1].gates
         assert builders[0].arcs == builders[1].arcs
+    for bld, got in zip(builders, handles):
+        bld.set_outputs(got)
+    assert builders[0].build() == builders[1].build()
+
+
+@pytest.mark.parametrize("spec", sorted(FOLDING_FIELDS))
+@settings(max_examples=200, deadline=None, database=None)
+@given(calls=BUILDER_CALLS, picks=st.lists(st.integers(0, 1000), max_size=4))
+def test_built_circuits_hold_no_handle_and_no_unread_constant(spec, calls, picks):
+    f, consts = FOLDING_FIELDS[spec]
+    bld = CircuitBuilder(f)
+    got = [bld.inp("v:0")]
+    for kind, args in calls:
+        apply_call(bld, kind, args, got, consts)
+    bld.set_outputs(got[p % len(got)] for p in picks)
+    circ = bld.build()
+    read = set(circ.outputs)
+    for op, payload in circ.gates:
+        if op in (OP_ADD, OP_MUL):
+            read.update(payload)
+    assert min(read, default=0) >= 0
+    assert all(gid in read for gid, (op, _) in enumerate(circ.gates) if op == OP_CONST)
 
 
 class AppendingBuilder(CircuitBuilder):
@@ -233,17 +266,7 @@ def test_interning_keeps_values_and_never_adds_arcs(spec, calls, seed):
     handles = tuple([bld.inp("v:0")] for bld in builders)
     for kind, picks in calls:
         for bld, got in zip(builders, handles):
-            gids = [got[p % len(got)] for p in picks]
-            if kind == "inp":
-                got.append(bld.inp(f"v:{picks[0] % 3}"))
-            elif kind == "const":
-                got.append(bld.const(consts[picks[0] % len(consts)]))
-            elif kind == "add":
-                got.append(bld.add(*gids))
-            elif kind == "mul":
-                got.append(bld.mul(gids[0], gids[-1]))
-            else:
-                got.append(bld.scale(consts[picks[0] % len(consts)], gids[-1]))
+            apply_call(bld, kind, picks, got, consts)
     interned, appended = builders
     for bld, got in zip(builders, handles):
         bld.set_outputs(got)
@@ -518,6 +541,21 @@ def replay_dge(circ):
     return bld.build()
 
 
+def without_const_positions(circ):
+    """The circuit's add, mul and input gates in order, and its outputs,
+    with every id of a constant gate replaced by the constant's value."""
+    ids, gates = {}, []
+    for gid, (op, payload) in enumerate(circ.gates):
+        if op == OP_CONST:
+            ids[gid] = ("const", payload)
+            continue
+        if op in (OP_ADD, OP_MUL):
+            payload = tuple(ids[a] for a in payload)
+        ids[gid] = len(gates)
+        gates.append((op, payload))
+    return gates, [ids[o] for o in circ.outputs]
+
+
 def reached_gates(circ):
     """The gate ids that the outputs reach, by a walk down from them."""
     stack, seen = list(circ.outputs), set()
@@ -535,23 +573,13 @@ def reached_gates(circ):
 @given(calls=BUILDER_CALLS, picks=st.lists(st.integers(0, 1000), min_size=1, max_size=4),
        seed=st.integers(0, 2**32))
 def test_dead_gate_elimination_keeps_the_reached_gates_in_order(calls, picks, seed):
-    f = prime_field(5)
+    f, consts = FOLDING_FIELDS["p=5"]
     bld = CircuitBuilder(f)
-    bld.inp("v:0")
+    got = [bld.inp("v:0")]
     for kind, args in calls:
-        gids = [p % len(bld.gates) for p in args]
-        if kind == "inp":
-            bld.inp(f"v:{args[0] % 3}")
-        elif kind == "const":
-            bld.const(args[0] % 5)
-        elif kind == "add":
-            bld.add(*gids)
-        elif kind == "mul":
-            bld.mul(gids[0], gids[-1])
-        else:
-            bld.scale(args[0] % 5, gids[-1])
+        apply_call(bld, kind, args, got, consts)
     # the first output comes twice
-    outputs = [p % len(bld.gates) for p in picks]
+    outputs = [got[p % len(got)] for p in picks]
     bld.set_outputs(outputs + outputs[:1])
     circ = bld.build()
     circ.meta.update(method="test", s=1)
@@ -567,9 +595,10 @@ def test_dead_gate_elimination_keeps_the_reached_gates_in_order(calls, picks, se
     assert serialize(got) == serialize(want)
     assert got.meta == circ.meta
     # a builder's circuit has nothing left to fold or intern, so the
-    # replay gives the same circuit
+    # replay gives the same circuit up to where its constants sit: the
+    # replay puts each right before its first live reader
     ref = replay_dge(circ)
-    assert (got.gates, got.outputs) == (ref.gates, ref.outputs)
+    assert without_const_positions(got) == without_const_positions(ref)
     rng = Rng(seed)
     asg = {f"v:{i}": f.random(rng) for i in range(3)}
     assert evaluate(got, asg) == evaluate(circ, asg)

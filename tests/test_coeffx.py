@@ -341,9 +341,17 @@ def test_each_extraction_builds_the_component_graph_once(monkeypatch):
     assert calls == [(circ.outputs[0], 9)] * 3
 
 
+@pytest.mark.parametrize("method", ["direct", "tri"])
+def test_permanent_extraction_emits_only_live_gates(method):
+    # a constant is pushed only once a gate reads it, so neither route
+    # leaves an unread const 1 of the seed tables or zero of a default
+    circ = extract_coefficient(*permanent_skew_circuit(9, F), method)
+    assert len(circ.gates) == len(dead_gate_elimination(circ).gates)
+
+
 def test_hafnian_tri_sizes_are_pinned():
     circ = build_hafnian_circuit(12, "tri")
-    assert (len(circ.gates), circ.size) == (2824, 6472)
+    assert (len(circ.gates), circ.size) == (2823, 6472)
     assert circ.meta == {"method": "tri", "s": 309, "t": 71, "table_entries": 1638,
                          "report": {"bottom": {"arcs": 3862},
                                     "middle": {"arcs": 2310, "fill": "transposed"},

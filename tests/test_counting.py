@@ -120,13 +120,12 @@ def test_permanent_benchmark_circuit_does_not_grow():
 @pytest.mark.parametrize("g", [1, None], ids=["g1", "gNone"])
 def test_tripartition_at_its_floor_matches_the_permanent_circuit(g):
     # at n = 6 the tri extraction of the 1-skew permanent circuit has the
-    # benchmark circuit's size: 585 arcs, and 292 live gates of the 293 it
-    # emits (the unread const 1 that the seed tables push)
+    # benchmark circuit's size, 585 arcs and 292 gates, and every gate it
+    # emits is live
     circ = extract_coeff_tripartition(*permanent_skew_circuit(6, F), b=1, g=g)
-    assert (circ.size, len(circ.gates)) == (585, 293)
-    live = dead_gate_elimination(circ).stats()
-    assert live == build_permanent_circuit(6, b=1, g=g).stats()
-    assert (live["arcs"], live["gates"]) == (585, 292)
+    assert (circ.size, len(circ.gates)) == (585, 292)
+    assert circ.stats() == build_permanent_circuit(6, b=1, g=g).stats()
+    assert dead_gate_elimination(circ).stats() == circ.stats()
     rng = Rng(31)
     for _ in range(4):
         m = rand_matrix(rng, 6)

@@ -40,7 +40,13 @@ MALFORMED = {
         parse_decomposition, "rankdec v1\nfield p=7\nground 2\nr=0\nxside:\n{0}\n{2}\n", 7),
     "matrix-header": (parse_matrix, "x\n", 1),
     "matrix-value": (parse_matrix, "2\n1 2\n3 zz\n", 3),
+    "circuit-in-trailing": (parse, "circuit v1\nfield p=7\nin 0 a b\nout 0\n", 3),
+    "circuit-const-trailing": (parse, "circuit v1\nfield p=7\nconst 0 3 4\nout 0\n", 3),
     "family-element": (parse_family_file, "2 1 1\na\n", 2),
+    "family-repeated-element": (parse_family_file, "3 2 2\n1 1\n1 3\n", 2),
+    "family-negative-size": (parse_family_file, "-1 0 0\n", 1),
+    "graph-directed-negative": (parse_graph_file, "directed -2 0\n", 1),
+    "graph-triples-negative": (parse_graph_file, "triples -1 2 2 0\n", 1),
     "graph-header": (parse_graph_file, "directed 3\n", 1),
     "graph-directed-sides": (parse_graph_file, "directed 3 1 1 2\n1 2\n", 1),
     "graph-sides-not-n": (parse_graph_file, "undirected 3 1 7 9\n1 2\n", 1),

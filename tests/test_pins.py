@@ -23,15 +23,15 @@ from test_scaling import block_first
 from test_sieving import _kpath_tri_benchmark_runner
 
 PINS = {
-    "kpath-tri": (lambda: _kpath_tri_benchmark_runner()[0].circuit, "cd0374241bd1"),
-    "hafnian12-direct": (lambda: build_hafnian_circuit(12, "direct"), "114d1a847e24"),
-    "hafnian14-direct": (lambda: build_hafnian_circuit(14, "direct"), "e5544499de3f"),
-    "hafnian12-tri": (lambda: build_hafnian_circuit(12, "tri"), "ad638dd25551"),
-    "hafnian14-tri": (lambda: build_hafnian_circuit(14, "tri"), "fd8b6e4dcab1"),
+    "kpath-tri": (lambda: _kpath_tri_benchmark_runner()[0].circuit, "980cc58c0bf0"),
+    "hafnian12-direct": (lambda: build_hafnian_circuit(12, "direct"), "46afdbf87034"),
+    "hafnian14-direct": (lambda: build_hafnian_circuit(14, "direct"), "ff1744104c80"),
+    "hafnian12-tri": (lambda: build_hafnian_circuit(12, "tri"), "7fb36becc277"),
+    "hafnian14-tri": (lambda: build_hafnian_circuit(14, "tri"), "9a2da43fdebd"),
     "perm9-direct": (lambda: extract_coefficient(*permanent_skew_circuit(9, prime_field()),
-                                                 "direct"), "94fef9ab2b88"),
+                                                 "direct"), "bec22619fd8d"),
     "perm9-tri": (lambda: extract_coefficient(*permanent_skew_circuit(9, prime_field()),
-                                              "tri"), "1b2040cf641f"),
+                                              "tri"), "c7a850d85485"),
     "perm6-s2": (lambda: build_permanent_circuit(6, b=1, g=1), "036627e96557"),
     # the one pin with a provider other than the trivial one: its rows
     # share terms across several side entries
