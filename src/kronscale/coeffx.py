@@ -97,16 +97,13 @@ def _layer(graph, lo: int, hi: int) -> list:
     gate order, each with its edges.
 
     A layer above a cut (lo >= 0) is seeded with the bottom's components
-    of degree <= 1 and with the cut components.  1-skewness keeps every
-    mul's low side at degree <= 1, in the seeds, and its other side at
-    degree >= lo, in the layer or at the cut, so no product joins two cut
-    values and every entry is linear in the cut seeds (the structural
-    linear-in-Y guarantee, checked here for either direction of fill).
+    of degree <= 1 and with the cut components.  The tri route takes only
+    1-skew circuits, and _reach puts a mul's side of lower formal degree
+    low, so every low side is at degree <= 1, in the seeds, and the other
+    at degree >= lo: no product joins two cut values, and every entry is
+    linear in the cut seeds, whichever direction fills it.
     """
-    layer = [(comp, edges) for comp, edges in graph if lo < comp[1] <= hi]
-    if lo >= 0 and any(low and low[1] > 1 for _, edges in layer for _, low in edges):
-        raise NotSkew("cut layer would multiply two cut values")
-    return layer
+    return [(comp, edges) for comp, edges in graph if lo < comp[1] <= hi]
 
 
 def _spread(bld, into: dict, src: dict, low, alive=None) -> None:
@@ -344,7 +341,8 @@ def extract_coeff_tripartition(circ: Circuit, variables, b: int = 1,
                                g: int | None = None, dec_source=None) -> Circuit:
     """The three-layer compiler via the P_{n/3}[[n]] scaling circuit.
 
-    Requires a 1-skew circuit (NotSkew otherwise) and n = |variables|
+    Requires a 1-skew circuit (NotSkew otherwise; the one check of
+    1-skewness, which _layer relies on) and n = |variables|
     with n % 3 == 0 and n >= 6 (ShapeError otherwise; extract_coefficient
     pads via pad_degree).  At n = 3 the cut1 components have degree 1, so
     they would also be the low tables that seed the upper layers.

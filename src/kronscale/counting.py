@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .circuit import Circuit, CircuitBuilder, evaluate
 from .coeffx import extract_coefficient
 from .errors import (DivisibilityError, ParityError, ParseError, TooLarge,
-                     content_lines, int_fields)
+                     content_lines, int_fields, records)
 from .fields import Field, prime_field
 from .scaling import PScalingScheme
 
@@ -57,10 +57,8 @@ def parse_matrix_file(text: str, field: Field, symmetric: bool = False) -> Squar
     if not lines:
         raise ParseError("empty matrix file")
     (n,) = int_fields(lines[0][1].split(), "'n' header", lines[0][0], (1,))
-    if len(lines) != n + 1:
-        raise ParseError(f"expected {n} rows, found {len(lines) - 1}")
     rows = []
-    for lineno, ln in lines[1:]:
+    for lineno, ln in records(lines, n, "rows"):
         toks = ln.split()
         if len(toks) != n:
             raise ParseError(f"expected {n} entries", lineno)
@@ -291,10 +289,8 @@ def parse_family_file(text: str) -> SetFamily:
     if not lines:
         raise ParseError("empty family file")
     n, q, m = int_fields(lines[0][1].split(), "'n q m' header", lines[0][0], (3,))
-    if len(lines) != m + 1:
-        raise ParseError(f"expected {m} member lines, found {len(lines) - 1}")
     members = []
-    for lineno, ln in lines[1:]:
+    for lineno, ln in records(lines, m, "member lines"):
         elems = tuple(sorted(int_fields(ln.split(), f"{q} elements", lineno, (q,))))
         if elems and (elems[0] < 1 or elems[-1] > n):
             raise ParseError("element out of range", lineno)

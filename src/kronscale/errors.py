@@ -57,6 +57,16 @@ def int_fields(tokens, what: str, lineno: int, counts=None) -> list:
     return values
 
 
+def records(lines, count: int, what: str) -> list:
+    """The lines after the header lines[0], which must number `count`:
+    ParseError at the first surplus line, or at the last when one is missing."""
+    body = lines[1:]
+    if len(body) != count:
+        at = body[count][0] if len(body) > count else lines[-1][0]
+        raise ParseError(f"expected {count} {what}, found {len(body)}", at)
+    return body
+
+
 class NotSkew(KronscaleError):
     pass
 

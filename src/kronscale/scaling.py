@@ -49,7 +49,7 @@ class BlockStructure:
 
     def __post_init__(self):
         if min(self.b, self.g, self.s) < 1:
-            raise ValueError("b, g, s must be positive")
+            raise ShapeError("b, g, s must be positive")
 
     @property
     def n(self) -> int:

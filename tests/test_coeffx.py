@@ -460,14 +460,6 @@ def _two_degree_product():
                                (circ.outputs[0], 4))
 
 
-def test_cut_layer_refuses_to_multiply_two_cut_values():
-    # a layer above a cut at degree 2 whose one mul joins two cut values;
-    # either direction of fill walks the edges that _layer makes
-    _, _, graph = _two_degree_product()
-    with pytest.raises(NotSkew, match="two cut values"):
-        _layer(graph, 2, 4)
-
-
 def test_bottom_layer_multiplies_components_of_any_degree():
     # the bottom layer (and the direct route) has no cut to keep linear
     circ, names, graph = _two_degree_product()

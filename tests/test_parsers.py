@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from kronscale.circuit import parse
 from kronscale.counting import parse_family_file, parse_matrix_file
-from kronscale.errors import ParseError
+from kronscale.errors import ParseError, content_lines
 from kronscale.fields import prime_field
 from kronscale.sieving import parse_graph_file
 from kronscale.tensor import (
@@ -52,6 +52,16 @@ MALFORMED = {
     "graph-sides-not-n": (parse_graph_file, "undirected 3 1 7 9\n1 2\n", 1),
     "graph-edge": (parse_graph_file, "# a comment\ndirected 3 1\n\n1\n", 4),
     "graph-triple": (parse_graph_file, "triples 2 2 2 1\n1 1\n", 2),
+    # a missing record is named by the last content line, a surplus one by
+    # its own line
+    "family-missing-member": (parse_family_file, "3 2 2\n1 2\n", 2),
+    "family-surplus-member": (parse_family_file, "3 1 1\n1\n2\n", 3),
+    "matrix-missing-row": (parse_matrix, "2\n1 2\n", 2),
+    "matrix-surplus-row": (parse_matrix, "1\n1\n2\n", 3),
+    "graph-directed-missing-edge": (parse_graph_file, "directed 3 2\n1 2\n", 2),
+    "graph-directed-surplus-edge": (parse_graph_file, "directed 3 1\n1 2\n2 3\n", 3),
+    "graph-undirected-missing-edge": (parse_graph_file, "undirected 3 2\n1 2\n", 2),
+    "graph-triples-missing-triple": (parse_graph_file, "triples 1 1 1 2\n1 1 1\n", 2),
 }
 
 
@@ -102,10 +112,13 @@ def mutations(draw, text):
 @settings(max_examples=150, deadline=None, database=None)
 @given(data=st.data())
 def test_mutated_input_parses_or_raises_parse_error(case, data):
+    # the matrix, family and graph parsers name a line in every error on
+    # a file with a content line
     parser, text = VALID[case]
     parser(text)
     mutated = data.draw(mutations(text))
     try:
         parser(mutated)
-    except ParseError:
-        pass
+    except ParseError as exc:
+        if case.startswith(("matrix", "family", "graph")) and content_lines(mutated):
+            assert exc.line is not None

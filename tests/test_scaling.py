@@ -734,7 +734,9 @@ def product_of_nine():
     (lambda: extract_coefficient(*product_of_nine(), "tri", b=4), "g=0"),
     (lambda: extract_coefficient(*product_of_nine(), "tri", b=0), "b=0"),
     (lambda: build_permanent_circuit(6, F, b=0), "b=0"),
-], ids=["g0", "b0", "tri_b4", "tri_b0", "perm_b0"])
+    # n = 0 passes the b and g checks and gives s = 0 blocks
+    (lambda: PScalingScheme(0, 1, 1, F), "must be positive"),
+], ids=["g0", "b0", "tri_b4", "tri_b0", "perm_b0", "n0"])
 def test_nonpositive_block_count_is_a_shape_error(build, bad):
     with pytest.raises(ShapeError, match=bad):
         build()

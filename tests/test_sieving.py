@@ -9,6 +9,7 @@ from kronscale.errors import (
     BipartitenessError,
     CharacteristicError,
     FieldTooSmall,
+    NotSkew,
     ShapeError,
 )
 from kronscale.fields import GF2Field, Rng, gf2, prime_field
@@ -27,6 +28,8 @@ from kronscale.sieving import (
     parse_graph_file,
     vandermonde,
 )
+
+from test_scaling import block_first
 
 F = gf2(16)
 
@@ -149,6 +152,20 @@ def test_det_sieve_requires_char2():
     a = SieveMatrix(zp, ((zp.one,),))
     with pytest.raises(CharacteristicError):
         det_sieve(bld.build(), a, rng)
+
+
+def test_det_sieve_takes_a_2skew_circuit_on_the_direct_route_only():
+    # (x1*x2)*(x3*x4) multiplies two degree-2 sides; only the tri route
+    # cuts the circuit, so only it needs 1-skewness
+    field = gf2(32)
+    bld = CircuitBuilder(field)
+    xs = [bld.inp(f"x:{{{i}}}") for i in range(1, 5)]
+    bld.set_outputs([bld.mul(bld.mul(xs[0], xs[1]), bld.mul(xs[2], xs[3]))])
+    circ = bld.build()
+    a = vandermonde(4, 4, field, Rng(14))
+    assert det_sieve(circ, a, Rng(15), method="direct")
+    with pytest.raises(NotSkew, match="2-skew"):
+        det_sieve(circ, a, Rng(15), method="tri")
 
 
 def test_det_sieve_vs_exhaustive_support_oracle():
@@ -302,6 +319,13 @@ def test_mv_det_char2_only():
         mv_det_circuit([[(0, ())]], prime_field(7))
 
 
+def test_matroid3_requires_char2():
+    # the determinant circuit's builder is the one that checks
+    one = SieveMatrix(prime_field(7), ((1,),))
+    with pytest.raises(CharacteristicError, match="mv_det_circuit"):
+        matroid3_detect(one, one, one, Rng(23))
+
+
 def test_matroid3_trivial_cases():
     rng = Rng(22)
     one = SieveMatrix(F, ((F.one,),))
@@ -404,16 +428,48 @@ def test_sieve_tripartition_method_agrees():
     assert not kpath_detect(g2, 8, rng, trials=7, method="tri", field=F)
 
 
-def _kpath_tri_benchmark_runner():
-    # the kpath-tri benchmark circuit: k = 5 on complete digraphs of 5 and
-    # 2 vertices, GF(2^32)
+def _kpath_tri_runner(parts, k, dec_source=None):
+    # k-path on disjoint complete digraphs on the vertex ranges in parts,
+    # over GF(2^32), on the tri route
     field = gf2(32)
-    arcs = tuple((u, v) for part in (range(1, 6), range(6, 8))
-                 for u in part for v in part if u != v)
-    circ, labels = _kpath_labeled_circuit(DirectedGraph(7, arcs), 5, field)
-    runner = SieveRunner(circ, vandermonde(6, 7, field, Rng(5)), "det", "tri",
-                         xvars=[f"x:{{{v}}}" for v in range(1, 8)])
+    arcs = tuple((u, v) for part in parts for u in part for v in part if u != v)
+    n = max(part[-1] for part in parts)
+    circ, labels = _kpath_labeled_circuit(DirectedGraph(n, arcs), k, field)
+    runner = SieveRunner(circ, vandermonde(k + 1, n, field, Rng(5)), "det", "tri",
+                         xvars=[f"x:{{{v}}}" for v in range(1, n + 1)],
+                         dec_source=dec_source)
     return runner, labels
+
+
+def _kpath_tri_benchmark_runner(dec_source=None):
+    # the kpath-tri benchmark circuit: k = 5 on complete digraphs of 5 and
+    # 2 vertices
+    return _kpath_tri_runner((range(1, 6), range(6, 8)), 5, dec_source)
+
+
+def _trial_values(runner, labels, trials):
+    values = []
+    for seed in range(trials):
+        rng = Rng(seed)
+        values.append(runner.run(rng, extra={nm: runner.field.random(rng, nonzero=True)
+                                             for nm in labels}))
+    return values
+
+
+def test_tri_runner_takes_a_decomposition_provider():
+    # the block-first provider of P_3 joins the cut layers of both padded
+    # circuits: the benchmark instance has no 5-path, and K4 has a 3-path
+    calls = []
+
+    def provider(d, field):
+        calls.append(d)
+        return block_first(d, field)
+
+    runner, labels = _kpath_tri_benchmark_runner(provider)
+    assert set(_trial_values(runner, labels, 3)) == {0}
+    runner, labels = _kpath_tri_runner((range(1, 5),), 3, provider)
+    assert any(_trial_values(runner, labels, 3))
+    assert calls == [3, 3]
 
 
 def test_kpath_tri_benchmark_circuit_does_not_grow():
