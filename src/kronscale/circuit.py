@@ -7,8 +7,14 @@ only make binary ones.  Size is the arc count: the sum of gate fan-ins.
 
 `evaluate` runs level by level from the circuit's plan: inputs and
 constants are level 0, a gate sits one level above its deepest argument,
-and each level is one batch of field multiplications (`mul_many`) and one
-of sums (`sum_many`), over the add gates grouped by arity.  The plan holds
+and each level is up to two batches of field multiplications and one of
+sums (`sum_many`), over the add gates grouped by arity.  The reduced
+batch (`mul_many`) holds the mul gates that a mul gate or an output
+reads.  Over a field with an unreduced product (`mul_many_unreduced`,
+the prime fields), the mul gates that only add gates read go to the
+unreduced batch instead: their sum reduces once, not every product
+first.  Over GF(2^w) every mul gate is in the reduced batch.  So every
+value a mul gate reads, and every output, is canonical.  The plan holds
 one `operator.itemgetter` per operand list, so each batch gathers its
 operands in one C-level call.  It is built on the first evaluation and
 held by the `Circuit` itself, so it lives and dies with the circuit and
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, reduce
-from itertools import accumulate, compress
+from itertools import accumulate, compress, filterfalse
 from operator import itemgetter
 
 from .errors import InputOutOfRange, ParseError, UnassignedInput, content_lines
@@ -82,7 +88,8 @@ class Circuit:
     def plan(self) -> tuple:
         """The level-by-level evaluation order (`_level_plan`), built on
         first use."""
-        return _level_plan(self.gates, self.outputs)
+        return _level_plan(self.gates, self.outputs,
+                           self.field.mul_many_unreduced is not None)
 
     def stats(self) -> dict:
         counts = {"in": 0, "const": 0, "add": 0, "mul": 0}
@@ -230,24 +237,33 @@ def _getter(slots):
     return itemgetter(*slots) if slots else None
 
 
-def _level_plan(gates, outputs) -> tuple:
+def _level_plan(gates, outputs, unreduced: bool) -> tuple:
     """(inputs, consts, levels, outputs): gates grouped by depth, with
     every value in one list of slots.
 
     The slots hold the inputs in gate order, then the constants, then per
-    level its mul gates and then its add gates, grouped by arity.
-    `inputs` and `consts` are the input names and constant values,
-    `outputs` the output slots.  A level is (xs, ys, args, groups): each
-    of the first three maps the value list to the operand tuple it
-    gathers, or is None for a level without such gates.  Mul gate j
-    multiplies xs(vals)[j] and ys(vals)[j].  The add gates' arguments
-    come in `groups`, pairs (k, n) of n gates of arity k whose k * n
-    arguments follow each other row by row in args(vals).  Only the gates
-    that the outputs reach are planned, but every input is, so each input
-    needs a value.
+    level its reduced mul gates, its unreduced mul gates, and its add
+    gates, grouped by arity.  `inputs` and `consts` are the input names
+    and constant values, `outputs` the output slots.  A level is
+    (xs, ys, lazy_xs, lazy_ys, args, groups): each of the first five maps
+    the value list to the operand tuple it gathers, or is None for a
+    level without such gates.  Reduced mul gate j multiplies xs(vals)[j]
+    and ys(vals)[j], unreduced mul gate j lazy_xs(vals)[j] and
+    lazy_ys(vals)[j].  The add gates' arguments come in `groups`, pairs
+    (k, n) of n gates of arity k whose k * n arguments follow each other
+    row by row in args(vals).  Only the gates that the outputs reach are
+    planned, but every input is, so each input needs a value.
+
+    With `unreduced`, a mul gate that no mul gate and no output reads is
+    unreduced: only add gates read it, and each sum is reduced.  The same
+    forward pass that finds the depths marks the operands of every mul
+    and the outputs as reduced.  Without it, every mul gate is reduced.
     """
     depth = [0] * len(gates)
     live = _reached(gates, outputs)
+    reduced = [False] * len(gates)
+    for o in outputs:
+        reduced[o] = True
     inputs, consts, muls, adds = [], [], [], []
     for gid, (op, payload) in enumerate(gates):
         if op == OP_IN:
@@ -257,6 +273,7 @@ def _level_plan(gates, outputs) -> tuple:
             continue
         if op == OP_MUL:
             x, y = payload
+            reduced[x] = reduced[y] = True
             d = depth[x] if depth[x] > depth[y] else depth[y]
             by_level = muls
         elif op == OP_ADD:
@@ -280,9 +297,11 @@ def _level_plan(gates, outputs) -> tuple:
     used = len(inputs) + len(consts)
     levels = []
     for level_muls, level_adds in zip(muls, adds):
-        pairs = [gates[gid][1] for gid in level_muls]
-        xs = [slot[x] for x, _ in pairs]
-        ys = [slot[y] for _, y in pairs]
+        lazy = []
+        if unreduced:
+            lazy = list(filterfalse(reduced.__getitem__, level_muls))
+            if lazy:
+                level_muls = list(filter(reduced.__getitem__, level_muls))
         by_arity: dict[int, list] = {}
         for gid in level_adds:
             k = len(gates[gid][1])
@@ -291,7 +310,7 @@ def _level_plan(gates, outputs) -> tuple:
                 by_arity[k] = [gid]
             else:
                 group.append(gid)
-        args, groups, ordered = [], [], list(level_muls)
+        args, groups, ordered = [], [], level_muls + lazy
         gather = args.append
         for k, group in by_arity.items():
             for gid in group:
@@ -302,9 +321,16 @@ def _level_plan(gates, outputs) -> tuple:
         for i, gid in enumerate(ordered, used):
             slot[gid] = i
         used += len(ordered)
-        levels.append((_getter(xs), _getter(ys), _getter(args), tuple(groups)))
+        levels.append((*_operands(gates, slot, level_muls), *_operands(gates, slot, lazy),
+                       _getter(args), tuple(groups)))
     return (tuple(gates[gid][1] for gid in inputs), tuple(gates[gid][1] for gid in consts),
             tuple(levels), tuple(slot[o] for o in outputs))
+
+
+def _operands(gates, slot, muls) -> tuple:
+    """The getters of the left and the right operands of the mul gates."""
+    pairs = [gates[gid][1] for gid in muls]
+    return _getter([slot[x] for x, _ in pairs]), _getter([slot[y] for _, y in pairs])
 
 
 def evaluate(circ: Circuit, assignment: dict) -> tuple:
@@ -312,7 +338,10 @@ def evaluate(circ: Circuit, assignment: dict) -> tuple:
 
     Every input gate needs a value in [0, field.order): UnassignedInput
     names the first one without a value, InputOutOfRange one whose value
-    is outside that range.
+    is outside that range.  Each level runs its reduced products
+    (`mul_many`), its unreduced ones (`mul_many_unreduced`), then its
+    sums (`sum_many`, which reduces each sum), so every value that a mul
+    gate or an output reads, and every value returned, is canonical.
     """
     inputs, consts, levels, outputs = circ.plan
     field = circ.field
@@ -327,10 +356,12 @@ def evaluate(circ: Circuit, assignment: dict) -> tuple:
             raise InputOutOfRange(f"value {v} for input {name!r} is outside [0, {order})")
         vals.append(v)
     vals += consts
-    mul_many, sum_many = field.mul_many, field.sum_many
-    for xs, ys, args, groups in levels:
+    mul_many, mul_lazy, sum_many = field.mul_many, field.mul_many_unreduced, field.sum_many
+    for xs, ys, lazy_xs, lazy_ys, args, groups in levels:
         if xs:
             vals += mul_many(xs(vals), ys(vals))
+        if lazy_xs:
+            vals += mul_lazy(lazy_xs(vals), lazy_ys(vals))
         if args:
             vals += sum_many(args(vals), groups)
     return tuple(map(vals.__getitem__, outputs))
@@ -357,13 +388,15 @@ def formal_degrees(circ: Circuit, variables=None) -> list[int]:
     return degs
 
 
-def analyze_skew(circ: Circuit, variables=None) -> int:
+def analyze_skew(circ: Circuit, variables=None, degs=None) -> int:
     """Least q such that the circuit is q-skew.
 
     The skew of a Mul is the smaller formal degree of its two sides, and
-    the circuit's q is the max over Muls.
+    the circuit's q is the max over Muls.  A caller that already holds the
+    formal degrees passes them as `degs`, in place of `variables`.
     """
-    degs = formal_degrees(circ, variables)
+    if degs is None:
+        degs = formal_degrees(circ, variables)
     q = 0
     for op, payload in circ.gates:
         if op == OP_MUL:
@@ -416,8 +449,11 @@ def dead_gate_elimination(circ: Circuit) -> Circuit:
     order, renumbered, and the circuit's meta.
 
     Gates are copied as they are, not rebuilt: nothing folds, and two
-    equal kept gates stay two gates."""
+    equal kept gates stay two gates.  A circuit whose every gate is
+    reached comes back as the same object."""
     live = _reached(circ.gates, circ.outputs)
+    if all(live):
+        return circ
     # new[gid]: how many gates before gid are kept, gid's new id if kept
     new = list(accumulate(live, initial=0))
     kept = []

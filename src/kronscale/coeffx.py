@@ -307,15 +307,14 @@ def _middle_transposed(bld, layer, low: dict, cut1, live: dict, alive) -> bool:
     return cap < arcs({c: {0: (1 << i,) * 3} for i, c in enumerate(cut1)} | consts, cap=cap)
 
 
-def _open(circ: Circuit, variables) -> tuple:
+def _open(circ: Circuit, variables, degs) -> tuple:
     """What both routes start from: a builder, the seed tables it holds
     (_seed_tables) and the component graph (_reach) below the output's
-    degree-n component."""
+    degree-n component, from the formal degrees `degs` over `variables`."""
     if len(circ.outputs) != 1:
         raise SingleOutputRequired("extraction needs a single-output circuit")
     bld = CircuitBuilder(circ.field)
     tables = _seed_tables(circ, {name: i for i, name in enumerate(variables)}, bld)
-    degs = formal_degrees(circ, set(variables))
     return bld, tables, _reach(circ.gates, degs, (circ.outputs[0], len(variables)))
 
 
@@ -327,7 +326,7 @@ def extract_coeff_direct(circ: Circuit, variables) -> Circuit:
     the original circuit.  Only the components that the output's
     degree-n component reaches get a table.
     """
-    bld, tables, graph = _open(circ, variables)
+    bld, tables, graph = _open(circ, variables, formal_degrees(circ, set(variables)))
     _run_layer(bld, graph, tables)
     n = len(variables)
     bld.set_outputs([tables.get((circ.outputs[0], n), {}).get((1 << n) - 1, bld.zero)])
@@ -371,10 +370,11 @@ def extract_coeff_tripartition(circ: Circuit, variables, b: int = 1,
     if n % 3 != 0 or n < 6:
         raise ShapeError(f"tripartition extraction needs n a multiple of 3 and >= 6 "
                          f"(got {n}); use pad_degree first")
-    q = analyze_skew(circ, set(variables))
+    degs = formal_degrees(circ, set(variables))
+    q = analyze_skew(circ, degs=degs)
     if q > 1:
         raise NotSkew(f"tripartition extraction needs a 1-skew circuit, got {q}-skew")
-    bld, bottom, graph = _open(circ, variables)
+    bld, bottom, graph = _open(circ, variables, degs)
     if not graph:
         # the full monomial cannot appear at all
         bld = CircuitBuilder(circ.field)

@@ -31,11 +31,18 @@ class SquareMatrix:
         for row in self.entries:
             if len(row) != self.n:
                 raise ParseError("matrix is not square")
-        if self.symmetric:
-            for i in range(self.n):
-                for j in range(i):
-                    if self.entries[i][j] != self.entries[j][i]:
-                        raise ParseError("symmetric flag on an asymmetric matrix")
+        if self.symmetric and _asymmetric_row(self.entries) is not None:
+            raise ParseError("symmetric flag on an asymmetric matrix")
+
+
+def _asymmetric_row(entries):
+    """The lower row i of the first pair (i, j), j < i, with entries[i][j]
+    != entries[j][i], row by row; None for a symmetric matrix."""
+    for i, row in enumerate(entries):
+        for j in range(i):
+            if row[j] != entries[j][i]:
+                return i
+    return None
 
 
 def matrix_input_name(i: int, j: int) -> str:
@@ -66,6 +73,10 @@ def parse_matrix_file(text: str, field: Field, symmetric: bool = False) -> Squar
             rows.append(tuple(field.parse_value(t) for t in toks))
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
+    if symmetric:
+        i = _asymmetric_row(rows)
+        if i is not None:
+            raise ParseError("symmetric flag on an asymmetric matrix", lines[i + 1][0])
     return SquareMatrix(field, tuple(rows), symmetric=symmetric)
 
 

@@ -11,11 +11,15 @@ Every field also has two batch operations, which circuit evaluation calls
 once per level: `mul_many(xs, ys)`, the products of two equal-length
 operand sequences, and `sum_many(values, groups)`, the sums of
 consecutive runs of values: a group (k, n) takes the next k * n values
-as n rows of k and sums each row.  Over GF(2^w) `mul_many` multiplies
-all its pairs at once in the lanes of one Python int, a 4-bit window at
-a time, at every width, and `sum_many` XORs a group's k columns, each
-one strided slice, or, when the group has more columns than rows, each
-row by one `reduce`.
+as n rows of k and sums each row.  Both return canonical values.  A
+prime field also has `mul_many_unreduced(xs, ys)`, the integer products
+below p^2, for the products that only sums read: its `sum_many` reduces
+each sum mod p, so a sum of such products is reduced once.  Other
+fields set `mul_many_unreduced` to None.  Over GF(2^w) `mul_many`
+multiplies all its pairs at once in the lanes of one Python int, a 4-bit
+window at a time, at every width, and `sum_many` XORs a group's k
+columns, each one strided slice, or, when the group has more columns
+than rows, each row by one `reduce`.
 
 The random generator is SplitMix64, a fixed, versioned, splittable
 generator: identical seeds give identical streams on every platform.
@@ -114,6 +118,8 @@ class Field:
     """Common interface; concrete fields below."""
 
     kind = None
+    # the batch product that leaves reduction to the sums; PrimeField has one
+    mul_many_unreduced = None
 
     def spec_string(self) -> str:
         raise NotImplementedError
@@ -162,6 +168,10 @@ class PrimeField(Field):
 
     def mul_many(self, xs, ys) -> list:
         return list(map(self.p.__rmod__, map(operator.mul, xs, ys)))
+
+    def mul_many_unreduced(self, xs, ys) -> list:
+        """The integer products, below p^2: a value only `sum_many` may read."""
+        return list(map(operator.mul, xs, ys))
 
     def sum_many(self, values, groups) -> list:
         p = self.p

@@ -53,3 +53,14 @@ def random_skew_circuit(field, rng: Rng, var_names, n_gates=40, q=1, full_monomi
             out = bld.mul(out, g)
     bld.set_outputs([out])
     return bld.build()
+
+
+def planned_products(circ) -> tuple:
+    """(reduced, unreduced): how many mul gates the circuit's evaluation
+    plan puts in each of its two product batches."""
+    slots = range(len(circ.gates))
+    reduced = unreduced = 0
+    for xs, _, lazy_xs, _, _, _ in circ.plan[2]:
+        reduced += len(xs(slots)) if xs else 0
+        unreduced += len(lazy_xs(slots)) if lazy_xs else 0
+    return reduced, unreduced

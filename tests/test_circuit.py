@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_skew_circuit
+from conftest import planned_products, random_skew_circuit
 from kronscale.circuit import (
     OP_ADD,
     OP_CONST,
@@ -409,6 +409,72 @@ def test_evaluate_matches_scalar_reference_level_by_level(field, shape, seed):
             evaluate(circ, dict(asg, **{name: field.order}))
 
 
+_LAZY_FIELDS = [prime_field(2**61 - 1), prime_field(101)]
+
+# gate 2 is read by adds only, one of them (gate 7) a single-argument add;
+# gate 4 by an add and a mul; gates 4 -> 6 -> 8 are a mul chain, and gate 8
+# is an output; gate 9 is read by one add only
+_MIXED_READERS = """circuit v1
+field {spec}
+in 0 v:a
+in 1 v:b
+mul 2 0 1
+add 3 2 0
+mul 4 0 0
+add 5 4 1
+mul 6 4 1
+add 7 2
+mul 8 6 6
+mul 9 3 5
+add 10 9 7 5
+out 10 8 7
+"""
+
+
+@pytest.mark.parametrize("field", _LAZY_FIELDS + [gf2(32)], ids=lambda f: f.spec_string())
+def test_products_that_only_sums_read_are_left_unreduced(field):
+    circ = parse(_MIXED_READERS.format(spec=field.spec_string()))
+    lazy = 2 if field.mul_many_unreduced else 0
+    assert planned_products(circ) == (5 - lazy, lazy)
+    top = field.order - 1
+    for a, b in [(top, top), (top, 1), (0, top), (2, 3)]:
+        asg = {"v:a": a, "v:b": b}
+        got = evaluate(circ, asg)
+        assert got == scalar_eval(circ, asg)
+        assert all(0 <= v < field.order for v in got)
+
+
+_RAW_GATES = st.lists(st.tuples(st.booleans(), st.lists(st.integers(0, 2**16), min_size=1,
+                                                          max_size=4)),
+                      min_size=1, max_size=30)
+
+
+@pytest.mark.parametrize("field", _LAZY_FIELDS, ids=lambda f: f.spec_string())
+@settings(max_examples=150, deadline=None, database=None)
+@given(raw=_RAW_GATES, picks=st.lists(st.integers(0, 2**16), min_size=1, max_size=4),
+       values=st.lists(st.integers(-3, 2**62), min_size=3, max_size=3))
+def test_evaluate_is_canonical_when_only_some_gates_are_outputs(field, raw, picks, values):
+    # gates straight from the draw, with no folding: muls read by adds only,
+    # by adds and muls, mul chains, single-argument adds; values near p - 1
+    # come from the negative draws
+    gates = [(OP_IN, f"v:x{i}") for i in range(3)] + [(OP_CONST, field.order - 1)]
+    for is_mul, args in raw:
+        args = [a % len(gates) for a in args]
+        gates.append((OP_MUL, (args[0], args[-1])) if is_mul else (OP_ADD, tuple(args)))
+    circ = Circuit(field, tuple(gates), tuple(p % len(gates) for p in picks))
+    asg = {f"v:x{i}": v % field.order for i, v in enumerate(values)}
+    got = evaluate(circ, asg)
+    assert got == scalar_eval(circ, asg)
+    assert all(0 <= v < field.order for v in got)
+    # the unreduced products are the reached muls that no reached mul and
+    # no output reads
+    reached = reached_gates(circ)
+    muls = [gid for gid in reached if gates[gid][0] == OP_MUL]
+    read = set(circ.outputs).union(*(gates[gid][1] for gid in muls))
+    assert planned_products(circ) == (len(read.intersection(muls)),
+                                      len(set(muls) - read))
+
+
 def test_formal_degrees_and_skew():
     bld = CircuitBuilder(ZP)
     x1, x2 = bld.inp("x:{1}"), bld.inp("x:{2}")
@@ -527,9 +593,27 @@ def test_dead_gate_elimination():
     keep = bld.add(x, bld.const(3))
     bld.set_outputs([keep])
     c = bld.build()
+    c.meta["method"] = "test"
     c2 = dead_gate_elimination(c)
+    assert c2 is not c
     assert len(c2.gates) < len(c.gates)
+    assert c2.meta == c.meta and c2.meta is not c.meta
     assert evaluate(c2, {"x:{1}": 9}) == evaluate(c, {"x:{1}": 9})
+
+
+def test_dead_gate_elimination_returns_an_all_live_circuit_itself():
+    # no copy when every gate is reached; an input that no output reads is
+    # a dead gate, so that circuit is still copied
+    bld = CircuitBuilder(ZP)
+    x, y = bld.inp("x:{1}"), bld.inp("x:{2}")
+    bld.set_outputs([bld.mul(bld.add(x, bld.const(3)), y)])
+    c = bld.build()
+    assert dead_gate_elimination(c) is c
+    bld.inp("x:{3}")
+    with_unread = bld.build()
+    got = dead_gate_elimination(with_unread)
+    assert got is not with_unread
+    assert got.gates == c.gates and got.outputs == c.outputs
 
 
 def replay_dge(circ):

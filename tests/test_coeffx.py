@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import random_skew_circuit
-from kronscale import coeffx
+from kronscale import circuit, coeffx
 from kronscale.circuit import (
     CircuitBuilder,
     analyze_skew,
@@ -339,6 +339,29 @@ def test_each_extraction_builds_the_component_graph_once(monkeypatch):
         force_middle(monkeypatch, transposed)
         extract_coeff_tripartition(circ, xvars)
     assert calls == [(circ.outputs[0], 9)] * 3
+
+
+def test_each_extraction_computes_the_formal_degrees_once(monkeypatch):
+    # the tri route's 1-skew check and its component graph read the same
+    # degrees, computed once; a 2-skew circuit is refused after that one pass
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return formal_degrees(*args)
+
+    monkeypatch.setattr(circuit, "formal_degrees", counted)
+    monkeypatch.setattr(coeffx, "formal_degrees", counted)
+    circ, xvars = permanent_skew_circuit(6, F)
+    extract_coeff_direct(circ, xvars)
+    extract_coeff_tripartition(circ, xvars)
+    assert calls == [circ, circ]
+    calls.clear()
+    two_skew, names = two_skew_product()
+    with pytest.raises(NotSkew, match=r"^tripartition extraction needs a 1-skew circuit, "
+                                      r"got 2-skew$"):
+        extract_coeff_tripartition(two_skew, names)
+    assert calls == [two_skew]
 
 
 @pytest.mark.parametrize("method", ["direct", "tri"])

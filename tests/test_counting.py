@@ -3,6 +3,7 @@ from math import comb, factorial
 
 import pytest
 
+from conftest import planned_products
 from kronscale.circuit import dead_gate_elimination, evaluate
 from kronscale.counting import (
     SetFamily,
@@ -137,6 +138,18 @@ def test_tripartition_refuses_n3():
     # tables that seed the upper layers
     with pytest.raises(ShapeError, match=r"\(got 3\)"):
         extract_coeff_tripartition(*permanent_skew_circuit(3, F))
+
+
+def test_permanent_plan_leaves_every_product_to_the_sums():
+    # every mul of the n = 6 permanent circuit is read by add gates only,
+    # so the plan reduces none of the 195 products before its sums
+    assert planned_products(build_permanent_circuit(6, b=1, g=1)) == (0, 195)
+    c = build_permanent_circuit(6, F, b=1, g=1)
+    assert planned_products(c) == (0, 195)
+    rng = Rng(8)
+    for _ in range(3):
+        m = rand_matrix(rng, 6)
+        assert evaluate(c, matrix_assignment(m))[0] == permanent_ryser(m)
 
 
 def test_permanent_build_leaves_the_evaluation_plan_unbuilt():

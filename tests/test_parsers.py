@@ -21,6 +21,10 @@ def parse_matrix(text):
     return parse_matrix_file(text, F7)
 
 
+def parse_symmetric_matrix(text):
+    return parse_matrix_file(text, F7, symmetric=True)
+
+
 # (parser, malformed text, line the error must name); blank and comment
 # lines count, so the number points into the file as written
 MALFORMED = {
@@ -58,6 +62,10 @@ MALFORMED = {
     "family-surplus-member": (parse_family_file, "3 1 1\n1\n2\n", 3),
     "matrix-missing-row": (parse_matrix, "2\n1 2\n", 2),
     "matrix-surplus-row": (parse_matrix, "1\n1\n2\n", 3),
+    # the lower row of the first pair that differs
+    "matrix-asymmetric": (parse_symmetric_matrix, "2\n1 2\n3 4\n", 3),
+    "matrix-asymmetric-third-row": (parse_symmetric_matrix,
+                                    "3\n0 1 2\n1 0 3\n# c\n2 4 0\n", 5),
     "graph-directed-missing-edge": (parse_graph_file, "directed 3 2\n1 2\n", 2),
     "graph-directed-surplus-edge": (parse_graph_file, "directed 3 1\n1 2\n2 3\n", 3),
     "graph-undirected-missing-edge": (parse_graph_file, "undirected 3 2\n1 2\n", 2),

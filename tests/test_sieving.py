@@ -29,6 +29,7 @@ from kronscale.sieving import (
     vandermonde,
 )
 
+from conftest import planned_products
 from test_scaling import block_first
 
 F = gf2(16)
@@ -475,6 +476,13 @@ def test_tri_runner_takes_a_decomposition_provider():
 def test_kpath_tri_benchmark_circuit_does_not_grow():
     stats = _kpath_tri_benchmark_runner()[0].circuit.stats()
     assert (stats["arcs"], stats["gates"]) == (8_238, 3_752)
+
+
+def test_kpath_tri_plan_reduces_every_product():
+    # GF(2^w) has no unreduced product, so all 2,799 mul gates of the
+    # benchmark circuit stay in the batches that reduce them
+    circ = _kpath_tri_benchmark_runner()[0].circuit
+    assert planned_products(circ) == (circ.stats()["mul"], 0) == (2_799, 0)
 
 
 def test_tri_runner_keeps_the_extraction_meta_and_an_unbuilt_plan():
