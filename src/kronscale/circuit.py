@@ -388,15 +388,13 @@ def formal_degrees(circ: Circuit, variables=None) -> list[int]:
     return degs
 
 
-def analyze_skew(circ: Circuit, variables=None, degs=None) -> int:
-    """Least q such that the circuit is q-skew.
+def analyze_skew(circ: Circuit, degs) -> int:
+    """Least q such that the circuit is q-skew, given its formal degrees
+    `degs` (formal_degrees).
 
     The skew of a Mul is the smaller formal degree of its two sides, and
-    the circuit's q is the max over Muls.  A caller that already holds the
-    formal degrees passes them as `degs`, in place of `variables`.
+    the circuit's q is the max over Muls.
     """
-    if degs is None:
-        degs = formal_degrees(circ, variables)
     q = 0
     for op, payload in circ.gates:
         if op == OP_MUL:

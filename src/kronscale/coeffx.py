@@ -32,7 +32,6 @@ from .circuit import (
     CircuitBuilder,
     analyze_skew,
     formal_degrees,
-    replay,
 )
 from .errors import NotSkew, ShapeError, SingleOutputRequired
 from .scaling import PScalingScheme
@@ -251,25 +250,14 @@ def _masks(layer, masks: dict) -> dict:
     return masks
 
 
-class _Alive(dict):
-    """component -> its _Misses map, made on first lookup.  An adjoint
-    entry whose mask meets every mask the direct route fills at its
-    component never meets a disjoint forward entry there, so it reaches
-    no output."""
-
-    def __init__(self, masks: dict, full: int):
-        super().__init__()
-        self.masks = masks
-        self.full = full
-
-    def __missing__(self, comp):
-        misses = self[comp] = _Misses(self.masks.get(comp, ()), self.full)
-        return misses
-
-
 class _Misses(dict):
     """key -> whether the key's mask misses some mask of masks, filled on
-    first lookup."""
+    first lookup.  Given the masks the direct route fills at a component,
+    an adjoint entry whose mask meets every one of them never meets a
+    disjoint forward entry there, so it reaches no output."""
+
+    # no instance dict: the tri route makes one per component at degree >= n/3
+    __slots__ = ("masks", "full")
 
     def __init__(self, masks, full: int):
         super().__init__()
@@ -371,13 +359,12 @@ def extract_coeff_tripartition(circ: Circuit, variables, b: int = 1,
         raise ShapeError(f"tripartition extraction needs n a multiple of 3 and >= 6 "
                          f"(got {n}); use pad_degree first")
     degs = formal_degrees(circ, set(variables))
-    q = analyze_skew(circ, degs=degs)
+    q = analyze_skew(circ, degs)
     if q > 1:
         raise NotSkew(f"tripartition extraction needs a 1-skew circuit, got {q}-skew")
     bld, bottom, graph = _open(circ, variables, degs)
     if not graph:
         # the full monomial cannot appear at all
-        bld = CircuitBuilder(circ.field)
         bld.set_outputs([bld.zero])
         result = bld.build()
         result.meta.update(method="tri", s=0, t=0, table_entries=0)
@@ -393,7 +380,8 @@ def extract_coeff_tripartition(circ: Circuit, variables, b: int = 1,
     low = {c: t for c, t in bottom.items() if c[1] <= 1}
     middle_layer = _layer(graph, n3, 2 * n3)
     top_layer = _layer(graph, 2 * n3, n)
-    alive = _Alive(_masks(middle_layer + top_layer, dict(bottom)), full)
+    masks = _masks(middle_layer + top_layer, dict(bottom))
+    alive = {c: _Misses(masks.get(c, ()), full) for c, _ in graph if c[1] >= n3}
     # the top layer, transposed from its one seed: h_j is the adjoint of
     # cut2 component j
     top = _run_layer(bld, top_layer, dict(low), {(circ.outputs[0], n): {0: [bld.one]}}, alive)
@@ -442,11 +430,13 @@ def pad_degree(circ: Circuit, variables) -> tuple[Circuit, tuple]:
     """Round the variable count up to a multiple of 3 that is >= 9 by
     multiplying the output with fresh variables v:__pad0, v:__pad1, ...;
     the coefficient of the enlarged full monomial equals the original one.
-    An input of circ with one of those names would merge with it, so it
-    raises ShapeError.  The floor of 9 is a measured choice, not a
-    soundness one (the tripartition route takes 6): padding the kpath-tri
-    benchmark circuit (k=5, six sieve variables) to 6 instead of 9 grows
-    it from 8,238 to 14,828 arcs."""
+    The padded circuit is circ's gates, as they are, followed by one input
+    and one mul gate per fresh variable, with the last mul its one output,
+    so it keeps every input of circ.  An input of circ with one of those
+    names would merge with it, so it raises ShapeError.  The floor of 9 is
+    a measured choice, not a soundness one (the tripartition route takes
+    6): padding the kpath-tri benchmark circuit (k=5, six sieve variables)
+    to 6 instead of 9 grows it from 8,238 to 14,828 arcs."""
     variables = tuple(variables)
     n = len(variables)
     fresh = tuple(f"v:__pad{i}" for i in range(max(9, 3 * ((n + 2) // 3)) - n))
@@ -455,18 +445,20 @@ def pad_degree(circ: Circuit, variables) -> tuple[Circuit, tuple]:
     clash = set(fresh).intersection(circ.input_names())
     if clash:
         raise ShapeError(f"input {min(clash)!r} has the name of a padding variable")
-    bld = CircuitBuilder(circ.field)
-    out = replay(circ, bld)[circ.outputs[0]]
+    gates = list(circ.gates)
+    out = circ.outputs[0]
     for name in fresh:
-        out = bld.mul(out, bld.inp(name))
-    bld.set_outputs([out])
-    return bld.build(), variables + fresh
+        gates += [(OP_IN, name), (OP_MUL, (out, len(gates)))]
+        out = len(gates) - 1
+    return Circuit(circ.field, tuple(gates), (out,)), variables + fresh
 
 
 def extract_coefficient(circ: Circuit, variables, method: str = "direct",
                         b: int = 1, g: int | None = None,
                         dec_source=None) -> Circuit:
-    """Front end: pads for the tripartition route, then dispatches."""
+    """Front end: pads for the tripartition route, then dispatches.  Both
+    routes keep every input of circ that is not in `variables`, read or
+    not, in circ's order."""
     variables = tuple(variables)
     if method == "direct":
         return extract_coeff_direct(circ, variables)

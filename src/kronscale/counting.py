@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, CircuitBuilder, evaluate
 from .coeffx import extract_coefficient
-from .errors import (DivisibilityError, ParityError, ParseError, TooLarge,
+from .errors import (DivisibilityError, ParityError, ParseError, ShapeError, TooLarge,
                      content_lines, int_fields, records)
 from .fields import Field, prime_field
 from .scaling import PScalingScheme
@@ -30,9 +30,9 @@ class SquareMatrix:
     def __post_init__(self):
         for row in self.entries:
             if len(row) != self.n:
-                raise ParseError("matrix is not square")
+                raise ShapeError("matrix is not square")
         if self.symmetric and _asymmetric_row(self.entries) is not None:
-            raise ParseError("symmetric flag on an asymmetric matrix")
+            raise ShapeError("symmetric flag on an asymmetric matrix")
 
 
 def _asymmetric_row(entries):

@@ -383,9 +383,9 @@ def parse_field_spec(spec: str) -> Field:
 
 def prime_field(p: int = DEFAULT_PRIME) -> PrimeField:
     """Z_p constructor."""
-    return parse_field_spec(f"p={p}")
+    return PrimeField(p)
 
 
 def gf2(w: int) -> GF2Field:
     """GF(2^w) constructor."""
-    return parse_field_spec(f"gf2 w={w}")
+    return GF2Field(w)

@@ -20,63 +20,47 @@ CLASS_CAP = 64      # distinct vectors the dynamic program accepts
 
 def _balanced_order(classes, counts, dim: int, boundaries, limit: int) -> list:
     """Class order from an exact min-max dynamic program over multisets of
-    per-class counts.
+    per-class counts, as a list of class indices.
 
     The classes, taken counts[i] times each, sum to zero, so the deviation
     of a prefix is the infinity norm of its sum; it depends only on the
-    prefix's multiset.  Among the orders whose every prefix deviation is at
-    most `limit`, returns one minimizing the worst deviation at the prefix
-    lengths in `boundaries`, as a list of class indices.  Ties break toward
-    the least class index, so the output is deterministic.
+    prefix's multiset, its state.  One memoized recursion from the empty
+    state fills best[state]: the least worst deviation at the prefix
+    lengths in `boundaries` over the state's completions whose every
+    prefix deviation is at most `limit`, with the class it takes next, or
+    None when no completion stays within the limit; the full state holds
+    (-1, None), -1 standing below every deviation.  Ties keep the least
+    class index, so the output is deterministic.  The order then follows
+    the stored classes.  The recursion nests r = sum(counts) calls;
+    decompose_P's r is its block count n/b.
     """
-    r = sum(counts)
     C = len(classes)
-    start = (0,) * C
-    full = tuple(counts)
-    # cost[state]: the state's deviation if its length is a boundary, else
-    # -1; levels[k] maps each length-k state within the limit to its prefix
-    # sum.  A state beyond the limit gets a cost but joins no level, so it
-    # gets no value below and no order passes through it.
-    cost = {start: -1}
-    levels = [{start: (0,) * dim}]
-    for k in range(1, r + 1):
-        nxt = {}
-        for state, pref in levels[-1].items():
-            for i in range(C):
-                if state[i] == counts[i]:
-                    continue
-                s2 = state[:i] + (state[i] + 1,) + state[i + 1:]
-                if s2 in cost:
-                    continue
-                p2 = tuple(p + x for p, x in zip(pref, classes[i]))
-                dev = max(map(abs, p2))
-                cost[s2] = dev if k in boundaries else -1
-                if dev <= limit:
-                    nxt[s2] = p2
-        levels.append(nxt)
-    if full not in levels[r]:
+    best = {tuple(counts): (-1, None)}
+
+    def solve(state, pref, k):
+        if state in best:
+            return best[state]
+        found = None
+        for i in range(C):
+            if state[i] == counts[i]:
+                continue
+            p2 = tuple(p + x for p, x in zip(pref, classes[i]))
+            dev = max(map(abs, p2), default=0)
+            if dev > limit:
+                continue
+            sub = solve(state[:i] + (state[i] + 1,) + state[i + 1:], p2, k + 1)
+            if sub is not None:
+                worst = max(dev if k + 1 in boundaries else -1, sub[0])
+                if found is None or worst < found[0]:
+                    found = (worst, i)
+        best[state] = found
+        return found
+
+    state = (0,) * C
+    if solve(state, (0,) * dim, 0) is None:
         raise InternalError("no order satisfies the Steinitz bound")
-
-    # best[state]: the least worst boundary deviation over the state's
-    # completions, None when it has none
-    best = {full: -1}
-
-    def value(state, i):
-        """best over the completions of state that take class i next."""
-        if state[i] == counts[i]:
-            return None
-        s2 = state[:i] + (state[i] + 1,) + state[i + 1:]
-        v = best.get(s2)
-        return None if v is None else max(cost[s2], v)
-
-    for level in reversed(levels[:r]):
-        for state in level:
-            values = [value(state, i) for i in range(C)]
-            best[state] = min((v for v in values if v is not None), default=None)
     order = []
-    state = start
-    for _ in range(r):
-        i = next(i for i in range(C) if value(state, i) == best[state])
+    while (i := best[state][1]) is not None:
         order.append(i)
         state = state[:i] + (state[i] + 1,) + state[i + 1:]
     return order
@@ -91,13 +75,15 @@ def concentration_partition(vectors, scale: int, sizes) -> tuple:
     the sum of all v: that is (v_i - mean)/2 for the vectors v/scale, in
     units of 1/(2*r*scale).  The u_i sum to zero and have norm at most
     2*r*scale, so the lemma gives an order whose every prefix sum of u
-    stays within 2*r*scale*d.  Among those orders the one whose group
-    boundaries stray least is taken.  Each
-    group's mean v/scale then lies within 4*d/g of the mean of all of them
-    (checked exactly).  Vectors with equal entries fall into one class, and
-    a class's indices keep their order; more than CLASS_CAP classes raise
-    TooManyClasses, and vectors of mixed dimension or beyond the norm
-    ShapeError.
+    stays within 2*r*scale*d: the limit of the one memoized pass
+    (_balanced_order), which takes, among those orders, one whose group
+    boundaries stray least.  Each group's mean v/scale then lies within
+    4*d/g of the mean of all of them (checked exactly).  Vectors with
+    equal entries fall into one class, one dict entry from the centred
+    vector to its indices, and a class's indices keep their order.  More
+    than CLASS_CAP classes raise TooManyClasses, and vectors of mixed
+    dimension or beyond the norm ShapeError.  Vectors of dimension 0 have
+    norm 0 and form one class, so their indices stay in order.
     """
     sizes = tuple(sizes)
     r = len(vectors)
@@ -108,16 +94,15 @@ def concentration_partition(vectors, scale: int, sizes) -> tuple:
     if any(len(v) != dim or any(abs(x) > scale for x in v) for v in vectors):
         raise ShapeError(f"vectors need one dimension and entries within +-{scale}")
     centred = [tuple(r * x - t for x, t in zip(v, total)) for v in vectors]
-    classes = sorted(set(centred))
-    if len(classes) > CLASS_CAP:
-        raise TooManyClasses(f"{len(classes)} distinct vectors exceed cap {CLASS_CAP}")
-    class_of = {u: i for i, u in enumerate(classes)}
-    members = [[] for _ in classes]
+    members = {}    # class vector -> its indices, in order
     for idx, u in enumerate(centred):
-        members[class_of[u]].append(idx)
-    order = _balanced_order(classes, [len(m) for m in members], dim,
+        members.setdefault(u, []).append(idx)
+    if len(members) > CLASS_CAP:
+        raise TooManyClasses(f"{len(members)} distinct vectors exceed cap {CLASS_CAP}")
+    classes = sorted(members)
+    order = _balanced_order(classes, [len(members[u]) for u in classes], dim,
                             set(accumulate(sizes)), 2 * r * scale * dim)
-    pools = [iter(m) for m in members]
+    pools = [iter(members[u]) for u in classes]
     perm = [next(pools[i]) for i in order]
     groups = []
     for end, g in zip(accumulate(sizes), sizes):

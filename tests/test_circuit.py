@@ -484,14 +484,15 @@ def test_formal_degrees_and_skew():
     c = bld.build()
     degs = formal_degrees(c)
     assert degs[s] == 1 and degs[p] == 2
-    assert analyze_skew(c) == 1
+    assert analyze_skew(c, degs) == 1
 
     bld = CircuitBuilder(ZP)
     xs = [bld.inp(f"x:{{{i}}}") for i in range(4)]
     s1, s2 = bld.add(xs[0], xs[1]), bld.add(xs[2], xs[3])
     m1, m2 = bld.mul(s1, s1), bld.mul(s2, s2)
     bld.set_outputs([bld.mul(m1, m2)])
-    assert analyze_skew(bld.build()) == 2
+    c = bld.build()
+    assert analyze_skew(c, formal_degrees(c)) == 2
 
 
 def test_skew_product_of_sums_is_one():
@@ -502,7 +503,8 @@ def test_skew_product_of_sums_is_one():
     for _ in range(3):
         acc = bld.mul(acc, bld.add(*xs))
     bld.set_outputs([acc])
-    assert analyze_skew(bld.build()) == 1
+    c = bld.build()
+    assert analyze_skew(c, formal_degrees(c)) == 1
 
 
 def test_skew_wrt_variable_subset():
@@ -510,8 +512,8 @@ def test_skew_wrt_variable_subset():
     x, r = bld.inp("x:{1}"), bld.inp("v:label")
     bld.set_outputs([bld.mul(bld.mul(r, x), bld.mul(r, x))])
     c = bld.build()
-    assert analyze_skew(c) == 2
-    assert analyze_skew(c, variables={"x:{1}"}) == 1
+    assert analyze_skew(c, formal_degrees(c)) == 2
+    assert analyze_skew(c, formal_degrees(c, {"x:{1}"})) == 1
 
 
 def test_serialize_roundtrip_empty_outputs():

@@ -125,7 +125,7 @@ def test_direct_matches_expansion_oracle_on_3skew_circuits():
     skews = set()
     for _ in range(6):
         c = random_skew_circuit(F, rng, names, n_gates=20, q=3, full_monomial=True)
-        skews.add(analyze_skew(c, set(names)))
+        skews.add(analyze_skew(c, formal_degrees(c, set(names))))
         want = expand_circuit(c, term_cap=500_000)[0].coefficient_of_full_monomial(names)
         assert want != 0
         assert evaluate(extract_coeff_direct(c, names), {}) == (want,)
@@ -190,6 +190,26 @@ def test_pad_degree():
     c9 = full_product_circuit(F, names9)
     same, same_names = pad_degree(c9, names9)
     assert same is c9 and same_names == tuple(names9)
+
+
+@pytest.mark.parametrize("degree", [6, 5], ids=["full", "short"])
+def test_both_routes_keep_an_input_that_no_gate_reads(degree):
+    # the output reads a:c, and no gate reads a:dead; the tri route pads
+    # the circuit to nine variables without dropping it, and keeps it when
+    # the full monomial cannot appear (degree 5)
+    names = names_for(6)
+    bld = CircuitBuilder(F)
+    bld.inp("a:dead")
+    out = bld.inp("a:c")
+    for name in names[:degree]:
+        out = bld.mul(out, bld.inp(name))
+    bld.set_outputs([out])
+    c = bld.build()
+    direct = extract_coefficient(c, names, "direct")
+    tri = extract_coefficient(c, names, "tri")
+    assert direct.input_names() == tri.input_names() == ["a:dead", "a:c"]
+    asg = {"a:dead": 3, "a:c": 5}
+    assert evaluate(direct, asg) == evaluate(tri, asg) == (5 if degree == 6 else 0,)
 
 
 def test_padded_extraction_agrees():
@@ -518,4 +538,4 @@ def _kpath_application():
 def test_every_application_circuit_is_1skew(build):
     # the tri route takes 1-skew circuits only
     circ, xvars = build()
-    assert analyze_skew(circ, set(xvars)) == 1
+    assert analyze_skew(circ, formal_degrees(circ, set(xvars))) == 1

@@ -23,7 +23,7 @@ from kronscale.counting import (
     permanent_via_extraction,
     setpart_bruteforce,
 )
-from kronscale.circuit import analyze_skew
+from kronscale.circuit import analyze_skew, formal_degrees
 from kronscale.coeffx import extract_coeff_direct, extract_coeff_tripartition
 from kronscale.errors import DivisibilityError, ParityError, ShapeError
 from kronscale.fields import Rng, prime_field
@@ -236,7 +236,7 @@ def test_hafnian_direct_extraction_tables_only_reached_components():
 
 def test_hafnian_clow_circuit_is_1skew():
     circ, xvars = hafnian_clow_circuit(6, F)
-    assert analyze_skew(circ, set(xvars)) <= 1
+    assert analyze_skew(circ, formal_degrees(circ, set(xvars))) <= 1
 
 
 def test_hafnian_odd_order_rejected():
@@ -346,6 +346,17 @@ def test_setpart_members_of_mixed_sizes():
     assert want > 1
     assert count_set_partitions(fam, "direct") == want
     assert count_set_partitions(fam, "tri") == want
+
+
+@pytest.mark.parametrize("entries, symmetric, message", [
+    (((1, 2),), False, "matrix is not square"),
+    (((1, 2), (3, 4)), True, "symmetric flag on an asymmetric matrix"),
+], ids=["not-square", "asymmetric"])
+def test_a_matrix_built_in_code_raises_shape_error(entries, symmetric, message):
+    # no text was parsed, so there is no line to name: parse_matrix_file
+    # makes these checks itself
+    with pytest.raises(ShapeError, match=f"^{message}$"):
+        SquareMatrix(F, entries, symmetric=symmetric)
 
 
 def test_matrix_file_roundtrip():

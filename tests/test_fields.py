@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from kronscale.errors import DivisionByZero
+from kronscale.errors import DivisionByZero, ParseError
 from kronscale.fields import (
     DEFAULT_PRIME,
     REDUCTION_POLY_LOW,
@@ -254,6 +254,17 @@ def test_equal_fields_are_interchangeable_values():
         assert built == made and hash(built) == hash(made)
     assert gf2(32) is not gf2(32)
     assert gf2(32) != gf2(16) and prime_field(101) != prime_field(103)
+
+
+@pytest.mark.parametrize("make, arg, spec", [(prime_field, 4, "p=4"), (gf2, 7, "gf2 w=7")],
+                         ids=["prime_field", "gf2"])
+def test_constructors_raise_the_fields_value_error(make, arg, spec):
+    # a field built in code raises its class's ValueError; only the spec
+    # text parser turns it into a ParseError
+    with pytest.raises(ValueError):
+        make(arg)
+    with pytest.raises(ParseError):
+        parse_field_spec(spec)
 
 
 def test_spec_string_roundtrip():

@@ -1,8 +1,9 @@
 """Every name a kronscale module imports is used by that module and comes
 from the standard library or kronscale itself, no function writes into a
 module-level container (a hidden global cache), no code but
-CircuitBuilder._push writes a builder's gate list, and every definition,
-in a kronscale module or a shared test helper, is named somewhere outside
+CircuitBuilder._push writes a builder's gate list, only the text parsers
+and their line helpers raise ParseError, and every definition, in a
+kronscale module or a shared test helper, is named somewhere outside
 itself."""
 
 import ast
@@ -202,6 +203,51 @@ def test_scan_finds_a_gate_write_outside_push():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_gates_are_written_only_by_push(path):
     assert gate_writes_outside_push(path.read_text()) == []
+
+
+PARSE_ERROR_RAISERS = re.compile(r"_?parse|int_fields$|records$")
+
+
+def parse_errors_outside_parsers(source: str) -> list:
+    """(line, function) for each `raise ParseError` that no function named
+    parse*, _parse*, int_fields or records encloses, function being the
+    innermost enclosing one (None at module level)."""
+    hits = []
+
+    def visit(node, func, allowed):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, FUNCTIONS):
+                visit(child, child.name,
+                      allowed or PARSE_ERROR_RAISERS.match(child.name) is not None)
+                continue
+            if isinstance(child, ast.Raise) and not allowed:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id == "ParseError":
+                    hits.append((child.lineno, func))
+            visit(child, func, allowed)
+
+    visit(ast.parse(source), None, False)
+    return hits
+
+
+def test_scan_finds_a_parse_error_outside_a_parser():
+    source = ("def parse_x(text):\n    def field(t):\n        raise ParseError('f')\n"
+              "    raise ParseError('x', 1)\n"
+              "def _parse_y(text):\n    raise ParseError('y') from None\n"
+              "def records(lines):\n    raise ParseError('r')\n"
+              "class M:\n    def __post_init__(self):\n        raise ParseError('m')\n"
+              "def check(v):\n    try:\n        parse_x(v)\n    except ParseError:\n"
+              "        raise\n    raise ParseError\n"
+              "raise ParseError('top')\n")
+    assert parse_errors_outside_parsers(source) == \
+        [(11, "__post_init__"), (17, "check"), (18, None)]
+
+
+# ParseError names a line of parsed text; a value built in code has none,
+# so a fault in it is some other error
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_parse_errors_are_raised_only_by_parsers(path):
+    assert parse_errors_outside_parsers(path.read_text()) == []
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -79,6 +79,16 @@ def test_dp_matches_exhaustive_small():
         assert max(devs[k - 1] for k in bounds) == best
 
 
+def test_the_prefix_limit_binds():
+    # the limit 2*r*scale*d (d in the units of prefix_deviations) decides
+    # the groups here: half of it gives ((2, 3, 1, 0, 5), (4, 6)), and no
+    # limit at all ((0, 2, 3, 1, 5), (4, 6))
+    vecs = [(-3,), (3,), (-2,), (2,), (0,), (3,), (1,)]
+    groups = concentration_partition(vecs, 3, (5, 2))
+    assert groups == ((0, 4, 6, 3, 1), (2, 5))
+    assert max(prefix_deviations(vecs, 3, flat(groups))) <= 1
+
+
 def test_plus_minus_one():
     # both orders are optimal; the tie breaks toward the least vector
     groups = concentration_partition([(1,), (-1,)], 1, (1, 1))
@@ -105,8 +115,10 @@ def test_permutation_is_bijection():
 
 
 def test_all_vectors_equal():
-    # one class: its indices keep their order across groups of any size
+    # one class: its indices keep their order across groups of any size;
+    # vectors of dimension 0 have norm 0 and form one class too
     assert concentration_partition([(3, 2)] * 5, 6, (2, 3)) == ((0, 1), (2, 3, 4))
+    assert concentration_partition([(), ()], 1, (1, 1)) == ((0,), (1,))
 
 
 def test_determinism():
