@@ -5,27 +5,26 @@ Gates live in topological order; ids are list positions.  Add gates take
 arbitrary fan-in and Mul gates are binary: the builder and the parser
 only make binary ones.  Size is the arc count: the sum of gate fan-ins.
 
-`evaluate` runs level by level from the circuit's plan: inputs and
-constants are level 0, a gate sits one level above its deepest argument,
-and each level is up to two batches of field multiplications and one of
-sums (`sum_many`), over the add gates grouped by arity.  The reduced
-batch (`mul_many`) holds the mul gates that a mul gate or an output
-reads.  Over a field with an unreduced product (`mul_many_unreduced`,
-the prime fields), the mul gates that only add gates read go to the
-unreduced batch instead: their sum reduces once, not every product
-first.  Over GF(2^w) every mul gate is in the reduced batch.  So every
-value a mul gate reads, and every output, is canonical.  The plan holds
-one `operator.itemgetter` per operand list, so each batch gathers its
-operands in one C-level call.  It is built on the first evaluation and
-held by the `Circuit` itself, so it lives and dies with the circuit and
-its cost stays out of every build.
+`evaluate` runs level by level from the circuit's plan, one field call
+(`dot_many`) per level.  A mul gate that one add gate reads, once, and
+that no other gate and no output reads is fused into that add: it gets
+no value and no level of its own, and the add forms its product with
+its other fused products, sums them with its plain arguments and
+reduces the sum once.  Every other mul gate is a sum of one product.
+Inputs and constants are level 0, and a gate sits one level above its
+deepest plain argument or product operand.  So every value held, and
+every output, is canonical.  The plan holds one `operator.itemgetter`
+per operand list, so each level gathers its operands in one C-level
+call.  It is built on the first evaluation and held by the `Circuit`
+itself, so it lives and dies with the circuit and its cost stays out of
+every build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, reduce
-from itertools import accumulate, compress, filterfalse
+from itertools import accumulate, compress
 from operator import itemgetter
 
 from .errors import InputOutOfRange, ParseError, UnassignedInput, content_lines
@@ -48,14 +47,7 @@ def subset_name(prefix: str, elems) -> str:
 
 
 def mask_bits(mask: int) -> list[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def mask_of(elems) -> int:
@@ -75,11 +67,7 @@ class Circuit:
     @property
     def size(self) -> int:
         """Arc count."""
-        total = 0
-        for op, payload in self.gates:
-            if op in (OP_ADD, OP_MUL):
-                total += len(payload)
-        return total
+        return sum(len(payload) for op, payload in self.gates if op in (OP_ADD, OP_MUL))
 
     def input_names(self) -> list[str]:
         return [payload for op, payload in self.gates if op == OP_IN]
@@ -88,8 +76,7 @@ class Circuit:
     def plan(self) -> tuple:
         """The level-by-level evaluation order (`_level_plan`), built on
         first use."""
-        return _level_plan(self.gates, self.outputs,
-                           self.field.mul_many_unreduced is not None)
+        return _level_plan(self.gates, self.outputs)
 
     def stats(self) -> dict:
         counts = {"in": 0, "const": 0, "add": 0, "mul": 0}
@@ -229,108 +216,96 @@ class CircuitBuilder:
 
 
 def _getter(slots):
-    """A function from the value list to the tuple of its entries at
-    `slots`, or None when there are none."""
+    """A function from the value list to the tuple of its entries at `slots`."""
     if len(slots) == 1:
         (i,) = slots
         return lambda vals: (vals[i],)
-    return itemgetter(*slots) if slots else None
+    return itemgetter(*slots) if slots else lambda vals: ()
 
 
-def _level_plan(gates, outputs, unreduced: bool) -> tuple:
-    """(inputs, consts, levels, outputs): gates grouped by depth, with
-    every value in one list of slots.
+def _level_plan(gates, outputs) -> tuple:
+    """(inputs, consts, levels, outputs): gates grouped by depth into
+    fused sums of products, with every value in one list of slots.
+
+    A mul gate that exactly one add gate reads, once, and no mul gate and
+    no output reads is fused: the add forms its product.  `_readers`
+    counts the reads in its backward walk, and one forward pass finds the
+    depths and splits each add's arguments into its fused products and
+    its plain arguments.  A fused mul takes the depth of its deeper
+    operand, and every other gate sits one above its deepest argument, so
+    an add sits one above its plains and its products' operands.  Each
+    level's gates are grouped by shape (k products, j plains); a mul gate
+    that is not fused is the (1, 0) sum of its own product.
 
     The slots hold the inputs in gate order, then the constants, then per
-    level its reduced mul gates, its unreduced mul gates, and its add
-    gates, grouped by arity.  `inputs` and `consts` are the input names
-    and constant values, `outputs` the output slots.  A level is
-    (xs, ys, lazy_xs, lazy_ys, args, groups): each of the first five maps
-    the value list to the operand tuple it gathers, or is None for a
-    level without such gates.  Reduced mul gate j multiplies xs(vals)[j]
-    and ys(vals)[j], unreduced mul gate j lazy_xs(vals)[j] and
-    lazy_ys(vals)[j].  The add gates' arguments come in `groups`, pairs
-    (k, n) of n gates of arity k whose k * n arguments follow each other
-    row by row in args(vals).  Only the gates that the outputs reach are
-    planned, but every input is, so each input needs a value.
-
-    With `unreduced`, a mul gate that no mul gate and no output reads is
-    unreduced: only add gates read it, and each sum is reduced.  The same
-    forward pass that finds the depths marks the operands of every mul
-    and the outputs as reduced.  Without it, every mul gate is reduced.
+    level its gates, group by group.  `inputs` and `consts` are the input
+    names and constant values, `outputs` the output slots.  A level is
+    (xs, ys, plains, groups): the first three map the value list to the
+    operand tuple they gather, and `groups` holds a triple (k, j, n) per
+    group of n gates.  A group's n * k products, xs(vals)[i] times
+    ys(vals)[i], and its n * j plains follow those of the groups before it
+    column by column: column c holds argument c of each of its gates.
+    Only the gates that the outputs reach are planned, but every input
+    is, so each input needs a value.
     """
+    readers = _readers(gates, outputs)
     depth = [0] * len(gates)
-    live = _reached(gates, outputs)
-    reduced = [False] * len(gates)
-    for o in outputs:
-        reduced[o] = True
-    inputs, consts, muls, adds = [], [], [], []
+    fused = [False] * len(gates)
+    inputs, consts, levels = [], [], []
     for gid, (op, payload) in enumerate(gates):
         if op == OP_IN:
             inputs.append(gid)
             continue
-        if not live[gid]:
+        reads = readers[gid]
+        if not reads:
             continue
         if op == OP_MUL:
             x, y = payload
-            reduced[x] = reduced[y] = True
             d = depth[x] if depth[x] > depth[y] else depth[y]
-            by_level = muls
+            if reads == 1:
+                # one read, so by one add: that add forms the product
+                depth[gid] = d
+                fused[gid] = True
+                continue
+            row = (gid, (gid,), ())
         elif op == OP_ADD:
             d = 0
+            products, plain = [], []
             for a in payload:
                 if depth[a] > d:
                     d = depth[a]
-            by_level = adds
+                (products if fused[a] else plain).append(a)
+            row = (gid, products, plain)
         else:
             consts.append(gid)
             continue
         depth[gid] = d + 1
         # level d + 1 is at most one past the deepest level so far
-        if len(muls) == d:
-            muls.append([])
-            adds.append([])
-        by_level[d].append(gid)
+        if len(levels) == d:
+            levels.append({})
+        levels[d].setdefault((len(row[1]), len(row[2])), []).append(row)
     slot = [0] * len(gates)
     for i, gid in enumerate(inputs + consts):
         slot[gid] = i
     used = len(inputs) + len(consts)
-    levels = []
-    for level_muls, level_adds in zip(muls, adds):
-        lazy = []
-        if unreduced:
-            lazy = list(filterfalse(reduced.__getitem__, level_muls))
-            if lazy:
-                level_muls = list(filter(reduced.__getitem__, level_muls))
-        by_arity: dict[int, list] = {}
-        for gid in level_adds:
-            k = len(gates[gid][1])
-            group = by_arity.get(k)
-            if group is None:
-                by_arity[k] = [gid]
-            else:
-                group.append(gid)
-        args, groups, ordered = [], [], level_muls + lazy
-        gather = args.append
-        for k, group in by_arity.items():
-            for gid in group:
-                for a in gates[gid][1]:
-                    gather(slot[a])
-            groups.append((k, len(group)))
-            ordered += group
-        for i, gid in enumerate(ordered, used):
-            slot[gid] = i
-        used += len(ordered)
-        levels.append((*_operands(gates, slot, level_muls), *_operands(gates, slot, lazy),
-                       _getter(args), tuple(groups)))
+    planned = []
+    for level in levels:
+        xs, ys, plains, groups = [], [], [], []
+        for (k, j), rows in level.items():
+            for c in range(k):
+                for _, products, _ in rows:
+                    x, y = gates[products[c]][1]
+                    xs.append(slot[x])
+                    ys.append(slot[y])
+            for c in range(j):
+                plains += [slot[plain[c]] for _, _, plain in rows]
+            groups.append((k, j, len(rows)))
+            for gid, _, _ in rows:
+                slot[gid] = used
+                used += 1
+        planned.append((_getter(xs), _getter(ys), _getter(plains), tuple(groups)))
     return (tuple(gates[gid][1] for gid in inputs), tuple(gates[gid][1] for gid in consts),
-            tuple(levels), tuple(slot[o] for o in outputs))
-
-
-def _operands(gates, slot, muls) -> tuple:
-    """The getters of the left and the right operands of the mul gates."""
-    pairs = [gates[gid][1] for gid in muls]
-    return _getter([slot[x] for x, _ in pairs]), _getter([slot[y] for _, y in pairs])
+            tuple(planned), tuple(slot[o] for o in outputs))
 
 
 def evaluate(circ: Circuit, assignment: dict) -> tuple:
@@ -338,10 +313,10 @@ def evaluate(circ: Circuit, assignment: dict) -> tuple:
 
     Every input gate needs a value in [0, field.order): UnassignedInput
     names the first one without a value, InputOutOfRange one whose value
-    is outside that range.  Each level runs its reduced products
-    (`mul_many`), its unreduced ones (`mul_many_unreduced`), then its
-    sums (`sum_many`, which reduces each sum), so every value that a mul
-    gate or an output reads, and every value returned, is canonical.
+    is outside that range.  Each level of the plan is one `dot_many`
+    call, which forms the level's products, sums each gate's products
+    and plain arguments and reduces each sum once, so every value held
+    and every value returned is canonical.
     """
     inputs, consts, levels, outputs = circ.plan
     field = circ.field
@@ -356,14 +331,8 @@ def evaluate(circ: Circuit, assignment: dict) -> tuple:
             raise InputOutOfRange(f"value {v} for input {name!r} is outside [0, {order})")
         vals.append(v)
     vals += consts
-    mul_many, mul_lazy, sum_many = field.mul_many, field.mul_many_unreduced, field.sum_many
-    for xs, ys, lazy_xs, lazy_ys, args, groups in levels:
-        if xs:
-            vals += mul_many(xs(vals), ys(vals))
-        if lazy_xs:
-            vals += mul_lazy(lazy_xs(vals), lazy_ys(vals))
-        if args:
-            vals += sum_many(args(vals), groups)
+    for xs, ys, plains, groups in levels:
+        vals += field.dot_many(xs(vals), ys(vals), plains(vals), groups)
     return tuple(map(vals.__getitem__, outputs))
 
 
@@ -404,17 +373,25 @@ def analyze_skew(circ: Circuit, degs) -> int:
     return q
 
 
-def _reached(gates, outputs) -> list:
-    """Per gate: whether some output reaches it, marked walking backwards."""
-    live = [False] * len(gates)
+def _readers(gates, outputs) -> list:
+    """Per gate: its reads by the gates and outputs that reach it, counted
+    walking backwards, or 0 when no output reaches it.  An add's argument
+    counts once per arc, and a mul's operand and an output twice, so a
+    count of 1 is one read by one add gate."""
+    readers = [0] * len(gates)
     for o in outputs:
-        live[o] = True
+        readers[o] += 2
     for gid in range(len(gates) - 1, -1, -1):
-        op, payload = gates[gid]
-        if live[gid] and op in (OP_ADD, OP_MUL):
-            for a in payload:
-                live[a] = True
-    return live
+        if readers[gid]:
+            op, payload = gates[gid]
+            if op == OP_ADD:
+                for a in payload:
+                    readers[a] += 1
+            elif op == OP_MUL:
+                x, y = payload
+                readers[x] += 2
+                readers[y] += 2
+    return readers
 
 
 def replay(circ: Circuit, bld: CircuitBuilder, input_map=None) -> list:
@@ -425,7 +402,7 @@ def replay(circ: Circuit, bld: CircuitBuilder, input_map=None) -> list:
     None (or no map) copies the input.  Returns the new id of every old
     gate, a handle for a constant, and None for those no output reaches.
     """
-    live = _reached(circ.gates, circ.outputs)
+    live = _readers(circ.gates, circ.outputs)
     new = [None] * len(circ.gates)
     for gid, (op, payload) in enumerate(circ.gates):
         if not live[gid]:
@@ -449,11 +426,11 @@ def dead_gate_elimination(circ: Circuit) -> Circuit:
     Gates are copied as they are, not rebuilt: nothing folds, and two
     equal kept gates stay two gates.  A circuit whose every gate is
     reached comes back as the same object."""
-    live = _reached(circ.gates, circ.outputs)
+    live = _readers(circ.gates, circ.outputs)
     if all(live):
         return circ
     # new[gid]: how many gates before gid are kept, gid's new id if kept
-    new = list(accumulate(live, initial=0))
+    new = list(accumulate(map(bool, live), initial=0))
     kept = []
     for gate in compress(circ.gates, live):
         op, payload = gate

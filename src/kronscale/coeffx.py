@@ -436,7 +436,10 @@ def pad_degree(circ: Circuit, variables) -> tuple[Circuit, tuple]:
     names would merge with it, so it raises ShapeError.  The floor of 9 is
     a measured choice, not a soundness one (the tripartition route takes
     6): padding the kpath-tri benchmark circuit (k=5, six sieve variables)
-    to 6 instead of 9 grows it from 8,238 to 14,828 arcs."""
+    to 6 instead of 9 grows it from 8,238 to 14,828 arcs.  A circuit
+    without exactly one output raises SingleOutputRequired."""
+    if len(circ.outputs) != 1:
+        raise SingleOutputRequired("extraction needs a single-output circuit")
     variables = tuple(variables)
     n = len(variables)
     fresh = tuple(f"v:__pad{i}" for i in range(max(9, 3 * ((n + 2) // 3)) - n))

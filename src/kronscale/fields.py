@@ -7,19 +7,12 @@ width and no tables, costs nothing to build, and compares and hashes equal
 to every field with the same spec string.  GF(2^w) has one scalar
 multiply at every width, the bit-serial carryless product and reduction.
 
-Every field also has two batch operations, which circuit evaluation calls
-once per level: `mul_many(xs, ys)`, the products of two equal-length
-operand sequences, and `sum_many(values, groups)`, the sums of
-consecutive runs of values: a group (k, n) takes the next k * n values
-as n rows of k and sums each row.  Both return canonical values.  A
-prime field also has `mul_many_unreduced(xs, ys)`, the integer products
-below p^2, for the products that only sums read: its `sum_many` reduces
-each sum mod p, so a sum of such products is reduced once.  Other
-fields set `mul_many_unreduced` to None.  Over GF(2^w) `mul_many`
-multiplies all its pairs at once in the lanes of one Python int, a 4-bit
-window at a time, at every width, and `sum_many` XORs a group's k
-columns, each one strided slice, or, when the group has more columns
-than rows, each row by one `reduce`.
+Every field also has one batch operation, which circuit evaluation
+calls once per level: `dot_many(xs, ys, plains, groups)`.  A group
+(k, j, n) is n gates, each the sum of k products xs[i] * ys[i] and j
+plain values, laid out column by column: column c holds argument c of
+each gate.  It returns one canonical value per gate and reduces each sum
+once, not each product.
 
 The random generator is SplitMix64, a fixed, versioned, splittable
 generator: identical seeds give identical streams on every platform.
@@ -30,7 +23,6 @@ from __future__ import annotations
 import operator
 import sys
 from array import array
-from functools import reduce
 
 from .errors import DivisionByZero, ParseError
 
@@ -118,8 +110,6 @@ class Field:
     """Common interface; concrete fields below."""
 
     kind = None
-    # the batch product that leaves reduction to the sums; PrimeField has one
-    mul_many_unreduced = None
 
     def spec_string(self) -> str:
         raise NotImplementedError
@@ -166,21 +156,27 @@ class PrimeField(Field):
     def mul(self, a, b):
         return a * b % self.p
 
-    def mul_many(self, xs, ys) -> list:
-        return list(map(self.p.__rmod__, map(operator.mul, xs, ys)))
-
-    def mul_many_unreduced(self, xs, ys) -> list:
-        """The integer products, below p^2: a value only `sum_many` may read."""
-        return list(map(operator.mul, xs, ys))
-
-    def sum_many(self, values, groups) -> list:
+    def dot_many(self, xs, ys, plains, groups) -> list:
+        """Per gate of each group (k, j, n): its k integer products and j
+        plains summed, then reduced once.  A group sums its columns as
+        whole slices, or, when it has more columns than gates, each gate's
+        strided row."""
         p = self.p
-        out, start = [], 0
-        for k, n in groups:
-            stop = start + k * n
-            rows = zip(*[iter(values[start:stop])] * k)
-            out += map(p.__rmod__, map(sum, rows))
-            start = stop
+        products = list(map(operator.mul, xs, ys))
+        out, start, pstart = [], 0, 0
+        for k, j, n in groups:
+            stop, pstop = start + k * n, pstart + j * n
+            if k + j > n:
+                out += [(sum(products[i:stop:n]) + sum(plains[t:pstop:n])) % p
+                        for i, t in zip(range(start, start + n), range(pstart, pstart + n))]
+            else:
+                cols = [products[i:i + n] for i in range(start, stop, n)]
+                cols += [plains[i:i + n] for i in range(pstart, pstop, n)]
+                sums = cols[0]
+                for col in cols[1:]:
+                    sums = map(operator.add, sums, col)
+                out += map(p.__rmod__, sums)
+            start, pstart = stop, pstop
         return out
 
     def inv(self, a):
@@ -218,20 +214,23 @@ def _clmul(a: int, b: int) -> int:
     return r
 
 
+def _xor_columns(v: int, cols: int, bits: int) -> int:
+    """The XOR of the `cols` consecutive `bits`-bit columns of v, by
+    halving: the upper half of the columns is XORed onto the lower."""
+    while cols > 1:
+        half = cols // 2
+        keep = (cols - half) * bits
+        v = (v >> keep) ^ (v & ((1 << keep) - 1))
+        cols -= half
+    return v
+
+
 class GF2Field(Field):
     """GF(2^w) for w in {8, 16, 32, 64} with a fixed reduction polynomial.
 
     Elements are w-bit ints.  `mul` is the bit-serial carryless product
-    (`_clmul`) reduced modulo the field polynomial (`_reduce`).
-    `mul_many` packs all its operands into one int, one lane each, and
-    forms every carryless product at once by a Horner scheme over 4-bit
-    windows of y: one subtraction per bit makes the mask that selects
-    x << k, and each lane's headroom (at least w - 1 free bits above the
-    operand, and a mask bit above x << 3) keeps borrows and products
-    inside it.  It then folds by the set bits of the polynomial's low
-    part.  `sum_many` XORs the columns of each arity group, or its rows
-    when they are wider than the group is tall.  The field keeps no
-    tables.
+    (`_clmul`) reduced modulo the field polynomial (`_reduce`), and
+    `dot_many` the packed batch kernel.  The field keeps no tables.
     """
 
     kind = "gf2"
@@ -263,39 +262,53 @@ class GF2Field(Field):
     def mul(self, a, b):
         return self._reduce(_clmul(a, b))
 
-    def mul_many(self, xs, ys) -> list:
-        """Exact GF(2^w) products of the pairs (xs[i], ys[i]), all at once.
+    def dot_many(self, xs, ys, plains, groups) -> list:
+        """Per gate of each group (k, j, n): the XOR of its k carryless
+        products and j plains, folded once.
 
         Each operand list is packed into one Python int, read in the host's
         byte order so that each operand fills one 64-bit word; at w = 64 the
-        operands alternate with zero words.  Either way each operand has at
-        least w - 1 free bits above it, or is the top word, so its carryless
-        product never reaches the next operand.
+        operands alternate with zero words, each in the low word of its
+        128-bit lane.  Either way each operand has at least w - 1 free bits
+        above it in its lane, so its carryless product stays in the lane,
+        and a run of whole lanes is a run of bytes.
 
         The product is a Horner scheme over the nibbles of y, from the top:
         shift the partial product up by 4, then add x shifted by k wherever
         bit k of the nibble is set, for k = 0..3.  The selecting mask comes
-        from one subtraction per bit, `(ones << (w + k)) - (bit k of y)`,
-        which is either the single bit w + k, among the free bits, or the
-        bits k..w + k - 1 of each lane: the borrow never leaves the lane, and
-        x << k, at most w + k bits, never meets the lone bit.  After each shift the partial product
-        is x times the top nibbles of y, shifted, so it never has more bits
-        than the full product.  Two folds by x^w = the sum of x^s over the fold
-        shifts s (the set bits of REDUCTION_POLY_LOW[w]) reduce each
-        product's w - 1 high bits, then the few bits the first fold pushed
-        past bit w - 1.
+        from one subtraction per bit, `(ones << (w + k)) - (bit k of y)`:
+        either the lone bit w + k, among the free bits, or the bits
+        k..w + k - 1 of each lane, so the borrow stays in the lane, and
+        x << k, at most w + k bits, never meets the lone bit.  The partial
+        product, x times the top nibbles of y, never outgrows the product.
+
+        A group's columns are runs of n lanes, XORed into one run by
+        `_xor_columns`, its plains' likewise.  Two folds by x^w = the sum
+        of x^s over the set bits s of REDUCTION_POLY_LOW[w] then reduce
+        each sum's w - 1 high bits, then the few bits the first fold
+        pushed past bit w - 1; they leave a plain, below x^w, as it is.
         """
         w, folds = self.w, self.folds
         words = 1 if w <= 32 else 2
-        a = array("Q", xs)
-        n = len(a)
-        lanes = array("Q", bytes(8 * words * n))
+        lane = 8 * words                    # bytes per lane
+        order = sys.byteorder
+        low_word = words - 1 if order == "big" else 0
 
-        def pack(values) -> int:
-            lanes[::words] = values
-            return int.from_bytes(lanes, sys.byteorder)
+        def pack(values) -> array:
+            lanes = array("Q", values)
+            if words == 2:
+                lanes, wide = array("Q", bytes(16 * len(lanes))), lanes
+                lanes[low_word::2] = wide
+            return lanes
 
-        x, y, ones = pack(a), pack(array("Q", ys)), pack(array("Q", [1]) * n)
+        def columns(data: bytes, start: int, cols: int, width: int) -> int:
+            """The XOR of `cols` runs of `width` bytes of data from start."""
+            run = data[start:start + cols * width]
+            return _xor_columns(int.from_bytes(run, order), cols, 8 * width)
+
+        gates = sum(n for _, _, n in groups)
+        ones = int.from_bytes(pack([1]).tobytes() * max(len(xs), gates), order)
+        x, y = int.from_bytes(pack(xs), order), int.from_bytes(pack(ys), order)
         window = [(x << k, ones << k, ones << (w + k)) for k in range(4)]
         r = 0
         for p in range(w - 4, -1, -4):
@@ -303,33 +316,33 @@ class GF2Field(Field):
             r <<= 4
             for xk, bit, top in window:
                 r ^= xk & (top - (t & bit))
+        if len(groups) == 1:
+            # one group: its columns are all of r, with no bytes to cut
+            ((k, j, n),) = groups
+            bits, plain = 8 * lane * n, int.from_bytes(pack(plains), order)
+            r = _xor_columns(r, k, bits) ^ _xor_columns(plain, j, bits)
+        else:
+            products, plain_lanes = r.to_bytes(lane * len(xs), order), pack(plains).tobytes()
+            runs, start, pstart = [], 0, 0
+            for k, j, n in groups:
+                width = lane * n
+                acc = columns(products, start, k, width) ^ columns(plain_lanes, pstart, j, width)
+                runs.append(acc.to_bytes(width, order))
+                start += k * width
+                pstart += j * width
+            r = int.from_bytes(b"".join(runs), order)
         low = (ones << w) - ones
         for _ in range(2):
             h = (r >> w) & low
             r &= low
             for s in folds:
                 r ^= h << s
-        return array("Q", r.to_bytes(8 * words * n, sys.byteorder))[::words].tolist()
+        return array("Q", r.to_bytes(lane * gates, order))[low_word::words].tolist()
 
     def add(self, a, b):
         return a ^ b
 
     sub = add
-
-    def sum_many(self, values, groups) -> list:
-        xor = operator.xor
-        out, start = [], 0
-        for k, n in groups:
-            stop = start + k * n
-            if k > n:
-                out += [reduce(xor, values[i:i + k]) for i in range(start, stop, k)]
-            else:
-                acc = values[start:stop:k]
-                for c in range(start + 1, start + k):
-                    acc = list(map(xor, acc, values[c:stop:k]))
-                out += acc
-            start = stop
-        return out
 
     def neg(self, a):
         return a

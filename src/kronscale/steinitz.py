@@ -24,40 +24,47 @@ def _balanced_order(classes, counts, dim: int, boundaries, limit: int) -> list:
 
     The classes, taken counts[i] times each, sum to zero, so the deviation
     of a prefix is the infinity norm of its sum; it depends only on the
-    prefix's multiset, its state.  One memoized recursion from the empty
-    state fills best[state]: the least worst deviation at the prefix
-    lengths in `boundaries` over the state's completions whose every
-    prefix deviation is at most `limit`, with the class it takes next, or
-    None when no completion stays within the limit; the full state holds
+    prefix's multiset, its state.  One memoized depth-first walk from the
+    empty state, on a stack of its own, pushes a state only while it has
+    no entry and fills best[state] once every state one class longer has
+    its entry: the least worst deviation at the prefix lengths in
+    `boundaries` over the state's completions whose every prefix
+    deviation is at most `limit`, with the class it takes next, or None
+    when no completion stays within the limit; the full state holds
     (-1, None), -1 standing below every deviation.  Ties keep the least
     class index, so the output is deterministic.  The order then follows
-    the stored classes.  The recursion nests r = sum(counts) calls;
-    decompose_P's r is its block count n/b.
+    the stored classes.  No call nests, so the walk runs at any
+    r = sum(counts); decompose_P's r is its block count n/b.
     """
     C = len(classes)
     best = {tuple(counts): (-1, None)}
-
-    def solve(state, pref, k):
-        if state in best:
-            return best[state]
+    state = (0,) * C
+    # a frame: a state, its prefix sum and length, and its moves (class,
+    # next state, next prefix sum, deviation), listed on its first visit
+    stack = [] if state in best else [(state, (0,) * dim, 0, None)]
+    while stack:
+        here, pref, k, moves = stack.pop()
+        if moves is None:
+            moves = []
+            for i in range(C):
+                if here[i] < counts[i]:
+                    p2 = tuple(p + x for p, x in zip(pref, classes[i]))
+                    dev = max(map(abs, p2), default=0)
+                    if dev <= limit:
+                        moves.append((i, here[:i] + (here[i] + 1,) + here[i + 1:], p2, dev))
+            todo = [(nxt, p2, k + 1, None) for _, nxt, p2, _ in moves if nxt not in best]
+            if todo:
+                stack += [(here, pref, k, moves), *todo]
+                continue
         found = None
-        for i in range(C):
-            if state[i] == counts[i]:
-                continue
-            p2 = tuple(p + x for p, x in zip(pref, classes[i]))
-            dev = max(map(abs, p2), default=0)
-            if dev > limit:
-                continue
-            sub = solve(state[:i] + (state[i] + 1,) + state[i + 1:], p2, k + 1)
+        for i, nxt, _, dev in moves:
+            sub = best[nxt]
             if sub is not None:
                 worst = max(dev if k + 1 in boundaries else -1, sub[0])
                 if found is None or worst < found[0]:
                     found = (worst, i)
-        best[state] = found
-        return found
-
-    state = (0,) * C
-    if solve(state, (0,) * dim, 0) is None:
+        best[here] = found
+    if best[state] is None:
         raise InternalError("no order satisfies the Steinitz bound")
     order = []
     while (i := best[state][1]) is not None:

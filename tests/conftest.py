@@ -3,7 +3,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from kronscale.circuit import CircuitBuilder
+from kronscale.circuit import OP_ADD, OP_MUL, CircuitBuilder
 from kronscale.fields import Rng
 
 
@@ -55,12 +55,29 @@ def random_skew_circuit(field, rng: Rng, var_names, n_gates=40, q=1, full_monomi
     return bld.build()
 
 
+def reached_gates(circ):
+    """The gate ids that the outputs reach, by a walk down from them."""
+    stack, seen = list(circ.outputs), set()
+    while stack:
+        gid = stack.pop()
+        if gid not in seen:
+            seen.add(gid)
+            op, payload = circ.gates[gid]
+            if op in (OP_ADD, OP_MUL):
+                stack.extend(payload)
+    return sorted(seen)
+
+
 def planned_products(circ) -> tuple:
-    """(reduced, unreduced): how many mul gates the circuit's evaluation
-    plan puts in each of its two product batches."""
-    slots = range(len(circ.gates))
-    reduced = unreduced = 0
-    for xs, _, lazy_xs, _, _, _ in circ.plan[2]:
-        reduced += len(xs(slots)) if xs else 0
-        unreduced += len(lazy_xs(slots)) if lazy_xs else 0
-    return reduced, unreduced
+    """(fused, standalone): of the products that the circuit's evaluation
+    plan forms, how many an add gate forms inside its sum, and how many
+    are mul gates with a value of their own.  A group (k, j, n) forms
+    k * n products and n values, and the values are the reached add
+    gates and the standalone mul gates."""
+    products = values = 0
+    for _, _, _, groups in circ.plan[2]:
+        for k, _, n in groups:
+            products += k * n
+            values += n
+    adds = sum(1 for gid in reached_gates(circ) if circ.gates[gid][0] == OP_ADD)
+    return products - (values - adds), values - adds

@@ -1,8 +1,10 @@
+from collections import Counter
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import planned_products, random_skew_circuit
+from conftest import planned_products, random_skew_circuit, reached_gates
 from kronscale.circuit import (
     OP_ADD,
     OP_CONST,
@@ -409,11 +411,13 @@ def test_evaluate_matches_scalar_reference_level_by_level(field, shape, seed):
             evaluate(circ, dict(asg, **{name: field.order}))
 
 
-_LAZY_FIELDS = [prime_field(2**61 - 1), prime_field(101)]
+_FUSING_FIELDS = [prime_field(101), prime_field(2**61 - 1), gf2(8), gf2(16), gf2(32), gf2(64)]
 
-# gate 2 is read by adds only, one of them (gate 7) a single-argument add;
-# gate 4 by an add and a mul; gates 4 -> 6 -> 8 are a mul chain, and gate 8
-# is an output; gate 9 is read by one add only
+# gate 2 is read by two adds, gate 4 by an add and a mul, gate 6 twice by
+# one add (7 = 6 + 6), gate 8 by an add and an output: none is fused.
+# Gate 9 is read by the one-argument add 10 alone, and gates 12 and 13 by
+# add 14 alone: all three are fused.  Add 11 has only plain arguments,
+# and add 14 two products (13 of level-0 operands) and two plains.
 _MIXED_READERS = """circuit v1
 field {spec}
 in 0 v:a
@@ -421,23 +425,29 @@ in 1 v:b
 mul 2 0 1
 add 3 2 0
 mul 4 0 0
-add 5 4 1
+add 5 4 1 2
 mul 6 4 1
-add 7 2
-mul 8 6 6
-mul 9 3 5
-add 10 9 7 5
-out 10 8 7
+add 7 6 6
+mul 8 3 5
+mul 9 7 3
+add 10 9
+add 11 3 5 7
+mul 12 10 11
+mul 13 1 1
+add 14 12 13 8 11
+out 14 8 10
 """
 
 
-@pytest.mark.parametrize("field", _LAZY_FIELDS + [gf2(32)], ids=lambda f: f.spec_string())
-def test_products_that_only_sums_read_are_left_unreduced(field):
+@pytest.mark.parametrize("field", _FUSING_FIELDS, ids=lambda f: f.spec_string())
+def test_products_that_one_sum_alone_reads_are_fused(field):
     circ = parse(_MIXED_READERS.format(spec=field.spec_string()))
-    lazy = 2 if field.mul_many_unreduced else 0
-    assert planned_products(circ) == (5 - lazy, lazy)
+    assert planned_products(circ) == (3, 4)
+    assert [groups for _, _, _, groups in circ.plan[2]] == [
+        ((1, 0, 2),), ((0, 2, 1), (0, 3, 1), (1, 0, 1)), ((0, 2, 1), (1, 0, 1)),
+        ((1, 0, 1), (0, 3, 1)), ((2, 2, 1),)]
     top = field.order - 1
-    for a, b in [(top, top), (top, 1), (0, top), (2, 3)]:
+    for a, b in [(top, top), (top, 1), (0, top), (2, 3), (top, top - 1)]:
         asg = {"v:a": a, "v:b": b}
         got = evaluate(circ, asg)
         assert got == scalar_eval(circ, asg)
@@ -449,14 +459,15 @@ _RAW_GATES = st.lists(st.tuples(st.booleans(), st.lists(st.integers(0, 2**16), m
                       min_size=1, max_size=30)
 
 
-@pytest.mark.parametrize("field", _LAZY_FIELDS, ids=lambda f: f.spec_string())
+@pytest.mark.parametrize("field", _FUSING_FIELDS, ids=lambda f: f.spec_string())
 @settings(max_examples=150, deadline=None, database=None)
 @given(raw=_RAW_GATES, picks=st.lists(st.integers(0, 2**16), min_size=1, max_size=4),
        values=st.lists(st.integers(-3, 2**62), min_size=3, max_size=3))
 def test_evaluate_is_canonical_when_only_some_gates_are_outputs(field, raw, picks, values):
-    # gates straight from the draw, with no folding: muls read by adds only,
-    # by adds and muls, mul chains, single-argument adds; values near p - 1
-    # come from the negative draws
+    # gates straight from the draw, with no folding: muls read by one add,
+    # by two adds, twice by one add, by adds and muls, mul chains,
+    # single-argument adds; values near the field's order come from the
+    # negative draws
     gates = [(OP_IN, f"v:x{i}") for i in range(3)] + [(OP_CONST, field.order - 1)]
     for is_mul, args in raw:
         args = [a % len(gates) for a in args]
@@ -466,13 +477,14 @@ def test_evaluate_is_canonical_when_only_some_gates_are_outputs(field, raw, pick
     got = evaluate(circ, asg)
     assert got == scalar_eval(circ, asg)
     assert all(0 <= v < field.order for v in got)
-    # the unreduced products are the reached muls that no reached mul and
-    # no output reads
+    # the fused products are the reached muls that one arc of a reached
+    # add reads and no reached mul and no output reads
     reached = reached_gates(circ)
     muls = [gid for gid in reached if gates[gid][0] == OP_MUL]
+    add_arcs = Counter(a for gid in reached if gates[gid][0] == OP_ADD for a in gates[gid][1])
     read = set(circ.outputs).union(*(gates[gid][1] for gid in muls))
-    assert planned_products(circ) == (len(read.intersection(muls)),
-                                      len(set(muls) - read))
+    fused = [m for m in muls if add_arcs[m] == 1 and m not in read]
+    assert planned_products(circ) == (len(fused), len(muls) - len(fused))
 
 
 def test_formal_degrees_and_skew():
@@ -640,19 +652,6 @@ def without_const_positions(circ):
         ids[gid] = len(gates)
         gates.append((op, payload))
     return gates, [ids[o] for o in circ.outputs]
-
-
-def reached_gates(circ):
-    """The gate ids that the outputs reach, by a walk down from them."""
-    stack, seen = list(circ.outputs), set()
-    while stack:
-        gid = stack.pop()
-        if gid not in seen:
-            seen.add(gid)
-            op, payload = circ.gates[gid]
-            if op in (OP_ADD, OP_MUL):
-                stack.extend(payload)
-    return sorted(seen)
 
 
 @settings(max_examples=200, deadline=None, database=None)

@@ -28,7 +28,7 @@ from kronscale.counting import (
     permanent_skew_circuit,
     setpart_circuit,
 )
-from kronscale.errors import NotSkew, ShapeError
+from kronscale.errors import NotSkew, ShapeError, SingleOutputRequired
 from kronscale.fields import Rng, gf2, prime_field
 from kronscale.sieving import DirectedGraph, _kpath_labeled_circuit, mv_det_circuit
 
@@ -210,6 +210,18 @@ def test_both_routes_keep_an_input_that_no_gate_reads(degree):
     assert direct.input_names() == tri.input_names() == ["a:dead", "a:c"]
     asg = {"a:dead": 3, "a:c": 5}
     assert evaluate(direct, asg) == evaluate(tri, asg) == (5 if degree == 6 else 0,)
+
+
+@pytest.mark.parametrize("method", ["direct", "tri"])
+def test_both_routes_refuse_a_circuit_with_two_outputs(method):
+    # the tri route pads six variables to nine, and padding multiplies
+    # one output: a second output (gate 0, the input x:{0}) must not be
+    # dropped in silence
+    names = names_for(6)
+    c = full_product_circuit(F, names)
+    c = circuit.Circuit(F, c.gates, c.outputs + (0,))
+    with pytest.raises(SingleOutputRequired):
+        extract_coefficient(c, names, method)
 
 
 def test_padded_extraction_agrees():

@@ -141,11 +141,12 @@ def test_tripartition_refuses_n3():
 
 
 def test_permanent_plan_leaves_every_product_to_the_sums():
-    # every mul of the n = 6 permanent circuit is read by add gates only,
-    # so the plan reduces none of the 195 products before its sums
-    assert planned_products(build_permanent_circuit(6, b=1, g=1)) == (0, 195)
+    # every mul of the n = 6 permanent circuit is read by one add gate
+    # alone, so all 195 products are fused into their sums, in 3 levels
+    assert planned_products(build_permanent_circuit(6, b=1, g=1)) == (195, 0)
     c = build_permanent_circuit(6, F, b=1, g=1)
-    assert planned_products(c) == (0, 195)
+    assert planned_products(c) == (195, 0)
+    assert len(c.plan[2]) == 3
     rng = Rng(8)
     for _ in range(3):
         m = rand_matrix(rng, 6)

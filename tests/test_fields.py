@@ -79,29 +79,56 @@ def test_gf2_mul_matches_schoolbook_oracle(w):
     want = [_schoolbook_mul(field, a, b) for a, b in pairs]
     for (a, b), prod in zip(pairs, want):
         assert field.mul(a, b) == prod, (hex(a), hex(b))
-    # the batch multiply, on batches of the leading pairs; the first 100
-    # are the edge pairs
+    # the batch kernel, one product per gate, on batches of the leading
+    # pairs; the first 100 are the edge pairs
     for length in (0, 1, 2, 63, 64, 65, 1500):
         xs, ys = [a for a, _ in pairs[:length]], [b for _, b in pairs[:length]]
-        assert field.mul_many(xs, ys) == want[:length], length
+        assert products(field, xs, ys) == want[:length], length
+
+
+def products(field, xs, ys) -> list:
+    """The products of the pairs by `dot_many`, each one gate's sum."""
+    return field.dot_many(xs, ys, (), ((1, 0, len(xs)),) if xs else ())
 
 
 @pytest.mark.parametrize("w", [8, 16, 32, 64])
 def test_gf2_mul_many_window_kernel_edges(w):
-    # the window kernel against scalar mul on operands that fill a lane's
-    # edges: every pair of 0, 1, the top bit and 2^w - 1, alone, beside an
-    # all-ones lane on either side, and between two all-ones lanes, so a
-    # borrow or carry that left its lane would show in a neighbour
+    # the window kernel of dot_many against scalar mul on operands that
+    # fill a lane's edges: every pair of 0, 1, the top bit and 2^w - 1,
+    # alone, beside an all-ones lane on either side, and between two
+    # all-ones lanes, so a borrow or carry that left its lane would show
+    # in a neighbour; then as the two products of one sum, and as one
+    # product beside a plain
     field = gf2(w)
     ones = field.mask
     edges = [0, 1, 1 << (w - 1), ones]
-    assert field.mul_many([], []) == []
+    assert products(field, [], []) == []
     for a in edges:
         for b in edges:
             for xs, ys in (([a], [b]), ([a, ones], [b, ones]), ([ones, a], [ones, b]),
                            ([ones, a, ones], [ones, b, ones])):
                 want = [field.mul(x, y) for x, y in zip(xs, ys)]
-                assert field.mul_many(xs, ys) == want, (hex(a), hex(b), len(xs))
+                assert products(field, xs, ys) == want, (hex(a), hex(b), len(xs))
+            want = field.add(field.mul(a, b), field.mul(ones, ones))
+            assert field.dot_many([a, ones], [b, ones], (), [(2, 0, 1)]) == [want]
+            assert field.dot_many([a], [b], [ones], [(1, 1, 1)]) == \
+                [field.add(field.mul(a, b), ones)]
+
+
+def dot_reference(field, xs, ys, plains, groups) -> list:
+    """dot_many one scalar field operation at a time."""
+    out, start, pstart = [], 0, 0
+    for k, j, n in groups:
+        for i in range(n):
+            acc = field.zero
+            for c in range(k):
+                acc = field.add(acc, field.mul(xs[start + c * n + i], ys[start + c * n + i]))
+            for c in range(j):
+                acc = field.add(acc, plains[pstart + c * n + i])
+            out.append(acc)
+        start += k * n
+        pstart += j * n
+    return out
 
 
 @pytest.mark.parametrize("spec", ["p=101", "p=2305843009213693951", "gf2 w=8", "gf2 w=16",
@@ -109,37 +136,34 @@ def test_gf2_mul_many_window_kernel_edges(w):
 def test_batch_ops_match_scalar_ops(spec):
     field = parse_field_spec(spec)
     rng = Rng(31)
-    xs = [field.random(rng) for _ in range(200)]
-    ys = [field.random(rng) for _ in range(200)]
-    assert field.mul_many(xs, ys) == [field.mul(a, b) for a, b in zip(xs, ys)]
-    assert field.mul_many([], []) == []
-    assert field.mul_many(xs[:1], ys[:1]) == [field.mul(xs[0], ys[0])]
-    # groups (k, n): n sums of k values each, laid out row by row
-    groups, sums, start = [], [], 0
-    while start < len(xs):
-        k = 1 + rng.below(5)
-        n = min(1 + rng.below(4), (len(xs) - start) // k)
-        if not n:
-            k, n = len(xs) - start, 1
-        groups.append((k, n))
-        for _ in range(n):
-            acc = field.zero
-            for v in xs[start:start + k]:
-                acc = field.add(acc, v)
-            sums.append(acc)
-            start += k
-    assert field.sum_many(xs, groups) == sums
-    assert field.sum_many(tuple(xs), groups) == sums
-    # rows wider than the group is tall, and the other way round
-    for k, n in ((140, 1), (30, 2), (2, 30), (5, 5)):
-        want = []
-        for i in range(n):
-            acc = field.zero
-            for v in xs[i * k:(i + 1) * k]:
-                acc = field.add(acc, v)
-            want.append(acc)
-        assert field.sum_many(xs[:k * n], [(k, n)]) == want
-    assert field.sum_many([], []) == []
+    top = field.order - 1
+    values = [field.random(rng) for _ in range(1200)]
+    # the largest element, and at GF(2^w) the top bit alone, among them
+    values[::5] = [top] * len(values[::5])
+    if field.kind == "gf2":
+        values[1::7] = [1 << (field.w - 1)] * len(values[1::7])
+    # one shape per group: (k, 0), (0, j), (1, 0), (k, j), wide and tall
+    shapes = [(3, 0, 7), (0, 4, 5), (1, 0, 9), (2, 3, 4), (1, 2, 1), (140, 0, 1),
+              (0, 1, 3), (2, 0, 30), (5, 5, 5)]
+    for cut in range(len(shapes) + 1):
+        groups = shapes[:cut]
+        size = sum(k * n for k, _, n in groups)
+        psize = sum(j * n for _, j, n in groups)
+        xs, ys = values[:size], values[size:2 * size]
+        plains = values[2 * size:2 * size + psize]
+        want = dot_reference(field, xs, ys, plains, groups)
+        assert field.dot_many(xs, ys, plains, groups) == want, groups
+        assert field.dot_many(tuple(xs), tuple(ys), tuple(plains), tuple(groups)) == want
+        # each shape alone, so each level has one group
+        if groups:
+            (k, j, n), shift = groups[-1], len(groups)
+            xs, ys = values[shift:shift + k * n], values[-k * n:] if k else []
+            plains = values[shift:shift + j * n]
+            assert field.dot_many(xs, ys, plains, [(k, j, n)]) == \
+                dot_reference(field, xs, ys, plains, [(k, j, n)]), (k, j, n)
+    # an empty level
+    assert field.dot_many([], [], [], []) == []
+    assert field.dot_many((), (), (), ()) == []
 
 
 def test_default_prime():

@@ -2,7 +2,8 @@
 from the standard library or kronscale itself, no function writes into a
 module-level container (a hidden global cache), no code but
 CircuitBuilder._push writes a builder's gate list, only the text parsers
-and their line helpers raise ParseError, and every definition, in a
+and their line helpers raise ParseError, every field class defines what
+circuit evaluation reads off a field, and every definition, in a
 kronscale module or a shared test helper, is named somewhere outside
 itself."""
 
@@ -248,6 +249,54 @@ def test_scan_finds_a_parse_error_outside_a_parser():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_parse_errors_are_raised_only_by_parsers(path):
     assert parse_errors_outside_parsers(path.read_text()) == []
+
+
+def missing_field_methods(circuit_source: str, fields_source: str) -> list:
+    """(class, name) for each attribute that `evaluate` in circuit_source
+    reads off a name `field`, and that a class in fields_source whose
+    bases name Field neither defines in its body nor assigns to
+    `self.<name>`."""
+    evaluate = next(node for node in ast.parse(circuit_source).body
+                    if isinstance(node, FUNCTIONS) and node.name == "evaluate")
+    used = {node.attr for node in ast.walk(evaluate)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "field"}
+    missing = []
+    for cls in ast.parse(fields_source).body:
+        if not isinstance(cls, ast.ClassDef) or \
+                not any(isinstance(b, ast.Name) and b.id == "Field" for b in cls.bases):
+            continue
+        defined = {item.name for item in cls.body if isinstance(item, FUNCTIONS)}
+        defined |= {t.id for item in cls.body if isinstance(item, ast.Assign)
+                    for t in item.targets if isinstance(t, ast.Name)}
+        defined |= {node.attr for node in ast.walk(cls)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"}
+        missing += [(cls.name, name) for name in sorted(used - defined)]
+    return missing
+
+
+def test_scan_finds_a_field_missing_a_method_evaluate_reads():
+    circuit = ("def evaluate(circ, asg):\n    field = circ.field\n    n = field.order\n"
+               "    return field.dot_many(asg, n)\n"
+               "def other(field):\n    return field.mul_many()\n")
+    fields = ("class Field:\n    pass\n"
+              "class A(Field):\n    def __init__(self):\n        self.order = 2\n"
+              "    def dot_many(self, v, n):\n        return v\n"
+              "class B(Field):\n    order = 3\n    sum_many = None\n"
+              "class C(Field):\n    def __init__(self, f):\n        f.order = 1\n"
+              "class D:\n    pass\n")
+    assert missing_field_methods(circuit, fields) == \
+        [("B", "dot_many"), ("C", "dot_many"), ("C", "order")]
+
+
+# each field runs a whole evaluation level in one batch kernel, so a
+# field class without it would fail only when a circuit over it is
+# evaluated
+def test_every_field_defines_what_evaluate_reads():
+    package = Path(kronscale.__file__).parent
+    assert missing_field_methods((package / "circuit.py").read_text(),
+                                 (package / "fields.py").read_text()) == []
 
 
 ROOT = Path(__file__).resolve().parents[1]

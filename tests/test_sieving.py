@@ -478,11 +478,13 @@ def test_kpath_tri_benchmark_circuit_does_not_grow():
     assert (stats["arcs"], stats["gates"]) == (8_238, 3_752)
 
 
-def test_kpath_tri_plan_reduces_every_product():
-    # GF(2^w) has no unreduced product, so all 2,799 mul gates of the
-    # benchmark circuit stay in the batches that reduce them
+def test_kpath_tri_plan_fuses_every_product_that_one_sum_alone_reads():
+    # 2,640 of the benchmark circuit's 2,799 mul gates are read by one
+    # add gate alone, which forms them; the plan runs 7 levels
     circ = _kpath_tri_benchmark_runner()[0].circuit
-    assert planned_products(circ) == (circ.stats()["mul"], 0) == (2_799, 0)
+    assert circ.stats()["mul"] == 2_799
+    assert planned_products(circ) == (2_640, 159)
+    assert len(circ.plan[2]) == 7
 
 
 def test_tri_runner_keeps_the_extraction_meta_and_an_unbuilt_plan():

@@ -121,6 +121,16 @@ def test_all_vectors_equal():
     assert concentration_partition([(), ()], 1, (1, 1)) == ((0,), (1,))
 
 
+def test_a_thousand_vectors_run_past_the_recursion_limit():
+    # the dynamic program walks its states on a stack of its own, so the
+    # number of vectors is not bound by Python's recursion limit (1,000)
+    assert concentration_partition([(0,)] * 1000, 1, (1000,)) == (tuple(range(1000)),)
+    vecs = [(0,)] * 990 + [(1,)] * 10
+    first, second = concentration_partition(vecs, 1, (500, 500))
+    assert sorted(first + second) == list(range(1000))
+    assert sum(vecs[i][0] for i in first) == sum(vecs[i][0] for i in second) == 5
+
+
 def test_determinism():
     vecs = [(0, 1), (1, 0), (0, 1), (1, 0), (1, 1), (0, 0)]
     assert concentration_partition(vecs, 1, (2, 2, 2)) == \
