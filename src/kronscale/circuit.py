@@ -5,9 +5,9 @@ Gates live in topological order; ids are list positions.  Add gates take
 arbitrary fan-in and Mul gates are binary: the builder and the parser
 only make binary ones.  Size is the arc count: the sum of gate fan-ins.
 
-`evaluate` runs level by level from the circuit's plan, one field call
-(`dot_many`) per level.  A mul gate that one add gate reads, once, and
-that no other gate and no output reads is fused into that add: it gets
+`evaluate` runs level by level from the circuit's plan, one field kernel
+call per level.  A mul gate that one add gate reads, once, and that no
+other gate and no output reads is fused into that add: it gets
 no value and no level of its own, and the add forms its product with
 its other fused products, sums them with its plain arguments and
 reduces the sum once.  Every other mul gate is a sum of one product.
@@ -15,9 +15,11 @@ Inputs and constants are level 0, and a gate sits one level above its
 deepest plain argument or product operand.  So every value held, and
 every output, is canonical.  The plan holds one `operator.itemgetter`
 per operand list, so each level gathers its operands in one C-level
-call.  It is built on the first evaluation and held by the `Circuit`
-itself, so it lives and dies with the circuit and its cost stays out of
-every build.
+call, and one kernel per level from `Field.dot_kernel`, which binds all
+the field work that depends on the level's shape alone, so each
+evaluation pays only for its operands.  The plan is built on the first
+evaluation and held by the `Circuit` itself, so it and its kernels live
+and die with the circuit and their cost stays out of every build.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ class Circuit:
     def plan(self) -> tuple:
         """The level-by-level evaluation order (`_level_plan`), built on
         first use."""
-        return _level_plan(self.gates, self.outputs)
+        return _level_plan(self.gates, self.outputs, self.field)
 
     def stats(self) -> dict:
         counts = {"in": 0, "const": 0, "add": 0, "mul": 0}
@@ -223,7 +225,7 @@ def _getter(slots):
     return itemgetter(*slots) if slots else lambda vals: ()
 
 
-def _level_plan(gates, outputs) -> tuple:
+def _level_plan(gates, outputs, field: Field) -> tuple:
     """(inputs, consts, levels, outputs): gates grouped by depth into
     fused sums of products, with every value in one list of slots.
 
@@ -240,9 +242,11 @@ def _level_plan(gates, outputs) -> tuple:
     The slots hold the inputs in gate order, then the constants, then per
     level its gates, group by group.  `inputs` and `consts` are the input
     names and constant values, `outputs` the output slots.  A level is
-    (xs, ys, plains, groups): the first three map the value list to the
-    operand tuple they gather, and `groups` holds a triple (k, j, n) per
-    group of n gates.  A group's n * k products, xs(vals)[i] times
+    (xs, ys, plains, kernel, groups): the first three map the value list
+    to the operand tuple they gather, `groups` holds a triple (k, j, n)
+    per group of n gates, and `kernel` is `field.dot_kernel(groups)`,
+    prepared here once, which maps the three operand tuples to the
+    level's values.  A group's n * k products, xs(vals)[i] times
     ys(vals)[i], and its n * j plains follow those of the groups before it
     column by column: column c holds argument c of each of its gates.
     Only the gates that the outputs reach are planned, but every input
@@ -303,7 +307,9 @@ def _level_plan(gates, outputs) -> tuple:
             for gid, _, _ in rows:
                 slot[gid] = used
                 used += 1
-        planned.append((_getter(xs), _getter(ys), _getter(plains), tuple(groups)))
+        groups = tuple(groups)
+        planned.append((_getter(xs), _getter(ys), _getter(plains), field.dot_kernel(groups),
+                        groups))
     return (tuple(gates[gid][1] for gid in inputs), tuple(gates[gid][1] for gid in consts),
             tuple(planned), tuple(slot[o] for o in outputs))
 
@@ -312,27 +318,33 @@ def evaluate(circ: Circuit, assignment: dict) -> tuple:
     """Evaluate all outputs under the given input assignment.
 
     Every input gate needs a value in [0, field.order): UnassignedInput
-    names the first one without a value, InputOutOfRange one whose value
-    is outside that range.  Each level of the plan is one `dot_many`
-    call, which forms the level's products, sums each gate's products
-    and plain arguments and reduces each sum once, so every value held
-    and every value returned is canonical.
+    names the first one without a value, InputOutOfRange the first one
+    whose value is outside that range.  Each level of the plan is one
+    call of its prepared field kernel, which forms the level's products,
+    sums each gate's products and plain arguments and reduces each sum
+    once, so every value held and every value returned is canonical.
     """
     inputs, consts, levels, outputs = circ.plan
-    field = circ.field
-    order = field.order
-    vals = []
-    for name in inputs:
-        try:
-            v = assignment[name]
-        except KeyError:
-            raise UnassignedInput(f"no value for input {name!r}") from None
-        if not 0 <= v < order:
-            raise InputOutOfRange(f"value {v} for input {name!r} is outside [0, {order})")
-        vals.append(v)
+    order = circ.field.order
+    try:
+        vals = list(map(assignment.__getitem__, inputs))
+        valid = not vals or (min(vals) >= 0 and max(vals) < order)
+    except (KeyError, TypeError):
+        valid = False
+    if not valid:
+        # name the first input at fault, in input order
+        vals = []
+        for name in inputs:
+            try:
+                v = assignment[name]
+            except KeyError:
+                raise UnassignedInput(f"no value for input {name!r}") from None
+            if not 0 <= v < order:
+                raise InputOutOfRange(f"value {v} for input {name!r} is outside [0, {order})")
+            vals.append(v)
     vals += consts
-    for xs, ys, plains, groups in levels:
-        vals += field.dot_many(xs(vals), ys(vals), plains(vals), groups)
+    for xs, ys, plains, kernel, _ in levels:
+        vals += kernel(xs(vals), ys(vals), plains(vals))
     return tuple(map(vals.__getitem__, outputs))
 
 

@@ -51,11 +51,10 @@ def matrix_input_name(i: int, j: int) -> str:
 
 
 def matrix_assignment(mat: SquareMatrix) -> dict:
-    asg = {}
-    for i in range(mat.n):
-        for j in range(mat.n):
-            asg[matrix_input_name(i + 1, j + 1)] = mat.entries[i][j]
-    return asg
+    """Each entry by its input name, row by row; the names are
+    `matrix_input_name`'s, formatted inline."""
+    return {f"a:{{{i},{j}}}": v
+            for i, row in enumerate(mat.entries, 1) for j, v in enumerate(row, 1)}
 
 
 def parse_matrix_file(text: str, field: Field, symmetric: bool = False) -> SquareMatrix:

@@ -7,12 +7,16 @@ width and no tables, costs nothing to build, and compares and hashes equal
 to every field with the same spec string.  GF(2^w) has one scalar
 multiply at every width, the bit-serial carryless product and reduction.
 
-Every field also has one batch operation, which circuit evaluation
-calls once per level: `dot_many(xs, ys, plains, groups)`.  A group
-(k, j, n) is n gates, each the sum of k products xs[i] * ys[i] and j
-plain values, laid out column by column: column c holds argument c of
-each gate.  It returns one canonical value per gate and reduces each sum
-once, not each product.
+Every field also has one batch operation, a kernel factory that circuit
+evaluation calls once per level of a circuit's plan:
+`dot_kernel(groups)`.  A group (k, j, n) is n gates, each the sum of k
+products xs[i] * ys[i] and j plain values, laid out column by column:
+column c holds argument c of each gate.  The factory binds all the work
+that depends on the groups alone, such as slice bounds, lane masks and
+cut offsets, and returns the kernel, `kernel(xs, ys, plains)`, which
+does only the operand work.  The kernel returns the list of one
+canonical value per gate, reduces each sum once, not each product, and
+keeps no state between calls.
 
 The random generator is SplitMix64, a fixed, versioned, splittable
 generator: identical seeds give identical streams on every platform.
@@ -21,8 +25,8 @@ generator: identical seeds give identical streams on every platform.
 from __future__ import annotations
 
 import operator
+import struct
 import sys
-from array import array
 
 from .errors import DivisionByZero, ParseError
 
@@ -156,28 +160,43 @@ class PrimeField(Field):
     def mul(self, a, b):
         return a * b % self.p
 
-    def dot_many(self, xs, ys, plains, groups) -> list:
-        """Per gate of each group (k, j, n): its k integer products and j
-        plains summed, then reduced once.  A group sums its columns as
-        whole slices, or, when it has more columns than gates, each gate's
-        strided row."""
+    def dot_kernel(self, groups):
+        """The level kernel of `groups`: a function of (xs, ys, plains)
+        that, per gate of each group (k, j, n), sums its k integer
+        products and j plains and reduces the sum once.  A group sums its
+        columns as whole slices, or, when it has more columns than gates,
+        each gate's strided row; the slices are cut here, once."""
         p = self.p
-        products = list(map(operator.mul, xs, ys))
-        out, start, pstart = [], 0, 0
+        # per group: whether it sums rows, then its product and its plain
+        # slices, one per gate's strided row or one per whole column
+        paths = []
+        start = pstart = 0
         for k, j, n in groups:
             stop, pstop = start + k * n, pstart + j * n
             if k + j > n:
-                out += [(sum(products[i:stop:n]) + sum(plains[t:pstop:n])) % p
-                        for i, t in zip(range(start, start + n), range(pstart, pstart + n))]
+                paths.append((True, [slice(i, stop, n) for i in range(start, start + n)],
+                              [slice(t, pstop, n) for t in range(pstart, pstart + n)]))
             else:
-                cols = [products[i:i + n] for i in range(start, stop, n)]
-                cols += [plains[i:i + n] for i in range(pstart, pstop, n)]
-                sums = cols[0]
-                for col in cols[1:]:
-                    sums = map(operator.add, sums, col)
-                out += map(p.__rmod__, sums)
+                paths.append((False, [slice(i, i + n) for i in range(start, stop, n)],
+                              [slice(t, t + n) for t in range(pstart, pstop, n)]))
             start, pstart = stop, pstop
-        return out
+
+        def kernel(xs, ys, plains) -> list:
+            products = list(map(operator.mul, xs, ys))
+            out = []
+            for rows, cuts, plain_cuts in paths:
+                if rows:
+                    out += [(sum(products[a]) + sum(plains[b])) % p
+                            for a, b in zip(cuts, plain_cuts)]
+                else:
+                    cols = [products[c] for c in cuts] + [plains[c] for c in plain_cuts]
+                    sums = cols[0]
+                    for col in cols[1:]:
+                        sums = map(operator.add, sums, col)
+                    out += map(p.__rmod__, sums)
+            return out
+
+        return kernel
 
     def inv(self, a):
         if a == 0:
@@ -214,15 +233,24 @@ def _clmul(a: int, b: int) -> int:
     return r
 
 
-def _xor_columns(v: int, cols: int, bits: int) -> int:
-    """The XOR of the `cols` consecutive `bits`-bit columns of v, by
-    halving: the upper half of the columns is XORed onto the lower."""
+def _column_steps(cols: int, bits: int) -> tuple:
+    """The (shift, low mask) steps that XOR `cols` consecutive `bits`-bit
+    columns of an int into the lowest, by halving: each step XORs the
+    upper half of the columns onto the lower, v = (v >> shift) ^ (v & low)."""
+    steps = []
     while cols > 1:
         half = cols // 2
         keep = (cols - half) * bits
-        v = (v >> keep) ^ (v & ((1 << keep) - 1))
+        steps.append((keep, (1 << keep) - 1))
         cols -= half
-    return v
+    return tuple(steps)
+
+
+# the native struct code of each unsigned int width in bytes; of two
+# codes of one width the later wins, so an 8-byte long packs 8-byte
+# lanes, which converts ints faster than the long long
+_UINT = {struct.calcsize(code): code for code in "QLIH"}
+_ORDER = sys.byteorder
 
 
 class GF2Field(Field):
@@ -230,7 +258,8 @@ class GF2Field(Field):
 
     Elements are w-bit ints.  `mul` is the bit-serial carryless product
     (`_clmul`) reduced modulo the field polynomial (`_reduce`), and
-    `dot_many` the packed batch kernel.  The field keeps no tables.
+    `dot_kernel` prepares the packed batch kernel.  The field keeps no
+    tables.
     """
 
     kind = "gf2"
@@ -262,16 +291,15 @@ class GF2Field(Field):
     def mul(self, a, b):
         return self._reduce(_clmul(a, b))
 
-    def dot_many(self, xs, ys, plains, groups) -> list:
-        """Per gate of each group (k, j, n): the XOR of its k carryless
-        products and j plains, folded once.
+    def dot_kernel(self, groups):
+        """The level kernel of `groups`: a function of (xs, ys, plains)
+        that, per gate of each group (k, j, n), XORs its k carryless
+        products and j plains and folds the sum once.
 
-        Each operand list is packed into one Python int, read in the host's
-        byte order so that each operand fills one 64-bit word; at w = 64 the
-        operands alternate with zero words, each in the low word of its
-        128-bit lane.  Either way each operand has at least w - 1 free bits
-        above it in its lane, so its carryless product stays in the lane,
-        and a run of whole lanes is a run of bytes.
+        Each operand list is packed into one Python int of 2w-bit lanes in
+        host byte order (at w = 64 a lane is the operand's word beside a
+        zero word).  Each operand has w free bits above it in its lane, so
+        its carryless product, of 2w - 1 bits, stays in the lane.
 
         The product is a Horner scheme over the nibbles of y, from the top:
         shift the partial product up by 4, then add x shifted by k wherever
@@ -282,62 +310,80 @@ class GF2Field(Field):
         x << k, at most w + k bits, never meets the lone bit.  The partial
         product, x times the top nibbles of y, never outgrows the product.
 
-        A group's columns are runs of n lanes, XORed into one run by
-        `_xor_columns`, its plains' likewise.  Two folds by x^w = the sum
-        of x^s over the set bits s of REDUCTION_POLY_LOW[w] then reduce
-        each sum's w - 1 high bits, then the few bits the first fold
-        pushed past bit w - 1; they leave a plain, below x^w, as it is.
+        A group's columns are runs of n lanes, cut out of the product int
+        by a shift and a mask and XORed into one run by halving, its
+        plains' likewise; the run is XORed in at the group's first gate
+        lane.  Two folds by x^w = the sum of x^s over the set bits s of
+        REDUCTION_POLY_LOW[w] then reduce each sum's w - 1 high bits, then
+        the few bits the first fold pushed past bit w - 1; they leave a
+        plain, below x^w, as it is.
+
+        Everything that depends on the shape alone (the lane masks, each
+        group's cuts and halving steps, the fold mask) is bound here, so
+        a call does only the operand work.
         """
         w, folds = self.w, self.folds
-        words = 1 if w <= 32 else 2
-        lane = 8 * words                    # bytes per lane
-        order = sys.byteorder
-        low_word = words - 1 if order == "big" else 0
+        bits = 2 * w
+        # a lane is a 2w-bit uint or, at w = 64, the operand's word beside
+        # a zero word, as the low half of the 16 bytes in host byte order
+        lane = _UINT.get(bits // 8) or ("Q8x" if _ORDER == "little" else "8xQ")
 
-        def pack(values) -> array:
-            lanes = array("Q", values)
-            if words == 2:
-                lanes, wide = array("Q", bytes(16 * len(lanes))), lanes
-                lanes[low_word::2] = wide
-            return lanes
+        def lanes(count) -> struct.Struct:
+            return struct.Struct(f"{count}{lane}" if len(lane) == 1 else lane * count)
 
-        def columns(data: bytes, start: int, cols: int, width: int) -> int:
-            """The XOR of `cols` runs of `width` bytes of data from start."""
-            run = data[start:start + cols * width]
-            return _xor_columns(int.from_bytes(run, order), cols, 8 * width)
+        def at(first, count, total) -> int:
+            """The lowest bit of `count` lanes from lane `first` of a packed
+            int of `total` lanes: lane 0 is its lowest in little-endian
+            byte order, its highest in big-endian."""
+            return bits * (first if _ORDER == "little" else total - first - count)
 
+        size = sum(k * n for k, _, n in groups)
+        psize = sum(j * n for _, j, n in groups)
         gates = sum(n for _, _, n in groups)
-        ones = int.from_bytes(pack([1]).tobytes() * max(len(xs), gates), order)
-        x, y = int.from_bytes(pack(xs), order), int.from_bytes(pack(ys), order)
-        window = [(x << k, ones << k, ones << (w + k)) for k in range(4)]
-        r = 0
-        for p in range(w - 4, -1, -4):
-            t = y >> p
-            r <<= 4
-            for xk, bit, top in window:
-                r ^= xk & (top - (t & bit))
-        if len(groups) == 1:
-            # one group: its columns are all of r, with no bytes to cut
-            ((k, j, n),) = groups
-            bits, plain = 8 * lane * n, int.from_bytes(pack(plains), order)
-            r = _xor_columns(r, k, bits) ^ _xor_columns(plain, j, bits)
-        else:
-            products, plain_lanes = r.to_bytes(lane * len(xs), order), pack(plains).tobytes()
-            runs, start, pstart = [], 0, 0
-            for k, j, n in groups:
-                width = lane * n
-                acc = columns(products, start, k, width) ^ columns(plain_lanes, pstart, j, width)
-                runs.append(acc.to_bytes(width, order))
-                start += k * width
-                pstart += j * width
-            r = int.from_bytes(b"".join(runs), order)
-        low = (ones << w) - ones
-        for _ in range(2):
-            h = (r >> w) & low
-            r &= low
-            for s in folds:
-                r ^= h << s
-        return array("Q", r.to_bytes(lane * gates, order))[low_word::words].tolist()
+        pack, pack_plains, gate_lanes = lanes(size).pack, lanes(psize).pack, lanes(gates)
+        unpack = gate_lanes.unpack
+        ones = int.from_bytes(pack(*[1] * size), _ORDER)
+        masks = tuple((ones << k, ones << (w + k)) for k in range(4))
+        nibbles = range(w - 4, -1, -4)
+        gate_ones = int.from_bytes(gate_lanes.pack(*[1] * gates), _ORDER)
+        low = (gate_ones << w) - gate_ones
+        nbytes = bits // 8 * gates
+        # per run of columns: (0 for products or 1 for plains, its lowest
+        # bit, its mask, its halving steps, the lowest bit of its gates)
+        cuts = []
+        start = pstart = first = 0
+        for k, j, n in groups:
+            run = bits * n
+            for source, lane_at, cols, total in ((0, start, k, size), (1, pstart, j, psize)):
+                if cols:
+                    cuts.append((source, at(lane_at, cols * n, total), (1 << run * cols) - 1,
+                                 _column_steps(cols, run), at(first, n, gates)))
+            start, pstart, first = start + k * n, pstart + j * n, first + n
+
+        def kernel(xs, ys, plains) -> list:
+            x, y = int.from_bytes(pack(*xs), _ORDER), int.from_bytes(pack(*ys), _ORDER)
+            window = [(x << k, bit, top) for k, (bit, top) in enumerate(masks)]
+            r = 0
+            for p in nibbles:
+                t = y >> p
+                r <<= 4
+                for xk, bit, top in window:
+                    r ^= xk & (top - (t & bit))
+            sources = (r, int.from_bytes(pack_plains(*plains), _ORDER))
+            r = 0
+            for source, lowest, mask, steps, gate_at in cuts:
+                v = (sources[source] >> lowest) & mask
+                for shift, keep in steps:
+                    v = (v >> shift) ^ (v & keep)
+                r ^= v << gate_at
+            for _ in range(2):
+                h = (r >> w) & low
+                r &= low
+                for s in folds:
+                    r ^= h << s
+            return list(unpack(r.to_bytes(nbytes, _ORDER)))
+
+        return kernel
 
     def add(self, a, b):
         return a ^ b

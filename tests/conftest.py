@@ -75,7 +75,7 @@ def planned_products(circ) -> tuple:
     k * n products and n values, and the values are the reached add
     gates and the standalone mul gates."""
     products = values = 0
-    for _, _, _, groups in circ.plan[2]:
+    for *_, groups in circ.plan[2]:
         for k, _, n in groups:
             products += k * n
             values += n

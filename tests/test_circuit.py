@@ -383,6 +383,23 @@ def _layered_circuit(field, rng, shape, n_inputs, n_random_outputs):
 _LEVEL = st.tuples(st.integers(0, 3), st.lists(st.integers(1, 9), max_size=6))
 
 
+@pytest.mark.parametrize("bad", [-1, 1 << 32, None], ids=["negative", "order", "none"])
+def test_the_first_faulty_input_names_the_error(bad):
+    # inputs are checked in gate order, so of a value outside the field
+    # and a missing value the earlier input's fault is raised; a value
+    # that is no number fails its range check with a TypeError
+    bld = CircuitBuilder(gf2(32))
+    names = ["v:a", "v:b", "v:c", "v:d"]
+    bld.set_outputs([bld.add(*map(bld.inp, names))])
+    circ = bld.build()
+    error = TypeError if bad is None else InputOutOfRange
+    with pytest.raises(error, match=None if bad is None else "v:b"):
+        evaluate(circ, {"v:a": 1, "v:b": bad, "v:c": 3})
+    with pytest.raises(UnassignedInput, match="v:b"):
+        evaluate(circ, {"v:a": 1, "v:c": bad, "v:d": 4})
+    assert evaluate(circ, {"v:a": 1, "v:b": 2, "v:c": 4, "v:d": 8}) == (15,)
+
+
 @pytest.mark.parametrize("field", [prime_field(101), gf2(8), gf2(32)],
                          ids=lambda f: f.spec_string())
 @settings(max_examples=40, deadline=None)
@@ -443,7 +460,7 @@ out 14 8 10
 def test_products_that_one_sum_alone_reads_are_fused(field):
     circ = parse(_MIXED_READERS.format(spec=field.spec_string()))
     assert planned_products(circ) == (3, 4)
-    assert [groups for _, _, _, groups in circ.plan[2]] == [
+    assert [groups for *_, groups in circ.plan[2]] == [
         ((1, 0, 2),), ((0, 2, 1), (0, 3, 1), (1, 0, 1)), ((0, 2, 1), (1, 0, 1)),
         ((1, 0, 1), (0, 3, 1)), ((2, 2, 1),)]
     top = field.order - 1

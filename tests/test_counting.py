@@ -85,6 +85,18 @@ def test_ryser_identity_and_ones():
     assert permanent_ryser(ones(5)) == factorial(5)
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_matrix_assignment_names_each_entry_as_matrix_input_name_does(n):
+    # the same keys, in the same row-by-row order, with the same values
+    mat = rand_matrix(Rng(n), n)
+    want = {}
+    for i in range(n):
+        for j in range(n):
+            want[matrix_input_name(i + 1, j + 1)] = mat.entries[i][j]
+    got = matrix_assignment(mat)
+    assert list(got.items()) == list(want.items())
+
+
 def test_ryser_matches_naive():
     rng = Rng(11)
     for _ in range(5):

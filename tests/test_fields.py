@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronscale.errors import DivisionByZero, ParseError
 from kronscale.fields import (
@@ -87,13 +89,13 @@ def test_gf2_mul_matches_schoolbook_oracle(w):
 
 
 def products(field, xs, ys) -> list:
-    """The products of the pairs by `dot_many`, each one gate's sum."""
-    return field.dot_many(xs, ys, (), ((1, 0, len(xs)),) if xs else ())
+    """The products of the pairs by a `dot_kernel`, each one gate's sum."""
+    return field.dot_kernel(((1, 0, len(xs)),) if xs else ())(xs, ys, ())
 
 
 @pytest.mark.parametrize("w", [8, 16, 32, 64])
 def test_gf2_mul_many_window_kernel_edges(w):
-    # the window kernel of dot_many against scalar mul on operands that
+    # the window kernel of dot_kernel against scalar mul on operands that
     # fill a lane's edges: every pair of 0, 1, the top bit and 2^w - 1,
     # alone, beside an all-ones lane on either side, and between two
     # all-ones lanes, so a borrow or carry that left its lane would show
@@ -110,13 +112,14 @@ def test_gf2_mul_many_window_kernel_edges(w):
                 want = [field.mul(x, y) for x, y in zip(xs, ys)]
                 assert products(field, xs, ys) == want, (hex(a), hex(b), len(xs))
             want = field.add(field.mul(a, b), field.mul(ones, ones))
-            assert field.dot_many([a, ones], [b, ones], (), [(2, 0, 1)]) == [want]
-            assert field.dot_many([a], [b], [ones], [(1, 1, 1)]) == \
+            assert field.dot_kernel([(2, 0, 1)])([a, ones], [b, ones], ()) == [want]
+            assert field.dot_kernel([(1, 1, 1)])([a], [b], [ones]) == \
                 [field.add(field.mul(a, b), ones)]
 
 
 def dot_reference(field, xs, ys, plains, groups) -> list:
-    """dot_many one scalar field operation at a time."""
+    """A `dot_kernel` of groups applied to (xs, ys, plains), one scalar
+    field operation at a time."""
     out, start, pstart = [], 0, 0
     for k, j, n in groups:
         for i in range(n):
@@ -152,18 +155,44 @@ def test_batch_ops_match_scalar_ops(spec):
         xs, ys = values[:size], values[size:2 * size]
         plains = values[2 * size:2 * size + psize]
         want = dot_reference(field, xs, ys, plains, groups)
-        assert field.dot_many(xs, ys, plains, groups) == want, groups
-        assert field.dot_many(tuple(xs), tuple(ys), tuple(plains), tuple(groups)) == want
+        assert field.dot_kernel(groups)(xs, ys, plains) == want, groups
+        assert field.dot_kernel(tuple(groups))(tuple(xs), tuple(ys), tuple(plains)) == want
         # each shape alone, so each level has one group
         if groups:
             (k, j, n), shift = groups[-1], len(groups)
             xs, ys = values[shift:shift + k * n], values[-k * n:] if k else []
             plains = values[shift:shift + j * n]
-            assert field.dot_many(xs, ys, plains, [(k, j, n)]) == \
+            assert field.dot_kernel([(k, j, n)])(xs, ys, plains) == \
                 dot_reference(field, xs, ys, plains, [(k, j, n)]), (k, j, n)
     # an empty level
-    assert field.dot_many([], [], [], []) == []
-    assert field.dot_many((), (), (), ()) == []
+    assert field.dot_kernel([])([], [], []) == []
+    assert field.dot_kernel(())((), (), ()) == []
+
+
+_KERNEL_FIELDS = [prime_field(101), prime_field(2**61 - 1), gf2(8), gf2(16), gf2(32), gf2(64)]
+# a group (k, j, n): k + j > n sums each gate's strided row, k + j <= n
+# whole columns; j = 0 leaves the group without plains
+_GROUP = st.tuples(st.integers(0, 5), st.integers(0, 4), st.integers(1, 6)).filter(
+    lambda g: g[0] + g[1] > 0)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(field=st.sampled_from(_KERNEL_FIELDS), groups=st.lists(_GROUP, max_size=4),
+       seed=st.integers(0, 2**32))
+def test_a_prepared_kernel_serves_every_call(field, groups, seed):
+    # one kernel per level, called on three operand sets in turn, each
+    # against the scalar reference: a bound constant that kept state
+    # from one call would show in the next
+    kernel = field.dot_kernel(groups)
+    rng = Rng(seed)
+    size = sum(k * n for k, _, n in groups)
+    psize = sum(j * n for _, j, n in groups)
+    top = field.order - 1
+    for call in range(3):
+        xs = [field.random(rng) for _ in range(size)]
+        ys = [top if call == 1 else field.random(rng) for _ in range(size)]
+        plains = [field.random(rng) for _ in range(psize)]
+        assert kernel(xs, ys, plains) == dot_reference(field, xs, ys, plains, groups), call
 
 
 def test_default_prime():

@@ -251,16 +251,43 @@ def test_parse_errors_are_raised_only_by_parsers(path):
     assert parse_errors_outside_parsers(path.read_text()) == []
 
 
+def evaluation_path(circuit_source: str) -> list:
+    """The functions that `evaluate` in circuit_source may run: itself,
+    then each module-level function and each method of a module-level
+    class whose name a function on the path reads, as a name or as an
+    attribute, until no new name is read."""
+    defs = {}
+    for node in ast.parse(circuit_source).body:
+        for item in node.body if isinstance(node, ast.ClassDef) else [node]:
+            if isinstance(item, FUNCTIONS):
+                defs.setdefault(item.name, []).append(item)
+    path, names = [], ["evaluate"]
+    seen = set()
+    while names:
+        name = names.pop()
+        if name in seen or name not in defs:
+            continue
+        seen.add(name)
+        for fn in defs[name]:
+            path.append(fn)
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Name):
+                    names.append(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.append(node.attr)
+    return path
+
+
 def missing_field_methods(circuit_source: str, fields_source: str) -> list:
-    """(class, name) for each attribute that `evaluate` in circuit_source
-    reads off a name `field`, and that a class in fields_source whose
-    bases name Field neither defines in its body nor assigns to
+    """(class, name) for each attribute that a function on the evaluation
+    path of circuit_source (`evaluation_path`) reads off a field, a name
+    `field` or an attribute `.field`, and that a class in fields_source
+    whose bases name Field neither defines in its body nor assigns to
     `self.<name>`."""
-    evaluate = next(node for node in ast.parse(circuit_source).body
-                    if isinstance(node, FUNCTIONS) and node.name == "evaluate")
-    used = {node.attr for node in ast.walk(evaluate)
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-            and node.value.id == "field"}
+    used = {node.attr for fn in evaluation_path(circuit_source) for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute)
+            and (isinstance(node.value, ast.Name) and node.value.id == "field"
+                 or isinstance(node.value, ast.Attribute) and node.value.attr == "field")}
     missing = []
     for cls in ast.parse(fields_source).body:
         if not isinstance(cls, ast.ClassDef) or \
@@ -277,26 +304,34 @@ def missing_field_methods(circuit_source: str, fields_source: str) -> list:
 
 
 def test_scan_finds_a_field_missing_a_method_evaluate_reads():
-    circuit = ("def evaluate(circ, asg):\n    field = circ.field\n    n = field.order\n"
-               "    return field.dot_many(asg, n)\n"
+    # evaluate reads the order off circ.field, and the plan it reads
+    # prepares the kernels in _level_plan, so both are on the path;
+    # `other` is not, so no field needs mul_many
+    circuit = ("class Circuit:\n    @property\n    def plan(self):\n"
+               "        return _level_plan(self.field)\n"
+               "def _level_plan(field):\n    return [field.dot_kernel(())]\n"
+               "def evaluate(circ, asg):\n    n = circ.field.order\n"
+               "    return [k(asg, n) for k in circ.plan]\n"
                "def other(field):\n    return field.mul_many()\n")
     fields = ("class Field:\n    pass\n"
               "class A(Field):\n    def __init__(self):\n        self.order = 2\n"
-              "    def dot_many(self, v, n):\n        return v\n"
-              "class B(Field):\n    order = 3\n    sum_many = None\n"
+              "    def dot_kernel(self, groups):\n        return len\n"
+              "class B(Field):\n    order = 3\n    dot_many = None\n"
               "class C(Field):\n    def __init__(self, f):\n        f.order = 1\n"
               "class D:\n    pass\n")
+    assert [fn.name for fn in evaluation_path(circuit)] == ["evaluate", "plan", "_level_plan"]
     assert missing_field_methods(circuit, fields) == \
-        [("B", "dot_many"), ("C", "dot_many"), ("C", "order")]
+        [("B", "dot_kernel"), ("C", "dot_kernel"), ("C", "order")]
 
 
-# each field runs a whole evaluation level in one batch kernel, so a
-# field class without it would fail only when a circuit over it is
-# evaluated
+# each field prepares a batch kernel per evaluation level, so a field
+# class without it would fail only when a circuit over it is evaluated
 def test_every_field_defines_what_evaluate_reads():
     package = Path(kronscale.__file__).parent
-    assert missing_field_methods((package / "circuit.py").read_text(),
-                                 (package / "fields.py").read_text()) == []
+    circuit = (package / "circuit.py").read_text()
+    # the plan, where the kernels are prepared, is on the path
+    assert {"evaluate", "plan", "_level_plan"} <= {fn.name for fn in evaluation_path(circuit)}
+    assert missing_field_methods(circuit, (package / "fields.py").read_text()) == []
 
 
 ROOT = Path(__file__).resolve().parents[1]
