@@ -488,6 +488,7 @@ def parse(text: str) -> Circuit:
     gates = []
     outputs = None
     saw_header = False
+    lineno = None  # after the loop: the last content line
     for lineno, line in content_lines(text):
         toks = line.split()
         if not saw_header:
@@ -546,9 +547,9 @@ def parse(text: str) -> Circuit:
         else:
             raise ParseError(f"unknown record kind {kind!r}", lineno)
     if field is None:
-        raise ParseError("missing field declaration")
+        raise ParseError("missing field declaration", lineno)
     if outputs is None:
-        raise ParseError("missing out record")
+        raise ParseError("missing out record", lineno)
     for o in outputs:
         if not 0 <= o < len(gates):
             raise ParseError(f"output id {o} out of range", out_line)

@@ -15,6 +15,7 @@ from .errors import (DivisibilityError, ParityError, ParseError, ShapeError, Too
                      content_lines, int_fields, records)
 from .fields import Field, prime_field
 from .scaling import PScalingScheme
+from .sieving import _emit_clows
 
 
 @dataclass(frozen=True)
@@ -115,11 +116,10 @@ def permanent_skew_circuit(n: int, field: Field):
     x-weighted column sums; the coefficient of x_1...x_n is the permanent."""
     bld = CircuitBuilder(field)
     xs = [bld.inp(f"x:{{{i}}}") for i in range(1, n + 1)]
-    acc = None
+    acc = bld.one
     for j in range(1, n + 1):
-        col = bld.add(*[bld.mul(xs[i - 1], bld.inp(matrix_input_name(i, j)))
-                        for i in range(1, n + 1)])
-        acc = col if acc is None else bld.mul(acc, col)
+        acc = bld.mul(acc, bld.add(*[bld.mul(xs[i - 1], bld.inp(matrix_input_name(i, j)))
+                                     for i in range(1, n + 1)]))
     bld.set_outputs([acc])
     return bld.build(), [f"x:{{{i}}}" for i in range(1, n + 1)]
 
@@ -186,63 +186,25 @@ def hafnian_clow_circuit(two_n: int, field: Field):
     """1-skew circuit for the alternating-clow polynomial.
 
     Vertices are [2n] with red pairing edges (2i-1, 2i) carrying variable
-    x_i; black edges carry the symmetric matrix entries.  Walks alternate
-    red and black starting from each walk's anchor (its least vertex), and
-    anchors increase along the sequence; a clow sequence of length 2n uses
-    every red edge exactly once iff it is an alternating cycle cover, so
-    the coefficient of x_1...x_n is the hafnian.  O(n^4) binary gates.
+    x_i; black edges carry the symmetric matrix entries.  Each walk of a
+    clow sequence starts at its head (its least vertex) and alternates red
+    and black, red first; heads increase along the sequence, so a walk
+    closes, and the next one opens, only after a black step.  A clow
+    sequence of length 2n uses every red edge exactly once iff it is an
+    alternating cycle cover, so the coefficient of x_1...x_n is the
+    hafnian; at 2n = 0 the empty sequence makes the output one.  O(n^4)
+    binary gates.
     """
     if two_n % 2 != 0:
         raise ParityError(f"hafnian needs an even order, got {two_n}")
     n = two_n // 2
     bld = CircuitBuilder(field)
-    xs = {i: bld.inp(f"x:{{{i}}}") for i in range(1, n + 1)}
-    a_in = {}
-    for i in range(1, two_n + 1):
-        for j in range(1, two_n + 1):
-            if i != j:
-                lo, hi = min(i, j), max(i, j)
-                a_in[(i, j)] = bld.inp(matrix_input_name(lo, hi))
-
-    def partner(v):
-        return v + 1 if v % 2 == 1 else v - 1
-
-    def pair_index(v):
-        return (v + 1) // 2
-
-    # state (cur, anchor) -> gate, per edge count t
-    cur_states = {(h, h): bld.one for h in range(1, two_n + 1)}
-    for t in range(two_n - 1):
-        nxt: dict = {}
-
-        def emit(key, gate):
-            if bld.is_zero(gate):
-                return
-            seen = nxt.get(key)
-            if seen is None:
-                nxt[key] = [gate]
-            else:
-                seen.append(gate)
-
-        red_step = t % 2 == 0
-        for (cur, h), gate in cur_states.items():
-            if red_step:
-                p = partner(cur)
-                if p > h:
-                    emit((p, h), bld.mul(xs[pair_index(cur)], gate))
-            else:
-                for w in range(h + 1, two_n + 1):
-                    if w != cur:
-                        emit((w, h), bld.mul(a_in[(cur, w)], gate))
-                closed = bld.mul(a_in[(cur, h)], gate)
-                for h2 in range(h + 1, two_n + 1):
-                    emit((h2, h2), closed)
-        cur_states = {key: bld.add(*gs) for key, gs in nxt.items()}
-    finals = []
-    for (cur, h), gate in cur_states.items():
-        if cur != h:
-            finals.append(bld.mul(a_in[(cur, h)], gate))
-    bld.set_outputs([bld.add(*finals) if finals else bld.zero])
+    xs = [bld.inp(f"x:{{{i}}}") for i in range(1, n + 1)]
+    black = [{w: bld.inp(matrix_input_name(min(v, w) + 1, max(v, w) + 1))
+              for w in range(two_n) if w != v} for v in range(two_n)]
+    red = [{v ^ 1: xs[v // 2]} for v in range(two_n)]
+    steps = [(black, True) if t % 2 else (red, False) for t in range(two_n - 1)]
+    bld.set_outputs([_emit_clows(bld, steps, black)])
     return bld.build(), [f"x:{{{i}}}" for i in range(1, n + 1)]
 
 

@@ -260,35 +260,56 @@ def kpath_detect(g: DirectedGraph, k: int, rng: Rng, trials: int = 7,
 
 
 # ---------------------------------------------------------------------------
-# Mahajan-Vinay determinant circuits (char 2: signs vanish)
+# clow sequences (Mahajan and Vinay): the determinant, and in counting the
+# hafnian
+
+def _emit_clows(bld: CircuitBuilder, steps, last) -> int:
+    """The sum over clow sequences of the product of their arc gates.
+
+    The vertices are 0..k-1, k = len(last).  A clow sequence is a list of
+    closed walks; each starts and ends at its head, visits no vertex below
+    it, and heads strictly increase along the list.  Partial sequences are
+    grouped by state (current vertex u, head h of the open walk), whose
+    gate sums their arc products; the first walk opens at any head h, as
+    the state (h, h) with gate one.
+
+    Each step (rows, closes) takes every state one arc further: rows[u]
+    maps w to the gate of arc (u, w), in ascending w and with no zero
+    gate, and a walk goes on only to w > h.  When closes holds, a walk may
+    instead take arc (u, h) back to its head, and the next walk opens at
+    any head above h.  After the steps, last[u][h] closes every walk.
+    With no vertex the only clow sequence is the empty one: the sum is one.
+    """
+    k = len(last)
+    if not k:
+        return bld.one
+    states = {(h, h): bld.one for h in range(k)}
+    for rows, closes in steps:
+        nxt: dict = {}
+        for (u, h), gate in states.items():
+            if bld.is_zero(gate):  # its constant terms cancelled: it opens no state
+                continue
+            row = rows[u]
+            for w, arc in row.items():
+                if w > h:
+                    nxt.setdefault((w, h), []).append(bld.mul(arc, gate))
+            if closes and h in row:
+                closed = bld.mul(row[h], gate)
+                for h2 in range(h + 1, k):
+                    nxt.setdefault((h2, h2), []).append(closed)
+        states = {key: bld.add(*gates) for key, gates in nxt.items()}
+    return bld.add(*[bld.mul(last[u][h], gate) for (u, h), gate in states.items()
+                     if h in last[u]])
+
 
 def _emit_mv_det(bld: CircuitBuilder, entries) -> int:
-    """Clow-sequence determinant DP over a k x k matrix of gate ids.
-
-    States (current vertex, head) per walk length; heads strictly increase
-    across walks and never reappear inside one, so clow sequences of total
-    length k sum to the determinant mod 2.
-    """
-    k = len(entries)
-    states = {(h, h): bld.one for h in range(k)}
-    for t in range(k - 1):
-        nxt: dict = {}
-
-        def emit(key, gate):
-            if bld.is_zero(gate):
-                return
-            nxt.setdefault(key, []).append(gate)
-
-        for (u, h), gate in states.items():
-            for w in range(h + 1, k):
-                emit((w, h), bld.mul(entries[u][w], gate))
-            closed = bld.mul(entries[u][h], gate)
-            if not bld.is_zero(closed):
-                for h2 in range(h + 1, k):
-                    emit((h2, h2), closed)
-        states = {key: bld.add(*gs) for key, gs in nxt.items()}
-    finals = [bld.mul(entries[u][h], gate) for (u, h), gate in states.items()]
-    return bld.add(*finals) if finals else bld.zero
+    """Determinant mod 2 of a k x k matrix of gate ids: the sum over its
+    clow sequences of length k (Mahajan and Vinay; in characteristic 2 the
+    signs vanish), k - 1 steps over the nonzero entries, each free to close
+    a walk, then the closing arc.  The 0 x 0 determinant is one."""
+    rows = [{w: gate for w, gate in enumerate(row) if not bld.is_zero(gate)}
+            for row in entries]
+    return _emit_clows(bld, [(rows, True)] * (len(rows) - 1), rows)
 
 
 def mv_det_circuit(entries, field: Field) -> Circuit:
@@ -362,8 +383,6 @@ def triples_to_matrices(sizes, triples, k: int, field: Field, rng: Rng):
 def matching3d_detect(sizes, triples, k: int, rng: Rng, trials: int = 7,
                       method: str = "direct", field: Field | None = None) -> bool:
     field = field or gf2(DEFAULT_SIEVE_FIELD_WIDTH)
-    if k == 0:
-        return True
     if len(triples) < k:
         return False
     a, b, c = triples_to_matrices(sizes, triples, k, field, rng)

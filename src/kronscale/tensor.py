@@ -266,6 +266,7 @@ def parse_decomposition(text: str) -> RankDecomposition:
     mats = {"U": [], "V": [], "W": []}
     section = None
     saw_header = False
+    lineno = None  # after the loop: the last content line
     for lineno, line in content_lines(text):
         if not saw_header:
             if line != "rankdec v1":
@@ -295,28 +296,32 @@ def parse_decomposition(text: str) -> RankDecomposition:
             if field is None:
                 raise ParseError("matrix block before field declaration", lineno)
             try:
-                mats[section].append(tuple(field.parse_value(t) for t in line.split()))
+                row = tuple(field.parse_value(t) for t in line.split())
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from None
+            mats[section].append((row, lineno))
         else:
             raise ParseError(f"unexpected content {line!r}", lineno)
     if field is None or r is None:
-        raise ParseError("missing field or r declaration")
+        raise ParseError("missing field or r declaration", lineno)
     masks = [entry for side in sides.values() for entry in side]
     if ground_size is None:
         ground_size = max((m.bit_length() for m, _ in masks), default=0)
-    for m, lineno in masks:
+    for m, at in masks:
         if m >> ground_size:
-            raise ParseError(f"subset {_fmt_mask(m)} is not within ground {ground_size}",
-                             lineno)
-    if r == 0:  # rows of width zero are written as blank lines, which are skipped
-        for label, side in zip(mats, sides.values()):
-            mats[label] = mats[label] or [()] * len(side)
-    try:
-        dec = RankDecomposition.from_dense(
-            field, ground_size, r, *([m for m, _ in sides[k]] for k in sides),
-            mats["U"], mats["V"], mats["W"])
-        _check_shapes(dec)
-    except ShapeError as exc:
-        raise ParseError(str(exc)) from None
-    return dec
+            raise ParseError(f"subset {_fmt_mask(m)} is not within ground {ground_size}", at)
+    for label, side in zip(mats, sides.values()):
+        rows = mats[label]
+        if r == 0 and not rows:
+            # rows of width zero are written as blank lines, which are skipped
+            rows = mats[label] = [((), lineno)] * len(side)
+        for row, at in rows:
+            if len(row) != r:
+                raise ParseError(f"{label} row width {len(row)} != rank {r}", at)
+        if len(rows) != len(side):
+            # a surplus row is named by its own line, a missing one by the last line
+            at = rows[len(side)][1] if len(rows) > len(side) else lineno
+            raise ParseError(f"{label} has {len(rows)} rows for {len(side)} side entries", at)
+    return RankDecomposition.from_dense(
+        field, ground_size, r, *([m for m, _ in side] for side in sides.values()),
+        *([row for row, _ in rows] for rows in mats.values()))

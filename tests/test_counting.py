@@ -181,10 +181,11 @@ def test_permanent_rejects_bad_n():
 
 def test_permanent_extraction_modes():
     rng = Rng(23)
-    m = rand_matrix(rng, 6)
-    want = permanent_ryser(m)
-    assert permanent_via_extraction(m, "direct") == want
-    assert permanent_via_extraction(m, "tri") == want
+    # the 0 x 0 generating polynomial is the empty product: permanent one
+    for m in (rand_matrix(rng, 6), SquareMatrix(F, ())):
+        want = permanent_ryser(m)
+        assert permanent_via_extraction(m, "direct") == want
+        assert permanent_via_extraction(m, "tri") == want
 
 
 def test_permanent_row_column_permutation_invariance():
@@ -231,12 +232,14 @@ def test_hafnian_bruteforce_vs_recursive_oracle():
 
 def test_hafnian_circuit_modes_match_bruteforce():
     rng = Rng(43)
-    for two_n in (4, 6):
+    # 2n = 0: the empty clow sequence is the one matching of no vertex
+    for two_n in (0, 4, 6):
         m = rand_matrix(rng, two_n, symmetric=True)
         want = hafnian_bruteforce(m)
         assert hafnian_value(m, "direct") == want
-    m8 = rand_matrix(rng, 8, symmetric=True)
-    assert hafnian_value(m8, "tri") == hafnian_bruteforce(m8)
+    for two_n in (0, 8):
+        m = rand_matrix(rng, two_n, symmetric=True)
+        assert hafnian_value(m, "tri") == hafnian_bruteforce(m)
 
 
 def test_hafnian_direct_extraction_tables_only_reached_components():

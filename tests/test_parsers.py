@@ -70,6 +70,16 @@ MALFORMED = {
     "graph-directed-surplus-edge": (parse_graph_file, "directed 3 1\n1 2\n2 3\n", 3),
     "graph-undirected-missing-edge": (parse_graph_file, "undirected 3 2\n1 2\n", 2),
     "graph-triples-missing-triple": (parse_graph_file, "triples 1 1 1 2\n1 1 1\n", 2),
+    "circuit-missing-field": (parse, "circuit v1\nout\n# no field\n", 2),
+    "circuit-missing-out": (parse, "circuit v1\nfield p=7\nin 0 x:{1}\n\n", 3),
+    "rankdec-missing-rank": (parse_decomposition, "rankdec v1\nfield p=7\n# no rank\n", 2),
+    "rankdec-missing-row": (parse_decomposition,
+                            "rankdec v1\nfield p=7\nr=1\nxside:\n{0}\n{1}\nU:\n1\n", 8),
+    "rankdec-surplus-row": (parse_decomposition,
+                            "rankdec v1\nfield p=7\nr=1\nxside:\n{0}\nU:\n1\n0\n", 8),
+    # a row of the wrong width is named by its own line
+    "rankdec-row-width": (parse_decomposition,
+                          "rankdec v1\nfield p=7\nr=1\nxside:\n{0}\nU:\n1 0\nV:\n", 7),
 }
 
 
@@ -120,13 +130,12 @@ def mutations(draw, text):
 @settings(max_examples=150, deadline=None, database=None)
 @given(data=st.data())
 def test_mutated_input_parses_or_raises_parse_error(case, data):
-    # the matrix, family and graph parsers name a line in every error on
-    # a file with a content line
+    # every parser names a line in every error on a file with a content line
     parser, text = VALID[case]
     parser(text)
     mutated = data.draw(mutations(text))
     try:
         parser(mutated)
     except ParseError as exc:
-        if case.startswith(("matrix", "family", "graph")) and content_lines(mutated):
+        if content_lines(mutated):
             assert exc.line is not None

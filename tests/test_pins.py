@@ -7,20 +7,61 @@ pin and says why.  The pins do not depend on PYTHONHASHSEED.
 """
 
 import hashlib
+from unittest import mock
 
 import pytest
 
+from kronscale import sieving
 from kronscale.circuit import serialize
 from kronscale.coeffx import extract_coefficient
 from kronscale.counting import (
     build_hafnian_circuit,
     build_permanent_circuit,
+    hafnian_clow_circuit,
     permanent_skew_circuit,
 )
-from kronscale.fields import gf2, prime_field
+from kronscale.fields import Rng, gf2, prime_field
+from kronscale.sieving import UndirectedGraph, longcycle_detect, mv_det_circuit
 
 from test_scaling import block_first
 from test_sieving import _kpath_tri_benchmark_runner
+
+
+def _mv_det_4x4():
+    # zero (one on the diagonal), constant, one-term and two-term entries,
+    # so that the determinant DP meets every kind of entry gate
+    def x(v, coeff=1):
+        return (f"x:{{{v}}}", coeff)
+
+    zero = (0, ())
+    entries = [
+        [(0, (x(1),)), (3, ()), zero, (1, (x(2), x(3, 5)))],
+        [(1, ()), zero, (0, (x(4, 7),)), (0, (x(1),))],
+        [zero, (2, (x(2),)), (0, (x(3),)), zero],
+        [(0, (x(4),)), (0, (x(1, 2), x(2))), (5, ()), (1, ())],
+    ]
+    return mv_det_circuit(entries, gf2(16))
+
+
+class _Captured(Exception):
+    pass
+
+
+def _longcycle_det_circuit():
+    # the determinant circuit that longcycle_detect hands to its sieve: a
+    # 6-cycle 1-5-3-7-4-9 with pendant vertices 6 and 2 and an isolated 8,
+    # sides declared.  Its diagonal ones make constant sums of closed walks
+    # cancel, so some partial clow sequences sum to zero.
+    def capture(circ, *args, **kwargs):
+        raise _Captured(circ)
+
+    g = UndirectedGraph(9, ((1, 5), (1, 6), (1, 9), (2, 7), (3, 5), (3, 7), (4, 7), (4, 9)),
+                        side_u=(1, 2, 3, 4))
+    with mock.patch.object(sieving, "SieveRunner", capture), \
+            pytest.raises(_Captured) as exc:
+        longcycle_detect(g, 6, Rng(1), field=gf2(16))
+    return exc.value.args[0]
+
 
 PINS = {
     "kpath-tri": (lambda: _kpath_tri_benchmark_runner()[0].circuit, "980cc58c0bf0"),
@@ -37,6 +78,10 @@ PINS = {
     # share terms across several side entries
     "perm9-block-first": (lambda: build_permanent_circuit(9, gf2(32), dec_source=block_first,
                                                           b=1, g=1), "4ddbe2b90875"),
+    # raw clow-sequence circuits, before any extraction
+    "hafnian12-clow": (lambda: hafnian_clow_circuit(12, prime_field())[0], "befc9dc6b987"),
+    "mv-det-4x4": (_mv_det_4x4, "6f0ae252f4bc"),
+    "longcycle-det": (_longcycle_det_circuit, "283a1e31c107"),
 }
 
 

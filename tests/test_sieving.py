@@ -262,6 +262,8 @@ def test_kpath_examples():
     rng = Rng(18)
     assert kpath_detect(DirectedGraph(3, ((1, 2), (2, 3))), 2, rng, trials=7)
     assert not kpath_detect(DirectedGraph(4, ((1, 2), (3, 4))), 2, rng, trials=7)
+    # no arc: the walk circuit reads no label, so no sieve is built
+    assert not kpath_detect(DirectedGraph(4, ()), 2, rng, trials=7)
 
 
 def dfs_has_path(g, k):
@@ -355,6 +357,21 @@ def test_matching3d_vs_exhaustive():
         want = matching3d_brute(triples, k)
         got = matching3d_detect((3, 3, 3), triples, k, rng, trials=7, field=F)
         assert got == want
+    # fewer triples than k: no sieve is built
+    triples = ((1, 1, 1), (2, 2, 2))
+    assert matching3d_detect((3, 3, 3), triples, 3, rng, field=F) == matching3d_brute(triples, 3)
+
+
+@pytest.mark.parametrize("method", ["direct", "tri"])
+def test_k0_finds_the_empty_common_basis_and_matching(method):
+    # the 0 x 0 determinant is one: its one clow sequence is the empty one
+    assert evaluate(mv_det_circuit([], F), {}) == (F.one,)
+    rng = Rng(34)
+    empty = SieveMatrix(F, ())
+    assert matroid3_detect(empty, empty, empty, rng, method=method)
+    for triples in ((), ((1, 2, 1),)):
+        assert matching3d_brute(triples, 0)
+        assert matching3d_detect((2, 2, 2), triples, 0, rng, method=method, field=F)
 
 
 def cycle_at_least(g, k):
@@ -381,12 +398,15 @@ def test_longcycle_c4():
     rng = Rng(24)
     c4 = UndirectedGraph(4, ((1, 3), (1, 4), (2, 3), (2, 4)), side_u=(1, 2))
     assert longcycle_detect(c4, 4, rng, trials=7, field=F)
+    # a cycle of length >= 6 needs three side-U vertices, and c4 has two
+    assert not longcycle_detect(c4, 6, rng, trials=7, field=F)
 
 
 def test_longcycle_tree_false():
     rng = Rng(25)
     tree = UndirectedGraph(5, ((1, 4), (1, 5), (2, 4), (3, 4)), side_u=(1, 2, 3))
     assert not longcycle_detect(tree, 4, rng, trials=7, field=F)
+    assert not longcycle_detect(UndirectedGraph(5, (), side_u=(1, 2, 3)), 4, rng, field=F)
 
 
 def test_longcycle_vs_exhaustive():
@@ -409,6 +429,26 @@ def test_longcycle_rejects_nonbipartite():
     g = UndirectedGraph(3, ((1, 2), (2, 3), (1, 3)))
     with pytest.raises(BipartitenessError):
         longcycle_detect(g, 3, rng, field=F)
+
+
+@pytest.mark.parametrize("method", ["direct", "tri"])
+def test_longcycle_colours_undeclared_sides_per_component(method):
+    # no declared sides: a 4-cycle, and a 6-cycle with a pendant vertex
+    g = UndirectedGraph(11, ((1, 2), (1, 4), (2, 3), (3, 4), (5, 6), (5, 10), (6, 7),
+                             (7, 8), (8, 9), (9, 10), (10, 11)))
+    rng = Rng(30)
+    for k in (4, 6, 7, 8):
+        assert longcycle_detect(g, k, rng, trials=7, method=method, field=F) == \
+            cycle_at_least(g, k)
+
+
+def test_longcycle_rejects_an_odd_characteristic_and_k_below_3():
+    rng = Rng(32)
+    c4 = UndirectedGraph(4, ((1, 3), (1, 4), (2, 3), (2, 4)), side_u=(1, 2))
+    with pytest.raises(CharacteristicError):
+        longcycle_detect(c4, 4, rng, field=prime_field(7))
+    with pytest.raises(ShapeError):
+        longcycle_detect(c4, 2, rng, field=F)
 
 
 def test_graph_file_parsing():
