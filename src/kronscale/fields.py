@@ -7,7 +7,7 @@ width and no tables, costs nothing to build, and compares and hashes equal
 to every field with the same spec string.  GF(2^w) has one scalar
 multiply at every width, the bit-serial carryless product and reduction.
 
-Every field also has one batch operation, a kernel factory that circuit
+Every field also has a batch operation, a kernel factory that circuit
 evaluation calls once per level of a circuit's plan:
 `dot_kernel(groups)`.  A group (k, j, n) is n gates, each the sum of k
 products xs[i] * ys[i] and j plain values, laid out column by column:
@@ -16,7 +16,9 @@ that depends on the groups alone, such as slice bounds, lane masks and
 cut offsets, and returns the kernel, `kernel(xs, ys, plains)`, which
 does only the operand work.  The kernel returns the list of one
 canonical value per gate, reduces each sum once, not each product, and
-keeps no state between calls.
+keeps no state between calls.  Its sibling `random_kernel(count,
+nonzero)` prepares the draw of `count` random elements that a sieve
+makes on every trial; GF(2^w) runs the generator over packed lanes.
 
 The random generator is SplitMix64, a fixed, versioned, splittable
 generator: identical seeds give identical streams on every platform.
@@ -126,6 +128,13 @@ class Field:
 
     def __hash__(self):
         return hash(self.spec_string())
+
+    def random_kernel(self, count: int, nonzero: bool = False):
+        """The draw of `count` elements: a function of an Rng that returns
+        what `count` calls of `random(rng, nonzero)` return, in order, and
+        leaves the Rng in the state they leave it in."""
+        random = self.random
+        return lambda rng: [random(rng, nonzero) for _ in range(count)]
 
 
 class PrimeField(Field):
@@ -416,6 +425,43 @@ class GF2Field(Field):
             v = rng.next_u64() & self.mask
             if v or not nonzero:
                 return v
+
+    def random_kernel(self, count: int, nonzero: bool = False):
+        """The draw of `count` elements, equal to `count` calls of
+        `random(rng, nonzero)`, with SplitMix64 run over 128-bit lanes of
+        one int.
+
+        Draw i reads the state s + (i + 1) * GOLDEN, for the Rng's state s.
+        Each lane holds one 64-bit value with 64 free bits above it, so a
+        product with a 64-bit constant stays in its lane, and a right
+        shift brings only the next lane's low bits into the free bits,
+        which the lane mask clears.  A rejected zero makes `random` draw
+        once more and shifts every later draw, so from the first zero on
+        the draw falls back to `random`.
+        """
+        golden = Rng.GOLDEN
+        lanes = struct.Struct("<" + "Q8x" * count)
+        ones = int.from_bytes(lanes.pack(*[1] * count), "little")
+        states = int.from_bytes(lanes.pack(*[(i + 1) * golden & _MASK64
+                                             for i in range(count)]), "little")
+        low, wide = ones * _MASK64, ones * self.mask
+        unpack, nbytes = lanes.unpack, 16 * count
+        random = self.random
+
+        def draw(rng: Rng) -> list:
+            s = rng.state
+            z = (s * ones + states) & low
+            z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+            z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
+            values = list(unpack(((z ^ (z >> 31)) & wide).to_bytes(nbytes, "little")))
+            rng.state = (s + count * golden) & _MASK64
+            if nonzero and 0 in values:
+                first = values.index(0)
+                rng.state = (s + (first + 1) * golden) & _MASK64
+                values[first:] = [random(rng, True) for _ in range(first, count)]
+            return values
+
+        return draw
 
     def format_value(self, v):
         return f"0x{v:x}"

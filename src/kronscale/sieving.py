@@ -18,6 +18,7 @@ from .circuit import (
     CircuitBuilder,
     dead_gate_elimination,
     evaluate,
+    formal_degrees,
     replay,
 )
 from .coeffx import extract_coefficient
@@ -33,7 +34,18 @@ from .errors import (
 )
 from .fields import Field, Rng, gf2
 
-DEFAULT_SIEVE_FIELD_WIDTH = 32   # Schwartz-Zippel slack: deg/2^32 per trial
+DEFAULT_SIEVE_FIELD_WIDTH = 16   # the narrowest width that sieve_field picks
+
+
+def sieve_field(points: int) -> Field:
+    """GF(2^w) for the narrowest w of DEFAULT_SIEVE_FIELD_WIDTH, 32 and 64
+    whose order exceeds `points`, the number of distinct Vandermonde
+    points an instance draws.  A trial's chance to miss a yes-instance,
+    the runner's `miss_bound`, shrinks as the field grows."""
+    for w in (DEFAULT_SIEVE_FIELD_WIDTH, 32):
+        if 1 << w > points:
+            return gf2(w)
+    return gf2(64)
 
 
 @dataclass(frozen=True)
@@ -86,6 +98,15 @@ class SieveRunner:
     coefficient of y_1..y_k collects exactly the terms with k such
     factors: it is already the slice that a marker variable z on those
     factors, kept at z^k, would select.
+
+    The runner records meta["sieve"] = {"field", "degree", "miss_bound"}
+    on its circuit.  The degree D is the formal degree of the output in
+    all the circuit's inputs: the rx/rxp values, which every run draws
+    from F, and the caller's extra inputs (random labels drawn from F*,
+    or fixed selectors, which only raise D).  On an instance whose output
+    polynomial is nonzero, one run evaluates to zero with chance at most
+    miss_bound = D / (|F| - 1) (Schwartz-Zippel); on one whose output is
+    identically zero, every run evaluates to zero.
     """
 
     def __init__(self, circ: Circuit, a: SieveMatrix, kind: str, method: str,
@@ -126,11 +147,14 @@ class SieveRunner:
         extracted = extract_coefficient(bld.build(), yvars, method,
                                         dec_source=dec_source)
         self.circuit = dead_gate_elimination(extracted)
+        self._draw = field.random_kernel(len(self.rand_inputs))
+        degree = formal_degrees(self.circuit)[self.circuit.outputs[0]]
+        self.circuit.meta["sieve"] = {"field": field.spec_string(), "degree": degree,
+                                      "miss_bound": degree / (field.order - 1)}
 
     def run(self, rng: Rng, extra: dict | None = None):
         asg = dict(extra) if extra else {}
-        for name in self.rand_inputs:
-            asg[name] = self.field.random(rng)
+        asg.update(zip(self.rand_inputs, self._draw(rng)))
         return evaluate(self.circuit, asg)[0]
 
 
@@ -241,19 +265,31 @@ def _kpath_labeled_circuit(g: DirectedGraph, k: int, field: Field):
 
 def kpath_detect(g: DirectedGraph, k: int, rng: Rng, trials: int = 7,
                  method: str = "direct", field: Field | None = None) -> bool:
-    """Randomized k-path decision; no-instances always return False."""
-    field = field or gf2(DEFAULT_SIEVE_FIELD_WIDTH)
+    """Randomized decision: does g have a simple path of k arcs?
+
+    No-instances always return False.  The field defaults to
+    sieve_field(g.n), GF(2^16) up to 65,535 vertices; each trial misses a
+    yes-instance with chance at most the runner's miss_bound, D / (|F| - 1)
+    with D <= 2k + 1 (k + 1 rx values and k arc labels per path).  A
+    vertex is a path of no arc; a negative k raises ShapeError.
+    """
+    if k < 0:
+        raise ShapeError(f"path length must be at least 0, got {k}")
+    if k == 0:
+        return g.n >= 1
     if k >= g.n:
         return False  # a simple path of length k needs k+1 distinct vertices
+    field = field or sieve_field(g.n)
     circ, labels = _kpath_labeled_circuit(g, k, field)
     if not labels:
         return False  # no walks of length k at all
     a = vandermonde(k + 1, g.n, field, rng)
     runner = SieveRunner(circ, a, "det", method,
                          xvars=[f"x:{{{v}}}" for v in range(1, g.n + 1)])
+    draw_labels = field.random_kernel(len(labels), nonzero=True)
     for _ in range(trials):
         trial_rng = rng.split()
-        extra = {nm: field.random(trial_rng, nonzero=True) for nm in labels}
+        extra = dict(zip(labels, draw_labels(trial_rng)))
         if runner.run(trial_rng, extra=extra) != field.zero:
             return True
     return False
@@ -382,7 +418,16 @@ def triples_to_matrices(sizes, triples, k: int, field: Field, rng: Rng):
 
 def matching3d_detect(sizes, triples, k: int, rng: Rng, trials: int = 7,
                       method: str = "direct", field: Field | None = None) -> bool:
-    field = field or gf2(DEFAULT_SIEVE_FIELD_WIDTH)
+    """Randomized decision: are some k of the triples, over sides of
+    `sizes` (nu, nv, nw), pairwise disjoint?  No-instances always return
+    False.
+
+    The field defaults to sieve_field(max(nu, nv, nw, 2k - 1)): its
+    order exceeds every side's Vandermonde points and is at least the 2k
+    that det_sieve asks.  Each trial misses a yes-instance with chance at
+    most the runner's miss_bound, D / (|F| - 1).
+    """
+    field = field or sieve_field(max(*sizes, 2 * k - 1))
     if len(triples) < k:
         return False
     a, b, c = triples_to_matrices(sizes, triples, k, field, rng)
@@ -430,9 +475,13 @@ def longcycle_detect(g: UndirectedGraph, k: int, rng: Rng, trials: int = 7,
     A selector input per edge switches the special arc so one extracted
     circuit serves every edge and trial; diagonal ones let cycle covers
     skip vertices off the path.
+
+    The field defaults to sieve_field(|U|), one Vandermonde point per
+    side-U vertex.  Each trial runs every edge; the run on an edge that
+    closes a long cycle misses with chance at most the runner's
+    miss_bound, D / (|F| - 1), where D counts the selectors too.
     """
-    field = field or gf2(DEFAULT_SIEVE_FIELD_WIDTH)
-    if field.characteristic != 2:
+    if field is not None and field.characteristic != 2:
         raise CharacteristicError("long-cycle sieving needs characteristic 2")
     side = _bipartition(g)
     if k < 3:
@@ -442,6 +491,7 @@ def longcycle_detect(g: UndirectedGraph, k: int, rng: Rng, trials: int = 7,
     u_vertices = sorted(side)
     if rho > len(u_vertices) or m == 0:
         return False
+    field = field or sieve_field(len(u_vertices))
     vand = vandermonde(rho, len(u_vertices), field, rng)
     u_col = {v: i for i, v in enumerate(u_vertices)}
     a_rows = []
@@ -456,7 +506,8 @@ def longcycle_detect(g: UndirectedGraph, k: int, rng: Rng, trials: int = 7,
     bld = CircuitBuilder(field)
     xvars = [f"x:{{{i}}}" for i in range(1, m + 1)]
     xg = {i: bld.inp(xvars[i - 1]) for i in range(1, m + 1)}
-    sels = [bld.inp(f"v:__sel{i}") for i in range(m)]
+    sel_names = [f"v:__sel{i}" for i in range(m)]
+    sels = [bld.inp(nm) for nm in sel_names]
     entry = [[bld.zero] * (g.n + 1) for _ in range(g.n + 1)]
     for idx, (u, w) in enumerate(g.edges):
         s, t = (u, w) if u in side else (w, u)     # path runs U-side -> W-side
@@ -472,11 +523,13 @@ def longcycle_detect(g: UndirectedGraph, k: int, rng: Rng, trials: int = 7,
 
     runner = SieveRunner(circ, a, "odd", method, xvars=xvars)
     zero = field.zero
-    one = field.one
+    extra = dict.fromkeys(sel_names, zero)
     for _ in range(trials):
         trial_rng = rng.split()
-        for idx in range(m):
-            extra = {f"v:__sel{i}": one if i == idx else zero for i in range(m)}
-            if runner.run(trial_rng.split(), extra=extra) != zero:
+        for name in sel_names:
+            extra[name] = field.one
+            hit = runner.run(trial_rng.split(), extra=extra) != zero
+            extra[name] = zero
+            if hit:
                 return True
     return False

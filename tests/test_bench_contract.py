@@ -64,3 +64,15 @@ def test_every_per_layer_metric_is_present(run, counted):
         # at s = 1 the tri route still asks decompose_P for d_eff and delta
         assert any(span[0] == "scaling.decompose_P" for span in tracer.spans)
         assert metrics["scaling.d_eff"]["value"] == 3
+
+
+def test_the_default_sieve_width_is_the_one_kpath_detect_picks():
+    # the worker builds its k-path field from this constant
+    w = sieving.DEFAULT_SIEVE_FIELD_WIDTH
+    assert w in fields.REDUCTION_POLY_LOW
+    arcs = tuple((u, v) for part in (range(1, 6), range(6, 8))
+                 for u in part for v in part if u != v)
+    tracer = Tracer()
+    with Probes((layers.RUN_PROBE,), tracer):
+        sieving.kpath_detect(sieving.DirectedGraph(7, arcs), 5, fields.Rng(1), trials=1)
+    assert tracer.values["sieving.circuit"].field == fields.gf2(w)

@@ -1,10 +1,11 @@
+import hashlib
 import re
 from itertools import combinations
 
 import pytest
 
 from kronscale import coeffx, scaling
-from kronscale.circuit import CircuitBuilder, evaluate, formal_degrees
+from kronscale.circuit import CircuitBuilder, evaluate, formal_degrees, serialize
 from kronscale.errors import (
     BipartitenessError,
     CharacteristicError,
@@ -26,6 +27,7 @@ from kronscale.sieving import (
     matroid3_detect,
     mv_det_circuit,
     parse_graph_file,
+    sieve_field,
     vandermonde,
 )
 
@@ -294,6 +296,97 @@ def test_kpath_vs_dfs_oracle():
         assert kpath_detect(g, k, rng, trials=7, field=F) == dfs_has_path(g, k)
 
 
+def test_kpath_of_no_arc_is_a_vertex_and_a_negative_length_raises():
+    rng = Rng(20)
+    for g in (DirectedGraph(0, ()), DirectedGraph(1, ()), DirectedGraph(3, ((1, 2),))):
+        assert kpath_detect(g, 0, rng) == dfs_has_path(g, 0) == (g.n >= 1)
+        with pytest.raises(ShapeError):
+            kpath_detect(g, -1, rng)
+
+
+@pytest.mark.parametrize("points, w", [(0, 16), (7, 16), (65_535, 16), (65_536, 32),
+                                       (2**32 - 1, 32), (2**32, 64)])
+def test_sieve_field_is_the_narrowest_whose_order_exceeds_the_points(points, w):
+    assert sieve_field(points) == gf2(w)
+
+
+# the kpath-tri benchmark graph: complete digraphs on 1..5 and 6..7
+BENCH_ARCS = tuple((u, v) for part in (range(1, 6), range(6, 8))
+                   for u in part for v in part if u != v)
+
+
+def _recorded_runs(monkeypatch) -> list:
+    """Each later SieveRunner.run, as (its runner's circuit, its value)."""
+    runs = []
+    run = SieveRunner.run
+
+    def recording(self, rng, extra=None):
+        runs.append((self.circuit, run(self, rng, extra)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(SieveRunner, "run", recording)
+    return runs
+
+
+def test_kpath_tri_instance_sieves_over_gf2_16_and_reports_its_miss_bound(monkeypatch):
+    # seven Vandermonde points fit GF(2^16); a path of 5 arcs has 6 rx
+    # values and 5 labels, degree 11 = 2k + 1
+    runs = _recorded_runs(monkeypatch)
+    assert not kpath_detect(DirectedGraph(7, BENCH_ARCS), 5, Rng(5), trials=2, method="tri")
+    circ = runs[0][0]
+    assert circ.field == gf2(16)
+    assert circ.meta["sieve"] == {"field": "gf2 w=16", "degree": 11,
+                                  "miss_bound": 11 / 65_535}
+    assert (circ.stats()["arcs"], circ.stats()["gates"]) == (8_238, 3_752)
+    assert [value for _, value in runs] == [0, 0]
+
+
+# a 4-cycle 1-6-2-7, whose four runs at k = 6 read zero, then a 6-cycle
+# 3-8-4-9-5-10: the fifth run reads the value of its edge's selector alone
+LONGCYCLE_G = UndirectedGraph(10, ((1, 6), (2, 6), (2, 7), (1, 7), (3, 8), (4, 8), (4, 9),
+                                   (5, 9), (5, 10), (3, 10)), side_u=(1, 2, 3, 4, 5))
+
+
+@pytest.mark.parametrize("detect, answer, pin, values", [
+    (lambda: kpath_detect(DirectedGraph(7, BENCH_ARCS), 5, Rng(5), trials=3, method="tri",
+                          field=gf2(32)), False, "980cc58c0bf0", [0, 0, 0]),
+    (lambda: kpath_detect(DirectedGraph(7, BENCH_ARCS), 4, Rng(5), trials=3,
+                          field=gf2(32)), True, "29b5aea3bef4", [170_739_787]),
+    (lambda: longcycle_detect(LONGCYCLE_G, 6, Rng(1), trials=2, field=gf2(16)),
+     True, "1309d8fedd9e", [0, 0, 0, 0, 16_576]),
+    (lambda: longcycle_detect(LONGCYCLE_G, 8, Rng(1), trials=2, field=gf2(16)),
+     False, "1a6967ca8848", [0] * 20),
+], ids=["kpath-tri-no", "kpath-direct-yes", "longcycle-yes", "longcycle-no"])
+def test_an_explicit_field_keeps_each_circuit_and_value(monkeypatch, detect, answer, pin,
+                                                        values):
+    # the circuit and the value of every run, as one random(rng) call per
+    # drawn input and a fresh selector dict per edge give them
+    runs = _recorded_runs(monkeypatch)
+    assert detect() == answer
+    assert {hashlib.sha256(serialize(circ).encode()).hexdigest()[:12]
+            for circ, _ in runs} == {pin}
+    assert [value for _, value in runs] == values
+
+
+def test_observed_misses_at_w8_stay_under_the_miss_bound():
+    # K4 has 3-paths; over GF(2^8) a trial misses with chance at most
+    # 7 / 255, and misses do happen
+    field = gf2(8)
+    arcs = tuple((u, v) for u in range(1, 5) for v in range(1, 5) if u != v)
+    circ, labels = _kpath_labeled_circuit(DirectedGraph(4, arcs), 3, field)
+    runner = SieveRunner(circ, vandermonde(4, 4, field, Rng(0)), "det", "direct",
+                         xvars=[f"x:{{{v}}}" for v in range(1, 5)])
+    bound = runner.circuit.meta["sieve"]["miss_bound"]
+    assert bound == 7 / 255
+    draw = field.random_kernel(len(labels), nonzero=True)
+    trials = 2_000
+    misses = 0
+    for seed in range(trials):
+        rng = Rng(seed)
+        misses += runner.run(rng, extra=dict(zip(labels, draw(rng)))) == 0
+    assert 0 < misses / trials < bound
+
+
 def test_mv_det_1x1_and_2x2():
     c = mv_det_circuit([[(F.zero, (("v:e", F.one),))]], F)
     assert evaluate(c, {"v:e": 0x1234}) == (0x1234,)
@@ -528,17 +621,19 @@ def test_kpath_tri_plan_fuses_every_product_that_one_sum_alone_reads():
 
 
 def test_tri_runner_keeps_the_extraction_meta_and_an_unbuilt_plan():
-    # dead-gate elimination carries the extraction's meta over, and the
-    # evaluation plan is built by the first trial, not by the runner; the
-    # middle layer is filled transposed, from the one cut2 component of 8
-    # with a non-empty top table, not forward from 34 cut1 components
+    # dead-gate elimination carries the extraction's meta over, the runner
+    # adds its field, degree and miss bound, and the evaluation plan is
+    # built by the first trial, not by the runner; the middle layer is
+    # filled transposed, from the one cut2 component of 8 with a non-empty
+    # top table, not forward from 34 cut1 components
     runner, labels = _kpath_tri_benchmark_runner()
     assert runner.circuit.meta == {
         "method": "tri", "s": 34, "t": 8, "table_entries": 821,
         "report": {"bottom": {"arcs": 4584},
                    "middle": {"arcs": 3234, "fill": "transposed"},
                    "top": {"arcs": 0},
-                   "join": {"arcs": 420}}}
+                   "join": {"arcs": 420}},
+        "sieve": {"field": "gf2 w=32", "degree": 11, "miss_bound": 11 / (2**32 - 1)}}
     assert "plan" not in runner.circuit.__dict__
     rng = Rng(9)
     assert runner.run(rng, extra={nm: runner.field.random(rng, nonzero=True)
