@@ -538,8 +538,6 @@ def parse(text: str) -> Circuit:
                 raise ParseError("bad argument id", lineno) from None
             if kind == "mul" and len(args) != 2:
                 raise ParseError("mul gates must be binary", lineno)
-            if not args:
-                raise ParseError("add gate needs arguments", lineno)
             for a in args:
                 if not 0 <= a < gid:
                     raise ParseError(f"argument {a} does not precede gate {gid}", lineno)

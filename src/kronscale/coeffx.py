@@ -108,7 +108,10 @@ def _layer(graph, lo: int, hi: int) -> list:
 def _spread(bld, into: dict, src: dict, low, alive=None) -> None:
     """Append to into[t | m] every product low[t] * src[m] of disjoint
     masks, or each src entry as it is when low is None (an add's operand);
-    with alive (key -> bool), only the keys that it keeps."""
+    with alive (key -> bool), only the keys that it keeps.  The one
+    subset-DP step: _run_layer fills both extraction routes' tables with
+    it, and counting.build_permanent_circuit its block tables, a matrix
+    row as low."""
     if low is None:
         for m, g in src.items():
             if alive is None or alive[m]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import Circuit, CircuitBuilder, evaluate
-from .coeffx import extract_coefficient
+from .coeffx import _spread, extract_coefficient
 from .errors import (DivisibilityError, ParityError, ParseError, ShapeError, TooLarge,
                      content_lines, int_fields, records)
 from .fields import Field, prime_field
@@ -136,37 +136,32 @@ def build_permanent_circuit(n: int, field: Field | None = None, dec_source=None,
 
     Rows split into three contiguous blocks of n/3; block gates g^l_U hold
     the partial-matching sums over column sets U, and the block triples are
-    joined through the P_{n/3}[[n]] circuit.
+    joined through the P_{n/3}[[n]] circuit.  Each block's table starts as
+    its first row, {column bit: entry}; every later row is one subset-DP
+    step, coeffx._spread with the row as the low side, whose products per
+    new mask are then summed.  The 0 x 0 permanent is the constant one
+    (no bottom arc); a negative n raises ShapeError.
     """
     field = field or prime_field()
+    if n < 0:
+        raise ShapeError(f"permanent order n={n} is negative")
     if n % 3 != 0:
         raise DivisibilityError(f"permanent combine needs 3 | n, got {n}")
-    q = n // 3
     bld = CircuitBuilder(field)
-    a_in = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            a_in[(i, j)] = bld.inp(matrix_input_name(i, j))
+    if n == 0:
+        bld.set_outputs([bld.one])
+        circ = bld.build()
+        circ.meta.update(bottom_arcs=0)
+        return circ
+    q = n // 3
+    rows = [{1 << (j - 1): bld.inp(matrix_input_name(i, j)) for j in range(1, n + 1)}
+            for i in range(1, n + 1)]
     block_tables = []
     for l in range(3):
-        prev = {}
-        for j in range(1, n + 1):
-            prev[1 << (j - 1)] = a_in[(l * q + 1, j)]
-        for size in range(2, q + 1):
-            row = l * q + size
+        prev = rows[l * q]
+        for row in rows[l * q + 1:(l + 1) * q]:
             cur = {}
-            for mask, gate in prev.items():
-                for j in range(1, n + 1):
-                    bit = 1 << (j - 1)
-                    if mask & bit:
-                        continue
-                    term = bld.mul(a_in[(row, j)], gate)
-                    new = mask | bit
-                    seen = cur.get(new)
-                    if seen is None:
-                        cur[new] = [term]
-                    else:
-                        seen.append(term)
+            _spread(bld, cur, prev, row)
             prev = {m: bld.add(*gs) for m, gs in cur.items()}
         block_tables.append(prev)
     bottom_arcs = bld.arcs

@@ -75,7 +75,9 @@ class IntersectionType:
 
 
 def enumerate_types(bs: BlockStructure):
-    """All intersection types, lexicographically ordered on (alpha,beta,gamma).
+    """All intersection types, lexicographically ordered on the per-block
+    pairs (alpha_0, beta_0, alpha_1, beta_1, ...); from r = 3 on this is
+    not the order on (alpha, beta, gamma).
 
     A type gives each block a triple summing to 3b, with every row summing
     to n across blocks.  TooLarge fires once more than TYPE_BUDGET types

@@ -288,6 +288,12 @@ def test_char2_x_plus_x():
     assert evaluate(c, {"v:x": 0x53}) == (0,)
 
 
+@pytest.mark.parametrize("name", ["", " ", "a b", "x:{1}\n", "\tx"])
+def test_input_name_with_whitespace_is_refused(name):
+    with pytest.raises(ValueError, match="^bad input name "):
+        CircuitBuilder(ZP).inp(name)
+
+
 def test_missing_input():
     bld = CircuitBuilder(ZP)
     bld.set_outputs([bld.inp("v:x")])

@@ -224,6 +224,12 @@ def test_both_routes_refuse_a_circuit_with_two_outputs(method):
         extract_coefficient(c, names, method)
 
 
+def test_extraction_rejects_an_unknown_method():
+    names = names_for(3)
+    with pytest.raises(ValueError, match="^unknown extraction method 'bogus'$"):
+        extract_coefficient(full_product_circuit(F, names), names, "bogus")
+
+
 def test_padded_extraction_agrees():
     rng = Rng(77)
     names = names_for(7)

@@ -26,7 +26,9 @@ from kronscale.counting import (
 from kronscale.circuit import analyze_skew, formal_degrees
 from kronscale.coeffx import extract_coeff_direct, extract_coeff_tripartition
 from kronscale.errors import DivisibilityError, ParityError, ShapeError
-from kronscale.fields import Rng, prime_field
+from kronscale.fields import Rng, gf2, prime_field
+
+from test_scaling import block_first
 
 F = prime_field(2**31 - 1)
 
@@ -177,6 +179,57 @@ def test_permanent_build_leaves_the_evaluation_plan_unbuilt():
 def test_permanent_rejects_bad_n():
     with pytest.raises(DivisibilityError):
         build_permanent_circuit(4, F)
+
+
+def test_permanent_of_order_zero_is_the_constant_one():
+    c = build_permanent_circuit(0, F)
+    assert (c.size, c.meta["bottom_arcs"]) == (0, 0)
+    assert c.input_names() == []
+    assert evaluate(c, {})[0] == permanent_ryser(SquareMatrix(F, ())) == F.one
+
+
+@pytest.mark.parametrize("n", [-1, -2, -3, -6])
+def test_permanent_of_negative_order_names_it(n):
+    with pytest.raises(ShapeError, match=f"^permanent order n={n} is negative$"):
+        build_permanent_circuit(n, F)
+
+
+def test_every_permanent_order_builds_or_raises_a_named_error():
+    # every order builds or raises one of the two documented errors; none
+    # reaches the block tables' row indexing with too few rows
+    for n in range(-7, 10):
+        try:
+            c = build_permanent_circuit(n, F, b=1, g=1)
+        except (ShapeError, DivisibilityError) as exc:
+            assert (n < 0) == isinstance(exc, ShapeError)
+            assert n < 0 or n % 3
+        else:
+            assert n >= 0 and n % 3 == 0
+            m = rand_matrix(Rng(n), n)
+            assert evaluate(c, matrix_assignment(m))[0] == permanent_ryser(m)
+
+
+@pytest.mark.parametrize("n, g, source, want", [
+    (3, 1, None, (27, 22, 0)),
+    (3, None, None, (27, 22, 0)),
+    (6, 1, None, (585, 292, 270)),
+    (6, None, None, (585, 292, 270)),
+    (9, 1, None, (8208, 3262, 2916)),
+    (9, None, None, (8208, 3262, 2916)),
+    (12, 4, None, (130383, 46444, 24948)),
+    (9, 1, "block_first", (8812, 3635, 2916)),
+])
+def test_permanent_circuit_sizes_are_pinned(n, g, source, want):
+    # arcs, gates and bottom arcs of the block subset DP plus the combine;
+    # the block-first provider runs over GF(2^32), where it is defined
+    field = gf2(32) if source else F
+    c = build_permanent_circuit(n, field, dec_source=source and block_first, b=1, g=g)
+    assert (c.size, len(c.gates), c.meta["bottom_arcs"]) == want
+    rng = Rng(n)
+    for _ in range(2):
+        m = SquareMatrix(field, tuple(tuple(field.random(rng) for _ in range(n))
+                                      for _ in range(n)))
+        assert evaluate(c, matrix_assignment(m))[0] == permanent_ryser(m)
 
 
 def test_permanent_extraction_modes():

@@ -241,6 +241,18 @@ def test_inv_zero_raises():
         gf2(16).inv(0)
 
 
+@pytest.mark.parametrize("field", [gf2(8), gf2(16), gf2(64), prime_field(101)],
+                         ids=str)
+def test_negative_power_is_the_inverse_to_the_positive_power(field):
+    rng = Rng(41)
+    for _ in range(20):
+        a = field.random(rng, nonzero=True)
+        for e in (1, 2, 3, 7, 255):
+            want = field.pow(field.inv(a), e)
+            assert field.pow(a, -e) == want
+            assert field.mul(want, field.pow(a, e)) == field.one
+
+
 def test_rng_determinism():
     f = prime_field()
     a = f.random(Rng(1))

@@ -56,6 +56,14 @@ MALFORMED = {
     "graph-sides-not-n": (parse_graph_file, "undirected 3 1 7 9\n1 2\n", 1),
     "graph-edge": (parse_graph_file, "# a comment\ndirected 3 1\n\n1\n", 4),
     "graph-triple": (parse_graph_file, "triples 2 2 2 1\n1 1\n", 2),
+    "graph-vertex-out-of-range": (parse_graph_file, "undirected 3 2\n1 2\n2 4\n", 3),
+    "family-element-out-of-range": (parse_family_file, "3 2 2\n1 2\n3 4\n", 3),
+    "circuit-const-value": (parse, "circuit v1\nfield p=7\nconst 0 zz\nout 0\n", 3),
+    "circuit-const-too-wide": (parse, "circuit v1\nfield gf2 w=8\nconst 0 0x100\nout 0\n",
+                               3),
+    "circuit-add-no-argument": (parse, "circuit v1\nfield p=7\nadd 5\nout 0\n", 3),
+    "rankdec-matrix-before-field": (parse_decomposition,
+                                    "rankdec v1\nr=1\nxside:\n{0}\nU:\n1\nfield p=7\n", 6),
     # a missing record is named by the last content line, a surplus one by
     # its own line
     "family-missing-member": (parse_family_file, "3 2 2\n1 2\n", 2),
@@ -88,6 +96,13 @@ def test_rankdec_shape_mismatch_is_a_parse_error():
     for body in ("xside:\n{0}\n{1}\nU:\n1\n", "xside:\n{0}\nU:\n1 0\n"):
         with pytest.raises(ParseError):
             parse_decomposition("rankdec v1\nfield p=7\nr=1\n" + body)
+
+
+@pytest.mark.parametrize("parser", [parse_matrix, parse_graph_file, parse_family_file])
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+def test_empty_input_raises_parse_error(parser, text):
+    with pytest.raises(ParseError, match="^empty "):
+        parser(text)
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

@@ -45,6 +45,7 @@ from kronscale.tensor import (
     RankDecomposition,
     Tensor,
     generate_P,
+    tripartitions,
     trivial_decomposition,
     verify_decomposition,
 )
@@ -80,6 +81,19 @@ def test_enumerate_types_r2_matches_oracle():
     assert sorted((t.alpha, t.beta, t.gamma) for t in got) == \
         sorted((t.alpha, t.beta, t.gamma) for t in want)
     assert len(got) == 7  # frozen from the enumeration oracle
+
+
+def _interleaved(t):
+    return tuple(v for pair in zip(t.alpha, t.beta) for v in pair)
+
+
+@pytest.mark.parametrize("bgs", [(1, 1, 3), (1, 2, 2), (1, 1, 4)])
+def test_enumerate_types_order_is_lexicographic_on_the_block_pairs(bgs):
+    # component order, and so gate order, follows this list
+    bs = BlockStructure(*bgs)
+    got = enumerate_types(bs)
+    assert got == sorted(brute_enumerate_types(bs), key=_interleaved)
+    assert got != sorted(got, key=lambda t: (t.alpha, t.beta, t.gamma))
 
 
 def test_enumerate_types_counts_more_shapes():
@@ -890,6 +904,35 @@ def test_restriction_with_an_empty_slot_emits_no_gate():
     assert scheme.instantiate(bld, [(wires["x"].get, {}.get), ({}.get, wires["y"].get)],
                               wires["z"].get) == zero
     assert len(bld.gates) == gates
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sparse_wires_join_only_hats_present_on_every_side(seed):
+    # with few wires an x-hat key can lack its y-hat or its z-hat at s = 2;
+    # an absent wire is a zero input, so the value is the sum over
+    # tripartitions of x_A * y_B * z_C with every absent factor zero
+    field = prime_field(101)
+    scheme = PScalingScheme(2, 1, 1, field)
+    rng = Rng(seed)
+    bld = CircuitBuilder(field)
+    masks = [sum(1 << e for e in elems) for elems in combinations(range(6), 2)]
+    wires, values = {}, {}
+    for slot in "xyz":
+        wires[slot] = {}
+        for m in masks:
+            if rng.next_u64() % 3 == 0:
+                wires[slot][m] = bld.inp(subset_name(slot, m))
+                values[(slot, m)] = field.random(rng)
+    bld.set_outputs([scheme.instantiate(bld, [(wires["x"].get, wires["y"].get)],
+                                        wires["z"].get)])
+    want = field.zero
+    for a, b, c in tripartitions(2):
+        term = field.one
+        for slot, m in zip("xyz", (a, b, c)):
+            term = field.mul(term, values.get((slot, m), field.zero))
+        want = field.add(want, term)
+    got = evaluate(bld.build(), {subset_name(slot, m): v for (slot, m), v in values.items()})
+    assert got[0] == want
 
 
 def test_every_scheme_verifies_its_provider():

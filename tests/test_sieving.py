@@ -135,6 +135,27 @@ def test_runner_rejects_an_unknown_kind():
         SieveRunner(bld.build(), identity_matrix(2), "bogus", "direct")
 
 
+def test_runner_rejects_a_matrix_over_another_field_or_of_another_width():
+    bld = CircuitBuilder(F)
+    bld.set_outputs([bld.mul(bld.inp("x:{1}"), bld.inp("x:{2}"))])
+    circ = bld.build()
+    other = gf2(8)
+    with pytest.raises(ShapeError, match="^sieve matrix field differs from circuit field$"):
+        SieveRunner(circ, SieveMatrix(other, ((other.one, other.zero),)), "det", "direct")
+    with pytest.raises(ShapeError, match="^2 variables vs 3 matrix columns$"):
+        SieveRunner(circ, vandermonde(2, 3, F, Rng(5)), "det", "direct")
+
+
+def test_det_sieve_refuses_a_field_below_twice_the_rank():
+    # GF(2^8), the narrowest supported field, against 129 rows: the
+    # per-trial bound needs |F| >= 258
+    field = gf2(8)
+    bld = CircuitBuilder(field)
+    bld.set_outputs([bld.inp("x:{1}")])
+    with pytest.raises(FieldTooSmall, match="^need \\|F\\| >= 258$"):
+        det_sieve(bld.build(), SieveMatrix(field, ((field.one,),) * 129), Rng(6))
+
+
 @pytest.mark.parametrize("kind,name", [("det", "y:{1}"), ("det", "v:__rx1"),
                                        ("odd", "v:__rxp0")])
 def test_runner_refuses_an_input_named_like_a_sieve_input(kind, name):
@@ -415,6 +436,11 @@ def test_mv_det_char2_only():
         mv_det_circuit([[(0, ())]], prime_field(7))
 
 
+def test_mv_det_rejects_a_matrix_that_is_not_square():
+    with pytest.raises(ShapeError, match="^matrix is not square$"):
+        mv_det_circuit([[(0, ()), (1, ())], [(1, ())]], F)
+
+
 def test_matroid3_requires_char2():
     # the determinant circuit's builder is the one that checks
     one = SieveMatrix(prime_field(7), ((1,),))
@@ -522,6 +548,14 @@ def test_longcycle_rejects_nonbipartite():
     g = UndirectedGraph(3, ((1, 2), (2, 3), (1, 3)))
     with pytest.raises(BipartitenessError):
         longcycle_detect(g, 3, rng, field=F)
+
+
+def test_longcycle_rejects_an_edge_inside_a_declared_side():
+    # a 4-cycle 1-3-2-4 is bipartite, but the declared side {1, 2} holds
+    # the chord (1, 2)
+    g = UndirectedGraph(4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4)), side_u=(1, 2))
+    with pytest.raises(BipartitenessError, match=r"^edge \(1,2\) stays inside one side$"):
+        longcycle_detect(g, 4, Rng(28), field=F)
 
 
 @pytest.mark.parametrize("method", ["direct", "tri"])
