@@ -29,7 +29,7 @@ from functools import cached_property, reduce
 from itertools import accumulate, compress
 from operator import itemgetter
 
-from .errors import InputOutOfRange, ParseError, UnassignedInput, content_lines
+from .errors import InputOutOfRange, ParseError, UnassignedInput, int_fields, parse_header
 from .fields import Field, parse_field_spec
 
 OP_IN = 0
@@ -484,32 +484,20 @@ def parse(text: str) -> Circuit:
         out <id>*
     Ids must be consecutive from 0 in topological order.
     """
+    lines = parse_header(text, "circuit v1")
     field = None
     gates = []
     outputs = None
-    saw_header = False
-    lineno = None  # after the loop: the last content line
-    for lineno, line in content_lines(text):
+    for lineno, line in lines[1:]:
         toks = line.split()
-        if not saw_header:
-            if toks != ["circuit", "v1"]:
-                raise ParseError("expected 'circuit v1' header", lineno)
-            saw_header = True
-            continue
         kind = toks[0]
         if kind == "field":
-            try:
-                field = parse_field_spec(" ".join(toks[1:]))
-            except ParseError as exc:
-                raise ParseError(str(exc), lineno) from None
+            field = parse_field_spec(" ".join(toks[1:]), lineno)
             continue
         if kind == "out":
             if outputs is not None:
                 raise ParseError("second out record", lineno)
-            try:
-                outputs = tuple(int(t) for t in toks[1:])
-            except ValueError:
-                raise ParseError("bad output id", lineno) from None
+            outputs = tuple(int_fields(toks[1:], "output ids", lineno))
             out_line = lineno
             continue
         if field is None:
@@ -518,10 +506,7 @@ def parse(text: str) -> Circuit:
             raise ParseError(f"truncated {kind} record", lineno)
         if kind in ("in", "const") and len(toks) > 3:
             raise ParseError(f"trailing tokens on {kind} record", lineno)
-        try:
-            gid = int(toks[1])
-        except ValueError:
-            raise ParseError("bad gate id", lineno) from None
+        (gid,) = int_fields(toks[1:2], "a gate id", lineno)
         if gid != len(gates):
             raise ParseError(f"gate id {gid} out of order (expected {len(gates)})", lineno)
         if kind == "in":
@@ -532,23 +517,20 @@ def parse(text: str) -> Circuit:
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from None
         elif kind in ("add", "mul"):
-            try:
-                args = tuple(int(t) for t in toks[2:])
-            except ValueError:
-                raise ParseError("bad argument id", lineno) from None
+            args = tuple(int_fields(toks[2:], "argument ids", lineno))
             if kind == "mul" and len(args) != 2:
                 raise ParseError("mul gates must be binary", lineno)
             for a in args:
-                if not 0 <= a < gid:
+                if a >= gid:
                     raise ParseError(f"argument {a} does not precede gate {gid}", lineno)
             gates.append((OP_ADD if kind == "add" else OP_MUL, args))
         else:
             raise ParseError(f"unknown record kind {kind!r}", lineno)
     if field is None:
-        raise ParseError("missing field declaration", lineno)
+        raise ParseError("missing field declaration", lines[-1][0])
     if outputs is None:
-        raise ParseError("missing out record", lineno)
+        raise ParseError("missing out record", lines[-1][0])
     for o in outputs:
-        if not 0 <= o < len(gates):
+        if o >= len(gates):
             raise ParseError(f"output id {o} out of range", out_line)
     return Circuit(field, tuple(gates), outputs)

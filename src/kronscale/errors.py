@@ -1,5 +1,6 @@
 """Exception types shared across kronscale modules, and the line helpers
-of the text parsers that raise ParseError."""
+of the text parsers that raise ParseError: content lines, the fixed header
+of the circuit and rankdec formats, integer fields and counted records."""
 
 
 class KronscaleError(Exception):
@@ -42,6 +43,16 @@ def content_lines(text: str) -> list:
     lines = [(no, raw.split("#", 1)[0].strip())
              for no, raw in enumerate(text.splitlines(), start=1)]
     return [(no, line) for no, line in lines if line]
+
+
+def parse_header(text: str, header: str) -> list:
+    """The content lines of text, the first of which must hold the tokens
+    of header: ParseError at that line when it does not, and without a
+    line when the text has no content line."""
+    lines = content_lines(text)
+    if not lines or lines[0][1].split() != header.split():
+        raise ParseError(f"expected {header!r} header", lines[0][0] if lines else None)
+    return lines
 
 
 def int_fields(tokens, what: str, lineno: int, counts=None) -> list:

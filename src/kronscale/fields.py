@@ -473,8 +473,9 @@ class GF2Field(Field):
         return v
 
 
-def parse_field_spec(spec: str) -> Field:
-    """Parse the field spec grammar: ``p=<prime>`` or ``gf2 w=<8|16|32|64>``."""
+def parse_field_spec(spec: str, line: int | None = None) -> Field:
+    """Parse the field spec grammar: ``p=<prime>`` or ``gf2 w=<8|16|32|64>``;
+    a ParseError names `line`, the spec's line in the file it came from."""
     key = " ".join(spec.split())
     try:
         if key.startswith("p="):
@@ -482,8 +483,8 @@ def parse_field_spec(spec: str) -> Field:
         if key.startswith("gf2 w="):
             return GF2Field(int(key[6:]))
     except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-    raise ParseError(f"unrecognized field spec {spec!r}")
+        raise ParseError(str(exc), line) from exc
+    raise ParseError(f"unrecognized field spec {spec!r}", line)
 
 
 def prime_field(p: int = DEFAULT_PRIME) -> PrimeField:

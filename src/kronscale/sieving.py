@@ -61,6 +61,10 @@ class SieveMatrix:
     def n(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
+    def columns(self, indices) -> SieveMatrix:
+        """The matrix whose column j is column indices[j] (0-based) of this one."""
+        return SieveMatrix(self.field, tuple(tuple(row[i] for i in indices) for row in self.rows))
+
 
 def vandermonde(k: int, n: int, field: Field, rng: Rng) -> SieveMatrix:
     """k x n Vandermonde matrix on n distinct random points; every k x k
@@ -400,20 +404,8 @@ def matroid3_detect(a: SieveMatrix, b: SieveMatrix, c: SieveMatrix, rng: Rng,
 
 def triples_to_matrices(sizes, triples, k: int, field: Field, rng: Rng):
     """Vandermonde-column embedding of a 3-dimensional matching instance."""
-    nu, nv, nw = sizes
-    mu = vandermonde(k, nu, field, rng)
-    mv = vandermonde(k, nv, field, rng)
-    mw = vandermonde(k, nw, field, rng)
-    cols = len(triples)
-
-    def pick(mat, coords):
-        return SieveMatrix(field, tuple(
-            tuple(mat.rows[r][coords[j] - 1] for j in range(cols))
-            for r in range(k)))
-
-    return (pick(mu, [t[0] for t in triples]),
-            pick(mv, [t[1] for t in triples]),
-            pick(mw, [t[2] for t in triples]))
+    mats = [vandermonde(k, n, field, rng) for n in sizes]
+    return tuple(mat.columns([t[i] - 1 for t in triples]) for i, mat in enumerate(mats))
 
 
 def matching3d_detect(sizes, triples, k: int, rng: Rng, trials: int = 7,
@@ -494,14 +486,7 @@ def longcycle_detect(g: UndirectedGraph, k: int, rng: Rng, trials: int = 7,
     field = field or sieve_field(len(u_vertices))
     vand = vandermonde(rho, len(u_vertices), field, rng)
     u_col = {v: i for i, v in enumerate(u_vertices)}
-    a_rows = []
-    for r in range(rho):
-        row = []
-        for (u, w) in g.edges:
-            uu = u if u in side else w
-            row.append(vand.rows[r][u_col[uu]])
-        a_rows.append(tuple(row))
-    a = SieveMatrix(field, tuple(a_rows))
+    a = vand.columns([u_col[u if u in side else w] for u, w in g.edges])
 
     bld = CircuitBuilder(field)
     xvars = [f"x:{{{i}}}" for i in range(1, m + 1)]

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .circuit import mask_bits, mask_of
-from .errors import ParseError, ShapeError, TooLarge, content_lines, int_fields
-from .fields import Field, parse_field_spec
+from .errors import ParseError, ShapeError, TooLarge, int_fields, parse_header
+from .fields import Field, parse_field_spec, prime_field
 
 MAX_GROUND = 63
 MAX_P_GROUND = 21  # explicit-enumeration bound for generate_P
@@ -66,8 +66,6 @@ def generate_P(q: int, field: Field | None = None) -> Tensor:
     """Balanced tripartitioning tensor: ordered partitions of the ground
     {0, ..., 3q - 1} into three q-sets, all coefficients one, with the
     entries in colex order."""
-    from .fields import prime_field
-
     field = field or prime_field()
     if q < 0:
         raise ShapeError(f"q = {q} is negative")
@@ -120,33 +118,29 @@ class RankDecomposition:
                    *rows)
 
 
-def _check_shapes(dec: RankDecomposition):
+def _unit_term_keys(dec: RankDecomposition):
+    """The (A, B, C) masks of every term, in term order, when each term has
+    exactly one entry in each slot and every coefficient is one; else None.
+    ShapeError when a slot's row count differs from its side's or a row
+    names a term outside [0, rank): the same walk checks the shape."""
+    one = dec.field.one
+    rank = dec.rank
+    unit = True
+    per_slot = []
     for side, rows, label in zip((dec.side_x, dec.side_y, dec.side_z), dec.rows, "UVW"):
         if len(rows) != len(side):
             raise ShapeError(f"{label} has {len(rows)} rows for {len(side)} side entries")
-        for i, row in enumerate(rows):
-            for l, _ in row:
-                if not 0 <= l < dec.rank:
-                    raise ShapeError(f"{label} row {i} names term {l} outside "
-                                     f"[0, {dec.rank})")
-
-
-def _unit_term_keys(dec: RankDecomposition):
-    """The (A, B, C) masks of every term, in term order, when each term has
-    exactly one entry in each slot and every coefficient is one; else None."""
-    one = dec.field.one
-    per_slot = []
-    for side, rows in zip((dec.side_x, dec.side_y, dec.side_z), dec.rows):
-        owner = [None] * dec.rank  # owner[l]: the mask of term l's one entry
-        for mask, row in zip(side, rows):
+        owner = [None] * rank  # owner[l]: the mask of term l's one entry
+        for i, (mask, row) in enumerate(zip(side, rows)):
             for l, v in row:
+                if not 0 <= l < rank:
+                    raise ShapeError(f"{label} row {i} names term {l} outside [0, {rank})")
                 if v != one or owner[l] is not None:
-                    return None
+                    unit = False
                 owner[l] = mask
-        if None in owner:
-            return None
         per_slot.append(owner)
-    return list(zip(*per_slot))
+        unit = unit and None not in owner
+    return list(zip(*per_slot)) if unit else None
 
 
 def verify_decomposition(t: Tensor, dec: RankDecomposition):
@@ -161,13 +155,12 @@ def verify_decomposition(t: Tensor, dec: RankDecomposition):
     is made in the tensor's key order.  Any other decomposition, and one
     that fails that comparison (terms in another order too), is expanded
     term by term in the field, which names the first mismatch."""
-    _check_shapes(dec)
+    keys = _unit_term_keys(dec)
     if dec.field != t.field:
         raise ShapeError("decomposition field differs from tensor field")
     f = t.field
     mul = f.mul
     one = f.one
-    keys = _unit_term_keys(dec)
     if (keys is not None and keys == list(t.entries)
             and not set(t.entries.values()) - {one}):
         return None
@@ -259,25 +252,16 @@ def write_decomposition(dec: RankDecomposition) -> str:
 def parse_decomposition(text: str) -> RankDecomposition:
     """Parse a rankdec v1 file.  Without a 'ground <m>' line the ground
     size is the highest element any side mask names, plus one."""
+    lines = parse_header(text, "rankdec v1")
     field = None
     r = None
     ground_size = None
     sides = {"xside": [], "yside": [], "zside": []}
     mats = {"U": [], "V": [], "W": []}
     section = None
-    saw_header = False
-    lineno = None  # after the loop: the last content line
-    for lineno, line in content_lines(text):
-        if not saw_header:
-            if line != "rankdec v1":
-                raise ParseError("expected 'rankdec v1' header", lineno)
-            saw_header = True
-            continue
+    for lineno, line in lines[1:]:
         if line.startswith("field "):
-            try:
-                field = parse_field_spec(line[6:])
-            except ParseError as exc:
-                raise ParseError(str(exc), lineno) from None
+            field = parse_field_spec(line[6:], lineno)
             continue
         if line.startswith("ground "):
             (ground_size,) = int_fields([line[7:]], "'ground <size>'", lineno)
@@ -303,7 +287,7 @@ def parse_decomposition(text: str) -> RankDecomposition:
         else:
             raise ParseError(f"unexpected content {line!r}", lineno)
     if field is None or r is None:
-        raise ParseError("missing field or r declaration", lineno)
+        raise ParseError("missing field or r declaration", lines[-1][0])
     masks = [entry for side in sides.values() for entry in side]
     if ground_size is None:
         ground_size = max((m.bit_length() for m, _ in masks), default=0)
@@ -314,13 +298,13 @@ def parse_decomposition(text: str) -> RankDecomposition:
         rows = mats[label]
         if r == 0 and not rows:
             # rows of width zero are written as blank lines, which are skipped
-            rows = mats[label] = [((), lineno)] * len(side)
+            rows = mats[label] = [((), lines[-1][0])] * len(side)
         for row, at in rows:
             if len(row) != r:
                 raise ParseError(f"{label} row width {len(row)} != rank {r}", at)
         if len(rows) != len(side):
             # a surplus row is named by its own line, a missing one by the last line
-            at = rows[len(side)][1] if len(rows) > len(side) else lineno
+            at = rows[len(side)][1] if len(rows) > len(side) else lines[-1][0]
             raise ParseError(f"{label} has {len(rows)} rows for {len(side)} side entries", at)
     return RankDecomposition.from_dense(
         field, ground_size, r, *([m for m, _ in side] for side in sides.values()),

@@ -25,12 +25,16 @@ from kronscale.counting import (
 )
 from kronscale.circuit import analyze_skew, formal_degrees
 from kronscale.coeffx import extract_coeff_direct, extract_coeff_tripartition
-from kronscale.errors import DivisibilityError, ParityError, ShapeError
+from kronscale.errors import DivisibilityError, ParityError, ShapeError, TooLarge
 from kronscale.fields import Rng, gf2, prime_field
 
 from test_scaling import block_first
 
 F = prime_field(2**31 - 1)
+
+
+def zeros(n):
+    return SquareMatrix(F, ((F.zero,) * n,) * n)
 
 
 def rand_matrix(rng, n, symmetric=False):
@@ -311,6 +315,18 @@ def test_hafnian_clow_circuit_is_1skew():
 def test_hafnian_odd_order_rejected():
     with pytest.raises(ParityError):
         build_hafnian_circuit(5, field=F)
+    with pytest.raises(ParityError):
+        hafnian_bruteforce(zeros(3))
+
+
+@pytest.mark.parametrize("oracle, arg", [
+    (permanent_ryser, zeros(25)),
+    (hafnian_bruteforce, zeros(14)),
+    (setpart_bruteforce, SetFamily(1, ((1,),) * 25)),
+], ids=["ryser", "hafnian", "setpart"])
+def test_brute_force_oracles_refuse_inputs_past_their_caps(oracle, arg):
+    with pytest.raises(TooLarge, match="capped"):
+        oracle(arg)
 
 
 def test_hafnian_pair_relabel_invariance():

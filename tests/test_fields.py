@@ -200,6 +200,14 @@ def test_default_prime():
     PrimeField(DEFAULT_PRIME)  # must not raise
 
 
+@pytest.mark.parametrize("p", [1, 1763], ids=["one", "41x43"])
+def test_prime_field_rejects_a_non_prime(p):
+    # 1763 = 41 * 43 has no factor among the trial divisors, so the
+    # Miller-Rabin rounds must reject it
+    with pytest.raises(ValueError, match=f"got {p}$"):
+        PrimeField(p)
+
+
 def test_mul_mod_7():
     f = prime_field(7)
     assert f.mul(3, 5) == 1  # 15 mod 7
@@ -261,6 +269,12 @@ def test_rng_determinism():
     s1 = [Rng(99).next_u64() for _ in range(4)]
     s2 = [Rng(99).next_u64() for _ in range(4)]
     assert s1 == s2
+
+
+def test_below_needs_a_positive_bound():
+    assert Rng(3).below(1) == 0
+    with pytest.raises(ValueError):
+        Rng(3).below(0)
 
 
 def test_uniformity_mod_5():

@@ -1,7 +1,12 @@
+import ast
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kronscale
 from kronscale.circuit import parse
 from kronscale.counting import parse_family_file, parse_matrix_file
 from kronscale.errors import ParseError, content_lines
@@ -15,6 +20,7 @@ from kronscale.tensor import (
 )
 
 F7 = prime_field(7)
+PACKAGE = Path(kronscale.__file__).parent
 
 
 def parse_matrix(text):
@@ -88,6 +94,27 @@ MALFORMED = {
     # a row of the wrong width is named by its own line
     "rankdec-row-width": (parse_decomposition,
                           "rankdec v1\nfield p=7\nr=1\nxside:\n{0}\nU:\n1 0\nV:\n", 7),
+    "circuit-header": (parse, "# a comment\n\ncircuit v2\nfield p=7\nout\n", 3),
+    "circuit-field-not-prime": (parse, "circuit v1\nfield p=4\nout\n", 2),
+    "circuit-field-unknown": (parse, "circuit v1\n# c\nfield q=7\nout\n", 3),
+    "circuit-out-id": (parse, "circuit v1\nfield p=7\nin 0 x:{1}\nout x\n", 4),
+    "circuit-gate-before-field": (parse, "circuit v1\nin 0 x:{1}\nfield p=7\nout 0\n", 2),
+    "circuit-gate-id": (parse, "circuit v1\nfield p=7\nin a x:{1}\nout\n", 3),
+    "circuit-gate-out-of-order": (parse, "circuit v1\nfield p=7\nin 1 x:{1}\nout\n", 3),
+    "circuit-argument-id": (parse, "circuit v1\nfield p=7\nin 0 x:{1}\nadd 1 0 y\nout\n", 4),
+    "circuit-mul-unary": (parse, "circuit v1\nfield p=7\nin 0 x:{1}\nmul 1 0\nout\n", 4),
+    "circuit-argument-not-before": (parse, "circuit v1\nfield p=7\nin 0 x:{1}\nadd 1 0 1\n"
+                                           "out\n", 4),
+    "circuit-unknown-kind": (parse, "circuit v1\nfield p=7\nneg 0 1\nout\n", 3),
+    "matrix-row-width": (parse_matrix, "2\n1 2\n3\n", 3),
+    "graph-triple-out-of-range": (parse_graph_file, "triples 1 1 1 1\n1 1 2\n", 2),
+    "graph-kind": (parse_graph_file, "# c\nweighted 3 1\n1 2\n", 2),
+    "rankdec-header": (parse_decomposition, "\nrankdec v2\nfield p=7\nr=0\n", 2),
+    "rankdec-field": (parse_decomposition, "rankdec v1\nfield p=x\nr=0\n", 2),
+    "rankdec-subset-token": (parse_decomposition, "rankdec v1\nfield p=7\nr=0\nxside:\n0\n", 5),
+    "rankdec-value": (parse_decomposition,
+                      "rankdec v1\nfield p=7\nr=1\nxside:\n{0}\nU:\nzz\n", 7),
+    "rankdec-unexpected-content": (parse_decomposition, "rankdec v1\nfield p=7\nrank 1\n", 3),
 }
 
 
@@ -98,11 +125,23 @@ def test_rankdec_shape_mismatch_is_a_parse_error():
             parse_decomposition("rankdec v1\nfield p=7\nr=1\n" + body)
 
 
-@pytest.mark.parametrize("parser", [parse_matrix, parse_graph_file, parse_family_file])
-@pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+EMPTY_PARSERS = [parse_matrix, parse_graph_file, parse_family_file]
+EMPTY_TEXTS = ["", "# only a comment\n\n"]
+
+
+@pytest.mark.parametrize("parser", EMPTY_PARSERS)
+@pytest.mark.parametrize("text", EMPTY_TEXTS)
 def test_empty_input_raises_parse_error(parser, text):
     with pytest.raises(ParseError, match="^empty "):
         parser(text)
+
+
+@pytest.mark.parametrize("parser", [parse, parse_decomposition])
+@pytest.mark.parametrize("text", EMPTY_TEXTS)
+def test_empty_headed_input_raises_parse_error_without_line(parser, text):
+    with pytest.raises(ParseError) as exc:
+        parser(text)
+    assert exc.value.line is None
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -111,6 +150,47 @@ def test_malformed_input_raises_parse_error_with_line(case):
     with pytest.raises(ParseError) as exc:
         parser(text)
     assert exc.value.line == line
+
+
+def parse_error_sites() -> list:
+    """(path, line) of every `raise ParseError` statement in the package."""
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "ParseError":
+                    sites.append((str(path), node.lineno))
+    return sites
+
+
+def test_every_parse_error_site_runs_under_the_fixed_cases():
+    # a raise that no MALFORMED row or empty input reaches is a parser
+    # branch whose message and line nothing checks
+    package = str(PACKAGE)
+    ran = set()
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return trace_lines
+
+    def trace_calls(frame, event, arg):
+        return trace_lines if frame.f_code.co_filename.startswith(package) else None
+
+    cases = [(parser, text) for parser, text, _ in MALFORMED.values()]
+    cases += [(parser, text) for parser in EMPTY_PARSERS for text in EMPTY_TEXTS]
+    previous = sys.gettrace()
+    sys.settrace(trace_calls)
+    try:
+        for parser, text in cases:
+            with pytest.raises(ParseError):
+                parser(text)
+    finally:
+        sys.settrace(previous)
+    sites = parse_error_sites()
+    assert len(sites) > 20
+    assert [site for site in sites if site not in ran] == []
 
 
 # one valid text per input format; the graph format has three kinds

@@ -166,6 +166,11 @@ def test_verify_scaling(bgs):
     assert verify_scaling(bs) is None
 
 
+def test_verify_scaling_is_exhaustive_only_up_to_n5():
+    with pytest.raises(TooLarge, match="n <= 5"):
+        verify_scaling(BlockStructure(1, 6, 1))
+
+
 def test_verify_scaling_monomial_counts():
     # component projections recover each tripartition exactly once:
     # (1,1,1) -> 6 monomials, (1,2,1) -> 90 (the tripartition counts of P_n)
@@ -792,6 +797,14 @@ def test_provider_exception_becomes_provider_error():
         build_P_circuit(2, 1, 1, field=F, dec_source=boom)
 
 
+def test_provider_too_large_reaches_the_caller_as_too_large():
+    def too_large(d, field):
+        raise TooLarge("no decomposition this large")
+
+    with pytest.raises(TooLarge, match="this large"):
+        build_P_circuit(2, 1, 1, field=F, dec_source=too_large)
+
+
 def term_past_rank(d, field):
     """The trivial decomposition with a U row naming term r."""
     dec = trivial_decomposition(generate_P(d, field=field))
@@ -868,6 +881,23 @@ def test_rescaled_provider_emits_no_scale_that_never_joins():
                 rows[i][j] = rows[j][i] = field.random(rng)
         mat = SquareMatrix(field, tuple(map(tuple, rows)), symmetric=True)
         assert evaluate(circ, matrix_assignment(mat))[0] == hafnian_bruteforce(mat)
+
+
+def test_yates_skips_a_term_that_folds_to_zero():
+    # every x input is one, so over characteristic 2 a block-first term
+    # with two x entries has the x-hat 1 + 1 = 0 after the first level,
+    # which the second level skips; the y and z inputs are constants, so
+    # the whole sum folds to one constant
+    field = gf2(8)
+    scheme = PScalingScheme(2, 1, 1, field, dec_source=block_first)
+    bld = CircuitBuilder(field)
+    out = scheme.instantiate(bld, [(lambda m: bld.one, lambda m: bld.const(m + 1))],
+                             lambda m: bld.const(m + 2))
+    want = field.zero
+    for _, b, c in tripartitions(2):
+        want = field.add(want, field.mul(b + 1, c + 2))
+    assert want != field.zero
+    assert bld.is_const(out) == want
 
 
 def subset_wires(bld, n, step):

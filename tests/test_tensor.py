@@ -396,6 +396,34 @@ def test_shape_error_on_uncovered_support():
         verify_decomposition(Tensor(F, t.ground, bigger), dec)
 
 
+def test_tensor_ground_is_capped_at_63_elements():
+    assert Tensor(F, tuple(range(63)), {}).ground_size == 63
+    with pytest.raises(TooLarge):
+        Tensor(F, tuple(range(64)), {})
+
+
+def test_from_dense_rejects_a_row_of_the_wrong_width():
+    with pytest.raises(ShapeError, match=r"^V row width 2 != rank 1$"):
+        RankDecomposition.from_dense(F, 3, 1, [1], [2], [4], [[1]], [[1, 0]], [[1]])
+
+
+@pytest.mark.parametrize("label", "UVW")
+@pytest.mark.parametrize("term", [-1, 6])
+def test_shape_errors_name_the_slot_row_and_term(label, term):
+    # U's first coefficient is 2, so the decomposition is not unit before
+    # the shape walk reaches the short slot or the stray term
+    t = generate_P(1, field=F)
+    dec = trivial_decomposition(t)
+    (l, _), *rest = dec.U[0]
+    dec = replace(dec, U=(((l, 2), *rest),) + dec.U[1:])
+    rows = getattr(dec, label)
+    with pytest.raises(ShapeError, match=rf"^{label} has 2 rows for 3 side entries$"):
+        verify_decomposition(t, replace(dec, **{label: rows[:2]}))
+    stray = rows[:2] + (rows[2] + ((term, F.one),),)
+    with pytest.raises(ShapeError, match=rf"^{label} row 2 names term {term} outside \[0, 6\)$"):
+        verify_decomposition(t, replace(dec, **{label: stray}))
+
+
 def test_kron_power_matches_repeated_kronecker():
     t = generate_P(1, field=F)
     p2 = kron_power(t, 2)
