@@ -31,6 +31,7 @@ from .circuit import (
     Circuit,
     CircuitBuilder,
     analyze_skew,
+    dead_gate_elimination,
     formal_degrees,
 )
 from .errors import NotSkew, ShapeError, SingleOutputRequired
@@ -105,36 +106,33 @@ def _layer(graph, lo: int, hi: int) -> list:
     return [(comp, edges) for comp, edges in graph if lo < comp[1] <= hi]
 
 
-def _spread(bld, into: dict, src: dict, low, alive=None) -> None:
+def _spread(bld, into: dict, src: dict, low) -> None:
     """Append to into[t | m] every product low[t] * src[m] of disjoint
-    masks, or each src entry as it is when low is None (an add's operand);
-    with alive (key -> bool), only the keys that it keeps.  The one
-    subset-DP step: _run_layer fills both extraction routes' tables with
-    it, and counting.build_permanent_circuit its block tables, a matrix
-    row as low."""
+    masks, or each src entry as it is when low is None (an add's operand).
+    The one subset-DP step: _run_layer fills both extraction routes'
+    tables with it, and counting.build_permanent_circuit its block tables,
+    a matrix row as low."""
     if low is None:
         for m, g in src.items():
-            if alive is None or alive[m]:
-                gs = into.get(m)
-                if gs is None:
-                    into[m] = [g]
-                else:
-                    gs.append(g)
+            gs = into.get(m)
+            if gs is None:
+                into[m] = [g]
+            else:
+                gs.append(g)
         return
     mul = bld.mul
     for t, gl in low.items():
         for m, g in src.items():
             if not t & m:
                 key = t | m
-                if alive is None or alive[key]:
-                    gs = into.get(key)
-                    if gs is None:
-                        into[key] = [mul(gl, g)]
-                    else:
-                        gs.append(mul(gl, g))
+                gs = into.get(key)
+                if gs is None:
+                    into[key] = [mul(gl, g)]
+                else:
+                    gs.append(mul(gl, g))
 
 
-def _run_layer(bld, layer, tables: dict, roots=None, alive=None) -> dict:
+def _run_layer(bld, layer, tables: dict, roots=None) -> dict:
     """Fill the tables of a layer's components (_layer); returns tables.
 
     A table maps a key to the gate (in bld) computing its coefficient; a
@@ -149,8 +147,9 @@ def _run_layer(bld, layer, tables: dict, roots=None, alive=None) -> dict:
     at the layer's lower cut end up with the adjoint of every root seed,
     which is the forward fill transposed (Baur-Strassen): the same
     coefficients, reached from the cut above instead of the one below.
-    alive[component][key] drops a pushed entry before its product is
-    emitted.  bld may be an _ArcCount.
+    Either direction emits every product its edges make, read or not;
+    the routes drop the unread ones once, after the build.  bld may be an
+    _ArcCount.
     """
     transposed = roots is not None
     acc: dict = dict(roots or {})
@@ -171,8 +170,7 @@ def _run_layer(bld, layer, tables: dict, roots=None, alive=None) -> dict:
         for high, low in edges:
             low = None if low is None else tables.get(low, {})
             if transposed:
-                _spread(bld, acc.setdefault(high, {}), tables[comp], low,
-                        None if alive is None else alive[high])
+                _spread(bld, acc.setdefault(high, {}), tables[comp], low)
             else:
                 _spread(bld, acc.setdefault(comp, {}), tables.get(high, {}), low)
         if not transposed:
@@ -235,50 +233,7 @@ class _OverCap(Exception):
     """An _ArcCount passed its cap."""
 
 
-def _masks(layer, masks: dict) -> dict:
-    """The masks-only forward pass: masks[component] gets every mask the
-    direct route's DP fills there (folding aside), read from the masks of
-    its operands; returns masks.  It emits no gate."""
-    for comp, edges in layer:
-        got = set()
-        for high, low in edges:
-            src = masks.get(high, ())
-            if low is None:
-                got.update(src)
-            else:
-                for t in masks.get(low, ()):
-                    got.update(t | m for m in src if not t & m)
-        if got:
-            masks[comp] = got
-    return masks
-
-
-class _Misses(dict):
-    """key -> whether the key's mask misses some mask of masks, filled on
-    first lookup.  Given the masks the direct route fills at a component,
-    an adjoint entry whose mask meets every one of them never meets a
-    disjoint forward entry there, so it reaches no output."""
-
-    # no instance dict: the tri route makes one per component at degree >= n/3
-    __slots__ = ("masks", "full")
-
-    def __init__(self, masks, full: int):
-        super().__init__()
-        self.masks = masks
-        self.full = full
-
-    def __missing__(self, key):
-        m = key & self.full
-        hit = False
-        for s in self.masks:
-            if not m & s:
-                hit = True
-                break
-        self[key] = hit
-        return hit
-
-
-def _middle_transposed(bld, layer, low: dict, cut1, live: dict, alive) -> bool:
+def _middle_transposed(bld, layer, low: dict, cut1, live: dict) -> bool:
     """Whether the middle layer emits fewer arcs transposed, from the cut2
     components live[j], than forward, from every cut1 component; a tie
     stays forward.  _ArcCount counts both, seed bit i or j standing for
@@ -289,7 +244,7 @@ def _middle_transposed(bld, layer, low: dict, cut1, live: dict, alive) -> bool:
     def arcs(tables, roots=None, cap=None):
         count = _ArcCount(bld.field, cap)
         try:
-            _run_layer(count, layer, tables, roots, alive)
+            _run_layer(count, layer, tables, roots)
         except _OverCap:
             pass
         return count.arcs
@@ -313,15 +268,17 @@ def extract_coeff_direct(circ: Circuit, variables) -> Circuit:
     """The 2^n subset-DP compiler, for a circuit of any skewness.
 
     Output circuit computes the coefficient of the full multilinear
-    monomial over `variables`; its inputs are the remaining inputs of
-    the original circuit.  Only the components that the output's
-    degree-n component reaches get a table.
+    monomial over `variables`; its inputs are those inputs of the
+    original circuit outside `variables` that it reads.  Only the
+    components that the output's degree-n component reaches get a table,
+    and only the gates that the output reads are returned
+    (dead_gate_elimination).
     """
     bld, tables, graph = _open(circ, variables, formal_degrees(circ, set(variables)))
     _run_layer(bld, graph, tables)
     n = len(variables)
     bld.set_outputs([tables.get((circ.outputs[0], n), {}).get((1 << n) - 1, bld.zero)])
-    result = bld.build()
+    result = dead_gate_elimination(bld.build())
     result.meta.update(method="direct",
                        table_entries=sum(len(t) for t in tables.values()))
     return result
@@ -345,17 +302,16 @@ def extract_coeff_tripartition(circ: Circuit, variables, b: int = 1,
     forward with each cut1 component i a fresh variable, so g_ij sits in
     cut2 component j's table, or transposed from each cut2 component j
     whose h_j is non-empty, so g_ij is the adjoint of cut1 component i:
-    whichever _middle_transposed counts fewer arcs for.  A transposed
-    entry is kept only when its mask misses some mask that the direct
-    route's DP fills at its component (_masks, which emits no gate);
-    any other entry could only meet overlapping masks.  P is trilinear,
+    whichever _middle_transposed counts fewer arcs for.  P is trilinear,
     so the pairs that share j sum inside one restricted instantiation of
     the tripartitioning circuit, sum_i P(f_i, g_ij, h_j), which
     transforms h_j once per type.  The combining P_{n/3}[[n]] circuit
     uses blocks of b, groups of g (default n/(3b)) and the decomposition
-    provider dec_source (default: the trivial one).  meta["report"] gives
-    the arcs that each stage emitted, bottom, middle, top and the join,
-    and the middle layer's direction of fill.
+    provider dec_source (default: the trivial one).  As on the direct
+    route, only the gates that the output reads are returned.
+    meta["report"] gives the arcs that each stage emitted, bottom,
+    middle, top and the join, read or not, and the middle layer's
+    direction of fill; the circuit's size counts the live arcs alone.
     """
     n = len(variables)
     if n % 3 != 0 or n < 6:
@@ -369,7 +325,7 @@ def extract_coeff_tripartition(circ: Circuit, variables, b: int = 1,
     if not graph:
         # the full monomial cannot appear at all
         bld.set_outputs([bld.zero])
-        result = bld.build()
+        result = dead_gate_elimination(bld.build())
         result.meta.update(method="tri", s=0, t=0, table_entries=0)
         return result
 
@@ -383,21 +339,19 @@ def extract_coeff_tripartition(circ: Circuit, variables, b: int = 1,
     low = {c: t for c, t in bottom.items() if c[1] <= 1}
     middle_layer = _layer(graph, n3, 2 * n3)
     top_layer = _layer(graph, 2 * n3, n)
-    masks = _masks(middle_layer + top_layer, dict(bottom))
-    alive = {c: _Misses(masks.get(c, ()), full) for c, _ in graph if c[1] >= n3}
     # the top layer, transposed from its one seed: h_j is the adjoint of
     # cut2 component j
-    top = _run_layer(bld, top_layer, dict(low), {(circ.outputs[0], n): {0: [bld.one]}}, alive)
+    top = _run_layer(bld, top_layer, dict(low), {(circ.outputs[0], n): {0: [bld.one]}})
     h_tables = [top.get(c, {}) for c in cut2]
     arcs["top"] = bld.arcs - sum(arcs.values())
     # the middle layer, from whichever side emits fewer arcs: forward from
     # every cut1 component i, keyed i << n, or transposed from each cut2
     # component j whose h_j is non-empty, keyed j << n; one pass either way
     live = {j: c for j, c in enumerate(cut2) if h_tables[j]}
-    transposed = _middle_transposed(bld, middle_layer, low, cut1, live, alive)
+    transposed = _middle_transposed(bld, middle_layer, low, cut1, live)
     if transposed:
         middle = _run_layer(bld, middle_layer, dict(low),
-                            {c: {j << n: [bld.one]} for j, c in live.items()}, alive)
+                            {c: {j << n: [bld.one]} for j, c in live.items()})
     else:
         middle = _run_layer(bld, middle_layer,
                             {c: {i << n: bld.one} for i, c in enumerate(cut1)} | low)
@@ -416,7 +370,7 @@ def extract_coeff_tripartition(circ: Circuit, variables, b: int = 1,
                for j, hj in enumerate(h_tables) if hj]
     bld.set_outputs([bld.add(*outputs)])
     arcs["join"] = bld.arcs - sum(arcs.values())
-    result = bld.build()
+    result = dead_gate_elimination(bld.build())
     result.meta.update(method="tri", s=len(cut1), t=len(cut2),
                        table_entries=sum(len(t) for t in f_tables)
                        + sum(len(t) for row in g_tables for t in row)
@@ -435,7 +389,8 @@ def pad_degree(circ: Circuit, variables) -> tuple[Circuit, tuple]:
     the coefficient of the enlarged full monomial equals the original one.
     The padded circuit is circ's gates, as they are, followed by one input
     and one mul gate per fresh variable, with the last mul its one output,
-    so it keeps every input of circ.  An input of circ with one of those
+    so it keeps every input of circ (the extraction then drops those that
+    no gate reads).  An input of circ with one of those
     names would merge with it, so it raises ShapeError.  The floor of 9 is
     a measured choice, not a soundness one (the tripartition route takes
     6): padding the kpath-tri benchmark circuit (k=5, six sieve variables)
@@ -463,8 +418,9 @@ def extract_coefficient(circ: Circuit, variables, method: str = "direct",
                         b: int = 1, g: int | None = None,
                         dec_source=None) -> Circuit:
     """Front end: pads for the tripartition route, then dispatches.  Both
-    routes keep every input of circ that is not in `variables`, read or
-    not, in circ's order."""
+    routes return only the gates their output reads, so they keep an
+    input of circ that is not in `variables`, in circ's order, exactly
+    when the output reads it."""
     variables = tuple(variables)
     if method == "direct":
         return extract_coeff_direct(circ, variables)

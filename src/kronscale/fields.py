@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import operator
 import struct
-import sys
 
 from .errors import DivisionByZero, ParseError
 
@@ -255,11 +254,16 @@ def _column_steps(cols: int, bits: int) -> tuple:
     return tuple(steps)
 
 
-# the native struct code of each unsigned int width in bytes; of two
-# codes of one width the later wins, so an 8-byte long packs 8-byte
-# lanes, which converts ints faster than the long long
-_UINT = {struct.calcsize(code): code for code in "QLIH"}
-_ORDER = sys.byteorder
+# the struct code of a lane of each width in bits: an unsigned int of
+# 16, 32 or 64 bits, or at 128 a 64-bit word beside a zero word
+_LANE = {16: "H", 32: "I", 64: "Q", 128: "Q8x"}
+
+
+def _lanes(bits: int, count: int) -> struct.Struct:
+    """`count` lanes of `bits` bits, packed little-endian: read back with
+    int.from_bytes(..., "little"), lane i holds bits [bits * i, bits * (i + 1))."""
+    code = _LANE[bits]
+    return struct.Struct(f"<{count}{code}" if len(code) == 1 else "<" + code * count)
 
 
 class GF2Field(Field):
@@ -305,10 +309,10 @@ class GF2Field(Field):
         that, per gate of each group (k, j, n), XORs its k carryless
         products and j plains and folds the sum once.
 
-        Each operand list is packed into one Python int of 2w-bit lanes in
-        host byte order (at w = 64 a lane is the operand's word beside a
-        zero word).  Each operand has w free bits above it in its lane, so
-        its carryless product, of 2w - 1 bits, stays in the lane.
+        Each operand list is packed into one Python int of 2w-bit lanes,
+        lane 0 lowest (_lanes; at w = 64 a lane is the operand's word
+        beside a zero word).  Each operand has w free bits above it in its
+        lane, so its carryless product, of 2w - 1 bits, stays in the lane.
 
         The product is a Horner scheme over the nibbles of y, from the top:
         shift the partial product up by 4, then add x shifted by k wherever
@@ -333,28 +337,16 @@ class GF2Field(Field):
         """
         w, folds = self.w, self.folds
         bits = 2 * w
-        # a lane is a 2w-bit uint or, at w = 64, the operand's word beside
-        # a zero word, as the low half of the 16 bytes in host byte order
-        lane = _UINT.get(bits // 8) or ("Q8x" if _ORDER == "little" else "8xQ")
-
-        def lanes(count) -> struct.Struct:
-            return struct.Struct(f"{count}{lane}" if len(lane) == 1 else lane * count)
-
-        def at(first, count, total) -> int:
-            """The lowest bit of `count` lanes from lane `first` of a packed
-            int of `total` lanes: lane 0 is its lowest in little-endian
-            byte order, its highest in big-endian."""
-            return bits * (first if _ORDER == "little" else total - first - count)
-
         size = sum(k * n for k, _, n in groups)
         psize = sum(j * n for _, j, n in groups)
         gates = sum(n for _, _, n in groups)
-        pack, pack_plains, gate_lanes = lanes(size).pack, lanes(psize).pack, lanes(gates)
+        pack, pack_plains, gate_lanes = (_lanes(bits, size).pack, _lanes(bits, psize).pack,
+                                         _lanes(bits, gates))
         unpack = gate_lanes.unpack
-        ones = int.from_bytes(pack(*[1] * size), _ORDER)
+        ones = int.from_bytes(pack(*[1] * size), "little")
         masks = tuple((ones << k, ones << (w + k)) for k in range(4))
         nibbles = range(w - 4, -1, -4)
-        gate_ones = int.from_bytes(gate_lanes.pack(*[1] * gates), _ORDER)
+        gate_ones = int.from_bytes(gate_lanes.pack(*[1] * gates), "little")
         low = (gate_ones << w) - gate_ones
         nbytes = bits // 8 * gates
         # per run of columns: (0 for products or 1 for plains, its lowest
@@ -363,14 +355,14 @@ class GF2Field(Field):
         start = pstart = first = 0
         for k, j, n in groups:
             run = bits * n
-            for source, lane_at, cols, total in ((0, start, k, size), (1, pstart, j, psize)):
+            for source, lane_at, cols in ((0, start, k), (1, pstart, j)):
                 if cols:
-                    cuts.append((source, at(lane_at, cols * n, total), (1 << run * cols) - 1,
-                                 _column_steps(cols, run), at(first, n, gates)))
+                    cuts.append((source, bits * lane_at, (1 << run * cols) - 1,
+                                 _column_steps(cols, run), bits * first))
             start, pstart, first = start + k * n, pstart + j * n, first + n
 
         def kernel(xs, ys, plains) -> list:
-            x, y = int.from_bytes(pack(*xs), _ORDER), int.from_bytes(pack(*ys), _ORDER)
+            x, y = int.from_bytes(pack(*xs), "little"), int.from_bytes(pack(*ys), "little")
             window = [(x << k, bit, top) for k, (bit, top) in enumerate(masks)]
             r = 0
             for p in nibbles:
@@ -378,7 +370,7 @@ class GF2Field(Field):
                 r <<= 4
                 for xk, bit, top in window:
                     r ^= xk & (top - (t & bit))
-            sources = (r, int.from_bytes(pack_plains(*plains), _ORDER))
+            sources = (r, int.from_bytes(pack_plains(*plains), "little"))
             r = 0
             for source, lowest, mask, steps, gate_at in cuts:
                 v = (sources[source] >> lowest) & mask
@@ -390,7 +382,7 @@ class GF2Field(Field):
                 r &= low
                 for s in folds:
                     r ^= h << s
-            return list(unpack(r.to_bytes(nbytes, _ORDER)))
+            return list(unpack(r.to_bytes(nbytes, "little")))
 
         return kernel
 
@@ -440,7 +432,7 @@ class GF2Field(Field):
         the draw falls back to `random`.
         """
         golden = Rng.GOLDEN
-        lanes = struct.Struct("<" + "Q8x" * count)
+        lanes = _lanes(128, count)
         ones = int.from_bytes(lanes.pack(*[1] * count), "little")
         states = int.from_bytes(lanes.pack(*[(i + 1) * golden & _MASK64
                                              for i in range(count)]), "little")

@@ -260,16 +260,17 @@ def parse_decomposition(text: str) -> RankDecomposition:
     mats = {"U": [], "V": [], "W": []}
     section = None
     for lineno, line in lines[1:]:
-        if line.startswith("field "):
-            field = parse_field_spec(line[6:], lineno)
+        toks = line.split()
+        if toks[0] == "field":
+            field = parse_field_spec(" ".join(toks[1:]), lineno)
             continue
-        if line.startswith("ground "):
-            (ground_size,) = int_fields([line[7:]], "'ground <size>'", lineno)
+        if toks[0] == "ground":
+            (ground_size,) = int_fields(toks[1:], "'ground <size>'", lineno, counts=(1,))
             if ground_size > MAX_GROUND:
                 raise ParseError(f"ground size outside [0, {MAX_GROUND}]", lineno)
             continue
         if line.startswith("r="):
-            (r,) = int_fields([line[2:]], "'r=<rank>'", lineno)
+            (r,) = int_fields(line[2:].split(), "'r=<rank>'", lineno, counts=(1,))
             continue
         if line.rstrip(":") in ("xside", "yside", "zside", "U", "V", "W") and line.endswith(":"):
             section = line[:-1]

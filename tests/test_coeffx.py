@@ -1,7 +1,9 @@
+from unittest import mock
+
 import pytest
 
 from conftest import random_skew_circuit
-from kronscale import circuit, coeffx
+from kronscale import circuit, coeffx, sieving
 from kronscale.circuit import (
     CircuitBuilder,
     analyze_skew,
@@ -33,6 +35,7 @@ from kronscale.fields import Rng, gf2, prime_field
 from kronscale.sieving import DirectedGraph, _kpath_labeled_circuit, mv_det_circuit
 
 from _symbolic import expand_circuit
+from test_sieving import _kpath_tri_benchmark_runner
 
 F = prime_field(2**31 - 1)
 
@@ -193,10 +196,10 @@ def test_pad_degree():
 
 
 @pytest.mark.parametrize("degree", [6, 5], ids=["full", "short"])
-def test_both_routes_keep_an_input_that_no_gate_reads(degree):
-    # the output reads a:c, and no gate reads a:dead; the tri route pads
-    # the circuit to nine variables without dropping it, and keeps it when
-    # the full monomial cannot appear (degree 5)
+def test_both_routes_drop_an_input_that_no_gate_reads(degree):
+    # the output reads a:c, and no gate reads a:dead: both routes drop
+    # a:dead, the tri route after padding to nine variables, and both drop
+    # a:c too when the full monomial cannot appear (degree 5)
     names = names_for(6)
     bld = CircuitBuilder(F)
     bld.inp("a:dead")
@@ -207,7 +210,7 @@ def test_both_routes_keep_an_input_that_no_gate_reads(degree):
     c = bld.build()
     direct = extract_coefficient(c, names, "direct")
     tri = extract_coefficient(c, names, "tri")
-    assert direct.input_names() == tri.input_names() == ["a:dead", "a:c"]
+    assert direct.input_names() == tri.input_names() == (["a:c"] if degree == 6 else [])
     asg = {"a:dead": 3, "a:c": 5}
     assert evaluate(direct, asg) == evaluate(tri, asg) == (5 if degree == 6 else 0,)
 
@@ -341,10 +344,10 @@ def force_middle(monkeypatch, transposed):
 def test_tripartition_runs_each_layer_once(monkeypatch):
     calls = []
 
-    def counted(bld, layer, tables, roots=None, alive=None):
+    def counted(bld, layer, tables, roots=None):
         if isinstance(bld, CircuitBuilder):
             calls.append((max(k for (_, k), _ in layer), roots and len(roots)))
-        return _run_layer(bld, layer, tables, roots, alive)
+        return _run_layer(bld, layer, tables, roots)
 
     monkeypatch.setattr(coeffx, "_run_layer", counted)
     circ, xvars = pad_degree(*hafnian_clow_circuit(12, F))
@@ -402,31 +405,53 @@ def test_each_extraction_computes_the_formal_degrees_once(monkeypatch):
     assert calls == [two_skew]
 
 
+def _kpath_tri_runner_application():
+    # the circuit and sieve variables that the kpath-tri benchmark's runner
+    # extracts from
+    seen = []
+
+    def capture(circ, variables, *args, **kwargs):
+        seen.append((circ, variables))
+        return extract_coefficient(circ, variables, *args, **kwargs)
+
+    with mock.patch.object(sieving, "extract_coefficient", capture):
+        _kpath_tri_benchmark_runner()
+    return seen[0]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: permanent_skew_circuit(9, F),
+    lambda: hafnian_clow_circuit(12, F),
+    lambda: setpart_circuit(SetFamily(6, ((), (1,), (2, 3), (1, 4, 5), (2, 3, 5, 6),
+                                          (3,), ())), F),
+    _kpath_tri_runner_application,
+], ids=["perm9", "hafnian12", "setpart", "kpath-tri"])
 @pytest.mark.parametrize("method", ["direct", "tri"])
-def test_permanent_extraction_emits_only_live_gates(method):
-    # a constant is pushed only once a gate reads it, so neither route
-    # leaves an unread const 1 of the seed tables or zero of a default
-    circ = extract_coefficient(*permanent_skew_circuit(9, F), method)
-    assert len(circ.gates) == len(dead_gate_elimination(circ).gates)
+def test_extraction_returns_only_live_gates(method, build):
+    out = extract_coefficient(*build(), method)
+    assert len(out.gates) == len(dead_gate_elimination(out).gates)
 
 
 def test_hafnian_tri_sizes_are_pinned():
+    # the report counts the arcs each stage emitted, the size the live ones
     circ = build_hafnian_circuit(12, "tri")
-    assert (len(circ.gates), circ.size) == (2823, 6472)
+    assert (len(circ.gates), circ.size) == (1736, 4006)
     assert circ.meta == {"method": "tri", "s": 309, "t": 71, "table_entries": 1638,
                          "report": {"bottom": {"arcs": 3862},
-                                    "middle": {"arcs": 2310, "fill": "transposed"},
+                                    "middle": {"arcs": 3450, "fill": "transposed"},
                                     "top": {"arcs": 0},
                                     "join": {"arcs": 300}}}
 
 
 def test_hafnian_tri_at_2n14_keeps_the_forward_middle():
     # 490 cut1 against 494 cut2 components: the count finds the forward
-    # fill smaller, and the report's stages add up to the circuit
+    # fill smaller.  The report's stages add up to the arcs emitted, of
+    # which the circuit keeps the live ones
     circ = build_hafnian_circuit(14, "tri")
     report = circ.meta["report"]
     assert report["middle"]["fill"] == "forward"
-    assert sum(stage["arcs"] for stage in report.values()) == circ.size == 52441
+    assert sum(stage["arcs"] for stage in report.values()) == 52441
+    assert circ.size == 35814
 
 
 def random_symmetric_assignment(field, two_n, rng):
@@ -465,7 +490,7 @@ def test_either_middle_direction_equals_the_direct_route(transposed, monkeypatch
 def test_transposed_fill_drops_products_that_meet_every_mask_below(monkeypatch):
     # x0x1x2 * x3 * (w*x3 + w3*x4) * (w2*x5) * x6x7x8: walking down from
     # x5, the x3 term of the linear form meets x3 in every mask below it,
-    # so its product with w2 is never emitted; only w3 * w2 is
+    # so its product with w2 reaches no output; only w3 * w2 is kept
     names = names_for(9)
     bld = CircuitBuilder(F)
     x = [bld.inp(nm) for nm in names]

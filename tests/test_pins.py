@@ -1,5 +1,6 @@
 """Byte-identical circuits: the SHA-256 of `serialize` of each benchmark
-and reference circuit, pinned by its first twelve hex digits.
+and reference circuit, pinned by its first twelve hex digits, beside its
+gate and arc counts.
 
 A change that is meant to keep every circuit (a speed-up, a refactor)
 keeps every pin.  A change that is meant to change a circuit updates its
@@ -69,24 +70,29 @@ def _longcycle_det_circuit():
 
 
 PINS = {
-    "kpath-tri": (lambda: _kpath_tri_benchmark_runner()[0].circuit, "980cc58c0bf0"),
-    "hafnian12-direct": (lambda: build_hafnian_circuit(12, "direct"), "46afdbf87034"),
-    "hafnian14-direct": (lambda: build_hafnian_circuit(14, "direct"), "ff1744104c80"),
-    "hafnian12-tri": (lambda: build_hafnian_circuit(12, "tri"), "7fb36becc277"),
-    "hafnian14-tri": (lambda: build_hafnian_circuit(14, "tri"), "9a2da43fdebd"),
+    # name: (build, pin, gates, arcs)
+    "kpath-tri": (lambda: _kpath_tri_benchmark_runner()[0].circuit, "980cc58c0bf0",
+                  3752, 8238),
+    "hafnian12-direct": (lambda: build_hafnian_circuit(12, "direct"), "1c1885bda6ea",
+                         1600, 3805),
+    "hafnian14-direct": (lambda: build_hafnian_circuit(14, "direct"), "398d609d6896",
+                         4525, 11283),
+    "hafnian12-tri": (lambda: build_hafnian_circuit(12, "tri"), "1ce85bf3695b", 1736, 4006),
+    "hafnian14-tri": (lambda: build_hafnian_circuit(14, "tri"), "4db3e87741f7", 14624, 35814),
     "perm9-direct": (lambda: extract_coefficient(*permanent_skew_circuit(9, prime_field()),
-                                                 "direct"), "bec22619fd8d"),
+                                                 "direct"), "bec22619fd8d", 2878, 6885),
     "perm9-tri": (lambda: extract_coefficient(*permanent_skew_circuit(9, prime_field()),
-                                              "tri"), "c7a850d85485"),
-    "perm6-s2": (lambda: build_permanent_circuit(6, b=1, g=1), "46fbda4ce12a"),
+                                              "tri"), "c7a850d85485", 3262, 8208),
+    "perm6-s2": (lambda: build_permanent_circuit(6, b=1, g=1), "46fbda4ce12a", 292, 585),
     # the one pin with a provider other than the trivial one: its rows
     # share terms across several side entries
     "perm9-block-first": (lambda: build_permanent_circuit(9, gf2(32), dec_source=block_first,
-                                                          b=1, g=1), "168636d82582"),
+                                                          b=1, g=1), "168636d82582", 3635, 8812),
     # raw clow-sequence circuits, before any extraction
-    "hafnian12-clow": (lambda: hafnian_clow_circuit(12, prime_field())[0], "befc9dc6b987"),
-    "mv-det-4x4": (_mv_det_4x4, "6f0ae252f4bc"),
-    "longcycle-det": (_longcycle_det_circuit, "283a1e31c107"),
+    "hafnian12-clow": (lambda: hafnian_clow_circuit(12, prime_field())[0], "befc9dc6b987",
+                       1588, 4327),
+    "mv-det-4x4": (_mv_det_4x4, "6f0ae252f4bc", 62, 124),
+    "longcycle-det": (_longcycle_det_circuit, "283a1e31c107", 419, 1295),
 }
 
 
@@ -96,8 +102,10 @@ def _digest(circ) -> str:
 
 @pytest.mark.parametrize("name", PINS)
 def test_circuit_text_is_pinned(name):
-    build, pin = PINS[name]
-    assert _digest(build()) == pin
+    # the sizes beside the hash show whether a moved pin's circuit shrank
+    build, *pinned = PINS[name]
+    circ = build()
+    assert [_digest(circ), len(circ.gates), circ.size] == pinned
 
 
 def test_pins_hold_under_a_fixed_hash_seed():
@@ -108,9 +116,9 @@ def test_pins_hold_under_a_fixed_hash_seed():
                                          os.environ.get("PYTHONPATH")]))
     script = ("import json, test_pins\n"
               "print(json.dumps({k: test_pins._digest(build())"
-              " for k, (build, _) in test_pins.PINS.items()}))")
+              " for k, (build, *_) in test_pins.PINS.items()}))")
     env = dict(os.environ, PYTHONHASHSEED="987", PYTHONPATH=path)
     run = subprocess.run([sys.executable, "-c", script], env=env, cwd=tests,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout) == {k: pin for k, (_, pin) in PINS.items()}
+    assert json.loads(run.stdout) == {k: pin for k, (_, pin, *_) in PINS.items()}
