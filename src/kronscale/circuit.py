@@ -75,10 +75,17 @@ class Circuit:
         return [payload for op, payload in self.gates if op == OP_IN]
 
     @cached_property
+    def readers(self) -> tuple:
+        """Per gate, its reads by the gates and outputs that reach it
+        (`_readers`), counted on first use: evaluation's plan,
+        dead-gate elimination and `replay` all read these counts."""
+        return _readers(self.gates, self.outputs)
+
+    @cached_property
     def plan(self) -> tuple:
         """The level-by-level evaluation order (`_level_plan`), built on
         first use."""
-        return _level_plan(self.gates, self.outputs, self.field)
+        return _level_plan(self)
 
     def stats(self) -> dict:
         counts = {"in": 0, "const": 0, "add": 0, "mul": 0}
@@ -107,6 +114,14 @@ class CircuitBuilder:
     the earlier id and adds no arcs.  Arguments are not sorted, so
     mul(x, y) and mul(y, x) are two gates, and a circuit with no equal
     gates is built exactly as its calls emit it.
+
+    Two arc counters: `arcs` counts the arcs of the gates pushed, and
+    `requested_arcs` those of every add and mul push, an interned one
+    too, which is what a builder that folds alike but interns nothing
+    would count.  `copy()` gives a builder that starts where this one is,
+    with its own gate list, intern table, constant handles and counters:
+    pushes into one are not seen by the other, and the gate ids and
+    handles that both hold stand for the same gates and values.
     """
 
     zero, one = -1, -2
@@ -116,9 +131,22 @@ class CircuitBuilder:
         self.gates: list = []
         self._ids: dict[tuple, int] = {}
         self._arcs = 0
+        self._hit_arcs = 0
         self.outputs: list[int] = []
         self._values = [field.zero, field.one]
         self._handles = {field.zero: -1, field.one: -2}
+
+    def copy(self) -> CircuitBuilder:
+        """A builder holding what this one holds, to push into apart."""
+        twin = CircuitBuilder(self.field)
+        twin.gates = self.gates.copy()
+        twin._ids = self._ids.copy()
+        twin._arcs = self._arcs
+        twin._hit_arcs = self._hit_arcs
+        twin.outputs = self.outputs.copy()
+        twin._values = self._values.copy()
+        twin._handles = self._handles.copy()
+        return twin
 
     def _push(self, op, payload) -> int:
         """The id of the gate (op, payload), appended unless already there."""
@@ -130,6 +158,8 @@ class CircuitBuilder:
             gates.append(gate)
             if op in (OP_ADD, OP_MUL):
                 self._arcs += len(payload)
+        elif op in (OP_ADD, OP_MUL):
+            self._hit_arcs += len(payload)
         return gid
 
     def _gate(self, gid: int) -> int:
@@ -212,6 +242,11 @@ class CircuitBuilder:
         """Arc count of the gates pushed so far, kept as they are pushed."""
         return self._arcs
 
+    @property
+    def requested_arcs(self) -> int:
+        """Arc count of every add and mul pushed so far, interned or not."""
+        return self._arcs + self._hit_arcs
+
     def build(self) -> Circuit:
         outputs = tuple(map(self._gate, self.outputs))
         return Circuit(self.field, tuple(self.gates), outputs)
@@ -225,13 +260,13 @@ def _getter(slots):
     return itemgetter(*slots) if slots else lambda vals: ()
 
 
-def _level_plan(gates, outputs, field: Field) -> tuple:
+def _level_plan(circ: Circuit) -> tuple:
     """(inputs, consts, levels, outputs): gates grouped by depth into
     fused sums of products, with every value in one list of slots.
 
     A mul gate that exactly one add gate reads, once, and no mul gate and
-    no output reads is fused: the add forms its product.  `_readers`
-    counts the reads in its backward walk, and one forward pass finds the
+    no output reads is fused: the add forms its product.  The circuit's
+    `readers` count the reads, and one forward pass finds the
     depths and splits each add's arguments into its fused products and
     its plain arguments.  A fused mul takes the depth of its deeper
     operand, and every other gate sits one above its deepest argument, so
@@ -252,7 +287,8 @@ def _level_plan(gates, outputs, field: Field) -> tuple:
     Only the gates that the outputs reach are planned, but every input
     is, so each input needs a value.
     """
-    readers = _readers(gates, outputs)
+    gates, outputs, field = circ.gates, circ.outputs, circ.field
+    readers = circ.readers
     depth = [0] * len(gates)
     fused = [False] * len(gates)
     inputs, consts, levels = [], [], []
@@ -385,7 +421,7 @@ def analyze_skew(circ: Circuit, degs) -> int:
     return q
 
 
-def _readers(gates, outputs) -> list:
+def _readers(gates, outputs) -> tuple:
     """Per gate: its reads by the gates and outputs that reach it, counted
     walking backwards, or 0 when no output reaches it.  An add's argument
     counts once per arc, and a mul's operand and an output twice, so a
@@ -403,7 +439,7 @@ def _readers(gates, outputs) -> list:
                 x, y = payload
                 readers[x] += 2
                 readers[y] += 2
-    return readers
+    return tuple(readers)
 
 
 def replay(circ: Circuit, bld: CircuitBuilder, input_map=None) -> list:
@@ -414,7 +450,7 @@ def replay(circ: Circuit, bld: CircuitBuilder, input_map=None) -> list:
     None (or no map) copies the input.  Returns the new id of every old
     gate, a handle for a constant, and None for those no output reaches.
     """
-    live = _readers(circ.gates, circ.outputs)
+    live = circ.readers
     new = [None] * len(circ.gates)
     for gid, (op, payload) in enumerate(circ.gates):
         if not live[gid]:
@@ -438,7 +474,7 @@ def dead_gate_elimination(circ: Circuit) -> Circuit:
     Gates are copied as they are, not rebuilt: nothing folds, and two
     equal kept gates stay two gates.  A circuit whose every gate is
     reached comes back as the same object."""
-    live = _readers(circ.gates, circ.outputs)
+    live = circ.readers
     if all(live):
         return circ
     # new[gid]: how many gates before gid are kept, gid's new id if kept

@@ -18,6 +18,9 @@ materialized.
   filled from the cut above it, walking down, as well as from the cut
   below: the top layer walks down from the one output component, and
   the middle layer walks whichever way a count finds cheaper in arcs.
+  With one live cut2 component the transposed fill, made in a copy of
+  the builder, is its own count, since counting it would cost about as
+  much; with more, a cheap bitset count prices it first.
   It takes 1-skew circuits only, which every application builds.
 """
 
@@ -112,9 +115,10 @@ def _spread(bld, into: dict, src: dict, low) -> None:
     The one subset-DP step: _run_layer fills both extraction routes'
     tables with it, and counting.build_permanent_circuit its block tables,
     a matrix row as low."""
+    get = into.get
     if low is None:
         for m, g in src.items():
-            gs = into.get(m)
+            gs = get(m)
             if gs is None:
                 into[m] = [g]
             else:
@@ -125,7 +129,7 @@ def _spread(bld, into: dict, src: dict, low) -> None:
         for m, g in src.items():
             if not t & m:
                 key = t | m
-                gs = into.get(key)
+                gs = get(key)
                 if gs is None:
                     into[key] = [mul(gl, g)]
                 else:
@@ -153,12 +157,13 @@ def _run_layer(bld, layer, tables: dict, roots=None) -> dict:
     """
     transposed = roots is not None
     acc: dict = dict(roots or {})
+    add, is_zero = bld.add, bld.is_zero
 
     def settle(comp):
         tab = {}
         for key, gs in acc.pop(comp, {}).items():
-            g = bld.add(*gs)
-            if not bld.is_zero(g):
+            g = add(*gs)
+            if not is_zero(g):
                 tab[key] = g
         if tab:
             tables[comp] = tab
@@ -189,7 +194,17 @@ class _ArcCount:
     gate is a constant; a low-table gate is its constant value, or None.
     Folding is CircuitBuilder's (a product with one, or of two constants,
     and a sum of constants, emit nothing), but nothing is interned, and a
-    sum of constants counts as a constant other than zero and one.
+    sum of constants counts as a constant other than zero and one.  Short
+    of such a sum folding to zero or one, the count is a builder's
+    requested_arcs for the same fill.
+
+    All seeds share one walk, which makes the count cheap against a fill
+    with many seeds (the forward middle's cut1 components, or many live
+    cut2 roots: 6.2 ms against a 74 ms fill for hafnian 2n = 14's 48)
+    and nearly as dear as one with a single seed, whose bitsets hold one
+    bit (1.0 ms against 1.3 ms, the copy included, on the kpath-tri
+    benchmark circuit), where _middle_transposed fills instead of
+    counting.  Times: warm, minimum of 5-15 runs, one 2-CPU x86 host.
     """
 
     def __init__(self, field, cap=None):
@@ -233,12 +248,21 @@ class _OverCap(Exception):
     """An _ArcCount passed its cap."""
 
 
-def _middle_transposed(bld, layer, low: dict, cut1, live: dict) -> bool:
-    """Whether the middle layer emits fewer arcs transposed, from the cut2
-    components live[j], than forward, from every cut1 component; a tie
-    stays forward.  _ArcCount counts both, seed bit i or j standing for
-    the seed keyed i << n or j << n, and the forward count stops once it
-    passes the transposed one."""
+def _middle_transposed(bld, layer, low: dict, cut1, live: dict, filled: list) -> bool:
+    """Whether the middle layer emits fewer arcs transposed, from each cut2
+    component c of live seeded with its key live[c], than forward, from
+    every cut1 component; a tie stays forward.
+
+    The forward count is _ArcCount's, seed bit i standing for cut1
+    component i, and it stops once it passes the transposed count.  With
+    two or more live roots _ArcCount counts the transposed fill too, for
+    all roots at once, and the caller fills whichever side wins.  With one
+    root that count costs about what the fill costs (see _ArcCount), so
+    the layer is filled transposed into bld.copy() instead, and the
+    copy's requested_arcs tally, the arcs of every add and mul pushed,
+    interned or not, is the transposed count.  When it wins, (copy,
+    tables) is appended to `filled` and the extraction goes on in the
+    copy; otherwise the copy is dropped and the caller fills forward."""
     consts = {c: {t: bld.is_const(gate) for t, gate in tab.items()} for c, tab in low.items()}
 
     def arcs(tables, roots=None, cap=None):
@@ -249,8 +273,18 @@ def _middle_transposed(bld, layer, low: dict, cut1, live: dict) -> bool:
             pass
         return count.arcs
 
-    cap = arcs(dict(consts), {c: {0: [(1 << j,) * 3]} for j, c in live.items()})
-    return cap < arcs({c: {0: (1 << i,) * 3} for i, c in enumerate(cut1)} | consts, cap=cap)
+    if len(live) == 1:
+        copy = bld.copy()
+        tables = _run_layer(copy, layer, dict(low),
+                            {c: {key: [copy.one]} for c, key in live.items()})
+        cap = copy.requested_arcs - bld.requested_arcs
+    else:
+        cap = arcs(dict(consts), {c: {0: [(1 << j,) * 3]} for j, c in enumerate(live)})
+    transposed = cap < arcs({c: {0: (1 << i,) * 3} for i, c in enumerate(cut1)} | consts,
+                            cap=cap)
+    if transposed and len(live) == 1:
+        filled.append((copy, tables))
+    return transposed
 
 
 def _open(circ: Circuit, variables, degs) -> tuple:
@@ -346,12 +380,16 @@ def extract_coeff_tripartition(circ: Circuit, variables, b: int = 1,
     arcs["top"] = bld.arcs - sum(arcs.values())
     # the middle layer, from whichever side emits fewer arcs: forward from
     # every cut1 component i, keyed i << n, or transposed from each cut2
-    # component j whose h_j is non-empty, keyed j << n; one pass either way
-    live = {j: c for j, c in enumerate(cut2) if h_tables[j]}
-    transposed = _middle_transposed(bld, middle_layer, low, cut1, live)
-    if transposed:
+    # component j whose h_j is non-empty, keyed j << n; one pass either way,
+    # which _middle_transposed may have made already, in a copy of bld
+    live = {c: j << n for j, c in enumerate(cut2) if h_tables[j]}
+    filled = []
+    transposed = _middle_transposed(bld, middle_layer, low, cut1, live, filled)
+    if filled:
+        (bld, middle), = filled
+    elif transposed:
         middle = _run_layer(bld, middle_layer, dict(low),
-                            {c: {j << n: [bld.one]} for j, c in live.items()})
+                            {c: {key: [bld.one]} for c, key in live.items()})
     else:
         middle = _run_layer(bld, middle_layer,
                             {c: {i << n: bld.one} for i, c in enumerate(cut1)} | low)

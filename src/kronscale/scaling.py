@@ -306,20 +306,24 @@ def _yates_transform(bld: CircuitBuilder, rows, s: int, inputs: dict, live,
     inputs maps side-index tuples to gates; level u rewrites position u
     from a side index to a term index in live[u], accumulating
     coefficient-scaled sums.  Zero gates never materialize, and terms
-    outside live[u] are never emitted, so restrictions stay cheap.
+    outside live[u] are never emitted, so restrictions stay cheap: each
+    side index's row is cut to live[u] once per level, in row order.
     """
     scale = bld.scale
     is_zero = bld.is_zero
     cur = inputs
     for u in range(s):
         keep = live[u]
+        kept: dict = {}
         acc: dict = {}
         for key, gate in cur.items():
             head = key[:u]
             tail = key[u + 1:]
-            for l, coeff in rows[key[u]]:
-                if l not in keep:
-                    continue
+            side = key[u]
+            row = kept.get(side)
+            if row is None:
+                row = kept[side] = [(l, coeff) for l, coeff in rows[side] if l in keep]
+            for l, coeff in row:
                 nk = head + (l,) + tail
                 term = scale(coeff, gate)
                 if is_zero(term):

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import planned_products, random_skew_circuit, reached_gates
+from kronscale import circuit as circuit_module
 from kronscale.circuit import (
     OP_ADD,
     OP_CONST,
@@ -12,6 +13,7 @@ from kronscale.circuit import (
     OP_MUL,
     Circuit,
     CircuitBuilder,
+    _readers,
     analyze_skew,
     dead_gate_elimination,
     evaluate,
@@ -278,6 +280,64 @@ def test_interning_keeps_values_and_never_adds_arcs(spec, calls, seed):
     for _ in range(3):
         asg = {f"v:{i}": f.random(rng) for i in range(3)}
         assert evaluate(circ, asg) == evaluate(plain, asg)
+
+
+@pytest.mark.parametrize("spec", sorted(FOLDING_FIELDS))
+@settings(max_examples=200, deadline=None, database=None)
+@given(calls=BUILDER_CALLS)
+def test_requested_arcs_are_what_a_builder_without_interning_emits(spec, calls):
+    f, consts = FOLDING_FIELDS[spec]
+    builders = (CircuitBuilder(f), AppendingBuilder(f))
+    handles = tuple([bld.inp("v:0")] for bld in builders)
+    for kind, picks in calls:
+        for bld, got in zip(builders, handles):
+            apply_call(bld, kind, picks, got, consts)
+    interned, appended = builders
+    assert interned.requested_arcs == appended.build().size
+    assert interned.arcs == interned.build().size <= interned.requested_arcs
+
+
+def test_an_interned_push_counts_in_requested_arcs_alone():
+    bld = CircuitBuilder(ZP)
+    x, y = bld.inp("v:x"), bld.inp("v:y")
+    xy = bld.mul(x, y)
+    s = bld.add(xy, x, bld.const(3))
+    assert (bld.arcs, bld.requested_arcs) == (5, 5)
+    assert (bld.mul(x, y), bld.add(xy, x, bld.const(3))) == (xy, s)
+    assert (bld.arcs, bld.requested_arcs) == (5, 10)
+    # inputs and constants carry no arcs, pushed again or not
+    assert (bld.inp("v:x"), bld.mul(bld.const(3), x)) == (x, len(bld.gates) - 1)
+    assert (bld.arcs, bld.requested_arcs) == (7, 12)
+
+
+def builder_state(bld):
+    return (list(bld.gates), dict(bld._ids), list(bld._values), dict(bld._handles),
+            list(bld.outputs), bld.arcs, bld.requested_arcs)
+
+
+def test_a_copy_pushes_apart_from_its_parent():
+    bld = CircuitBuilder(ZP)
+    x, y = bld.inp("v:x"), bld.inp("v:y")
+    xy = bld.mul(x, bld.const(3))
+    bld.mul(x, y)
+    bld.mul(x, y)
+    bld.set_outputs([xy])
+    before = builder_state(bld)
+    twin = bld.copy()
+    assert builder_state(twin) == before
+    # a new gate, an interned one, a new input, a new constant pushed as a
+    # gate, and other outputs, all into the copy
+    total = twin.add(xy, twin.mul(x, y), twin.mul(twin.inp("v:z"), twin.const(5)))
+    assert twin.mul(x, twin.const(3)) == xy
+    twin.set_outputs([total, xy])
+    assert builder_state(bld) == before
+    assert twin.gates[:len(bld.gates)] == bld.gates
+    assert (twin.arcs - bld.arcs, twin.requested_arcs - bld.requested_arcs) == (5, 9)
+    # the parent goes on as if no copy were made, and both build
+    assert bld.mul(y, bld.const(5)) == len(before[0]) + 1
+    asg = {"v:x": 2, "v:y": 7, "v:z": 11}
+    assert evaluate(twin.build(), asg) == (6 + 14 + 55, 6)
+    assert evaluate(bld.build(), asg) == (6,)
 
 
 def test_char2_x_plus_x():
@@ -710,6 +770,26 @@ def test_dead_gate_elimination_keeps_the_reached_gates_in_order(calls, picks, se
     rng = Rng(seed)
     asg = {f"v:{i}": f.random(rng) for i in range(3)}
     assert evaluate(got, asg) == evaluate(circ, asg)
+
+
+def test_each_circuit_is_walked_for_its_readers_once(monkeypatch):
+    # the kpath-tri runner's build and its first trials: the application
+    # circuit, for its replay, and the extraction's circuit, which the
+    # extraction's dead-gate pass, the runner's and the evaluation plan
+    # all read, are walked once each
+    from test_sieving import _kpath_tri_benchmark_runner, _trial_values
+
+    walked = []
+
+    def counted(gates, outputs):
+        walked.append(gates)
+        return _readers(gates, outputs)
+
+    monkeypatch.setattr(circuit_module, "_readers", counted)
+    runner, labels = _kpath_tri_benchmark_runner()
+    _trial_values(runner, labels, 2)
+    assert len(walked) == len({id(gates) for gates in walked}) == 2
+    assert walked[-1] is runner.circuit.gates
 
 
 def test_dead_gate_elimination_keeps_equal_gates_apart():

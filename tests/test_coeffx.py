@@ -12,6 +12,7 @@ from kronscale.circuit import (
     formal_degrees,
 )
 from kronscale.coeffx import (
+    _ArcCount,
     _layer,
     _reach,
     _run_layer,
@@ -452,6 +453,72 @@ def test_hafnian_tri_at_2n14_keeps_the_forward_middle():
     assert report["middle"]["fill"] == "forward"
     assert sum(stage["arcs"] for stage in report.values()) == 52441
     assert circ.size == 35814
+
+
+def middle_counts(monkeypatch, circ, variables):
+    """Per middle layer of the tri extraction of circ: (live roots,
+    _ArcCount's transposed count, the requested-arc tally of the copy
+    that _middle_transposed fills, the direction picked)."""
+    seen = []
+    decide = coeffx._middle_transposed
+    copy = CircuitBuilder.copy
+
+    def spy(bld, layer, low, cut1, live, filled):
+        consts = {c: {t: bld.is_const(g) for t, g in tab.items()} for c, tab in low.items()}
+        count = _ArcCount(bld.field)
+        _run_layer(count, layer, consts, {c: {0: [(1 << j,) * 3]} for j, c in enumerate(live)})
+        copies = []
+        monkeypatch.setattr(CircuitBuilder, "copy",
+                            lambda self: copies.append(copy(self)) or copies[-1])
+        before = bld.requested_arcs
+        transposed = decide(bld, layer, low, cut1, live, filled)
+        (twin,) = copies
+        seen.append((len(live), count.arcs, twin.requested_arcs - before, transposed))
+        return transposed
+
+    monkeypatch.setattr(coeffx, "_middle_transposed", spy)
+    extract_coefficient(circ, variables, "tri")
+    return seen
+
+
+@pytest.mark.parametrize("build, counts", [
+    (_kpath_tri_runner_application, (1, 3234, 3234, True)),
+    (lambda: hafnian_clow_circuit(12, F), (1, 3450, 3450, True)),
+    (lambda: permanent_skew_circuit(9, F), (1, 972, 972, False)),
+], ids=["kpath-tri", "hafnian12", "perm9"])
+def test_one_live_root_tally_is_the_transposed_count(monkeypatch, build, counts):
+    # with one live cut2 component, the fill into a copy prices the
+    # transposed middle at what _ArcCount would count
+    assert middle_counts(monkeypatch, *build()) == [counts]
+
+
+def test_one_live_root_runs_no_transposed_count_and_many_make_no_copy(monkeypatch):
+    # kpath-tri, one live root: the middle is filled once, into a copy,
+    # and _ArcCount counts the forward fill alone; hafnian 2n = 14, 48
+    # live roots: _ArcCount counts both directions and no copy is made
+    passes, copies = [], []
+    copy = CircuitBuilder.copy
+
+    def counted(bld, layer, tables, roots=None):
+        passes.append((type(bld), roots is not None))
+        return _run_layer(bld, layer, tables, roots)
+
+    application = _kpath_tri_runner_application()
+    monkeypatch.setattr(coeffx, "_run_layer", counted)
+    monkeypatch.setattr(CircuitBuilder, "copy",
+                        lambda self: copies.append(copy(self)) or copies[-1])
+    out = extract_coefficient(*application, "tri")
+    assert out.meta["report"]["middle"] == {"arcs": 3234, "fill": "transposed"}
+    assert len(copies) == 1
+    assert passes == [(CircuitBuilder, False), (CircuitBuilder, True), (CircuitBuilder, True),
+                      (_ArcCount, False)]
+    passes.clear()
+    copies.clear()
+    out = build_hafnian_circuit(14, "tri")
+    assert out.meta["report"]["middle"]["fill"] == "forward"
+    assert copies == []
+    assert passes == [(CircuitBuilder, False), (CircuitBuilder, True), (_ArcCount, True),
+                      (_ArcCount, False), (CircuitBuilder, False)]
 
 
 def random_symmetric_assignment(field, two_n, rng):
