@@ -110,7 +110,11 @@ class SieveRunner:
     or fixed selectors, which only raise D).  On an instance whose output
     polynomial is nonzero, one run evaluates to zero with chance at most
     miss_bound = D / (|F| - 1) (Schwartz-Zippel); on one whose output is
-    identically zero, every run evaluates to zero.
+    identically zero, every run evaluates to zero.  Every sieve decides
+    through `detect`, the one trial loop: each trial takes one
+    rng.split(), and runs(trial) yields the (rng, extra) of its runs in
+    order.  The first nonzero run answers True and is the last made; a
+    no-instance makes every run and answers False.
     """
 
     def __init__(self, circ: Circuit, a: SieveMatrix, kind: str, method: str,
@@ -161,19 +165,20 @@ class SieveRunner:
         asg.update(zip(self.rand_inputs, self._draw(rng)))
         return evaluate(self.circuit, asg)[0]
 
+    def detect(self, rng: Rng, trials: int, runs) -> bool:
+        return any(self.run(run_rng, extra) != self.field.zero
+                   for _ in range(trials) for run_rng, extra in runs(rng.split()))
+
 
 def det_sieve(circ: Circuit, a: SieveMatrix, rng: Rng, trials: int = 7,
               method: str = "direct", xvars=None) -> bool:
     """True iff some trial certifies a multilinear term m of degree k with
-    A[., supp(m)] nonsingular (one-sided; per-trial success >= 1/2 when
-    such a term exists and |F| >= 2k)."""
+    A[., supp(m)] nonsingular (one-sided, one run per trial on its rng;
+    per-trial success >= 1/2 when such a term exists and |F| >= 2k)."""
     if a.field.order < 2 * a.k:
         raise FieldTooSmall(f"need |F| >= {2 * a.k}")
     runner = SieveRunner(circ, a, "det", method, xvars=xvars)
-    for _ in range(trials):
-        if runner.run(rng.split()) != a.field.zero:
-            return True
-    return False
+    return runner.detect(rng, trials, lambda trial: ((trial, None),))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +279,8 @@ def kpath_detect(g: DirectedGraph, k: int, rng: Rng, trials: int = 7,
     No-instances always return False.  The field defaults to
     sieve_field(g.n), GF(2^16) up to 65,535 vertices; each trial misses a
     yes-instance with chance at most the runner's miss_bound, D / (|F| - 1)
-    with D <= 2k + 1 (k + 1 rx values and k arc labels per path).  A
+    with D <= 2k + 1 (k + 1 rx values and k arc labels per path).  Each
+    trial is one run, whose rng draws the labels, then the rx values.  A
     vertex is a path of no arc; a negative k raises ShapeError.
     """
     if k < 0:
@@ -291,12 +297,8 @@ def kpath_detect(g: DirectedGraph, k: int, rng: Rng, trials: int = 7,
     runner = SieveRunner(circ, a, "det", method,
                          xvars=[f"x:{{{v}}}" for v in range(1, g.n + 1)])
     draw_labels = field.random_kernel(len(labels), nonzero=True)
-    for _ in range(trials):
-        trial_rng = rng.split()
-        extra = dict(zip(labels, draw_labels(trial_rng)))
-        if runner.run(trial_rng, extra=extra) != field.zero:
-            return True
-    return False
+    return runner.detect(rng, trials,
+                         lambda trial: ((trial, dict(zip(labels, draw_labels(trial)))),))
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +414,19 @@ def matching3d_detect(sizes, triples, k: int, rng: Rng, trials: int = 7,
                       method: str = "direct", field: Field | None = None) -> bool:
     """Randomized decision: are some k of the triples, over sides of
     `sizes` (nu, nv, nw), pairwise disjoint?  No-instances always return
-    False.
+    False; a negative k, or a triple that is not one element in 1..size
+    per side, raises ShapeError.
 
     The field defaults to sieve_field(max(nu, nv, nw, 2k - 1)): its
     order exceeds every side's Vandermonde points and is at least the 2k
     that det_sieve asks.  Each trial misses a yes-instance with chance at
     most the runner's miss_bound, D / (|F| - 1).
     """
+    if k < 0:
+        raise ShapeError(f"matching size must be at least 0, got {k}")
+    for t in triples:
+        if len(t) != 3 or not all(1 <= v <= size for v, size in zip(t, sizes)):
+            raise ShapeError(f"triple {t} is not one element in 1..size per side {sizes}")
     field = field or sieve_field(max(*sizes, 2 * k - 1))
     if len(triples) < k:
         return False
@@ -469,7 +477,8 @@ def longcycle_detect(g: UndirectedGraph, k: int, rng: Rng, trials: int = 7,
     skip vertices off the path.
 
     The field defaults to sieve_field(|U|), one Vandermonde point per
-    side-U vertex.  Each trial runs every edge; the run on an edge that
+    side-U vertex.  Each trial runs every edge in order, with its selector
+    alone one, on a fresh split of the trial's rng; the run on an edge that
     closes a long cycle misses with chance at most the runner's
     miss_bound, D / (|F| - 1), where D counts the selectors too.
     """
@@ -490,14 +499,12 @@ def longcycle_detect(g: UndirectedGraph, k: int, rng: Rng, trials: int = 7,
 
     bld = CircuitBuilder(field)
     xvars = [f"x:{{{i}}}" for i in range(1, m + 1)]
-    xg = {i: bld.inp(xvars[i - 1]) for i in range(1, m + 1)}
+    xs = [bld.inp(nm) for nm in xvars]
     sel_names = [f"v:__sel{i}" for i in range(m)]
     sels = [bld.inp(nm) for nm in sel_names]
     entry = [[bld.zero] * (g.n + 1) for _ in range(g.n + 1)]
-    for idx, (u, w) in enumerate(g.edges):
+    for (u, w), x, sel in zip(g.edges, xs, sels):
         s, t = (u, w) if u in side else (w, u)     # path runs U-side -> W-side
-        x = xg[idx + 1]
-        sel = sels[idx]
         # normal arcs x_e; when selected: arc (t,s) = 1 and arc (s,t) = 0
         entry[s][t] = bld.add(x, bld.mul(sel, x))
         entry[t][s] = bld.add(x, bld.mul(sel, bld.add(bld.one, x)))
@@ -507,14 +514,6 @@ def longcycle_detect(g: UndirectedGraph, k: int, rng: Rng, trials: int = 7,
     circ = bld.build()
 
     runner = SieveRunner(circ, a, "odd", method, xvars=xvars)
-    zero = field.zero
-    extra = dict.fromkeys(sel_names, zero)
-    for _ in range(trials):
-        trial_rng = rng.split()
-        for name in sel_names:
-            extra[name] = field.one
-            hit = runner.run(trial_rng.split(), extra=extra) != zero
-            extra[name] = zero
-            if hit:
-                return True
-    return False
+    off = dict.fromkeys(sel_names, field.zero)
+    return runner.detect(rng, trials, lambda trial: (
+        (trial.split(), {**off, name: field.one}) for name in sel_names))

@@ -1,11 +1,11 @@
 """Every name a kronscale module imports is used by that module and comes
 from the standard library or kronscale itself, no function writes into a
 module-level container (a hidden global cache), no code but
-CircuitBuilder._push writes a builder's gate list, only the text parsers
-and their line helpers raise ParseError, every field class defines what
-circuit evaluation reads off a field, and every definition, in a
-kronscale module or a shared test helper, is named somewhere outside
-itself."""
+CircuitBuilder._push writes a builder's gate list, no code but
+SieveRunner.detect runs a sieve, only the text parsers and their line
+helpers raise ParseError, every field class defines what circuit
+evaluation reads off a field, and every definition, in a kronscale
+module or a shared test helper, is named somewhere outside itself."""
 
 import ast
 import re
@@ -151,23 +151,27 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 GATE_WRITERS = {"append", "extend", "insert"}
 
 
+def module_functions(source: str) -> list:
+    """(class name or None, node) for each module-level function and method."""
+    tree = ast.parse(source)
+    funcs = [(None, node) for node in tree.body if isinstance(node, FUNCTIONS)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            funcs += [(cls.name, item) for item in cls.body if isinstance(item, FUNCTIONS)]
+    return funcs
+
+
 def gate_writes_outside_push(source: str) -> list:
     """(line, function) for each write into a builder's gate list by any
     function but CircuitBuilder._push: append, extend or insert, `+=` or
     an item assignment on X.gates, or on a local name bound to X.gates.
     A list that a function makes itself, even one called `gates`, is not
     a builder's."""
-    tree = ast.parse(source)
-    funcs = [(None, node) for node in tree.body if isinstance(node, FUNCTIONS)]
-    for cls in tree.body:
-        if isinstance(cls, ast.ClassDef):
-            funcs += [(cls.name, item) for item in cls.body if isinstance(item, FUNCTIONS)]
-
     def is_gate_list(expr):
         return isinstance(expr, ast.Attribute) and expr.attr == "gates"
 
     hits = []
-    for owner, func in funcs:
+    for owner, func in module_functions(source):
         if (owner, func.name) == ("CircuitBuilder", "_push"):
             continue
         aliases = {target.id for node in ast.walk(func)
@@ -204,6 +208,31 @@ def test_scan_finds_a_gate_write_outside_push():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_gates_are_written_only_by_push(path):
     assert gate_writes_outside_push(path.read_text()) == []
+
+
+def sieve_runs_outside_detect(source: str) -> list:
+    """(line, function) for each reference to an attribute `run`, called
+    or not, in any function but SieveRunner.detect."""
+    return sorted((node.lineno, func.name) for owner, func in module_functions(source)
+                  if (owner, func.name) != ("SieveRunner", "detect")
+                  for node in ast.walk(func)
+                  if isinstance(node, ast.Attribute) and node.attr == "run")
+
+
+def test_scan_finds_a_sieve_run_outside_detect():
+    source = ("class SieveRunner:\n"
+              "    def run(self, rng, extra=None):\n        return 0\n"
+              "    def detect(self, rng, trials, runs):\n"
+              "        return any(self.run(r, e) for r, e in runs(rng))\n"
+              "def det_sieve(runner, rng):\n    return runner.run(rng.split())\n"
+              "def kpath_detect(runner, rng):\n    run = runner.run\n    return run(rng)\n")
+    assert sieve_runs_outside_detect(source) == [(7, "det_sieve"), (9, "kpath_detect")]
+
+
+# every sieve decides through the one trial loop, SieveRunner.detect
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_sieve_runs_are_made_only_by_detect(path):
+    assert sieve_runs_outside_detect(path.read_text()) == []
 
 
 PARSE_ERROR_RAISERS = re.compile(r"_?parse|int_fields$|records$")

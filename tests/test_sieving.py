@@ -228,7 +228,7 @@ def odd_sieve(circ, a, rng, trials):
     if a.field.order < d + a.k:
         raise FieldTooSmall(f"need |F| >= {d + a.k}")
     runner = SieveRunner(circ, a, "odd", "direct")
-    return any(runner.run(rng.split()) != a.field.zero for _ in range(trials))
+    return runner.detect(rng, trials, lambda trial: ((trial, None),))
 
 
 def test_odd_sieve_examples():
@@ -362,6 +362,13 @@ def test_kpath_tri_instance_sieves_over_gf2_16_and_reports_its_miss_bound(monkey
     assert [value for _, value in runs] == [0, 0]
 
 
+# column pairs: A's one basis is {1, 2}, dependent in C, so no common basis
+MATROID3_NO = (SieveMatrix(F, ((F.one, F.zero, F.zero), (F.zero, F.one, F.zero))),
+               SieveMatrix(F, ((F.one, F.zero, F.one), (F.zero, F.one, F.one))),
+               SieveMatrix(F, ((F.one, F.one, F.zero), (F.zero, F.zero, F.one))))
+# two disjoint triples, and no three
+MATCHING3D = ((1, 1, 1), (2, 2, 2), (1, 2, 3), (3, 1, 2))
+
 # a 4-cycle 1-6-2-7, whose four runs at k = 6 read zero, then a 6-cycle
 # 3-8-4-9-5-10: the fifth run reads the value of its edge's selector alone
 LONGCYCLE_G = UndirectedGraph(10, ((1, 6), (2, 6), (2, 7), (1, 7), (3, 8), (4, 8), (4, 9),
@@ -371,17 +378,32 @@ LONGCYCLE_G = UndirectedGraph(10, ((1, 6), (2, 6), (2, 7), (1, 7), (3, 8), (4, 8
 @pytest.mark.parametrize("detect, answer, pin, values", [
     (lambda: kpath_detect(DirectedGraph(7, BENCH_ARCS), 5, Rng(5), trials=3, method="tri",
                           field=gf2(32)), False, "980cc58c0bf0", [0, 0, 0]),
+    (lambda: kpath_detect(DirectedGraph(7, BENCH_ARCS), 5, Rng(5), method="tri",
+                          field=gf2(16)), False, "6c18f9fca65c", [0] * 7),
     (lambda: kpath_detect(DirectedGraph(7, BENCH_ARCS), 4, Rng(5), trials=3,
                           field=gf2(32)), True, "29b5aea3bef4", [170_739_787]),
     (lambda: longcycle_detect(LONGCYCLE_G, 6, Rng(1), trials=2, field=gf2(16)),
      True, "1309d8fedd9e", [0, 0, 0, 0, 16_576]),
     (lambda: longcycle_detect(LONGCYCLE_G, 8, Rng(1), trials=2, field=gf2(16)),
      False, "1a6967ca8848", [0] * 20),
-], ids=["kpath-tri-no", "kpath-direct-yes", "longcycle-yes", "longcycle-no"])
+    (lambda: det_sieve(_monomial_circuit([1, 1]), vandermonde(2, 2, F, Rng(8)), Rng(9),
+                       trials=3), True, "78ba7f38ee24", [60_226]),
+    (lambda: det_sieve(_monomial_circuit([1, 1]), SieveMatrix(F, ((F.one, F.one),) * 2),
+                       Rng(9), trials=3), False, "e2249132da40", [0, 0, 0]),
+    (lambda: matroid3_detect(*MATROID3_NO, Rng(7), trials=5), False, "d6a83f23e7c9", [0] * 5),
+    (lambda: matching3d_detect((3, 3, 3), MATCHING3D, 2, Rng(10), trials=3, field=F),
+     True, "055ea91e7091", [57_693]),
+    (lambda: matching3d_detect((3, 3, 3), MATCHING3D, 3, Rng(10), trials=3, field=F),
+     False, "15fd2a2e6923", [0, 0, 0]),
+], ids=["kpath-tri-no", "kpath-tri-no-default-trials", "kpath-direct-yes", "longcycle-yes",
+        "longcycle-no", "det-yes", "det-no", "matroid3-no", "matching3d-yes",
+        "matching3d-no"])
 def test_an_explicit_field_keeps_each_circuit_and_value(monkeypatch, detect, answer, pin,
                                                         values):
     # the circuit and the value of every run, as one random(rng) call per
-    # drawn input and a fresh selector dict per edge give them
+    # drawn input and a fresh selector dict per edge give them; the first
+    # nonzero run is the last, and a no-instance runs every trial (and
+    # every edge), so the values also pin each detector's run count
     runs = _recorded_runs(monkeypatch)
     assert detect() == answer
     assert {hashlib.sha256(serialize(circ).encode()).hexdigest()[:12]
@@ -479,6 +501,24 @@ def test_matching3d_vs_exhaustive():
     # fewer triples than k: no sieve is built
     triples = ((1, 1, 1), (2, 2, 2))
     assert matching3d_detect((3, 3, 3), triples, 3, rng, field=F) == matching3d_brute(triples, 3)
+
+
+NOT_ONE_PER_SIDE = r"is not one element in 1\.\.size per side \(2, 2, 2\)$"
+
+
+@pytest.mark.parametrize("triples, k, message", [
+    ((), -2, r"^matching size must be at least 0, got -2$"),
+    # element 0 would index the last Vandermonde column and find a matching
+    (((0, 1, 1), (1, 2, 2)), 2, r"^triple \(0, 1, 1\) " + NOT_ONE_PER_SIDE),
+    # element 3 on a side of 2 would index past the side's columns
+    (((1, 3, 1),), 1, r"^triple \(1, 3, 1\) " + NOT_ONE_PER_SIDE),
+    # a pair has no third side's element; a fourth element has no side
+    (((1, 1),), 1, r"^triple \(1, 1\) " + NOT_ONE_PER_SIDE),
+    (((1, 1, 1, 5),), 1, r"^triple \(1, 1, 1, 5\) " + NOT_ONE_PER_SIDE),
+], ids=["negative-k", "element-0", "element-above-its-side", "pair", "four-elements"])
+def test_matching3d_refuses_a_malformed_instance(triples, k, message):
+    with pytest.raises(ShapeError, match=message):
+        matching3d_detect((2, 2, 2), triples, k, Rng(1), field=F)
 
 
 @pytest.mark.parametrize("method", ["direct", "tri"])
