@@ -14,6 +14,15 @@ that reads every n-subset of [3n] as it is, and no type is enumerated.
 Padding is adaptive: d_eff = b*g + Delta where Delta is the largest
 deviation the balancing actually achieved over all types and groups.  The
 worst-case constant would put d_eff = b*(g+36), far beyond desk scale.
+
+Each restricted power runs the sparse Yates transform of the provider's
+decomposition, except for a unit-term one (every term one monomial
+x_A*y_B*z_C with coefficient one, as the default trivial provider's always
+are): there the transform would only relabel keys, so the products read
+their inputs directly at each term's owners, the side index of its one
+entry per slot.  The owners come from the walk that the exactness check
+of every scheme construction makes (`RankDecomposition.owners`), and both
+paths emit the same circuit.
 """
 
 from __future__ import annotations
@@ -338,10 +347,16 @@ def _yates_transform(bld: CircuitBuilder, rows, s: int, inputs: dict, live,
         cur = {}
         for nk, val in acc.items():
             cur[nk] = bld.add(*val) if isinstance(val, list) else val
-        if bld.arcs > ARC_BUDGET:
-            raise TooLarge(f"yates: slot {slot}, level {u + 1} of s={s}: "
-                           f"{bld.arcs} arcs exceed the arc budget {ARC_BUDGET}")
+        _check_arcs(bld, slot, u + 1, s)
     return cur
+
+
+def _check_arcs(bld: CircuitBuilder, slot: str, level: int, s: int) -> None:
+    """TooLarge once the builder holds more than ARC_BUDGET arcs, named by
+    the transform's slot and level that checked."""
+    if bld.arcs > ARC_BUDGET:
+        raise TooLarge(f"yates: slot {slot}, level {level} of s={s}: "
+                       f"{bld.arcs} arcs exceed the arc budget {ARC_BUDGET}")
 
 
 def _present_inputs(bld: CircuitBuilder, wire, entries) -> dict:
@@ -390,20 +405,24 @@ def _restricted_power(bld: CircuitBuilder, dec: RankDecomposition, s: int, side_
     dict to several restrictions shares the product across them too.  A
     group of one term costs the two muls of x^ * y^ * z^, as the
     unfactored sum does.
+
+    A unit-term dec (dec.owners is not None: the walk of the exactness
+    check that every scheme construction runs found each term's owners)
+    takes `_unit_power` instead, which emits the same gates in the same
+    order and builds no hat dict; the transform is the path of every other
+    decomposition.
     """
     zin = _present_inputs(bld, zwire, side_entries[2])
     if not zin:
         return
+    present = _present_pairs(bld, side_entries, pairs)
+    if dec.owners is not None:
+        _unit_power(bld, dec, s, present, zin, groups)
+        return
     zreach = _reached_terms(dec.rows[2], zin, s)
     hats = []
     zlive = [frozenset()] * s
-    for xwire, ywire in pairs:
-        xin = _present_inputs(bld, xwire, side_entries[0])
-        if not xin:
-            continue
-        yin = _present_inputs(bld, ywire, side_entries[1])
-        if not yin:
-            continue
+    for xin, yin in present:
         live = [a & b & c for a, b, c in zip(_reached_terms(dec.rows[0], xin, s),
                                              _reached_terms(dec.rows[1], yin, s), zreach)]
         hats.append((_yates_transform(bld, dec.rows[0], s, xin, live, "x"),
@@ -425,6 +444,69 @@ def _restricted_power(bld: CircuitBuilder, dec: RankDecomposition, s: int, side_
                 groups[gz] = [bld.mul(gx, gy)]
             else:
                 xy.append(bld.mul(gx, gy))
+
+
+def _present_pairs(bld: CircuitBuilder, side_entries, pairs):
+    """The present (x inputs, y inputs) of each (xwire, ywire) pair that
+    has both, read one pair at a time as the caller asks for it."""
+    for xwire, ywire in pairs:
+        xin = _present_inputs(bld, xwire, side_entries[0])
+        if not xin:
+            continue
+        yin = _present_inputs(bld, ywire, side_entries[1])
+        if yin:
+            yield xin, yin
+
+
+def _unit_power(bld: CircuitBuilder, dec: RankDecomposition, s: int, present, zin: dict,
+                groups: dict) -> None:
+    """`_restricted_power` for a unit-term dec: each term l has one entry
+    in each slot, with coefficient one, at the side indices dec.owners
+    gives.  Its Yates transform only relabels an input's key from side
+    indices to the terms of their rows, so x^[l_0..l_{s-1}] is the x input
+    itself, and y^ and z^ there are the inputs at the terms' owners.
+
+    Each present x input, in order, walks the product of its side indices'
+    rows, each row cut to the terms whose y and z owners are a j-th side
+    index of some present y and z input: the terms the transform keeps,
+    in its order.  A tuple whose owners name a present y and z input
+    appends x * y to groups[z].  The transforms add no gate, so the first
+    arc check of each pair's x transform is the only one that can fire;
+    it runs as the pair's inputs are read, as it does there."""
+    # every wire is read before the first product is pushed, as on the
+    # transform path, so a wire that makes gates makes them in its order
+    pairs = []
+    for xin, yin in present:
+        _check_arcs(bld, "x", 1, s)
+        pairs.append((xin, yin))
+    _, oy, oz = dec.owners
+    zsides = [{key[j] for key in zin} for j in range(s)]
+    mul = bld.mul
+    for xin, yin in pairs:
+        ysides = [{key[j] for key in yin} for j in range(s)]
+        cut = [{} for _ in range(s)]  # cut[j][side index]: its row's kept owner pairs
+        for key, gx in xin.items():
+            walk = []
+            for j, i in enumerate(key):
+                row = cut[j].get(i)
+                if row is None:
+                    ys, zs = ysides[j], zsides[j]
+                    row = cut[j][i] = [(oy[l], oz[l]) for l, _ in dec.U[i]
+                                       if oy[l] in ys and oz[l] in zs]
+                walk.append(row)
+            for combo in product(*walk):
+                ky, kz = zip(*combo)
+                gy = yin.get(ky)
+                if gy is None:
+                    continue
+                gz = zin.get(kz)
+                if gz is None:
+                    continue
+                xy = groups.get(gz)
+                if xy is None:
+                    groups[gz] = [mul(gx, gy)]
+                else:
+                    xy.append(mul(gx, gy))
 
 
 def _join(bld: CircuitBuilder, groups: dict) -> int:
@@ -467,7 +549,12 @@ class PScalingScheme:
     evaluated by one restricted power of the provider's P_n.  Every
     construction generates P_{d_eff} once, asks the provider for its
     decomposition (default: the trivial one of that tensor) and verifies
-    the answer against it.  The side entries of every component
+    the answer against it.  That check's walk also finds whether the
+    decomposition is unit-term and, if so, each term's owner side index
+    per slot (`RankDecomposition.owners`, kept on the decomposition); a
+    unit-term decomposition's restricted powers then skip the Yates
+    transform and read the inputs at the owners, with the same circuit as
+    a result.  The side entries of every component
     (side_entries[component][slot][j]: the (side index, mask) pairs alive
     in factor j) do not depend on the wires, so they are built here once;
     instantiate() keeps no state between calls, and a component with a

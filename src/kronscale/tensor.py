@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
 from .circuit import mask_bits, mask_of
@@ -101,6 +102,35 @@ class RankDecomposition:
     def rows(self) -> tuple:
         return self.U, self.V, self.W
 
+    @cached_property
+    def owners(self) -> tuple | None:
+        """Per slot, the side index of each term's one entry, when every
+        term has exactly one entry in each slot and every coefficient is
+        one (a unit-term decomposition, as the trivial one always is);
+        else None.  Walked once, on first use: by the check of
+        `verify_decomposition`, which every scheme construction runs, and
+        then read by the restricted powers of `scaling`.  ShapeError when
+        a slot's row count differs from its side's or a row names a term
+        outside [0, rank): the same walk checks the shape."""
+        one = self.field.one
+        rank = self.rank
+        unit = True
+        per_slot = []
+        for side, rows, label in zip((self.side_x, self.side_y, self.side_z), self.rows, "UVW"):
+            if len(rows) != len(side):
+                raise ShapeError(f"{label} has {len(rows)} rows for {len(side)} side entries")
+            owner = [None] * rank  # owner[l]: the side index of term l's one entry
+            for i, row in enumerate(rows):
+                for l, v in row:
+                    if not 0 <= l < rank:
+                        raise ShapeError(f"{label} row {i} names term {l} outside [0, {rank})")
+                    if v != one or owner[l] is not None:
+                        unit = False
+                    owner[l] = i
+            per_slot.append(tuple(owner))
+            unit = unit and None not in owner
+        return tuple(per_slot) if unit else None
+
     @classmethod
     def from_dense(cls, field: Field, ground_size: int, rank: int, side_x, side_y, side_z,
                    U, V, W) -> RankDecomposition:
@@ -119,28 +149,13 @@ class RankDecomposition:
 
 
 def _unit_term_keys(dec: RankDecomposition):
-    """The (A, B, C) masks of every term, in term order, when each term has
-    exactly one entry in each slot and every coefficient is one; else None.
-    ShapeError when a slot's row count differs from its side's or a row
-    names a term outside [0, rank): the same walk checks the shape."""
-    one = dec.field.one
-    rank = dec.rank
-    unit = True
-    per_slot = []
-    for side, rows, label in zip((dec.side_x, dec.side_y, dec.side_z), dec.rows, "UVW"):
-        if len(rows) != len(side):
-            raise ShapeError(f"{label} has {len(rows)} rows for {len(side)} side entries")
-        owner = [None] * rank  # owner[l]: the mask of term l's one entry
-        for i, (mask, row) in enumerate(zip(side, rows)):
-            for l, v in row:
-                if not 0 <= l < rank:
-                    raise ShapeError(f"{label} row {i} names term {l} outside [0, {rank})")
-                if v != one or owner[l] is not None:
-                    unit = False
-                owner[l] = mask
-        per_slot.append(owner)
-        unit = unit and None not in owner
-    return list(zip(*per_slot)) if unit else None
+    """The (A, B, C) masks of every term, in term order, when dec is a
+    unit-term decomposition (`RankDecomposition.owners`); else None."""
+    owners = dec.owners
+    if owners is None:
+        return None
+    return list(zip(*(map(side.__getitem__, owner)
+                      for side, owner in zip((dec.side_x, dec.side_y, dec.side_z), owners))))
 
 
 def verify_decomposition(t: Tensor, dec: RankDecomposition):
@@ -152,9 +167,13 @@ def verify_decomposition(t: Tensor, dec: RankDecomposition):
     terms with those masks, so the check is exact as a key comparison: the
     terms' triples must be distinct and be the tensor's support, and every
     entry must be one.  The tensor's keys are distinct, so the comparison
-    is made in the tensor's key order.  Any other decomposition, and one
-    that fails that comparison (terms in another order too), is expanded
-    term by term in the field, which names the first mismatch."""
+    is made in the tensor's key order.  The terms' masks come from
+    `dec.owners`, the walk that finds a unit-term decomposition and checks
+    its shape; the property keeps what it found, so the restricted powers
+    of `scaling` read a checked decomposition's owners without a second
+    walk.  Any other decomposition, and one that fails that comparison
+    (terms in another order too), is expanded term by term in the field,
+    which names the first mismatch."""
     keys = _unit_term_keys(dec)
     if dec.field != t.field:
         raise ShapeError("decomposition field differs from tensor field")

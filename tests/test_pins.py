@@ -17,7 +17,7 @@ from unittest import mock
 
 import pytest
 
-from kronscale import sieving
+from kronscale import scaling, sieving
 from kronscale.circuit import serialize
 from kronscale.coeffx import extract_coefficient
 from kronscale.counting import (
@@ -84,6 +84,8 @@ PINS = {
     "perm9-tri": (lambda: extract_coefficient(*permanent_skew_circuit(9, prime_field()),
                                               "tri"), "c7a850d85485", 3262, 8208),
     "perm6-s2": (lambda: build_permanent_circuit(6, b=1, g=1), "46fbda4ce12a", 292, 585),
+    # the deepest Kronecker power of the trivial provider among the pins: s = 3
+    "perm9-s3": (lambda: build_permanent_circuit(9, g=1), "3570d392d23b", 3262, 8208),
     # the one pin with a provider other than the trivial one: its rows
     # share terms across several side entries
     "perm9-block-first": (lambda: build_permanent_circuit(9, gf2(32), dec_source=block_first,
@@ -122,3 +124,25 @@ def test_pins_hold_under_a_fixed_hash_seed():
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout) == {k: pin for k, (_, pin, *_) in PINS.items()}
+
+
+@pytest.mark.parametrize("name, transforms", [
+    ("perm6-s2", False),
+    ("kpath-tri", False),
+    ("perm9-block-first", True),
+])
+def test_only_terms_that_are_not_unit_terms_run_the_yates_transform(name, transforms,
+                                                                     monkeypatch):
+    # the trivial provider's terms are unit terms, whose products are read
+    # from the inputs directly; the block-first provider's rank-5 terms
+    # have several entries per slot and go through the transform
+    calls = []
+    real = scaling._yates_transform
+
+    def spy(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(scaling, "_yates_transform", spy)
+    PINS[name][0]()
+    assert bool(calls) == transforms

@@ -14,6 +14,8 @@ from kronscale.circuit import (
     CircuitBuilder,
     evaluate,
     mask_bits,
+    mask_of,
+    serialize,
     subset_name,
 )
 from kronscale.coeffx import extract_coefficient
@@ -464,20 +466,117 @@ def test_yates_arc_budget_names_slot_and_level(monkeypatch):
 
 def test_instantiate_arc_budget_reports_where_it_fired(monkeypatch):
     monkeypatch.setattr(scaling, "ARC_BUDGET", 4)
-    scheme = PScalingScheme(2, 1, 1, F)
+    for g, s in ((1, 2), (None, 1)):
+        scheme = PScalingScheme(2, 1, g, F)
+        bld = CircuitBuilder(F)
+        wires = {}
+        for slot in "xyz":
+            wires[slot] = {}
+            for elems in combinations(range(6), 2):
+                mask = sum(1 << e for e in elems)
+                wires[slot][mask] = bld.inp(subset_name(slot, mask))
+        bld.add(*list(wires["x"].values())[:5])
+        # the trivial provider's terms are unit terms, whose transform
+        # would add no gates, so the five arcs already in the builder trip
+        # the budget at the first check
+        with pytest.raises(TooLarge) as info:
+            scheme.instantiate(bld, [(wires["x"].get, wires["y"].get)], wires["z"].get)
+        assert str(info.value) == (f"yates: slot x, level 1 of s={s}: "
+                                   "5 arcs exceed the arc budget 4")
+
+
+def random_unit_dec(rng, side, r):
+    """r unit terms x_A * y_B * z_C over singleton masks, each slot's mask
+    drawn at random, so term order is not side order; with its tensor."""
+    sides = tuple(1 << i for i in range(side))
+    terms = [tuple(rng.below(side) for _ in range(3)) for _ in range(r)]
+    entries = {}
+    rows = [[[] for _ in sides] for _ in range(3)]
+    for l, term in enumerate(terms):
+        key = tuple(sides[i] for i in term)
+        entries[key] = F.add(entries.get(key, F.zero), F.one)
+        for k, i in enumerate(term):
+            rows[k][i].append((l, F.one))
+    dec = RankDecomposition(F, side, r, sides, sides, sides,
+                            *(tuple(map(tuple, slot)) for slot in rows))
+    return Tensor(F, tuple(range(side)), entries), dec
+
+
+def shuffled_trivial(seed):
+    """A provider of the trivial decomposition with its term ids permuted:
+    still unit terms, but their owners no longer ascend with the term."""
+    def provider(d, field):
+        dec = trivial_decomposition(generate_P(d, field=field))
+        perm = list(range(dec.rank))
+        Rng(seed).shuffle(perm)
+        return replace(dec, **{label: tuple(tuple(sorted((perm[l], v) for l, v in row))
+                                            for row in rows)
+                               for label, rows in zip("UVW", dec.rows)})
+    return provider
+
+
+def owners_ascend(dec):
+    return any(list(owner) == sorted(owner) for owner in dec.owners)
+
+
+def force_yates(monkeypatch):
+    # every decomposition then takes the path of one without unit terms
+    monkeypatch.setattr(RankDecomposition, "owners", property(lambda self: None))
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_unit_terms_give_the_circuit_of_the_yates_transform(s, monkeypatch):
+    rng = Rng(50 + s)
+    t, dec = random_unit_dec(rng, 3, 8)
+    assert dec.owners is not None and not owners_ascend(dec)
+    circ = yates_circuit(dec, s)
+    power = kron_power(t, s)
+    for _ in range(3):
+        asg = _assign_all(circ, rng)
+        x, y, z = ({key[k]: asg[subset_name(slot, key[k])] for key in power.entries}
+                   for k, slot in enumerate("xyz"))
+        assert evaluate(circ, asg)[0] == tensor_eval(power, x, y, z)
+    force_yates(monkeypatch)
+    assert serialize(yates_circuit(dec, s)) == serialize(circ)
+
+
+def _sparse_two_pair_instantiate(n, g, dec_source, seed):
+    """P_n(x1, y1, z) + P_n(x2, y2, z) through one instantiate, each wire
+    missing about a quarter of its masks, and the oracle's value of it."""
+    rng = Rng(seed)
+    scheme = PScalingScheme(n, 1, g, F, dec_source=dec_source)
     bld = CircuitBuilder(F)
+    values = {}
     wires = {}
-    for slot in "xyz":
-        wires[slot] = {}
-        for elems in combinations(range(6), 2):
-            mask = sum(1 << e for e in elems)
-            wires[slot][mask] = bld.inp(subset_name(slot, mask))
-    bld.add(*list(wires["x"].values())[:5])
-    # the trivial provider's transform adds no gates, so the five arcs
-    # already in the builder trip the budget at the first check
-    with pytest.raises(TooLarge) as info:
-        scheme.instantiate(bld, [(wires["x"].get, wires["y"].get)], wires["z"].get)
-    assert str(info.value) == "yates: slot x, level 1 of s=2: 5 arcs exceed the arc budget 4"
+    for name in ("x1", "y1", "x2", "y2", "z"):
+        values[name] = dict.fromkeys(map(mask_of, combinations(range(3 * n), n)), F.zero)
+        wires[name] = {}
+        for m in values[name]:
+            if rng.below(4):
+                wires[name][m] = bld.inp(subset_name(name, m))
+                values[name][m] = F.random(rng)
+    bld.set_outputs([scheme.instantiate(bld, [(wires["x1"].get, wires["y1"].get),
+                                              (wires["x2"].get, wires["y2"].get)],
+                                        wires["z"].get)])
+    circ = bld.build()
+    pn = generate_P(n, field=F)
+    want = F.add(tensor_eval(pn, values["x1"], values["y1"], values["z"]),
+                 tensor_eval(pn, values["x2"], values["y2"], values["z"]))
+    got = evaluate(circ, {subset_name(name, m): values[name][m]
+                          for name in wires for m in wires[name]})[0]
+    return scheme, circ, got, want
+
+
+@pytest.mark.parametrize("n, g", [(2, None), (2, 1), (3, 1)], ids=["s1", "s2", "s3"])
+def test_unit_provider_gives_the_scheme_circuit_of_the_yates_transform(n, g, monkeypatch):
+    provider = shuffled_trivial(n)
+    scheme, circ, got, want = _sparse_two_pair_instantiate(n, g, provider, seed=n)
+    assert scheme.dec.owners is not None and not owners_ascend(scheme.dec)
+    assert got == want
+    force_yates(monkeypatch)
+    scheme, forced, *_ = _sparse_two_pair_instantiate(n, g, provider, seed=n)
+    assert scheme.dec.owners is None
+    assert serialize(forced) == serialize(circ)
 
 
 def _check_build_P(n, b, g, n_assignments=5, seed=9):
