@@ -19,8 +19,8 @@ materialized.
   below: the top layer walks down from the one output component, and
   the middle layer walks whichever way a count finds cheaper in arcs.
   With one live cut2 component the transposed fill, made in a copy of
-  the builder, is its own count, since counting it would cost about as
-  much; with more, a cheap bitset count prices it first.
+  the builder, is its own count; with more, a bitset count that reads
+  the low tables' gates through the builder prices it first.
   It takes 1-skew circuits only, which every application builds.
 """
 
@@ -191,24 +191,25 @@ class _ArcCount:
 
     Keys are masks alone.  An entry is a triple of seed bitsets: the seeds
     that have it, those whose gate is the constant one, and those whose
-    gate is a constant; a low-table gate is its constant value, or None.
-    Folding is CircuitBuilder's (a product with one, or of two constants,
-    and a sum of constants, emit nothing), but nothing is interned, and a
-    sum of constants counts as a constant other than zero and one.  Short
-    of such a sum folding to zero or one, the count is a builder's
-    requested_arcs for the same fill.
+    gate is a constant; a low-table gate is bld's, read by bld.is_const,
+    so a count seeds from a fill's low tables.  Folding is
+    CircuitBuilder's (a product with one, or of two constants, and a sum
+    of constants, emit nothing), but nothing is interned, and a sum of
+    constants counts as a constant other than zero and one.  Short of such
+    a sum folding to zero or one, the count is a builder's requested_arcs
+    for the same fill.
 
-    All seeds share one walk, which makes the count cheap against a fill
-    with many seeds (the forward middle's cut1 components, or many live
-    cut2 roots: 6.2 ms against a 74 ms fill for hafnian 2n = 14's 48)
-    and nearly as dear as one with a single seed, whose bitsets hold one
-    bit (1.0 ms against 1.3 ms, the copy included, on the kpath-tri
-    benchmark circuit), where _middle_transposed fills instead of
-    counting.  Times: warm, minimum of 5-15 runs, one 2-CPU x86 host.
+    All seeds share one walk: cheap against a fill with many seeds (the
+    forward middle's cut1 components, or hafnian 2n = 14's 48 live cut2
+    roots: 6.2 against 74 ms), nearly as dear as one with a single seed
+    (1.0 against 1.3 ms, the copy included, on the kpath-tri benchmark
+    circuit), where _fill_middle fills instead.  Warm minima of 5-15 runs,
+    one 2-CPU x86 host.
     """
 
-    def __init__(self, field, cap=None):
-        self.one = field.one
+    def __init__(self, bld, cap=None):
+        self.is_const = bld.is_const
+        self.one = bld.field.one
         self.arcs = 0
         self.cap = cap
 
@@ -217,10 +218,11 @@ class _ArcCount:
 
     def mul(self, low, entry):
         have, one, const = entry
-        if low is None:
+        value = self.is_const(low)
+        if value is None:
             self.arcs += 2 * (have & ~one).bit_count()
             return have, 0, 0
-        if low == self.one:
+        if value == self.one:
             return entry
         self.arcs += 2 * (have & ~const).bit_count()
         return have, 0, const
@@ -248,43 +250,47 @@ class _OverCap(Exception):
     """An _ArcCount passed its cap."""
 
 
-def _middle_transposed(bld, layer, low: dict, cut1, live: dict, filled: list) -> bool:
-    """Whether the middle layer emits fewer arcs transposed, from each cut2
-    component c of live seeded with its key live[c], than forward, from
-    every cut1 component; a tie stays forward.
+def _fill_transposed(bld, layer, low: dict, roots: dict) -> dict:
+    """_run_layer transposed from each root c, seeded with one at key roots[c]."""
+    return _run_layer(bld, layer, dict(low), {c: {key: [bld.one]} for c, key in roots.items()})
 
-    The forward count is _ArcCount's, seed bit i standing for cut1
-    component i, and it stops once it passes the transposed count.  With
-    two or more live roots _ArcCount counts the transposed fill too, for
-    all roots at once, and the caller fills whichever side wins.  With one
-    root that count costs about what the fill costs (see _ArcCount), so
-    the layer is filled transposed into bld.copy() instead, and the
-    copy's requested_arcs tally, the arcs of every add and mul pushed,
-    interned or not, is the transposed count.  When it wins, (copy,
-    tables) is appended to `filled` and the extraction goes on in the
-    copy; otherwise the copy is dropped and the caller fills forward."""
-    consts = {c: {t: bld.is_const(gate) for t, gate in tab.items()} for c, tab in low.items()}
 
-    def arcs(tables, roots=None, cap=None):
-        count = _ArcCount(bld.field, cap)
+def _fill_forward(bld, layer, low: dict, cut1, n: int) -> dict:
+    """_run_layer forward from each cut1 component i, seeded with one at key i << n."""
+    return _run_layer(bld, layer, {c: {i << n: bld.one} for i, c in enumerate(cut1)} | low)
+
+
+def _fill_middle(bld, layer, low: dict, cut1, live: dict, n: int) -> tuple:
+    """(builder, tables, transposed): the middle layer, filled from the side
+    that emits fewer arcs, a tie staying forward: transposed from each cut2
+    component c of live, keyed live[c], or forward from every cut1 component.
+
+    The forward count is _ArcCount's, capped at the transposed count.  With
+    two or more live roots _ArcCount counts the transposed side too, for
+    all roots at once, and the winner is filled into bld.  With one root
+    that count costs about a fill (see _ArcCount), so the layer is filled
+    transposed into bld.copy(), whose requested_arcs tally (every add and
+    mul arc pushed, interned or not) is the transposed count; the copy is
+    the builder returned if that side wins, and is dropped otherwise."""
+    def count(tables, roots=None, cap=None):
+        counter = _ArcCount(bld, cap)
         try:
-            _run_layer(count, layer, tables, roots)
+            _run_layer(counter, layer, tables, roots)
         except _OverCap:
             pass
-        return count.arcs
+        return counter.arcs
 
     if len(live) == 1:
         copy = bld.copy()
-        tables = _run_layer(copy, layer, dict(low),
-                            {c: {key: [copy.one]} for c, key in live.items()})
+        tables = _fill_transposed(copy, layer, low, live)
         cap = copy.requested_arcs - bld.requested_arcs
     else:
-        cap = arcs(dict(consts), {c: {0: [(1 << j,) * 3]} for j, c in enumerate(live)})
-    transposed = cap < arcs({c: {0: (1 << i,) * 3} for i, c in enumerate(cut1)} | consts,
-                            cap=cap)
-    if transposed and len(live) == 1:
-        filled.append((copy, tables))
-    return transposed
+        cap = count(dict(low), {c: {0: [(1 << j,) * 3]} for j, c in enumerate(live)})
+    if cap >= count({c: {0: (1 << i,) * 3} for i, c in enumerate(cut1)} | low, cap=cap):
+        return bld, _fill_forward(bld, layer, low, cut1, n), False
+    if len(live) == 1:
+        return copy, tables, True
+    return bld, _fill_transposed(bld, layer, low, live), True
 
 
 def _open(circ: Circuit, variables, degs) -> tuple:
@@ -336,7 +342,7 @@ def extract_coeff_tripartition(circ: Circuit, variables, b: int = 1,
     forward with each cut1 component i a fresh variable, so g_ij sits in
     cut2 component j's table, or transposed from each cut2 component j
     whose h_j is non-empty, so g_ij is the adjoint of cut1 component i:
-    whichever _middle_transposed counts fewer arcs for.  P is trilinear,
+    whichever _fill_middle counts fewer arcs for.  P is trilinear,
     so the pairs that share j sum inside one restricted instantiation of
     the tripartitioning circuit, sum_i P(f_i, g_ij, h_j), which
     transforms h_j once per type.  The combining P_{n/3}[[n]] circuit
@@ -371,28 +377,16 @@ def extract_coeff_tripartition(circ: Circuit, variables, b: int = 1,
     cut2 = [c for c, _ in graph if c[1] == 2 * n3]
     f_tables = [bottom.get(c, {}) for c in cut1]
     low = {c: t for c, t in bottom.items() if c[1] <= 1}
-    middle_layer = _layer(graph, n3, 2 * n3)
-    top_layer = _layer(graph, 2 * n3, n)
     # the top layer, transposed from its one seed: h_j is the adjoint of
     # cut2 component j
-    top = _run_layer(bld, top_layer, dict(low), {(circ.outputs[0], n): {0: [bld.one]}})
+    top = _fill_transposed(bld, _layer(graph, 2 * n3, n), low, {(circ.outputs[0], n): 0})
     h_tables = [top.get(c, {}) for c in cut2]
     arcs["top"] = bld.arcs - sum(arcs.values())
     # the middle layer, from whichever side emits fewer arcs: forward from
     # every cut1 component i, keyed i << n, or transposed from each cut2
-    # component j whose h_j is non-empty, keyed j << n; one pass either way,
-    # which _middle_transposed may have made already, in a copy of bld
+    # component j whose h_j is non-empty, keyed j << n
     live = {c: j << n for j, c in enumerate(cut2) if h_tables[j]}
-    filled = []
-    transposed = _middle_transposed(bld, middle_layer, low, cut1, live, filled)
-    if filled:
-        (bld, middle), = filled
-    elif transposed:
-        middle = _run_layer(bld, middle_layer, dict(low),
-                            {c: {key: [bld.one]} for c, key in live.items()})
-    else:
-        middle = _run_layer(bld, middle_layer,
-                            {c: {i << n: bld.one} for i, c in enumerate(cut1)} | low)
+    bld, middle, transposed = _fill_middle(bld, _layer(graph, n3, 2 * n3), low, cut1, live, n)
     arcs["middle"] = bld.arcs - sum(arcs.values())
     # split the keys by key >> n into g_ij
     g_tables = [[{} for _ in cut2] for _ in cut1]
@@ -408,16 +402,14 @@ def extract_coeff_tripartition(circ: Circuit, variables, b: int = 1,
                for j, hj in enumerate(h_tables) if hj]
     bld.set_outputs([bld.add(*outputs)])
     arcs["join"] = bld.arcs - sum(arcs.values())
+    report = {stage: {"arcs": arcs[stage]} for stage in ("bottom", "middle", "top", "join")}
+    report["middle"]["fill"] = "transposed" if transposed else "forward"
     result = dead_gate_elimination(bld.build())
     result.meta.update(method="tri", s=len(cut1), t=len(cut2),
                        table_entries=sum(len(t) for t in f_tables)
                        + sum(len(t) for row in g_tables for t in row)
                        + sum(len(t) for t in h_tables),
-                       report={"bottom": {"arcs": arcs["bottom"]},
-                               "middle": {"arcs": arcs["middle"],
-                                          "fill": "transposed" if transposed else "forward"},
-                               "top": {"arcs": arcs["top"]},
-                               "join": {"arcs": arcs["join"]}})
+                       report=report)
     return result
 
 

@@ -249,6 +249,11 @@ class SetFamily:
     ground_size: int
     members: tuple          # tuple of sorted element tuples, 1-based
 
+    def __post_init__(self):
+        for m in self.members:
+            if len(set(m)) < len(m) or any(not 1 <= e <= self.ground_size for e in m):
+                raise ShapeError(f"member {m} is not distinct elements of 1..{self.ground_size}")
+
 
 def parse_family_file(text: str) -> SetFamily:
     """Family file: 'n q m' then m lines of q elements each."""

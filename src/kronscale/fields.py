@@ -114,8 +114,6 @@ class Rng:
 class Field:
     """Common interface; concrete fields below."""
 
-    kind = None
-
     def spec_string(self) -> str:
         raise NotImplementedError
 
@@ -138,8 +136,6 @@ class Field:
 
 class PrimeField(Field):
     """Z_p for a prime p < 2^62; elements are ints in [0, p)."""
-
-    kind = "prime"
 
     def __init__(self, p: int = DEFAULT_PRIME):
         if p >= (1 << 62) or not _is_probable_prime(p):
@@ -274,8 +270,6 @@ class GF2Field(Field):
     `dot_kernel` prepares the packed batch kernel.  The field keeps no
     tables.
     """
-
-    kind = "gf2"
 
     def __init__(self, w: int):
         if w not in REDUCTION_POLY_LOW:

@@ -470,15 +470,13 @@ def _unit_power(bld: CircuitBuilder, dec: RankDecomposition, s: int, present, zi
     rows, each row cut to the terms whose y and z owners are a j-th side
     index of some present y and z input: the terms the transform keeps,
     in its order.  A tuple whose owners name a present y and z input
-    appends x * y to groups[z].  The transforms add no gate, so the first
-    arc check of each pair's x transform is the only one that can fire;
-    it runs as the pair's inputs are read, as it does there."""
+    appends x * y to groups[z].  No transform or wire adds an arc, so one
+    check, named as the transform path's first, stands for all of them."""
     # every wire is read before the first product is pushed, as on the
     # transform path, so a wire that makes gates makes them in its order
-    pairs = []
-    for xin, yin in present:
+    pairs = list(present)
+    if pairs:
         _check_arcs(bld, "x", 1, s)
-        pairs.append((xin, yin))
     _, oy, oz = dec.owners
     zsides = [{key[j] for key in zin} for j in range(s)]
     mul = bld.mul

@@ -189,12 +189,22 @@ class DirectedGraph:
     n: int
     edges: tuple         # (u, v) pairs, 1-based
 
+    def __post_init__(self):
+        for v in [v for e in self.edges for v in e]:
+            if not 1 <= v <= self.n:
+                raise ShapeError(f"vertex {v} is outside 1..{self.n}")
+
 
 @dataclass(frozen=True)
 class UndirectedGraph:
     n: int
     edges: tuple         # (u, v) with u < v, 1-based
     side_u: tuple = ()   # declared bipartition side, possibly empty
+
+    def __post_init__(self):
+        for v in [v for e in self.edges for v in e] + list(self.side_u):
+            if not 1 <= v <= self.n:
+                raise ShapeError(f"vertex {v} is outside 1..{self.n}")
 
 
 def parse_graph_file(text: str):

@@ -3,6 +3,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from kronscale import coeffx
 from kronscale.circuit import OP_ADD, OP_MUL, CircuitBuilder
 from kronscale.fields import Rng
 
@@ -81,3 +82,14 @@ def planned_products(circ) -> tuple:
             values += n
     adds = sum(1 for gid in reached_gates(circ) if circ.gates[gid][0] == OP_ADD)
     return products - (values - adds), values - adds
+
+
+def force_middle(monkeypatch, transposed):
+    """Fill the tri route's middle layer in the given direction, whatever
+    the count would pick, with the fill helper of that direction."""
+    def fill(bld, layer, low, cut1, live, n):
+        if transposed:
+            return bld, coeffx._fill_transposed(bld, layer, low, live), True
+        return bld, coeffx._fill_forward(bld, layer, low, cut1, n), False
+
+    monkeypatch.setattr(coeffx, "_fill_middle", fill)

@@ -2,7 +2,7 @@ from unittest import mock
 
 import pytest
 
-from conftest import random_skew_circuit
+from conftest import force_middle, random_skew_circuit
 from kronscale import circuit, coeffx, sieving
 from kronscale.circuit import (
     CircuitBuilder,
@@ -13,6 +13,8 @@ from kronscale.circuit import (
 )
 from kronscale.coeffx import (
     _ArcCount,
+    _fill_forward,
+    _fill_transposed,
     _layer,
     _reach,
     _run_layer,
@@ -336,12 +338,6 @@ def test_tripartition_splits_several_cut_components():
         assert len(values) > 1  # the coefficient depends on v:w
 
 
-def force_middle(monkeypatch, transposed):
-    """Fill the tri route's middle layer in the given direction, whatever
-    the count would pick."""
-    monkeypatch.setattr(coeffx, "_middle_transposed", lambda *args: transposed)
-
-
 def test_tripartition_runs_each_layer_once(monkeypatch):
     calls = []
 
@@ -458,25 +454,24 @@ def test_hafnian_tri_at_2n14_keeps_the_forward_middle():
 def middle_counts(monkeypatch, circ, variables):
     """Per middle layer of the tri extraction of circ: (live roots,
     _ArcCount's transposed count, the requested-arc tally of the copy
-    that _middle_transposed fills, the direction picked)."""
+    that _fill_middle fills, the direction picked)."""
     seen = []
-    decide = coeffx._middle_transposed
+    fill = coeffx._fill_middle
     copy = CircuitBuilder.copy
 
-    def spy(bld, layer, low, cut1, live, filled):
-        consts = {c: {t: bld.is_const(g) for t, g in tab.items()} for c, tab in low.items()}
-        count = _ArcCount(bld.field)
-        _run_layer(count, layer, consts, {c: {0: [(1 << j,) * 3]} for j, c in enumerate(live)})
+    def spy(bld, layer, low, cut1, live, n):
+        count = _ArcCount(bld)
+        _run_layer(count, layer, dict(low), {c: {0: [(1 << j,) * 3]} for j, c in enumerate(live)})
         copies = []
         monkeypatch.setattr(CircuitBuilder, "copy",
                             lambda self: copies.append(copy(self)) or copies[-1])
         before = bld.requested_arcs
-        transposed = decide(bld, layer, low, cut1, live, filled)
+        filled = fill(bld, layer, low, cut1, live, n)
         (twin,) = copies
-        seen.append((len(live), count.arcs, twin.requested_arcs - before, transposed))
-        return transposed
+        seen.append((len(live), count.arcs, twin.requested_arcs - before, filled[2]))
+        return filled
 
-    monkeypatch.setattr(coeffx, "_middle_transposed", spy)
+    monkeypatch.setattr(coeffx, "_fill_middle", spy)
     extract_coefficient(circ, variables, "tri")
     return seen
 
@@ -588,8 +583,8 @@ def test_transposed_fill_is_the_forward_fill_transposed():
     cut1 = [c for c, _ in graph if c[1] == 3]
     cut2 = [c for c, _ in graph if c[1] == 6]
     layer = _layer(graph, 3, 6)
-    up = _run_layer(bld, layer, {c: {i << 9: bld.one} for i, c in enumerate(cut1)} | low)
-    down = _run_layer(bld, layer, dict(low), {c: {j << 9: [bld.one]} for j, c in enumerate(cut2)})
+    up = _fill_forward(bld, layer, low, cut1, 9)
+    down = _fill_transposed(bld, layer, low, {c: j << 9 for j, c in enumerate(cut2)})
     full = (1 << 9) - 1
     forward = {(key >> 9, j, key & full): gate
                for j, c in enumerate(cut2) for key, gate in up.get(c, {}).items()}

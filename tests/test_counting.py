@@ -433,6 +433,20 @@ def test_setpart_members_of_mixed_sizes():
     assert count_set_partitions(fam, "tri") == want
 
 
+@pytest.mark.parametrize("size, members", [
+    # the circuit has no variable for element 4, nor for element 0
+    (3, ((1, 2, 3), (4,))),
+    (3, ((0, 1), (2, 3))),
+    # the circuit squares x_1 and counts 0; the oracle took the member as {1}
+    (2, ((1, 1), (1,))),
+], ids=["above-the-ground-set", "element-0", "repeated-element"])
+def test_a_family_built_in_code_refuses_a_malformed_member(size, members):
+    # parse_family_file makes these checks itself, with a line number
+    with pytest.raises(ShapeError, match=rf"^member \(.*\) is not distinct elements "
+                                         rf"of 1\.\.{size}$"):
+        SetFamily(size, members)
+
+
 @pytest.mark.parametrize("entries, symmetric, message", [
     (((1, 2),), False, "matrix is not square"),
     (((1, 2), (3, 4)), True, "symmetric flag on an asymmetric matrix"),

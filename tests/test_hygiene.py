@@ -3,9 +3,10 @@ from the standard library or kronscale itself, no function writes into a
 module-level container (a hidden global cache), no code but
 CircuitBuilder._push writes a builder's gate list, no code but
 SieveRunner.detect runs a sieve, only the text parsers and their line
-helpers raise ParseError, every field class defines what circuit
-evaluation reads off a field, and every definition, in a kronscale
-module or a shared test helper, is named somewhere outside itself."""
+helpers raise ParseError, no module states an invariant by assert,
+every field class defines what circuit evaluation reads off a field,
+and every definition, in a kronscale module or a shared test helper, is
+named somewhere outside itself."""
 
 import ast
 import re
@@ -278,6 +279,24 @@ def test_scan_finds_a_parse_error_outside_a_parser():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_parse_errors_are_raised_only_by_parsers(path):
     assert parse_errors_outside_parsers(path.read_text()) == []
+
+
+def assert_statements(source: str) -> list:
+    """The line of each assert statement."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_scan_finds_an_assert_statement():
+    source = ("def f(x):\n    assert x > 0, 'x'\n    if x:\n        assert x\n"
+              "    return 'assert x'\n# assert x\n")
+    assert assert_statements(source) == [2, 4]
+
+
+# python -O strips an assert, so an invariant it states would go
+# unchecked; a broken one raises a typed error instead
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert assert_statements(path.read_text()) == []
 
 
 def evaluation_path(circuit_source: str) -> list:

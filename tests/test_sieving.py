@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from kronscale import coeffx, scaling
+from kronscale import scaling
 from kronscale.circuit import CircuitBuilder, evaluate, formal_degrees, serialize
 from kronscale.errors import (
     BipartitenessError,
@@ -31,7 +31,7 @@ from kronscale.sieving import (
     vandermonde,
 )
 
-from conftest import planned_products
+from conftest import force_middle, planned_products
 from test_scaling import block_first
 
 F = gf2(16)
@@ -503,6 +503,23 @@ def test_matching3d_vs_exhaustive():
     assert matching3d_detect((3, 3, 3), triples, 3, rng, field=F) == matching3d_brute(triples, 3)
 
 
+@pytest.mark.parametrize("build, vertex", [
+    (lambda: DirectedGraph(4, ((1, 2), (2, 9), (9, 3))), 9),
+    (lambda: DirectedGraph(4, ((0, 1),)), 0),
+    (lambda: UndirectedGraph(4, ((1, 2), (2, 9), (3, 4))), 9),
+    (lambda: UndirectedGraph(4, ((0, 2),)), 0),
+    (lambda: UndirectedGraph(4, ((1, 2),), side_u=(1, 5)), 5),
+    (lambda: UndirectedGraph(4, ((1, 2),), side_u=(0,)), 0),
+], ids=["directed-above-n", "directed-0", "undirected-above-n", "undirected-0",
+        "side-above-n", "side-0"])
+def test_a_graph_built_in_code_refuses_a_vertex_outside_1_to_n(build, vertex):
+    # the sieves would index past their variables, or answer False for a
+    # vertex 0 that no variable stands for; parse_graph_file makes these
+    # checks itself, with a line number
+    with pytest.raises(ShapeError, match=rf"^vertex {vertex} is outside 1\.\.4$"):
+        build()
+
+
 NOT_ONE_PER_SIDE = r"is not one element in 1\.\.size per side \(2, 2, 2\)$"
 
 
@@ -726,7 +743,7 @@ def test_kpath_tri_either_middle_direction_equals_the_direct_route(k, transposed
     a = vandermonde(k + 1, 7, field, Rng(5))
     xvars = [f"x:{{{v}}}" for v in range(1, 8)]
     direct = SieveRunner(circ, a, "det", "direct", xvars=xvars)
-    monkeypatch.setattr(coeffx, "_middle_transposed", lambda *args: transposed)
+    force_middle(monkeypatch, transposed)
     tri = SieveRunner(circ, a, "det", "tri", xvars=xvars)
     assert tri.circuit.meta["report"]["middle"]["fill"] == ("transposed" if transposed
                                                           else "forward")
